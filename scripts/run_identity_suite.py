@@ -18,9 +18,9 @@ def main() -> int:
     parser.add_argument("--trials", type=int, default=200)
     args = parser.parse_args()
 
-    start = time.time()
+    start = time.perf_counter_ns()
     reports = run_suite(args.seed, args.trials)
-    elapsed = time.time() - start
+    elapsed_ms = (time.perf_counter_ns() - start) // 1_000_000
 
     by_id = Counter(r.identity_id for r in reports)
     failed = Counter(r.identity_id for r in reports if not r.passed)
@@ -28,7 +28,7 @@ def main() -> int:
     for name in sorted(by_id):
         status = "ok" if not failed[name] else f"{failed[name]} FAILED"
         print(f"{name:<{width}}  {by_id[name]:>4} runs  {status}")
-    print(f"\n{len(reports)} reports in {elapsed:.2f}s")
+    print(f"\n{len(reports)} reports in {elapsed_ms} ms")
     if not suite_passed(reports):
         print("SUITE FAILED")
         return 1

@@ -364,10 +364,6 @@ class MorphismH1:
         self.target = target
         self.rows = tuple(clean)
 
-    @staticmethod
-    def identity(space: Space) -> "MorphismH1":
-        return MorphismH1(space, space, [[(i, 1)] for i in range(space.ngens)])
-
     def row_class(self, j: int) -> ExteriorClass:
         return ExteriorClass(self.source, {(i,): c for i, c in self.rows[j]})
 

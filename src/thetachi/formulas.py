@@ -40,12 +40,6 @@ def binom(a, b: int):
     return int(value) if value.denominator == 1 else value
 
 
-def _fmt_exact(value) -> str:
-    if isinstance(value, Fraction) and value.denominator != 1:
-        return f"{value.numerator}/{value.denominator}"
-    return str(int(value))
-
-
 @dataclass(frozen=True)
 class ChiResult:
     """Exact value of one Euler-characteristic formula plus provenance."""
@@ -63,7 +57,7 @@ class ChiResult:
     def to_json_dict(self) -> dict:
         out = {
             "formula": self.formula_id,
-            "value": _fmt_exact(self.value),
+            "value": str(self.value),
             "integral": self.integral,
             "branch": self.branch,
             "inputs": {k: str(v) for k, v in self.inputs.items()},

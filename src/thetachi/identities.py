@@ -10,7 +10,12 @@ residual is identically zero.  Each identity runs in two modes:
 * numeric - seeded pseudo-random integer parameters in [-9, 9], with
   degenerate values excluded and orthogonality solved exactly.
 
-The same identity code serves both modes; only the scalars differ.
+The same identity code serves both modes; only the scalars differ.  Each
+identity declares its parameters once, as a ``ParamSpec``, and both the
+symbolic parameters and the seeded sampler are derived from it.  Only two
+numeric draws are bespoke, because they need a condition the symbolic
+proof does not impose: the d_w = 0 quotient locus of ``dw0_chern`` and the
+integral Mukai pairs of the ``assembly_*`` checks.
 Registry keys (sec4_table, ..., assembly_three) are the stable interface
 tokens used by the command-line ``verify --only`` filter.
 """
@@ -20,6 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from . import abelian as ab
 from .abelian import (
@@ -156,12 +162,9 @@ def _lambda_on(sp, pol: Polarization) -> ExteriorClass:
     return polarization_class(sp, 0, pol)
 
 
-def _sym_alpha() -> dict:
-    return {name: Poly.var(name) for name in ("a12", "a13", "a14", "a23", "a24", "a34")}
-
-
-def _rand_alpha(rng) -> dict:
-    return {name: rng.randint(-9, 9) for name in ("a12", "a13", "a14", "a23", "a24", "a34")}
+def _half_square(c: ExteriorClass):
+    """Integral of c^2/2 over A: chi(A, L) for c = c1(L), and lam^2/2 in d_v."""
+    return scalar_div(integrate(wedge(c, c)), 2)
 
 
 def _rand_nonzero(rng) -> int:
@@ -171,11 +174,120 @@ def _rand_nonzero(rng) -> int:
             return value
 
 
-def _orthogonality_constraint(r, rp, chi, lam_dot_lamp):
-    """chi' := -(r' chi + lambda.lambda')/r, as (numerator, denominator)."""
-    if scalar_is_zero(r):
+def _orthogonality_constraint(p):
+    """chi' := -(r' chi + lambda.lambda')/r, as (numerator, denominator).
+
+    lambda = d f1^f2 + e f3^f4 and lambda' has coefficients a12..a34, so
+    lambda.lambda' = d a34 + e a12.
+    """
+    if scalar_is_zero(p["r"]):
         raise SideCondition("cannot eliminate chi' when r = 0")
-    return -(rp * chi + lam_dot_lamp), r
+    return -(p["rp"] * p["chi"] + p["d"] * p["a34"] + p["e"] * p["a12"]), p["r"]
+
+
+# -- parameter specs ------------------------------------------------------------
+
+FREE, NONZERO, SOLVED = "free", "nonzero", "solved"
+
+
+@dataclass(frozen=True)
+class ParamSpec:
+    """Ordered parameters of one identity, each FREE, NONZERO or SOLVED.
+
+    Both modes are derived from the one declaration.  Symbolically every
+    name is a polynomial variable; numerically FREE draws from [-9, 9],
+    NONZERO from [-9, 9] minus 0, in spec order.  The SOLVED name is chi',
+    fixed by the orthogonality of v = (r, lambda, chi) and
+    w = (r', lambda', chi'): it is eliminated symbolically and solved as an
+    exact Fraction numerically, so it must follow the names it depends on.
+    """
+
+    params: tuple  # of (name, kind)
+
+    def symbolic_params(self) -> dict:
+        out = {name: Poly.var(name) for name, _ in self.params}
+        for name, kind in self.params:
+            if kind == SOLVED:
+                out["constraint"] = (name, *_orthogonality_constraint(out))
+        return out
+
+    def sample(self, rng) -> dict:
+        out = {}
+        for name, kind in self.params:
+            if kind == FREE:
+                out[name] = rng.randint(-9, 9)
+            elif kind == NONZERO:
+                out[name] = _rand_nonzero(rng)
+            else:
+                out[name] = Fraction(*_orthogonality_constraint(out))
+        return out
+
+
+_DE = (("d", NONZERO), ("e", NONZERO))
+_ALPHA = tuple((name, FREE) for name in ("a12", "a13", "a14", "a23", "a24", "a34"))
+_VW = (("r", NONZERO), ("rp", FREE), ("chi", FREE), ("chip", SOLVED))
+_DE_SPEC = ParamSpec(_DE)
+_DE_ALPHA_SPEC = ParamSpec(_DE + _ALPHA)
+_DE_ALPHA_R_SPEC = ParamSpec(_DE + _ALPHA + (("r", FREE),))
+# v/w data with a general lambda' (six coefficients)
+_ORTHOGONAL_SPEC = ParamSpec(_DE + _ALPHA + _VW)
+# independent diagonal forms lambda = (d, e) and lambda' = (a12, a34)
+_DIAGONAL_PAIR_SPEC = ParamSpec(
+    (("d", FREE), ("e", FREE), ("a12", FREE), ("a34", FREE)) + _VW
+)
+_ISOMETRY_SPEC = ParamSpec(tuple(
+    (f"{prefix}{key}", FREE)
+    for prefix in ("x", "y")
+    for key in ("0", "12", "13", "14", "23", "24", "34", "top")
+))
+
+
+# -- bundle builders, shared by prop_split* and assembly_* -----------------------
+# Each takes v = (r, lambda(pol), chi) and w = (r', lam', chi').
+
+
+def _translation_bundle_c1(pol, r, chi, rp, lamp, chip) -> ExteriorClass:
+    """c1 on A: -p2![m_r*v . m*exp(-lam) . p1*(exp(lam) w)]_(3)."""
+    lam = _lambda_on(SP_A, pol)
+    v_cls = mukai_class(SP_A, 0, r, lam, chi)
+    w_cls = mukai_class(SP_A, 0, rp, lamp, chip)
+    m = addition(SP_AxA, 0, 1, SP_A)
+    mr = addition(SP_AxA, 0, 1, SP_A, r)
+    p1 = projection(SP_AxA, (0,), SP_A)
+    inner = wedge(
+        wedge(mr.pullback(v_cls), m.pullback(exp_even(-lam))),
+        p1.pullback(wedge(exp_even(lam), w_cls)),
+    )
+    return -_push_second_A(inner.part(6))
+
+
+def _dual_bundle_c1(pol, r, chi, rp, lamp, chip) -> ExteriorClass:
+    """c1 on Ah: -p2![f*v . p1*w . exp(chi c1(P))]_(3)."""
+    v_cls = mukai_class(SP_A, 0, r, _lambda_on(SP_A, pol), chi)
+    w_cls = mukai_class(SP_A, 0, rp, lamp, chip)
+    f = f_map(pol)
+    p1 = projection(SP_AxAH, (0,), SP_A)
+    cP = poincare_class(SP_AxAH, 0, 1)
+    inner = wedge(
+        wedge(f.pullback(v_cls), p1.pullback(w_cls)), exp_even(cP.scaled(chi))
+    )
+    return -fiber_integrate(inner.part(6), 0)
+
+
+def _two_parameter_bundle_chi(pol, r, chi, rp, lamp, chip):
+    """chi = c1^4/24 on AxAh, c1 = -p23![m12*v . p13*exp(c1(P)) . p1*w]_(3)."""
+    v_cls = mukai_class(SP_A, 0, r, _lambda_on(SP_A, pol), chi)
+    w_cls = mukai_class(SP_A, 0, rp, lamp, chip)
+    m12 = addition(SP_AxAxAH, 0, 1, SP_A)
+    p1 = projection(SP_AxAxAH, (0,), SP_A)
+    p13 = projection(SP_AxAxAH, (0, 2), SP_AxAH)
+    kernel = exp_even(poincare_class(SP_AxAH, 0, 1))
+    inner = wedge(
+        wedge(m12.pullback(v_cls), p13.pullback(kernel)), p1.pullback(w_cls)
+    )
+    c1 = -relabel(fiber_integrate(inner.part(6), 0), SP_AxAH)
+    square = wedge(c1, c1)
+    return integrate(wedge(square, square) / 24)
 
 
 # -- individual identities ----------------------------------------------------
@@ -302,23 +414,11 @@ def _check_prop_split(params) -> _Residuals:
     to it.
     """
     pol = Polarization(params["d"], params["e"])
-    r, chi = params["r"], params["chi"]
-    rp, chip = params["rp"], params["chip"]
+    r, chi, rp = params["r"], params["chi"], params["rp"]
     lam = _lambda_on(SP_A, pol)
     lamp = _alpha_class(params)  # general two-form as c1 of the partner
-
-    v_cls = mukai_class(SP_A, 0, r, lam, chi)
-    w_cls = mukai_class(SP_A, 0, rp, lamp, chip)
-    m = addition(SP_AxA, 0, 1, SP_A)
-    mr = addition(SP_AxA, 0, 1, SP_A, r)
-    p1 = projection(SP_AxA, (0,), SP_A)
-
-    inner = wedge(
-        wedge(mr.pullback(v_cls), m.pullback(exp_even(-lam))),
-        p1.pullback(wedge(exp_even(lam), w_cls)),
-    )
-    c1_bundle = -_push_second_A(inner.part(6))
-    d_v = scalar_div(integrate(wedge(lam, lam)), 2) - r * chi
+    c1_bundle = _translation_bundle_c1(pol, r, chi, rp, lamp, params["chip"])
+    d_v = _half_square(lam) - r * chi
     c1_tensor_cls = lamp.scaled(r) + lam.scaled(rp)
     res = _Residuals(constraint=params.get("constraint"))
     res.add_class("prop_split", c1_bundle - c1_tensor_cls.scaled(d_v))
@@ -407,24 +507,11 @@ def _check_fmtl(params) -> _Residuals:
 def _check_prop_split1(params) -> _Residuals:
     """Dual-side analogue of prop_split, with the same engine-fixed sign."""
     pol = Polarization(params["d"], params["e"])
-    r, chi = params["r"], params["chi"]
-    rp, chip = params["rp"], params["chip"]
-    lam = _lambda_on(SP_A, pol)
+    r, chi, chip = params["r"], params["chi"], params["chip"]
     lamp = _alpha_class(params)
-    v_cls = mukai_class(SP_A, 0, r, lam, chi)
-    w_cls = mukai_class(SP_A, 0, rp, lamp, chip)
-    f = f_map(pol)
-    p1 = projection(SP_AxAH, (0,), SP_A)
-    cP = poincare_class(SP_AxAH, 0, 1)
-
-    inner = wedge(
-        wedge(f.pullback(v_cls), p1.pullback(w_cls)), exp_even(cP.scaled(chi))
-    )
-    c1_bundle = -fiber_integrate(inner.part(6), 0)
-    lam_hat = lambda_hat(pol)
-    lamp_hat = hat_of(lamp)
-    d_v = scalar_div(integrate(wedge(lam, lam)), 2) - r * chi
-    c1_tensor_hat = lamp_hat.scaled(chi) + lam_hat.scaled(chip)
+    c1_bundle = _dual_bundle_c1(pol, r, chi, params["rp"], lamp, chip)
+    d_v = _half_square(_lambda_on(SP_A, pol)) - r * chi
+    c1_tensor_hat = hat_of(lamp).scaled(chi) + lambda_hat(pol).scaled(chip)
     res = _Residuals(constraint=params.get("constraint"))
     res.add_class("prop_split1", c1_bundle - c1_tensor_hat.scaled(d_v))
     return res
@@ -467,35 +554,18 @@ def _check_bl(params) -> _Residuals:
 def _check_prop_split2(params) -> _Residuals:
     """chi of the two-parameter correlation bundle equals (d_v d_w)^2.
 
-    Verified in the two rank-one reductions: lambda' = 0 and
+    lambda = (d, e) and lambda' = (a12, a34) are independent diagonal
+    forms.  Symbolically all four coefficients are free, so one proof
+    covers non-proportional forms as well as lambda' = 0 and
     lambda = a lambda'.
     """
-    d, e = params["d"], params["e"]
-    dp, ep = params["dp"], params["ep"]
+    pol = Polarization(params["d"], params["e"])
     r, chi = params["r"], params["chi"]
     rp, chip = params["rp"], params["chip"]
-    pol_v = Polarization(d, e)
-    lam = _lambda_on(SP_A, pol_v)
-    lamp = two_form(SP_A, 0, {(0, 1): dp, (2, 3): ep})
-
-    v_cls = mukai_class(SP_A, 0, r, lam, chi)
-    w_cls = mukai_class(SP_A, 0, rp, lamp, chip)
-    m12 = addition(SP_AxAxAH, 0, 1, SP_A)
-    p1 = projection(SP_AxAxAH, (0,), SP_A)
-    p13 = projection(SP_AxAxAH, (0, 2), SP_AxAH)
-    kernel = exp_even(poincare_class(SP_AxAH, 0, 1))
-
-    inner = wedge(
-        wedge(m12.pullback(v_cls), p13.pullback(kernel)), p1.pullback(w_cls)
-    )
-    c1_bundle = -relabel(fiber_integrate(inner.part(6), 0), SP_AxAH)
-    square = wedge(c1_bundle, c1_bundle)
-    chi_bundle = integrate(wedge(square, square) / 24)
-
-    lam_sq = integrate(wedge(lam, lam))
-    lamp_sq = integrate(wedge(lamp, lamp))
-    d_v = scalar_div(lam_sq, 2) - r * chi
-    d_w = scalar_div(lamp_sq, 2) - rp * chip
+    lamp = two_form(SP_A, 0, {(0, 1): params["a12"], (2, 3): params["a34"]})
+    chi_bundle = _two_parameter_bundle_chi(pol, r, chi, rp, lamp, chip)
+    d_v = _half_square(_lambda_on(SP_A, pol)) - r * chi
+    d_w = _half_square(lamp) - rp * chip
     res = _Residuals(constraint=params.get("constraint"))
     res.add_scalar("prop_split2", chi_bundle - (d_v * d_w) ** 2)
     return res
@@ -506,13 +576,14 @@ def _check_dw0_chern(params) -> _Residuals:
 
     c1 = -(chi' lam + chi lam'), and chi(A, c1) = chi'^2 d_v + chi^2 d_w
     under orthogonality; with d_w = 0 this gives the finite-cover count
-    chi'^2 d_v, i.e. the quotient value d_v.
+    chi'^2 d_v, i.e. the quotient value d_v, checked whenever the
+    parameters lie on that locus.
     """
     pol = Polarization(params["d"], params["e"])
     r, chi = params["r"], params["chi"]
     rp, chip = params["rp"], params["chip"]
     lam = _lambda_on(SP_A, pol)
-    lamp = two_form(SP_A, 0, {(0, 1): params["dp"], (2, 3): params["ep"]})
+    lamp = _alpha_class(params)
     v_cls = mukai_class(SP_A, 0, r, lam, chi)
     w_cls = mukai_class(SP_A, 0, rp, lamp, chip)
     m = addition(SP_AxA, 0, 1, SP_A)
@@ -521,14 +592,14 @@ def _check_dw0_chern(params) -> _Residuals:
     inner = wedge(m.pullback(w_cls), p1.pullback(v_cls))
     c1 = -_push_second_A(inner.part(6))
     expected = -(lam.scaled(chip) + lamp.scaled(chi))
-    d_v = scalar_div(integrate(wedge(lam, lam)), 2) - r * chi
-    d_w = scalar_div(integrate(wedge(lamp, lamp)), 2) - rp * chip
-    chi_of_c1 = scalar_div(integrate(wedge(c1, c1)), 2)
+    d_v = _half_square(lam) - r * chi
+    d_w = _half_square(lamp) - rp * chip
+    chi_of_c1 = _half_square(c1)
 
     res = _Residuals(constraint=params.get("constraint"))
     res.add_class("chern_class", c1 - expected)
     res.add_scalar("euler_value", chi_of_c1 - (chip * chip * d_v + chi * chi * d_w))
-    if params.get("check_quotient"):
+    if scalar_is_zero(d_w) and not scalar_is_zero(chip):
         res.add_scalar(
             "quotient_value", Fraction(chi_of_c1, chip * chip) - d_v
         )
@@ -564,36 +635,20 @@ def _check_fm_isometry(params) -> _Residuals:
 # -- assembly checks (numeric only) -------------------------------------------
 
 
-def _assemble_vectors(params):
-    n = params["n"]
+def _assembly_inputs(params):
+    """Integral v, w with c1 = k H, k' H, and the bundle builders' arguments."""
+    n, d0, e0 = params["n"], params["d0"], params["e0"]
     v = MukaiVector(params["r"], params["k"], params["chi"], n)
     w = MukaiVector(params["rp"], params["kp"], params["chip"], n)
-    pol_h = Polarization(params["d0"], params["e0"])
-    return v, w, pol_h
-
-
-def _tensor_square_from_engine(c1_cls: ExteriorClass) -> Fraction:
-    return Fraction(integrate(wedge(c1_cls, c1_cls)), 2)
+    pol_v = Polarization(d0 * v.k, e0 * v.k)
+    lamp = _lambda_on(SP_A, Polarization(d0 * w.k, e0 * w.k))
+    return v, w, (pol_v, v.r, v.chi, w.r, lamp, w.chi)
 
 
 def _check_assembly_main(params) -> _Residuals:
     """Theorem-level assembly: Albanese value x chi(A, L+) / d_v^4."""
-    v, w, pol_h = _assemble_vectors(params)
-    pol_v = Polarization(pol_h.d * v.k, pol_h.e * v.k)
-    lam = _lambda_on(SP_A, pol_v)
-    lamp = _lambda_on(SP_A, Polarization(pol_h.d * w.k, pol_h.e * w.k))
-    v_cls = mukai_class(SP_A, 0, v.r, lam, v.chi)
-    w_cls = mukai_class(SP_A, 0, w.r, lamp, w.chi)
-    m = addition(SP_AxA, 0, 1, SP_A)
-    mr = addition(SP_AxA, 0, 1, SP_A, v.r)
-    p1 = projection(SP_AxA, (0,), SP_A)
-    inner = wedge(
-        wedge(mr.pullback(v_cls), m.pullback(exp_even(-lam) if not lam.is_zero else unit(SP_A))),
-        p1.pullback(wedge(exp_even(lam) if not lam.is_zero else unit(SP_A), w_cls)),
-    )
-    c1_bundle = -_push_second_A(inner.part(6))
-    chi_bundle = _tensor_square_from_engine(c1_bundle)
-
+    v, w, bundle = _assembly_inputs(params)
+    chi_bundle = _half_square(_translation_bundle_c1(*bundle))
     d_v, d_w = vector_dv(v), vector_dv(w)
     assembled = chi_albanese_fiber(d_v, d_w).value * chi_bundle / d_v**4
     res = _Residuals()
@@ -602,21 +657,8 @@ def _check_assembly_main(params) -> _Residuals:
 
 
 def _check_assembly_two(params) -> _Residuals:
-    v, w, pol_h = _assemble_vectors(params)
-    pol_v = Polarization(pol_h.d * v.k, pol_h.e * v.k)
-    lam = _lambda_on(SP_A, pol_v)
-    lamp = _lambda_on(SP_A, Polarization(pol_h.d * w.k, pol_h.e * w.k))
-    v_cls = mukai_class(SP_A, 0, v.r, lam, v.chi)
-    w_cls = mukai_class(SP_A, 0, w.r, lamp, w.chi)
-    f = f_map(pol_v)
-    p1 = projection(SP_AxAH, (0,), SP_A)
-    cP = poincare_class(SP_AxAH, 0, 1)
-    inner = wedge(
-        wedge(f.pullback(v_cls), p1.pullback(w_cls)), exp_even(cP.scaled(v.chi))
-    )
-    c1_bundle = -fiber_integrate(inner.part(6), 0)
-    chi_bundle = _tensor_square_from_engine(c1_bundle)
-
+    v, w, bundle = _assembly_inputs(params)
+    chi_bundle = _half_square(_dual_bundle_c1(*bundle))
     d_v, d_w = vector_dv(v), vector_dv(w)
     assembled = chi_albanese_fiber(d_v, d_w).value * chi_bundle / d_v**4
     res = _Residuals()
@@ -625,22 +667,8 @@ def _check_assembly_two(params) -> _Residuals:
 
 
 def _check_assembly_three(params) -> _Residuals:
-    v, w, pol_h = _assemble_vectors(params)
-    lam = _lambda_on(SP_A, Polarization(pol_h.d * v.k, pol_h.e * v.k))
-    lamp = _lambda_on(SP_A, Polarization(pol_h.d * w.k, pol_h.e * w.k))
-    v_cls = mukai_class(SP_A, 0, v.r, lam, v.chi)
-    w_cls = mukai_class(SP_A, 0, w.r, lamp, w.chi)
-    m12 = addition(SP_AxAxAH, 0, 1, SP_A)
-    p1 = projection(SP_AxAxAH, (0,), SP_A)
-    p13 = projection(SP_AxAxAH, (0, 2), SP_AxAH)
-    kernel = exp_even(poincare_class(SP_AxAH, 0, 1))
-    inner = wedge(
-        wedge(m12.pullback(v_cls), p13.pullback(kernel)), p1.pullback(w_cls)
-    )
-    c1_bundle = -relabel(fiber_integrate(inner.part(6), 0), SP_AxAH)
-    square = wedge(c1_bundle, c1_bundle)
-    chi_bundle = Fraction(integrate(wedge(square, square)), 24)
-
+    v, w, bundle = _assembly_inputs(params)
+    chi_bundle = _two_parameter_bundle_chi(*bundle)
     d_v, d_w = vector_dv(v), vector_dv(w)
     assembled = chi_albanese_fiber(d_w, d_v).value * chi_bundle / d_w**4
     res = _Residuals()
@@ -651,77 +679,20 @@ def _check_assembly_three(params) -> _Residuals:
 # -- samplers ------------------------------------------------------------------
 
 
-def _sample_de(rng):
-    return {"d": _rand_nonzero(rng), "e": _rand_nonzero(rng)}
-
-
-def _sample_de_alpha_r(rng):
-    params = _sample_de(rng)
-    params.update(_rand_alpha(rng))
-    params["r"] = rng.randint(-9, 9)
-    return params
-
-
-def _sample_orthogonal(rng, general_alpha: bool):
-    """Draw v/w scalar data with chi' solved exactly from orthogonality."""
-    params = _sample_de(rng)
-    if general_alpha:
-        params.update(_rand_alpha(rng))
-        lam_dot = params["d"] * params["a34"] + params["e"] * params["a12"]
-    else:
-        params["dp"], params["ep"] = rng.randint(-9, 9), rng.randint(-9, 9)
-        lam_dot = params["d"] * params["ep"] + params["e"] * params["dp"]
-    params["r"] = _rand_nonzero(rng)
-    params["rp"] = rng.randint(-9, 9)
-    params["chi"] = rng.randint(-9, 9)
-    params["chip"] = Fraction(-(params["rp"] * params["chi"] + lam_dot), params["r"])
-    return params
-
-
-def _sample_split2(rng):
-    """Rank-one reduction: lambda' = 0 or lambda = a lambda', equal odds."""
-    params = {"r": _rand_nonzero(rng), "rp": rng.randint(-9, 9)}
-    params["chi"] = rng.randint(-9, 9)
-    if rng.random() < 0.5:
-        params["case"] = "lambda_prime_zero"
-        params.update(_sample_de(rng))
-        params["dp"] = params["ep"] = 0
-        lam_dot = 0
-    else:
-        params["case"] = "lambda_multiple"
-        params["dp"], params["ep"] = _rand_nonzero(rng), _rand_nonzero(rng)
-        a = rng.randint(-9, 9)
-        params["a"] = a
-        params["d"], params["e"] = a * params["dp"], a * params["ep"]
-        lam_dot = params["d"] * params["ep"] + params["e"] * params["dp"]
-    params["chip"] = Fraction(-(params["rp"] * params["chi"] + lam_dot), params["r"])
-    return params
-
-
 def _sample_dw0(rng):
-    """Orthogonal data with d_w = 0 and chi' != 0 for the quotient check."""
+    """Orthogonal draw on the quotient locus: diagonal lambda' with d_w = 0
+    and chi' != 0."""
     while True:
-        rp, chip = _rand_nonzero(rng), _rand_nonzero(rng)
-        dp = _rand_nonzero(rng)
-        if (rp * chip) % dp == 0 and -9 <= (rp * chip) // dp <= 9:
-            ep = (rp * chip) // dp  # d_w = dp*ep - rp*chip = 0
+        rp, chip, a12 = _rand_nonzero(rng), _rand_nonzero(rng), _rand_nonzero(rng)
+        if (rp * chip) % a12 == 0 and -9 <= (rp * chip) // a12 <= 9:
             break
-    params = _sample_de(rng)
-    params.update({"dp": dp, "ep": ep, "rp": rp, "chip": chip})
-    lam_dot = params["d"] * ep + params["e"] * dp
-    r = _rand_nonzero(rng)
+    params = {"d": _rand_nonzero(rng), "e": _rand_nonzero(rng),
+              "a12": a12, "a13": 0, "a14": 0, "a23": 0, "a24": 0,
+              "a34": rp * chip // a12,  # d_w = a12 a34 - r' chi' = 0
+              "r": _rand_nonzero(rng), "rp": rp, "chip": chip}
     # orthogonality fixes chi once r is drawn; solve exactly
-    params["r"] = r
-    params["chi"] = Fraction(-(lam_dot + r * chip), rp)
-    params["check_quotient"] = True
-    return params
-
-
-def _sample_isometry(rng):
-    params = {}
-    for prefix in ("x", "y"):
-        for key in ("0", "12", "13", "14", "23", "24", "34", "top"):
-            params[f"{prefix}{key}"] = rng.randint(-9, 9)
+    lam_dot = params["d"] * params["a34"] + params["e"] * params["a12"]
+    params["chi"] = Fraction(-(lam_dot + params["r"] * chip), rp)
     return params
 
 
@@ -757,72 +728,6 @@ def _sample_vector_pair(rng, need_dw_positive: bool, need_k_nonzero: bool = Fals
         }
 
 
-# -- symbolic parameter builders ------------------------------------------------
-
-
-def _sym_de():
-    return {"d": Poly.var("d"), "e": Poly.var("e")}
-
-
-def _sym_de_alpha_r():
-    params = _sym_de()
-    params.update(_sym_alpha())
-    params["r"] = Poly.var("r")
-    return params
-
-
-def _sym_orthogonal(general_alpha: bool):
-    params = _sym_de()
-    if general_alpha:
-        params.update(_sym_alpha())
-        lam_dot = params["d"] * params["a34"] + params["e"] * params["a12"]
-    else:
-        params["dp"], params["ep"] = Poly.var("dp"), Poly.var("ep")
-        lam_dot = params["d"] * params["ep"] + params["e"] * params["dp"]
-    params["r"] = Poly.var("r")
-    params["rp"] = Poly.var("rp")
-    params["chi"] = Poly.var("chi")
-    params["chip"] = Poly.var("chip")
-    params["constraint"] = (
-        "chip",
-        *_orthogonality_constraint(params["r"], params["rp"], params["chi"], lam_dot),
-    )
-    return params
-
-
-def _sym_split2(case: str):
-    params = {
-        "r": Poly.var("r"),
-        "rp": Poly.var("rp"),
-        "chi": Poly.var("chi"),
-        "chip": Poly.var("chip"),
-        "case": case,
-    }
-    if case == "lambda_prime_zero":
-        params.update(_sym_de())
-        params["dp"] = params["ep"] = 0
-        lam_dot = 0
-    else:
-        params["dp"], params["ep"] = Poly.var("dp"), Poly.var("ep")
-        a = Poly.var("a")
-        params["a"] = a
-        params["d"], params["e"] = a * params["dp"], a * params["ep"]
-        lam_dot = params["d"] * params["ep"] + params["e"] * params["dp"]
-    params["constraint"] = (
-        "chip",
-        *_orthogonality_constraint(params["r"], params["rp"], params["chi"], lam_dot),
-    )
-    return params
-
-
-def _sym_isometry():
-    params = {}
-    for prefix in ("x", "y"):
-        for key in ("0", "12", "13", "14", "23", "24", "34", "top"):
-            params[f"{prefix}{key}"] = Poly.var(f"{prefix}{key}")
-    return params
-
-
 # -- registry -------------------------------------------------------------------
 
 
@@ -834,51 +739,43 @@ class Identity:
     symbolic_params: callable | None  # None: numeric-only identity
 
 
-def _split2_symbolic_runs():
-    return [_sym_split2("lambda_prime_zero"), _sym_split2("lambda_multiple")]
-
-
 REGISTRY: dict = {}
 
 
-def _register(identity_id, check, sample, symbolic_params):
-    REGISTRY[identity_id] = Identity(identity_id, check, sample, symbolic_params)
+def _register(identity_id, check, spec=None, sample=None):
+    """Derive both modes from ``spec``; ``sample`` replaces only the numeric draw."""
+    REGISTRY[identity_id] = Identity(
+        identity_id,
+        check,
+        sample or spec.sample,
+        spec.symbolic_params if spec is not None else None,
+    )
 
 
-_register("sec4_table", _check_sec4_table, _sample_de_alpha_r, _sym_de_alpha_r)
-_register("sec4_lemma", _check_sec4_lemma, _sample_de_alpha_r, _sym_de_alpha_r)
-_register("mstar", _check_mstar, _sample_de_alpha_r, _sym_de_alpha_r)
-_register("fmp", _check_fmp, lambda rng: {**_sample_de(rng), **_rand_alpha(rng)},
-          lambda: {**_sym_de(), **_sym_alpha()})
-_register("phis", _check_phis, _sample_de, _sym_de)
-_register("prop_split", _check_prop_split,
-          lambda rng: _sample_orthogonal(rng, general_alpha=True),
-          lambda: _sym_orthogonal(general_alpha=True))
-_register("sec5_a", _check_sec5_a,
-          lambda rng: {**_sample_de(rng), **_rand_alpha(rng)},
-          lambda: {**_sym_de(), **_sym_alpha()})
-_register("sec5_b", _check_sec5_b, _sample_de, _sym_de)
-_register("sec5_c", _check_sec5_c, _sample_de, _sym_de)
-_register("sec5_d", _check_sec5_d,
-          lambda rng: {**_sample_de(rng), **_rand_alpha(rng)},
-          lambda: {**_sym_de(), **_sym_alpha()})
-_register("fmtl", _check_fmtl, _sample_de, _sym_de)
-_register("prop_split1", _check_prop_split1,
-          lambda rng: _sample_orthogonal(rng, general_alpha=True),
-          lambda: _sym_orthogonal(general_alpha=True))
-_register("llp", _check_llp, _sample_de, _sym_de)
-_register("bl", _check_bl, _sample_de, _sym_de)
-_register("prop_split2", _check_prop_split2, _sample_split2, _split2_symbolic_runs)
-_register("dw0_chern", _check_dw0_chern, _sample_dw0,
-          lambda: _sym_orthogonal(general_alpha=False))
-_register("fm_isometry", _check_fm_isometry, _sample_isometry, _sym_isometry)
+_register("sec4_table", _check_sec4_table, _DE_ALPHA_R_SPEC)
+_register("sec4_lemma", _check_sec4_lemma, _DE_ALPHA_R_SPEC)
+_register("mstar", _check_mstar, _DE_ALPHA_R_SPEC)
+_register("fmp", _check_fmp, _DE_ALPHA_SPEC)
+_register("phis", _check_phis, _DE_SPEC)
+_register("prop_split", _check_prop_split, _ORTHOGONAL_SPEC)
+_register("sec5_a", _check_sec5_a, _DE_ALPHA_SPEC)
+_register("sec5_b", _check_sec5_b, _DE_SPEC)
+_register("sec5_c", _check_sec5_c, _DE_SPEC)
+_register("sec5_d", _check_sec5_d, _DE_ALPHA_SPEC)
+_register("fmtl", _check_fmtl, _DE_SPEC)
+_register("prop_split1", _check_prop_split1, _ORTHOGONAL_SPEC)
+_register("llp", _check_llp, _DE_SPEC)
+_register("bl", _check_bl, _DE_SPEC)
+_register("prop_split2", _check_prop_split2, _DIAGONAL_PAIR_SPEC)
+_register("dw0_chern", _check_dw0_chern, _ORTHOGONAL_SPEC, sample=_sample_dw0)
+_register("fm_isometry", _check_fm_isometry, _ISOMETRY_SPEC)
 _register("assembly_main", _check_assembly_main,
-          lambda rng: _sample_vector_pair(rng, need_dw_positive=False), None)
+          sample=partial(_sample_vector_pair, need_dw_positive=False))
 _register("assembly_two", _check_assembly_two,
-          lambda rng: _sample_vector_pair(rng, need_dw_positive=False,
-                                          need_k_nonzero=True), None)
+          sample=partial(_sample_vector_pair, need_dw_positive=False,
+                         need_k_nonzero=True))
 _register("assembly_three", _check_assembly_three,
-          lambda rng: _sample_vector_pair(rng, need_dw_positive=True), None)
+          sample=partial(_sample_vector_pair, need_dw_positive=True))
 
 ALL_IDENTITIES = tuple(REGISTRY)
 
@@ -892,11 +789,10 @@ def _describe_instantiation(params) -> dict:
         if key == "constraint":
             var, num, den = value
             out["eliminated"] = f"{var} := ({num!r})/({den!r})"
-            continue
-        if isinstance(value, Poly):
+        elif isinstance(value, Poly):
             out[key] = "symbolic"
         elif isinstance(value, Fraction):
-            out[key] = f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value.numerator)
+            out[key] = str(value)
         else:
             out[key] = value
     return out
@@ -913,17 +809,6 @@ def run_identity(identity_id: str, params: dict | None = None,
             raise SideCondition(f"{identity_id} has no symbolic mode")
         if params is None:
             params = identity.symbolic_params()
-            if isinstance(params, list):
-                # several symbolic cases: all must pass; report combined
-                reports = [
-                    run_identity(identity_id, p, "symbolic") for p in params
-                ]
-                passed = all(rep.passed for rep in reports)
-                residual = next(
-                    (rep.residual for rep in reports if not rep.passed), "0"
-                )
-                inst = {"cases": ";".join(str(p.get("case")) for p in params)}
-                return IdentityReport(identity_id, "symbolic", inst, residual, passed)
     elif mode == "numeric":
         if params is None:
             raise ValueError("numeric mode needs sampled parameters")
@@ -973,36 +858,3 @@ def run_suite(seed: int, trials: int, only=None) -> list:
 
 def suite_passed(reports) -> bool:
     return all(rep.passed for rep in reports)
-
-
-def explore_split2_general(seed: int, trials: int) -> list:
-    """Counterexample search for the two-parameter bundle identity beyond
-    the rank-one reduction: independent (non-proportional) diagonal forms.
-
-    Exploratory only; not part of the registered suite and no acceptance
-    claim is made.  Returns one report per draw.
-    """
-    rng = random.Random(f"{seed}:explore_split2")
-    reports = []
-    trial = 0
-    while trial < trials:
-        d, e = _rand_nonzero(rng), _rand_nonzero(rng)
-        dp, ep = _rand_nonzero(rng), _rand_nonzero(rng)
-        if d * ep == e * dp:
-            continue  # proportional: already covered by the registry
-        r = _rand_nonzero(rng)
-        chi, rp = rng.randint(-9, 9), rng.randint(-9, 9)
-        chip = Fraction(-(rp * chi + d * ep + e * dp), r)
-        params = {"d": d, "e": e, "dp": dp, "ep": ep,
-                  "r": r, "chi": chi, "rp": rp, "chip": chip,
-                  "case": "independent_forms"}
-        residuals = _check_prop_split2(params)
-        reports.append(
-            IdentityReport(
-                "explore_split2_general", "numeric",
-                _describe_instantiation(params),
-                residuals.summary(), residuals.passed, trial,
-            )
-        )
-        trial += 1
-    return reports

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .formulas import (
     ChiResult,
@@ -44,20 +43,13 @@ class PairRow:
                 self.w.r, self.w.k, self.w.chi)
 
     def csv_fields(self) -> tuple:
-        def fmt(result: ChiResult | None) -> str:
-            if result is None:
-                return ""
-            value = Fraction(result.value)
-            if value.denominator == 1:
-                return str(value.numerator)
-            return f"{value.numerator}/{value.denominator}"
-
         return (
             str(self.v.n),
             str(self.v.r), str(self.v.k), str(self.v.chi),
             str(self.w.r), str(self.w.k), str(self.w.chi),
             str(self.d_v), str(self.d_w),
-            fmt(self.chi_main), fmt(self.chi_two), fmt(self.chi_three),
+            *("" if result is None else str(result.value)
+              for result in (self.chi_main, self.chi_two, self.chi_three)),
             ";".join(self.flags) or "-",
         )
 

@@ -148,14 +148,6 @@ class Poly:
 
     __hash__ = None
 
-    def degree_in(self, name: str) -> int:
-        deg = 0
-        for mono in self.terms:
-            for var, exp in mono:
-                if var == name and exp > deg:
-                    deg = exp
-        return deg
-
     def coeffs_by_power(self, name: str) -> dict:
         """Split into polynomials indexed by the power of one variable."""
         out: dict = {}

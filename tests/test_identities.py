@@ -84,12 +84,26 @@ def test_numeric_prop_split2_worked_pair():
     # v = (1, 0, -1), w = (2, 3H, 2) at n = 1: chi of the correlation
     # bundle is (d_v d_w)^2 = 25
     params = {
-        "case": "lambda_multiple", "a": 0,
-        "d": 0, "e": 0, "dp": 3, "ep": 3,
+        "d": 0, "e": 0, "a12": 3, "a34": 3,
         "r": 1, "chi": -1, "rp": 2, "chip": 2,
     }
     report = run_identity("prop_split2", params, "numeric")
     assert report.passed
+
+
+def test_numeric_prop_split2_independent_forms():
+    # lambda = (1, 2) and lambda' = (3, -1) are not proportional; with
+    # v = (1, lambda, 1) and w = (1, lambda', -6): lambda.lambda' = 5,
+    # d_v = 1, d_w = 3, so chi of the bundle is 9
+    params = {
+        "d": 1, "e": 2, "a12": 3, "a34": -1,
+        "r": 1, "chi": 1, "rp": 1, "chip": -6,
+    }
+    assert params["d"] * params["a34"] != params["e"] * params["a12"]
+    report = run_identity("prop_split2", params, "numeric")
+    assert report.passed and report.residual == "0"
+    params["chip"] = -5  # breaks orthogonality, so the identity fails
+    assert not run_identity("prop_split2", params, "numeric").passed
 
 
 def test_assembly_needs_numeric_mode():
@@ -132,10 +146,10 @@ def test_numeric_samplers_satisfy_side_conditions():
         lam_dot = params["d"] * params["a34"] + params["e"] * params["a12"]
         assert params["rp"] * params["chi"] + lam_dot + params["r"] * params["chip"] == 0
         params = REGISTRY["dw0_chern"].sample(rng)
-        assert params["dp"] * params["ep"] - params["rp"] * params["chip"] == 0
+        assert params["a12"] * params["a34"] - params["rp"] * params["chip"] == 0
         assert params["chip"] != 0
         split2 = REGISTRY["prop_split2"].sample(rng)
-        lam_dot = split2["d"] * split2["ep"] + split2["e"] * split2["dp"]
+        lam_dot = split2["d"] * split2["a34"] + split2["e"] * split2["a12"]
         assert (
             split2["rp"] * split2["chi"] + lam_dot + split2["r"] * split2["chip"]
             == 0
@@ -195,12 +209,24 @@ def test_correlation_bundle_sign_is_plus_dv():
     assert c1_bundle != c1_tensor_cls.scaled(-d_v)
 
 
-def test_general_form_explorer():
-    from thetachi.identities import explore_split2_general
 
-    first = explore_split2_general(seed=0, trials=8)
-    second = explore_split2_general(seed=0, trials=8)
-    assert first == second
-    assert len(first) == 8
-    assert all(r.passed for r in first)  # no counterexample found
-    assert all(r.identity_id == "explore_split2_general" for r in first)
+def test_samplers_match_symbolic_params():
+    """Both modes of every symbolic identity name the same parameters, and
+    every numeric draw satisfies orthogonality exactly where the symbolic
+    run eliminates chi'."""
+    rng = random.Random(2024)
+    for identity_id in ALL_IDENTITIES:
+        identity = REGISTRY[identity_id]
+        if identity.symbolic_params is None:
+            continue
+        symbolic = identity.symbolic_params()
+        orthogonal = symbolic.pop("constraint", None) is not None
+        for _ in range(20):
+            params = identity.sample(rng)
+            assert params.keys() == symbolic.keys(), identity_id
+            if orthogonal:
+                lam_dot = params["d"] * params["a34"] + params["e"] * params["a12"]
+                assert (
+                    params["r"] * params["chip"] + params["rp"] * params["chi"] + lam_dot
+                    == 0
+                ), identity_id
