@@ -45,14 +45,10 @@ PHI_HAT_SIGN = 1
 # -- spaces ----------------------------------------------------------------
 
 
-def _factor(kind: str, label: str) -> Factor:
-    return Factor(kind, label)
-
-
 @lru_cache(maxsize=None)
 def space(*factors) -> Space:
     """Memoized space from (kind, label) pairs, left factor first."""
-    return Space(tuple(_factor(k, l) for k, l in factors))
+    return Space(tuple(Factor(k, l) for k, l in factors))
 
 
 SP_A = space(("A", "A"))
@@ -216,8 +212,18 @@ def one_times_phi_hat(pol: Polarization) -> MorphismH1:
 
 def f_map(pol: Polarization) -> MorphismH1:
     """f = m o (1 x Phi_hat): AxAh -> A, (x, y) -> x + Phi_hat(y)."""
-    m = addition(SP_AxA, 0, 1, SP_A)
-    return m.after(one_times_phi_hat(pol))
+    return M_AxA.after(one_times_phi_hat(pol))
+
+
+# -- parameter-free atlas objects, built once -----------------------------------
+
+M_AxA = addition(SP_AxA, 0, 1, SP_A)
+P1_AxA = projection(SP_AxA, (0,), SP_A)
+P2_AxA = projection(SP_AxA, (1,), SP_A)
+P1_AxAH = projection(SP_AxAH, (0,), SP_A)
+P1_AHxA = projection(SP_AHxA, (0,), SP_AH)
+C1_P = poincare_class(SP_AxAH, 0, 1)
+OMEGA = point_class(SP_A, 0)
 
 
 # -- Fourier-Mukai transform --------------------------------------------------
@@ -235,26 +241,21 @@ def fm_transform(c: ExteriorClass) -> ExteriorClass:
     Computes the fiber integral over A of (pullback of c) ^ exp(c1(P)).
     Degree 0 goes to degree 4, degree 4 to degree 0, degree 2 to degree 2.
     """
-    if c.space != SP_A:
-        raise ValueError("fm_transform expects a class on the A space")
-    _require_even(c)
-    pulled = projection(SP_AxAH, (0,), SP_A).pullback(c)
-    return fiber_integrate(wedge(pulled, _fm_kernel(False)), 0)
+    return _transform(c, "fm_transform", P1_AxAH, False)
 
 
 def fm_transform_back(c: ExteriorClass) -> ExteriorClass:
     """Transform with the transposed Poincare kernel, from Ah back to A."""
-    if c.space != SP_AH:
-        raise ValueError("fm_transform_back expects a class on the Ah space")
-    _require_even(c)
-    pulled = projection(SP_AHxA, (0,), SP_AH).pullback(c)
-    return fiber_integrate(wedge(pulled, _fm_kernel(True)), 0)
+    return _transform(c, "fm_transform_back", P1_AHxA, True)
 
 
-def _require_even(c: ExteriorClass):
+def _transform(c: ExteriorClass, name: str, p1: MorphismH1, reverse: bool) -> ExteriorClass:
+    if c.space != p1.target:
+        raise ValueError(f"{name} expects a class on the {p1.target.factors[0].label} space")
     for deg in c.degrees():
         if deg % 2:
             raise ValueError("transform defined on even classes only")
+    return fiber_integrate(wedge(p1.pullback(c), _fm_kernel(reverse)), 0)
 
 
 def lambda_hat(pol: Polarization) -> ExteriorClass:

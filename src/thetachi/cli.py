@@ -110,6 +110,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    if args.n < 1:
+        return _fail_usage("n must be at least 1")
+    if min(args.max_rank, args.max_k, args.max_chi) < 0:
+        return _fail_usage("--max-rank, --max-k and --max-chi must be nonnegative")
     rows, summary = enumerate_rows(args.n, args.max_rank, args.max_k, args.max_chi)
     text = rows_to_csv(rows, summary) if args.format == "csv" else rows_to_json(rows, summary)
     try:

@@ -11,8 +11,9 @@ test suite:
 
 * monomial keys are sorted tuples of generator indices; the sign of any
   product is the parity of the merge permutation;
-* fiber integration moves the fiber generators (in canonical order) to the
-  front of the monomial before stripping them;
+* fiber integration strips the fiber generators from the front of the
+  monomial; moving them there is sign-free, because the four generators are
+  contiguous and each crosses the same generators below the fiber;
 * total integration reads off the coefficient of the full top monomial in
   listed order, which integrates to +1.
 
@@ -65,10 +66,6 @@ class Space:
     @property
     def ngens(self) -> int:
         return GENERATORS_PER_FACTOR * len(self.factors)
-
-    @property
-    def top_degree(self) -> int:
-        return self.ngens
 
     def factor_range(self, position: int) -> range:
         lo = GENERATORS_PER_FACTOR * position
@@ -175,11 +172,7 @@ class ExteriorClass:
         self._check(other)
         terms = dict(self.terms)
         for key, coeff in other.terms.items():
-            new = terms.get(key, 0) + coeff
-            if scalar_is_zero(new):
-                terms.pop(key, None)
-            else:
-                terms[key] = new
+            terms[key] = terms.get(key, 0) + coeff
         return ExteriorClass(self.space, terms)
 
     __radd__ = __add__
@@ -263,12 +256,7 @@ def wedge(a: ExteriorClass, b: ExteriorClass) -> ExteriorClass:
             if merged is None:
                 continue
             key, sign = merged
-            coeff = ca * cb if sign > 0 else -(ca * cb)
-            new = out.get(key, 0) + coeff
-            if scalar_is_zero(new):
-                out.pop(key, None)
-            else:
-                out[key] = new
+            out[key] = out.get(key, 0) + (ca * cb if sign > 0 else -(ca * cb))
     return ExteriorClass(a.space, out)
 
 
@@ -282,8 +270,7 @@ def fiber_integrate(c: ExteriorClass, fiber_position: int) -> ExteriorClass:
     """Integrate over one factor of a product space.
 
     Keeps only the monomials containing all four generators of the fiber
-    factor, moves them to the front (sign = parity of that move), strips
-    them, and reindexes onto the complementary space.
+    factor, strips them, and reindexes onto the complementary space.
     """
     if not 0 <= fiber_position < len(c.space.factors):
         raise SpaceMismatch(f"no factor at position {fiber_position}")
@@ -292,22 +279,15 @@ def fiber_integrate(c: ExteriorClass, fiber_position: int) -> ExteriorClass:
     target = c.space.without(fiber_position)
     out: dict = {}
     for key, coeff in c.terms.items():
-        positions = [p for p, idx in enumerate(key) if lo <= idx < hi]
-        if len(positions) != GENERATORS_PER_FACTOR:
-            continue
-        # parity of moving the fiber generators, in order, to the front
-        swaps = sum(p - rank for rank, p in enumerate(positions))
         rest = tuple(
             idx if idx < lo else idx - GENERATORS_PER_FACTOR
             for idx in key
             if not lo <= idx < hi
         )
-        signed = coeff if swaps % 2 == 0 else -coeff
-        new = out.get(rest, 0) + signed
-        if scalar_is_zero(new):
-            out.pop(rest, None)
-        else:
-            out[rest] = new
+        if len(key) - len(rest) != GENERATORS_PER_FACTOR:
+            continue
+        # sign-free: each earlier generator is crossed by all four fiber ones
+        out[rest] = out.get(rest, 0) + coeff
     return ExteriorClass(target, out)
 
 
@@ -329,7 +309,7 @@ def exp_even(c: ExteriorClass) -> ExteriorClass:
     result = ExteriorClass.unit(c.space)
     power = ExteriorClass.unit(c.space)
     factorial = 1
-    for k in range(1, c.space.top_degree // 2 + 1):
+    for k in range(1, c.space.ngens // 2 + 1):
         power = wedge(power, c)
         if power.is_zero:
             break
@@ -342,11 +322,12 @@ class MorphismH1:
     """Pullback action of a torus morphism on degree-one cohomology.
 
     ``rows[j]`` lists ``(source_index, scalar)`` pairs expressing the
-    pullback of the target's j-th generator.  The pullback of arbitrary
-    classes is the multiplicative extension, so degree is preserved.
+    pullback of the target's j-th generator, and ``images[j]`` is that
+    degree-one class.  The pullback of arbitrary classes is the
+    multiplicative extension, so degree is preserved.
     """
 
-    __slots__ = ("source", "target", "rows")
+    __slots__ = ("source", "target", "rows", "images")
 
     def __init__(self, source: Space, target: Space, rows):
         if len(rows) != target.ngens:
@@ -363,38 +344,32 @@ class MorphismH1:
         self.source = source
         self.target = target
         self.rows = tuple(clean)
-
-    def row_class(self, j: int) -> ExteriorClass:
-        return ExteriorClass(self.source, {(i,): c for i, c in self.rows[j]})
+        self.images = tuple(
+            ExteriorClass(source, {(i,): c for i, c in row}) for row in self.rows
+        )
 
     def pullback(self, c: ExteriorClass) -> ExteriorClass:
         if c.space != self.target:
             raise SpaceMismatch("class does not live on the morphism target")
-        out = ExteriorClass.zero(self.source)
+        out: dict = {}
         for key, coeff in c.terms.items():
             term = ExteriorClass.unit(self.source, coeff)
             for j in key:
-                term = wedge(term, self.row_class(j))
+                term = wedge(term, self.images[j])
                 if term.is_zero:
                     break
-            out = out + term
-        return out
+            for mono, value in term.terms.items():
+                out[mono] = out.get(mono, 0) + value
+        return ExteriorClass(self.source, out)
 
     def after(self, inner: "MorphismH1") -> "MorphismH1":
         """Composite self∘inner as a map of spaces (pullbacks compose)."""
         if inner.target != self.source:
             raise SpaceMismatch("composition mismatch")
-        rows = []
-        for j in range(self.target.ngens):
-            acc: dict = {}
-            for mid, c1 in self.rows[j]:
-                for src, c2 in inner.rows[mid]:
-                    new = acc.get(src, 0) + c1 * c2
-                    if scalar_is_zero(new):
-                        acc.pop(src, None)
-                    else:
-                        acc[src] = new
-            rows.append(sorted(acc.items()))
+        rows = [
+            sorted((i, c) for (i,), c in inner.pullback(image).terms.items())
+            for image in self.images
+        ]
         return MorphismH1(inner.source, self.target, rows)
 
     def __repr__(self):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .mukai import MukaiVector, c1_tensor, dv, euler_chi_tensor
-from .poly import Poly
+from .poly import scalar_div
 
 
 class FormulaError(ValueError):
@@ -28,16 +28,10 @@ def binom(a, b: int):
     """
     if b < 0:
         raise FormulaError(f"binomial lower index must be nonnegative, got {b}")
-    if isinstance(a, Poly):
-        prod = Poly.const(1)
-        for i in range(b):
-            prod = prod * (a - i)
-        return prod / math.factorial(b)
-    prod = Fraction(1)
+    prod = 1
     for i in range(b):
-        prod *= Fraction(a) - i
-    value = prod / math.factorial(b)
-    return int(value) if value.denominator == 1 else value
+        prod = prod * (a - i)
+    return scalar_div(prod, math.factorial(b))
 
 
 @dataclass(frozen=True)

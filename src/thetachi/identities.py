@@ -29,6 +29,12 @@ from functools import partial
 
 from . import abelian as ab
 from .abelian import (
+    C1_P,
+    M_AxA,
+    OMEGA,
+    P1_AxA,
+    P1_AxAH,
+    P2_AxA,
     Polarization,
     SP_A,
     SP_AH,
@@ -47,8 +53,6 @@ from .abelian import (
     mukai_class,
     mukai_pair,
     one_times_phi,
-    point_class,
-    poincare_class,
     polarization_class,
     projection,
     two_form,
@@ -137,20 +141,14 @@ class _Residuals:
 # -- shared builders ----------------------------------------------------------
 
 
-def _alpha_class(coeffs: dict) -> ExteriorClass:
-    """General degree-two class on A from six coefficients a12..a34."""
-    return two_form(
-        SP_A,
-        0,
-        {
-            (0, 1): coeffs["a12"],
-            (0, 2): coeffs["a13"],
-            (0, 3): coeffs["a14"],
-            (1, 2): coeffs["a23"],
-            (1, 3): coeffs["a24"],
-            (2, 3): coeffs["a34"],
-        },
-    )
+# coefficient suffix -> local index pair of the six two-forms on A
+_PAIRS = {"12": (0, 1), "13": (0, 2), "14": (0, 3), "23": (1, 2), "24": (1, 3), "34": (2, 3)}
+
+
+def _alpha_class(coeffs: dict, prefix: str = "a") -> ExteriorClass:
+    """General degree-two class on A from six coefficients a12..a34
+    (x12..x34 for prefix "x")."""
+    return two_form(SP_A, 0, {pair: coeffs[prefix + key] for key, pair in _PAIRS.items()})
 
 
 def _push_second_A(c: ExteriorClass) -> ExteriorClass:
@@ -160,6 +158,10 @@ def _push_second_A(c: ExteriorClass) -> ExteriorClass:
 
 def _lambda_on(sp, pol: Polarization) -> ExteriorClass:
     return polarization_class(sp, 0, pol)
+
+
+# c1(P)^2/2 on AxAh, whose pushforward against p1*alpha defines alpha-hat
+_CP_HALF_SQUARE = wedge(C1_P, C1_P) / 2
 
 
 def _half_square(c: ExteriorClass):
@@ -224,7 +226,7 @@ class ParamSpec:
 
 
 _DE = (("d", NONZERO), ("e", NONZERO))
-_ALPHA = tuple((name, FREE) for name in ("a12", "a13", "a14", "a23", "a24", "a34"))
+_ALPHA = tuple((f"a{key}", FREE) for key in _PAIRS)
 _VW = (("r", NONZERO), ("rp", FREE), ("chi", FREE), ("chip", SOLVED))
 _DE_SPEC = ParamSpec(_DE)
 _DE_ALPHA_SPEC = ParamSpec(_DE + _ALPHA)
@@ -238,7 +240,7 @@ _DIAGONAL_PAIR_SPEC = ParamSpec(
 _ISOMETRY_SPEC = ParamSpec(tuple(
     (f"{prefix}{key}", FREE)
     for prefix in ("x", "y")
-    for key in ("0", "12", "13", "14", "23", "24", "34", "top")
+    for key in ("0", *_PAIRS, "top")
 ))
 
 
@@ -251,12 +253,10 @@ def _translation_bundle_c1(pol, r, chi, rp, lamp, chip) -> ExteriorClass:
     lam = _lambda_on(SP_A, pol)
     v_cls = mukai_class(SP_A, 0, r, lam, chi)
     w_cls = mukai_class(SP_A, 0, rp, lamp, chip)
-    m = addition(SP_AxA, 0, 1, SP_A)
     mr = addition(SP_AxA, 0, 1, SP_A, r)
-    p1 = projection(SP_AxA, (0,), SP_A)
     inner = wedge(
-        wedge(mr.pullback(v_cls), m.pullback(exp_even(-lam))),
-        p1.pullback(wedge(exp_even(lam), w_cls)),
+        wedge(mr.pullback(v_cls), M_AxA.pullback(exp_even(-lam))),
+        P1_AxA.pullback(wedge(exp_even(lam), w_cls)),
     )
     return -_push_second_A(inner.part(6))
 
@@ -265,11 +265,9 @@ def _dual_bundle_c1(pol, r, chi, rp, lamp, chip) -> ExteriorClass:
     """c1 on Ah: -p2![f*v . p1*w . exp(chi c1(P))]_(3)."""
     v_cls = mukai_class(SP_A, 0, r, _lambda_on(SP_A, pol), chi)
     w_cls = mukai_class(SP_A, 0, rp, lamp, chip)
-    f = f_map(pol)
-    p1 = projection(SP_AxAH, (0,), SP_A)
-    cP = poincare_class(SP_AxAH, 0, 1)
     inner = wedge(
-        wedge(f.pullback(v_cls), p1.pullback(w_cls)), exp_even(cP.scaled(chi))
+        wedge(f_map(pol).pullback(v_cls), P1_AxAH.pullback(w_cls)),
+        exp_even(C1_P.scaled(chi)),
     )
     return -fiber_integrate(inner.part(6), 0)
 
@@ -281,9 +279,9 @@ def _two_parameter_bundle_chi(pol, r, chi, rp, lamp, chip):
     m12 = addition(SP_AxAxAH, 0, 1, SP_A)
     p1 = projection(SP_AxAxAH, (0,), SP_A)
     p13 = projection(SP_AxAxAH, (0, 2), SP_AxAH)
-    kernel = exp_even(poincare_class(SP_AxAH, 0, 1))
     inner = wedge(
-        wedge(m12.pullback(v_cls), p13.pullback(kernel)), p1.pullback(w_cls)
+        wedge(m12.pullback(v_cls), p13.pullback(ab._fm_kernel(False))),
+        p1.pullback(w_cls),
     )
     c1 = -relabel(fiber_integrate(inner.part(6), 0), SP_AxAH)
     square = wedge(c1, c1)
@@ -300,19 +298,19 @@ def _check_sec4_table(params) -> _Residuals:
     r = params["r"]
     lam = _lambda_on(SP_A, pol)
     alpha = _alpha_class(params)
-    m = addition(SP_AxA, 0, 1, SP_A)
     mr = addition(SP_AxA, 0, 1, SP_A, r)
-    p1 = projection(SP_AxA, (0,), SP_A)
-    omega = point_class(SP_A, 0)
+    m_lam, m_omega = M_AxA.pullback(lam), M_AxA.pullback(OMEGA)
+    mr_lam, mr_omega = mr.pullback(lam), mr.pullback(OMEGA)
+    p1_omega, p1_alpha = P1_AxA.pullback(OMEGA), P1_AxA.pullback(alpha)
 
     res = _Residuals()
     rows = [
-        ("m_lam.p1_omega", m.pullback(lam), p1.pullback(omega), lam),
-        ("mr_lam.p1_omega", mr.pullback(lam), p1.pullback(omega), lam.scaled(r * r)),
-        ("mr_omega.m_lam", mr.pullback(omega), m.pullback(lam), lam.scaled((r - 1) ** 2)),
-        ("mr_lam.m_omega", mr.pullback(lam), m.pullback(omega), lam.scaled((r - 1) ** 2)),
-        ("m_omega.p1_alpha", m.pullback(omega), p1.pullback(alpha), alpha),
-        ("mr_omega.p1_alpha", mr.pullback(omega), p1.pullback(alpha), alpha.scaled(r * r)),
+        ("m_lam.p1_omega", m_lam, p1_omega, lam),
+        ("mr_lam.p1_omega", mr_lam, p1_omega, lam.scaled(r * r)),
+        ("mr_omega.m_lam", mr_omega, m_lam, lam.scaled((r - 1) ** 2)),
+        ("mr_lam.m_omega", mr_lam, m_omega, lam.scaled((r - 1) ** 2)),
+        ("m_omega.p1_alpha", m_omega, p1_alpha, alpha),
+        ("mr_omega.p1_alpha", mr_omega, p1_alpha, alpha.scaled(r * r)),
     ]
     for label, left, right, expected in rows:
         res.add_class(label, _push_second_A(wedge(left, right)) - expected)
@@ -325,12 +323,10 @@ def _check_sec4_lemma(params) -> _Residuals:
     r = params["r"]
     lam = _lambda_on(SP_A, pol)
     alpha = _alpha_class(params)
-    m = addition(SP_AxA, 0, 1, SP_A)
     mr = addition(SP_AxA, 0, 1, SP_A, r)
-    p1 = projection(SP_AxA, (0,), SP_A)
 
     pushed = _push_second_A(
-        wedge(wedge(mr.pullback(lam), m.pullback(lam)), p1.pullback(alpha))
+        wedge(wedge(mr.pullback(lam), M_AxA.pullback(lam)), P1_AxA.pullback(alpha))
     )
     int_alpha_lam = integrate(wedge(alpha, lam))
     lam_sq = integrate(wedge(lam, lam))
@@ -345,23 +341,15 @@ def _check_mstar(params) -> _Residuals:
     pol = Polarization(params["d"], params["e"])
     r = params["r"]
     lam = _lambda_on(SP_A, pol)
-    m = addition(SP_AxA, 0, 1, SP_A)
     mr = addition(SP_AxA, 0, 1, SP_A, r)
-    p1 = projection(SP_AxA, (0,), SP_A)
-    p2 = projection(SP_AxA, (1,), SP_A)
-    poincare_pulled = one_times_phi(pol).pullback(poincare_class(SP_AxAH, 0, 1))
+    p1_lam, p2_lam = P1_AxA.pullback(lam), P2_AxA.pullback(lam)
+    poincare_pulled = one_times_phi(pol).pullback(C1_P)
 
     res = _Residuals()
-    res.add_class(
-        "m_star",
-        m.pullback(lam) - p1.pullback(lam) - p2.pullback(lam) - poincare_pulled,
-    )
+    res.add_class("m_star", M_AxA.pullback(lam) - p1_lam - p2_lam - poincare_pulled)
     res.add_class(
         "mr_star",
-        mr.pullback(lam)
-        - p1.pullback(lam)
-        - p2.pullback(lam).scaled(r * r)
-        - poincare_pulled.scaled(r),
+        mr.pullback(lam) - p1_lam - p2_lam.scaled(r * r) - poincare_pulled.scaled(r),
     )
     return res
 
@@ -371,15 +359,10 @@ def _check_fmp(params) -> _Residuals:
     pol = Polarization(params["d"], params["e"])
     lam = _lambda_on(SP_A, pol)
     alpha = _alpha_class(params)
-    phi = make_phi(pol, "A->Ah")
-    cP = poincare_class(SP_AxAH, 0, 1)
-    p1 = projection(SP_AxAH, (0,), SP_A)
-
-    pushed = fiber_integrate(wedge(p1.pullback(alpha), wedge(cP, cP) / 2), 0)
-    left = phi.pullback(pushed)
+    pushed = fiber_integrate(wedge(P1_AxAH.pullback(alpha), _CP_HALF_SQUARE), 0)
+    left = make_phi(pol, "A->Ah").pullback(pushed)
     int_alpha_lam = integrate(wedge(alpha, lam))
-    half_lam_sq = scalar_div(integrate(wedge(lam, lam)), 2)
-    expected = lam.scaled(-int_alpha_lam) + alpha.scaled(half_lam_sq)
+    expected = lam.scaled(-int_alpha_lam) + alpha.scaled(_half_square(lam))
     res = _Residuals()
     res.add_class("fmp", left - expected)
     return res
@@ -425,64 +408,56 @@ def _check_prop_split(params) -> _Residuals:
     return res
 
 
-def _sec5_context(params):
-    pol = Polarization(params["d"], params["e"])
-    lam = _lambda_on(SP_A, pol)
-    lamp = _alpha_class(params) if "a12" in params else None
-    f = f_map(pol)
-    p1 = projection(SP_AxAH, (0,), SP_A)
-    cP = poincare_class(SP_AxAH, 0, 1)
-    omega = point_class(SP_A, 0)
-    lam_hat = lambda_hat(pol)
-    lamp_hat = hat_of(lamp) if lamp is not None else None
-    return pol, lam, lamp, f, p1, cP, omega, lam_hat, lamp_hat
-
-
 def _check_sec5_a(params) -> _Residuals:
-    pol, lam, lamp, f, p1, cP, omega, lam_hat, lamp_hat = _sec5_context(params)
-    lam_sq = integrate(wedge(lam, lam))
+    pol = Polarization(params["d"], params["e"])
+    lam, lamp = _lambda_on(SP_A, pol), _alpha_class(params)
+    lamp_hat, p1_lamp = hat_of(lamp), P1_AxAH.pullback(lamp)
     lam_dot = integrate(wedge(lam, lamp))
-    pushed = fiber_integrate(wedge(f.pullback(omega), p1.pullback(lamp)), 0)
-    half = scalar_div(lam_sq, 2)
+    pushed = fiber_integrate(wedge(f_map(pol).pullback(OMEGA), p1_lamp), 0)
     res = _Residuals()
-    res.add_class("push_f_omega", pushed - lamp_hat.scaled(half) + lam_hat.scaled(lam_dot))
+    res.add_class(
+        "push_f_omega",
+        pushed - lamp_hat.scaled(_half_square(lam)) + lambda_hat(pol).scaled(lam_dot),
+    )
     res.add_class(
         "hat_definition",
-        fiber_integrate(wedge(wedge(cP, cP) / 2, p1.pullback(lamp)), 0) - lamp_hat,
+        fiber_integrate(wedge(_CP_HALF_SQUARE, p1_lamp), 0) - lamp_hat,
     )
     return res
 
 
 def _check_sec5_b(params) -> _Residuals:
-    pol, lam, lamp, f, p1, cP, omega, lam_hat, lamp_hat = _sec5_context(params)
-    lam_sq = integrate(wedge(lam, lam))
-    half = scalar_div(lam_sq, 2)
-    pushed = fiber_integrate(wedge(f.pullback(lam), p1.pullback(omega)), 0)
+    pol = Polarization(params["d"], params["e"])
+    lam, lam_hat = _lambda_on(SP_A, pol), lambda_hat(pol)
+    f_lam = f_map(pol).pullback(lam)
+    pushed = fiber_integrate(wedge(f_lam, P1_AxAH.pullback(OMEGA)), 0)
     res = _Residuals()
-    res.add_class("push_f_lam", pushed + lam_hat.scaled(half))
+    res.add_class("push_f_lam", pushed + lam_hat.scaled(_half_square(lam)))
     res.add_class(
         "hat_via_f",
-        fiber_integrate(wedge(wedge(cP, cP) / 2, f.pullback(lam)), 0) - lam_hat,
+        fiber_integrate(wedge(_CP_HALF_SQUARE, f_lam), 0) - lam_hat,
     )
     return res
 
 
 def _check_sec5_c(params) -> _Residuals:
-    _, lam, _, f, _, cP, omega, lam_hat, _ = _sec5_context(params)
-    pushed = fiber_integrate(wedge(f.pullback(omega), cP), 0)
+    pol = Polarization(params["d"], params["e"])
+    pushed = fiber_integrate(wedge(f_map(pol).pullback(OMEGA), C1_P), 0)
     res = _Residuals()
-    res.add_class("push_f_omega_cP", pushed + lam_hat.scaled(2))
+    res.add_class("push_f_omega_cP", pushed + lambda_hat(pol).scaled(2))
     return res
 
 
 def _check_sec5_d(params) -> _Residuals:
-    _, lam, lamp, f, p1, cP, _, _, lamp_hat = _sec5_context(params)
-    lam_sq = integrate(wedge(lam, lam))
+    pol = Polarization(params["d"], params["e"])
+    lam, lamp = _lambda_on(SP_A, pol), _alpha_class(params)
     pushed = fiber_integrate(
-        wedge(wedge(f.pullback(lam), p1.pullback(lamp)), cP), 0
+        wedge(wedge(f_map(pol).pullback(lam), P1_AxAH.pullback(lamp)), C1_P), 0
     )
     res = _Residuals()
-    res.add_class("push_f_lam_lamp_cP", pushed + lamp_hat.scaled(lam_sq))
+    res.add_class(
+        "push_f_lam_lamp_cP", pushed + hat_of(lamp).scaled(integrate(wedge(lam, lam)))
+    )
     return res
 
 
@@ -493,10 +468,7 @@ def _check_fmtl(params) -> _Residuals:
     and that class must be -2 lambda_hat for the transform-defined hat.
     """
     pol = Polarization(params["d"], params["e"])
-    f = f_map(pol)
-    cP = poincare_class(SP_AxAH, 0, 1)
-    omega = point_class(SP_A, 0)
-    value = fiber_integrate(wedge(f.pullback(omega), cP), 0)
+    value = fiber_integrate(wedge(f_map(pol).pullback(OMEGA), C1_P), 0)
     explicit = two_form(SP_AH, 0, {(2, 3): 2 * pol.d, (0, 1): 2 * pol.e})
     res = _Residuals()
     res.add_class("coordinates", value - explicit)
@@ -522,9 +494,8 @@ def _check_llp(params) -> _Residuals:
     pol = Polarization(params["d"], params["e"])
     lam_prod = polarization_class(SP_AxAH, 0, pol)
     lam_hat = projection(SP_AxAH, (1,), SP_AH).pullback(lambda_hat(pol))
-    cP = poincare_class(SP_AxAH, 0, 1)
     lam_sq = integrate(wedge(_lambda_on(SP_A, pol), _lambda_on(SP_A, pol)))
-    value = integrate(wedge(wedge(lam_prod, lam_hat), wedge(cP, cP) / 2))
+    value = integrate(wedge(wedge(lam_prod, lam_hat), _CP_HALF_SQUARE))
     res = _Residuals()
     res.add_scalar("llp", value - lam_sq)
     return res
@@ -536,18 +507,16 @@ def _check_bl(params) -> _Residuals:
     q1 = projection(SP_AxAHxAH, (0,), SP_A)
     q12 = projection(SP_AxAHxAH, (0, 1), SP_AxAH)
     q13 = projection(SP_AxAHxAH, (0, 2), SP_AxAH)
-    cP = poincare_class(SP_AxAH, 0, 1)
     lam = _lambda_on(SP_A, pol)
 
-    inner = wedge(wedge(q12.pullback(cP), q13.pullback(cP)), q1.pullback(lam))
+    inner = wedge(wedge(q12.pullback(C1_P), q13.pullback(C1_P)), q1.pullback(lam))
     pushed = fiber_integrate(inner, 0)  # lives on Ah1 x Ah2
     phi_times_one = factorwise(
         SP_AxAH, SP_AHxAH, [(0, ab._phi_rows(pol)), (1, None)]
     )
     left = phi_times_one.pullback(pushed)
-    half = scalar_div(integrate(wedge(lam, lam)), 2)
     res = _Residuals()
-    res.add_class("bl", left + cP.scaled(half))
+    res.add_class("bl", left + C1_P.scaled(_half_square(lam)))
     return res
 
 
@@ -586,10 +555,8 @@ def _check_dw0_chern(params) -> _Residuals:
     lamp = _alpha_class(params)
     v_cls = mukai_class(SP_A, 0, r, lam, chi)
     w_cls = mukai_class(SP_A, 0, rp, lamp, chip)
-    m = addition(SP_AxA, 0, 1, SP_A)
-    p1 = projection(SP_AxA, (0,), SP_A)
 
-    inner = wedge(m.pullback(w_cls), p1.pullback(v_cls))
+    inner = wedge(M_AxA.pullback(w_cls), P1_AxA.pullback(v_cls))
     c1 = -_push_second_A(inner.part(6))
     expected = -(lam.scaled(chip) + lamp.scaled(chi))
     d_v = _half_square(lam) - r * chi
@@ -609,21 +576,11 @@ def _check_dw0_chern(params) -> _Residuals:
 def _check_fm_isometry(params) -> _Residuals:
     """The transform preserves the Mukai pairing of even classes."""
     def build(prefix):
-        coeffs = {key: params[f"{prefix}{key}"] for key in
-                  ("0", "12", "13", "14", "23", "24", "34", "top")}
-        cls = unit(SP_A, coeffs["0"]) + two_form(
-            SP_A,
-            0,
-            {
-                (0, 1): coeffs["12"],
-                (0, 2): coeffs["13"],
-                (0, 3): coeffs["14"],
-                (1, 2): coeffs["23"],
-                (1, 3): coeffs["24"],
-                (2, 3): coeffs["34"],
-            },
-        ) + point_class(SP_A, 0).scaled(coeffs["top"])
-        return cls
+        return (
+            unit(SP_A, params[f"{prefix}0"])
+            + _alpha_class(params, prefix)
+            + OMEGA.scaled(params[f"{prefix}top"])
+        )
 
     x, y = build("x"), build("y")
     fx, fy = fm_transform(x), fm_transform(y)

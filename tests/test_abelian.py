@@ -8,17 +8,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from thetachi.abelian import (
+    M_AxA,
     Polarization,
     SP_A,
     SP_AH,
     SP_AxAH,
     addition,
     dual_polarization_class,
+    f_map,
     fm_transform,
     fm_transform_back,
     lambda_hat,
     make_phi,
     mukai_pair,
+    one_times_phi_hat,
     point_class,
     poincare_class,
     polarization_class,
@@ -94,6 +97,18 @@ def test_addition_pullback_degree_one():
     m = addition(SP_AxA, 0, 1, SP_A)
     f1 = ExteriorClass.generator(SP_A, 0)
     assert m.pullback(f1) == ExteriorClass(SP_AxA, {(0,): 1, (4,): 1})
+
+
+@pytest.mark.parametrize("degree", range(5))
+def test_f_map_is_addition_after_one_times_phi_hat(degree):
+    """f = m o (1 x Phi_hat) on classes of every degree (AxAh -> AxA -> A)."""
+    cls = ExteriorClass(SP_A, {
+        key: i + 2 for i, key in enumerate(itertools.combinations(range(4), degree))
+    })
+    for pol in (Polarization(1, 1), Polarization(2, 3)):
+        pulled = f_map(pol).pullback(cls)
+        assert not pulled.is_zero
+        assert pulled == one_times_phi_hat(pol).pullback(M_AxA.pullback(cls))
 
 
 def test_mult_by_scales_each_degree():

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from thetachi.cli import main
 
 
@@ -103,6 +105,22 @@ def test_enumerate_zero_bounds(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert len(lines) == 2  # header + summary line
     assert "pairs=0" in lines[1]
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--n", "0"), ("--n", "-2"),
+    ("--max-rank", "-1"), ("--max-k", "-1"), ("--max-chi", "-3"),
+])
+def test_enumerate_bad_bounds_exit_2(tmp_path, capsys, flag, value):
+    out = tmp_path / "never.csv"
+    argv = {"--n": "1", "--max-rank": "1", "--max-k": "1", "--max-chi": "1"}
+    argv[flag] = value
+    code = main(["enumerate", *(x for kv in argv.items() for x in kv), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_enumerate_unwritable_path(capsys):
