@@ -4,7 +4,9 @@ All values are carried as exact rationals until the integrality check at
 the boundary; nothing is ever rounded.  The binomial coefficient is the
 product-formula polynomial in its top argument, so negative (or symbolic)
 tops are fine; this is the extension that matches the Riemann-Roch
-polynomials the closed forms abbreviate.
+polynomials the closed forms abbreviate.  Integer tops are evaluated by
+``math.comb`` (with the reflection formula for negative tops), so a large
+top with a large bottom index stays fast.
 """
 
 from __future__ import annotations
@@ -24,10 +26,13 @@ class FormulaError(ValueError):
 def binom(a, b: int):
     """a(a-1)...(a-b+1)/b! for integer b >= 0; polynomial in a.
 
-    Accepts int, Fraction or Poly tops; returns an int when exact.
+    Accepts int, Fraction or Poly tops; returns an int when exact.  Int tops
+    use math.comb, through binom(a, b) = (-1)^b binom(b-a-1, b) for a < 0.
     """
     if b < 0:
         raise FormulaError(f"binomial lower index must be nonnegative, got {b}")
+    if isinstance(a, int):
+        return math.comb(a, b) if a >= 0 else (-1) ** b * math.comb(b - a - 1, b)
     prod = 1
     for i in range(b):
         prod = prod * (a - i)

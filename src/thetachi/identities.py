@@ -1,12 +1,15 @@
 """Registry of the displayed cohomological identities, re-derived mechanically.
 
 Every identity is evaluated by the exterior-algebra engine and compared to
-its closed form with an exact residual; a check passes only when the
-residual is identically zero.  Each identity runs in two modes:
+its closed form: its check returns an ordered ``{label: residual}`` dict,
+each residual an exact scalar or class equal to LHS - RHS.  One driver,
+``run_identity``, eliminates chi' when the parameters carry an
+orthogonality constraint and reports the first residual that is not
+identically zero (or "0" when all are).  Each identity runs in two modes:
 
-* symbolic - the parameters are polynomial variables; linear orthogonality
-  constraints are eliminated by exact rational substitution with the
-  denominator cleared (never by ideal reduction);
+* symbolic - the parameters are polynomial variables; the linear
+  orthogonality constraint is eliminated by exact rational substitution
+  with the denominator cleared (never by ideal reduction);
 * numeric - seeded pseudo-random integer parameters in [-9, 9], with
   degenerate values excluded and orthogonality solved exactly.
 
@@ -66,7 +69,8 @@ from .exterior import (
     relabel,
     wedge,
 )
-from .formulas import chi_albanese_fiber, chi_arbitrary_det, chi_fixed_det, chi_fixed_fm_det
+# the three theorem evaluators are looked up by name in _check_assembly
+from .formulas import chi_albanese_fiber, chi_arbitrary_det, chi_fixed_det, chi_fixed_fm_det  # noqa: F401
 from .mukai import MukaiVector, dv as vector_dv, euler_chi_tensor
 from .poly import Poly, eliminate_linear, scalar_div, scalar_is_zero
 
@@ -99,43 +103,6 @@ class IdentityReport:
         if self.trial is not None:
             out["trial"] = str(self.trial)
         return out
-
-
-# -- residual bookkeeping -----------------------------------------------------
-
-
-class _Residuals:
-    """Collects labeled residuals; a run passes when all are exactly zero."""
-
-    def __init__(self, constraint=None):
-        # constraint = (var, numerator, denominator) for the symbolic locus
-        self.constraint = constraint
-        self.items = []
-
-    def _reduce(self, scalar):
-        if self.constraint is None or not isinstance(scalar, Poly):
-            return scalar
-        var, num, den = self.constraint
-        return eliminate_linear(scalar, var, num, den)
-
-    def add_scalar(self, label: str, value):
-        value = self._reduce(value)
-        self.items.append((label, scalar_is_zero(value), repr(value)))
-
-    def add_class(self, label: str, cls: ExteriorClass):
-        reduced = {k: self._reduce(c) for k, c in cls.terms.items()}
-        nonzero = ExteriorClass(cls.space, reduced)
-        self.items.append((label, nonzero.is_zero, repr(nonzero)))
-
-    @property
-    def passed(self) -> bool:
-        return all(ok for _, ok, _ in self.items)
-
-    def summary(self) -> str:
-        for label, ok, rep in self.items:
-            if not ok:
-                return f"{label}: {rep}"
-        return "0"
 
 
 # -- shared builders ----------------------------------------------------------
@@ -289,10 +256,12 @@ def _two_parameter_bundle_chi(pol, r, chi, rp, lamp, chip):
 
 
 # -- individual identities ----------------------------------------------------
-# Each check function takes a params dict and returns a _Residuals.
+# Each check function takes a params dict and returns {label: residual}, in
+# report order; a residual is a scalar or an ExteriorClass, zero when the
+# identity holds.  run_identity eliminates chi' and judges them.
 
 
-def _check_sec4_table(params) -> _Residuals:
+def _check_sec4_table(params) -> dict:
     """Six pushforwards over the first factor of AxA for m and m_r."""
     pol = Polarization(params["d"], params["e"])
     r = params["r"]
@@ -303,7 +272,6 @@ def _check_sec4_table(params) -> _Residuals:
     mr_lam, mr_omega = mr.pullback(lam), mr.pullback(OMEGA)
     p1_omega, p1_alpha = P1_AxA.pullback(OMEGA), P1_AxA.pullback(alpha)
 
-    res = _Residuals()
     rows = [
         ("m_lam.p1_omega", m_lam, p1_omega, lam),
         ("mr_lam.p1_omega", mr_lam, p1_omega, lam.scaled(r * r)),
@@ -312,12 +280,13 @@ def _check_sec4_table(params) -> _Residuals:
         ("m_omega.p1_alpha", m_omega, p1_alpha, alpha),
         ("mr_omega.p1_alpha", mr_omega, p1_alpha, alpha.scaled(r * r)),
     ]
-    for label, left, right, expected in rows:
-        res.add_class(label, _push_second_A(wedge(left, right)) - expected)
-    return res
+    return {
+        label: _push_second_A(wedge(left, right)) - expected
+        for label, left, right, expected in rows
+    }
 
 
-def _check_sec4_lemma(params) -> _Residuals:
+def _check_sec4_lemma(params) -> dict:
     """p2!(mr*lam . m*lam . p1*alpha) = (r-1)^2 (∫alpha lam) lam + r lam^2 alpha."""
     pol = Polarization(params["d"], params["e"])
     r = params["r"]
@@ -331,12 +300,10 @@ def _check_sec4_lemma(params) -> _Residuals:
     int_alpha_lam = integrate(wedge(alpha, lam))
     lam_sq = integrate(wedge(lam, lam))
     expected = lam.scaled(int_alpha_lam * (r - 1) ** 2) + alpha.scaled(r * lam_sq)
-    res = _Residuals()
-    res.add_class("lemma", pushed - expected)
-    return res
+    return {"lemma": pushed - expected}
 
 
-def _check_mstar(params) -> _Residuals:
+def _check_mstar(params) -> dict:
     """Addition pullback of lambda splits as p1 + p2 + Poincare pullback."""
     pol = Polarization(params["d"], params["e"])
     r = params["r"]
@@ -344,17 +311,14 @@ def _check_mstar(params) -> _Residuals:
     mr = addition(SP_AxA, 0, 1, SP_A, r)
     p1_lam, p2_lam = P1_AxA.pullback(lam), P2_AxA.pullback(lam)
     poincare_pulled = one_times_phi(pol).pullback(C1_P)
-
-    res = _Residuals()
-    res.add_class("m_star", M_AxA.pullback(lam) - p1_lam - p2_lam - poincare_pulled)
-    res.add_class(
-        "mr_star",
-        mr.pullback(lam) - p1_lam - p2_lam.scaled(r * r) - poincare_pulled.scaled(r),
-    )
-    return res
+    return {
+        "m_star": M_AxA.pullback(lam) - p1_lam - p2_lam - poincare_pulled,
+        "mr_star": mr.pullback(lam) - p1_lam - p2_lam.scaled(r * r)
+        - poincare_pulled.scaled(r),
+    }
 
 
-def _check_fmp(params) -> _Residuals:
+def _check_fmp(params) -> dict:
     """Phi* of the half-square Poincare pushforward of alpha."""
     pol = Polarization(params["d"], params["e"])
     lam = _lambda_on(SP_A, pol)
@@ -363,31 +327,26 @@ def _check_fmp(params) -> _Residuals:
     left = make_phi(pol, "A->Ah").pullback(pushed)
     int_alpha_lam = integrate(wedge(alpha, lam))
     expected = lam.scaled(-int_alpha_lam) + alpha.scaled(_half_square(lam))
-    res = _Residuals()
-    res.add_class("fmp", left - expected)
-    return res
+    return {"fmp": left - expected}
 
 
-def _check_phis(params) -> _Residuals:
+def _check_phis(params) -> dict:
     """Both composites of the polarization morphisms are multiplication by -de."""
     pol = Polarization(params["d"], params["e"])
     phi = make_phi(pol, "A->Ah")
     phi_hat = make_phi(pol, "Ah->A")
     chi = pol.chi
-
-    res = _Residuals()
-    on_ah = phi.after(phi_hat)  # Ah -> A -> Ah
-    on_a = phi_hat.after(phi)  # A -> Ah -> A
-    for j in range(4):
-        gen = ExteriorClass.generator(SP_AH, j)
-        res.add_class(f"ah_gen{j}", on_ah.pullback(gen) + gen.scaled(chi))
-    for j in range(4):
-        gen = ExteriorClass.generator(SP_A, j)
-        res.add_class(f"a_gen{j}", on_a.pullback(gen) + gen.scaled(chi))
+    res = {}
+    # Ah -> A -> Ah, then A -> Ah -> A
+    for tag, space, composite in (("ah", SP_AH, phi.after(phi_hat)),
+                                  ("a", SP_A, phi_hat.after(phi))):
+        for j in range(4):
+            gen = ExteriorClass.generator(space, j)
+            res[f"{tag}_gen{j}"] = composite.pullback(gen) + gen.scaled(chi)
     return res
 
 
-def _check_prop_split(params) -> _Residuals:
+def _check_prop_split(params) -> dict:
     """First Chern class of the translation-correlation bundle on A.
 
     The engine evaluates -p2![m_r*v . m*exp(-lam) . p1*(exp(lam) w)]_(3);
@@ -403,65 +362,49 @@ def _check_prop_split(params) -> _Residuals:
     c1_bundle = _translation_bundle_c1(pol, r, chi, rp, lamp, params["chip"])
     d_v = _half_square(lam) - r * chi
     c1_tensor_cls = lamp.scaled(r) + lam.scaled(rp)
-    res = _Residuals(constraint=params.get("constraint"))
-    res.add_class("prop_split", c1_bundle - c1_tensor_cls.scaled(d_v))
-    return res
+    return {"prop_split": c1_bundle - c1_tensor_cls.scaled(d_v)}
 
 
-def _check_sec5_a(params) -> _Residuals:
+def _check_sec5_a(params) -> dict:
     pol = Polarization(params["d"], params["e"])
     lam, lamp = _lambda_on(SP_A, pol), _alpha_class(params)
     lamp_hat, p1_lamp = hat_of(lamp), P1_AxAH.pullback(lamp)
     lam_dot = integrate(wedge(lam, lamp))
     pushed = fiber_integrate(wedge(f_map(pol).pullback(OMEGA), p1_lamp), 0)
-    res = _Residuals()
-    res.add_class(
-        "push_f_omega",
-        pushed - lamp_hat.scaled(_half_square(lam)) + lambda_hat(pol).scaled(lam_dot),
-    )
-    res.add_class(
-        "hat_definition",
-        fiber_integrate(wedge(_CP_HALF_SQUARE, p1_lamp), 0) - lamp_hat,
-    )
-    return res
+    return {
+        "push_f_omega":
+            pushed - lamp_hat.scaled(_half_square(lam)) + lambda_hat(pol).scaled(lam_dot),
+        "hat_definition": fiber_integrate(wedge(_CP_HALF_SQUARE, p1_lamp), 0) - lamp_hat,
+    }
 
 
-def _check_sec5_b(params) -> _Residuals:
+def _check_sec5_b(params) -> dict:
     pol = Polarization(params["d"], params["e"])
     lam, lam_hat = _lambda_on(SP_A, pol), lambda_hat(pol)
     f_lam = f_map(pol).pullback(lam)
     pushed = fiber_integrate(wedge(f_lam, P1_AxAH.pullback(OMEGA)), 0)
-    res = _Residuals()
-    res.add_class("push_f_lam", pushed + lam_hat.scaled(_half_square(lam)))
-    res.add_class(
-        "hat_via_f",
-        fiber_integrate(wedge(_CP_HALF_SQUARE, f_lam), 0) - lam_hat,
-    )
-    return res
+    return {
+        "push_f_lam": pushed + lam_hat.scaled(_half_square(lam)),
+        "hat_via_f": fiber_integrate(wedge(_CP_HALF_SQUARE, f_lam), 0) - lam_hat,
+    }
 
 
-def _check_sec5_c(params) -> _Residuals:
+def _check_sec5_c(params) -> dict:
     pol = Polarization(params["d"], params["e"])
     pushed = fiber_integrate(wedge(f_map(pol).pullback(OMEGA), C1_P), 0)
-    res = _Residuals()
-    res.add_class("push_f_omega_cP", pushed + lambda_hat(pol).scaled(2))
-    return res
+    return {"push_f_omega_cP": pushed + lambda_hat(pol).scaled(2)}
 
 
-def _check_sec5_d(params) -> _Residuals:
+def _check_sec5_d(params) -> dict:
     pol = Polarization(params["d"], params["e"])
     lam, lamp = _lambda_on(SP_A, pol), _alpha_class(params)
     pushed = fiber_integrate(
         wedge(wedge(f_map(pol).pullback(lam), P1_AxAH.pullback(lamp)), C1_P), 0
     )
-    res = _Residuals()
-    res.add_class(
-        "push_f_lam_lamp_cP", pushed + hat_of(lamp).scaled(integrate(wedge(lam, lam)))
-    )
-    return res
+    return {"push_f_lam_lamp_cP": pushed + hat_of(lamp).scaled(integrate(wedge(lam, lam)))}
 
 
-def _check_fmtl(params) -> _Residuals:
+def _check_fmtl(params) -> dict:
     """Coordinate value of the dual-polarization class.
 
     p2!(f*omega . c1(P)) must equal 2d f3^f4 + 2e f1^f2 on the dual side,
@@ -470,13 +413,13 @@ def _check_fmtl(params) -> _Residuals:
     pol = Polarization(params["d"], params["e"])
     value = fiber_integrate(wedge(f_map(pol).pullback(OMEGA), C1_P), 0)
     explicit = two_form(SP_AH, 0, {(2, 3): 2 * pol.d, (0, 1): 2 * pol.e})
-    res = _Residuals()
-    res.add_class("coordinates", value - explicit)
-    res.add_class("hat_relation", value + lambda_hat(pol).scaled(2))
-    return res
+    return {
+        "coordinates": value - explicit,
+        "hat_relation": value + lambda_hat(pol).scaled(2),
+    }
 
 
-def _check_prop_split1(params) -> _Residuals:
+def _check_prop_split1(params) -> dict:
     """Dual-side analogue of prop_split, with the same engine-fixed sign."""
     pol = Polarization(params["d"], params["e"])
     r, chi, chip = params["r"], params["chi"], params["chip"]
@@ -484,24 +427,20 @@ def _check_prop_split1(params) -> _Residuals:
     c1_bundle = _dual_bundle_c1(pol, r, chi, params["rp"], lamp, chip)
     d_v = _half_square(_lambda_on(SP_A, pol)) - r * chi
     c1_tensor_hat = hat_of(lamp).scaled(chi) + lambda_hat(pol).scaled(chip)
-    res = _Residuals(constraint=params.get("constraint"))
-    res.add_class("prop_split1", c1_bundle - c1_tensor_hat.scaled(d_v))
-    return res
+    return {"prop_split1": c1_bundle - c1_tensor_hat.scaled(d_v)}
 
 
-def _check_llp(params) -> _Residuals:
+def _check_llp(params) -> dict:
     """lam . lam_hat . c1(P)^2/2 integrates to lam^2 over the product."""
     pol = Polarization(params["d"], params["e"])
     lam_prod = polarization_class(SP_AxAH, 0, pol)
     lam_hat = projection(SP_AxAH, (1,), SP_AH).pullback(lambda_hat(pol))
     lam_sq = integrate(wedge(_lambda_on(SP_A, pol), _lambda_on(SP_A, pol)))
     value = integrate(wedge(wedge(lam_prod, lam_hat), _CP_HALF_SQUARE))
-    res = _Residuals()
-    res.add_scalar("llp", value - lam_sq)
-    return res
+    return {"llp": value - lam_sq}
 
 
-def _check_bl(params) -> _Residuals:
+def _check_bl(params) -> dict:
     """Double-Poincare pushforward pulled back along Phi x 1."""
     pol = Polarization(params["d"], params["e"])
     q1 = projection(SP_AxAHxAH, (0,), SP_A)
@@ -515,12 +454,10 @@ def _check_bl(params) -> _Residuals:
         SP_AxAH, SP_AHxAH, [(0, ab._phi_rows(pol)), (1, None)]
     )
     left = phi_times_one.pullback(pushed)
-    res = _Residuals()
-    res.add_class("bl", left + C1_P.scaled(_half_square(lam)))
-    return res
+    return {"bl": left + C1_P.scaled(_half_square(lam))}
 
 
-def _check_prop_split2(params) -> _Residuals:
+def _check_prop_split2(params) -> dict:
     """chi of the two-parameter correlation bundle equals (d_v d_w)^2.
 
     lambda = (d, e) and lambda' = (a12, a34) are independent diagonal
@@ -535,12 +472,10 @@ def _check_prop_split2(params) -> _Residuals:
     chi_bundle = _two_parameter_bundle_chi(pol, r, chi, rp, lamp, chip)
     d_v = _half_square(_lambda_on(SP_A, pol)) - r * chi
     d_w = _half_square(lamp) - rp * chip
-    res = _Residuals(constraint=params.get("constraint"))
-    res.add_scalar("prop_split2", chi_bundle - (d_v * d_w) ** 2)
-    return res
+    return {"prop_split2": chi_bundle - (d_v * d_w) ** 2}
 
 
-def _check_dw0_chern(params) -> _Residuals:
+def _check_dw0_chern(params) -> dict:
     """Chern class of the pulled-back theta bundle on the isogeny cover.
 
     c1 = -(chi' lam + chi lam'), and chi(A, c1) = chi'^2 d_v + chi^2 d_w
@@ -563,17 +498,16 @@ def _check_dw0_chern(params) -> _Residuals:
     d_w = _half_square(lamp) - rp * chip
     chi_of_c1 = _half_square(c1)
 
-    res = _Residuals(constraint=params.get("constraint"))
-    res.add_class("chern_class", c1 - expected)
-    res.add_scalar("euler_value", chi_of_c1 - (chip * chip * d_v + chi * chi * d_w))
+    res = {
+        "chern_class": c1 - expected,
+        "euler_value": chi_of_c1 - (chip * chip * d_v + chi * chi * d_w),
+    }
     if scalar_is_zero(d_w) and not scalar_is_zero(chip):
-        res.add_scalar(
-            "quotient_value", Fraction(chi_of_c1, chip * chip) - d_v
-        )
+        res["quotient_value"] = Fraction(chi_of_c1, chip * chip) - d_v
     return res
 
 
-def _check_fm_isometry(params) -> _Residuals:
+def _check_fm_isometry(params) -> dict:
     """The transform preserves the Mukai pairing of even classes."""
     def build(prefix):
         return (
@@ -584,9 +518,7 @@ def _check_fm_isometry(params) -> _Residuals:
 
     x, y = build("x"), build("y")
     fx, fy = fm_transform(x), fm_transform(y)
-    res = _Residuals()
-    res.add_scalar("pairing", mukai_pair(fx, fy) - mukai_pair(x, y))
-    return res
+    return {"pairing": mukai_pair(fx, fy) - mukai_pair(x, y)}
 
 
 # -- assembly checks (numeric only) -------------------------------------------
@@ -602,35 +534,19 @@ def _assembly_inputs(params):
     return v, w, (pol_v, v.r, v.chi, w.r, lamp, w.chi)
 
 
-def _check_assembly_main(params) -> _Residuals:
-    """Theorem-level assembly: Albanese value x chi(A, L+) / d_v^4."""
+def _check_assembly(identity_id, bundle_chi, theorem, base_is_dw, params) -> dict:
+    """Theorem-level assembly: Albanese value x bundle chi / d^4.
+
+    d is d_v, or d_w when ``base_is_dw``.  ``theorem`` names the closed-form
+    evaluator, looked up in this module when the check runs.
+    """
     v, w, bundle = _assembly_inputs(params)
-    chi_bundle = _half_square(_translation_bundle_c1(*bundle))
-    d_v, d_w = vector_dv(v), vector_dv(w)
-    assembled = chi_albanese_fiber(d_v, d_w).value * chi_bundle / d_v**4
-    res = _Residuals()
-    res.add_scalar("assembly_main", assembled - chi_fixed_det(v, w).value)
-    return res
-
-
-def _check_assembly_two(params) -> _Residuals:
-    v, w, bundle = _assembly_inputs(params)
-    chi_bundle = _half_square(_dual_bundle_c1(*bundle))
-    d_v, d_w = vector_dv(v), vector_dv(w)
-    assembled = chi_albanese_fiber(d_v, d_w).value * chi_bundle / d_v**4
-    res = _Residuals()
-    res.add_scalar("assembly_two", assembled - chi_fixed_fm_det(v, w).value)
-    return res
-
-
-def _check_assembly_three(params) -> _Residuals:
-    v, w, bundle = _assembly_inputs(params)
-    chi_bundle = _two_parameter_bundle_chi(*bundle)
-    d_v, d_w = vector_dv(v), vector_dv(w)
-    assembled = chi_albanese_fiber(d_w, d_v).value * chi_bundle / d_w**4
-    res = _Residuals()
-    res.add_scalar("assembly_three", assembled - chi_arbitrary_det(v, w).value)
-    return res
+    chi_bundle = bundle_chi(*bundle)
+    base, other = vector_dv(v), vector_dv(w)
+    if base_is_dw:
+        base, other = other, base
+    assembled = chi_albanese_fiber(base, other).value * chi_bundle / base**4
+    return {identity_id: assembled - globals()[theorem](v, w).value}
 
 
 # -- samplers ------------------------------------------------------------------
@@ -726,13 +642,20 @@ _register("bl", _check_bl, _DE_SPEC)
 _register("prop_split2", _check_prop_split2, _DIAGONAL_PAIR_SPEC)
 _register("dw0_chern", _check_dw0_chern, _ORTHOGONAL_SPEC, sample=_sample_dw0)
 _register("fm_isometry", _check_fm_isometry, _ISOMETRY_SPEC)
-_register("assembly_main", _check_assembly_main,
-          sample=partial(_sample_vector_pair, need_dw_positive=False))
-_register("assembly_two", _check_assembly_two,
-          sample=partial(_sample_vector_pair, need_dw_positive=False,
-                         need_k_nonzero=True))
-_register("assembly_three", _check_assembly_three,
-          sample=partial(_sample_vector_pair, need_dw_positive=True))
+
+
+def _register_assembly(identity_id, bundle_chi, theorem, base_is_dw=False, **need):
+    _register(identity_id,
+              partial(_check_assembly, identity_id, bundle_chi, theorem, base_is_dw),
+              sample=partial(_sample_vector_pair, **need))
+
+
+_register_assembly("assembly_main", lambda *b: _half_square(_translation_bundle_c1(*b)),
+                   "chi_fixed_det", need_dw_positive=False)
+_register_assembly("assembly_two", lambda *b: _half_square(_dual_bundle_c1(*b)),
+                   "chi_fixed_fm_det", need_dw_positive=False, need_k_nonzero=True)
+_register_assembly("assembly_three", _two_parameter_bundle_chi,
+                   "chi_arbitrary_det", base_is_dw=True, need_dw_positive=True)
 
 ALL_IDENTITIES = tuple(REGISTRY)
 
@@ -755,6 +678,27 @@ def _describe_instantiation(params) -> dict:
     return out
 
 
+def _on_locus(value, constraint):
+    """value with chi' := numerator/denominator substituted, denominator cleared."""
+    if isinstance(value, ExteriorClass):
+        return ExteriorClass(
+            value.space, {k: _on_locus(c, constraint) for k, c in value.terms.items()}
+        )
+    if isinstance(value, Poly):
+        return eliminate_linear(value, *constraint)
+    return value
+
+
+def _first_nonzero(residuals: dict, constraint) -> str:
+    """"label: repr" of the first residual that is not exactly zero, else "0"."""
+    for label, value in residuals.items():
+        if constraint is not None:
+            value = _on_locus(value, constraint)
+        if not (value.is_zero if isinstance(value, ExteriorClass) else scalar_is_zero(value)):
+            return f"{label}: {value!r}"
+    return "0"
+
+
 def run_identity(identity_id: str, params: dict | None = None,
                  mode: str = "symbolic", trial: int | None = None) -> IdentityReport:
     """Run one registered identity and report the exact residual."""
@@ -771,14 +715,9 @@ def run_identity(identity_id: str, params: dict | None = None,
             raise ValueError("numeric mode needs sampled parameters")
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    residuals = identity.check(params)
+    residual = _first_nonzero(identity.check(params), params.get("constraint"))
     return IdentityReport(
-        identity_id,
-        mode,
-        _describe_instantiation(params),
-        residuals.summary(),
-        residuals.passed,
-        trial,
+        identity_id, mode, _describe_instantiation(params), residual, residual == "0", trial
     )
 
 

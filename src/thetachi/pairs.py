@@ -119,17 +119,14 @@ def enumerate_rows(n: int, max_rank: int, max_k: int, max_chi: int):
     Returns (rows, summary); rows are sorted by their integer key and the
     summary carries the counts and the integrality audit.
     """
-    if n < 1 or min(max_rank, max_k, max_chi) < 1:
-        vectors = []
-    else:
-        vectors = admissible_vectors(n, max_rank, max_k, max_chi)
+    vectors = admissible_vectors(n, max_rank, max_k, max_chi)
     rows = []
+    # vectors are lexicographic and w varies fastest, so rows are in sort_key order
     for v in vectors:
         for w in vectors:
             if euler_chi_tensor(v, w) != 0:
                 continue
             rows.append(build_row(v, w))
-    rows.sort(key=PairRow.sort_key)
     violations = [
         row for row in rows
         if any(flag.startswith("nonintegral") for flag in row.flags)

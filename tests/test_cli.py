@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -107,6 +108,23 @@ def test_enumerate_zero_bounds(tmp_path, capsys):
     assert "pairs=0" in lines[1]
 
 
+@pytest.mark.parametrize("rank,k,chi,vectors,pairs", [
+    ("2", "0", "3", 11, 11),  # only c1 = 0 vectors
+    ("0", "2", "3", 10, 0),  # only rank-0 vectors, none orthogonal
+])
+def test_enumerate_single_zero_bound_keeps_box(tmp_path, capsys, rank, k, chi, vectors,
+                                               pairs):
+    out = tmp_path / "box.csv"
+    code = main(["enumerate", "--n", "1", "--max-rank", rank, "--max-k", k,
+                 "--max-chi", chi, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert f"wrote {pairs} pairs ({vectors} vectors)" in captured.out
+    lines = out.read_text().splitlines()
+    assert len(lines) == pairs + 2
+    assert lines[-1] == f"# pairs={pairs} vectors={vectors} nonintegral=0"
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--n", "0"), ("--n", "-2"),
     ("--max-rank", "-1"), ("--max-k", "-1"), ("--max-chi", "-3"),
@@ -176,6 +194,15 @@ def test_verify_deterministic_stdout(capsys):
                              "--seed", "5")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_verify_stdout_matches_golden(capsys):
+    # the exact report JSON of a small full run, so a refactor of the checks
+    # or of the driver cannot change labels, instantiations or residuals
+    golden = Path(__file__).parent / "golden" / "verify_seed42_trials2.json"
+    code, out, _ = run_cli(capsys, "verify", "--all", "--seed", "42", "--trials", "2")
+    assert code == 0
+    assert out == golden.read_text(encoding="utf-8")
 
 
 def test_kummer_output(capsys):

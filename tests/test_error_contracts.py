@@ -1,6 +1,9 @@
 """Error clauses of the public contracts: wrong spaces, bad factors,
 degenerate inputs, and malformed construction all fail loudly."""
 
+import json
+import time
+
 import pytest
 
 from thetachi.abelian import (
@@ -12,6 +15,7 @@ from thetachi.abelian import (
     make_phi,
     two_form,
 )
+from thetachi.cli import main
 from thetachi.exterior import (
     ExteriorClass,
     Factor,
@@ -76,3 +80,21 @@ def test_lattice_and_formula_guards():
         NSClass(1, 0)
     with pytest.raises(FormulaError):
         chi_k3_reference(-2, 5)
+
+
+def test_huge_components_stay_exact_and_fast(capsys):
+    # binomials with a huge top and a huge bottom index must stay exact and
+    # take well under a second each; the time bound is generous for slow hosts
+    big = 100_000
+    start = time.perf_counter()
+    assert main(["eval", "--n", "1", "--v", f"1,0,{-big}", "--w", "0,1,0"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    # d_v = big, d_w = 1: the dimension binomial is 1, so each value is c1^2/2
+    assert [results[t]["value"] for t in ("main", "two", "three")] == [
+        "1", str(big**2), str(big**2)
+    ]
+    assert main(["kummer", "--n", str(big), "--chiD", "3", "--r", "0"]) == 0
+    kummer = json.loads(capsys.readouterr().out)["kummer"]
+    # n binom(n + 2, n - 1) = n * n(n+1)(n+2)/6
+    assert kummer["value"] == str(big * big * (big + 1) * (big + 2) // 6)
+    assert time.perf_counter() - start < 5

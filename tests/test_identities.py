@@ -103,7 +103,9 @@ def test_numeric_prop_split2_independent_forms():
     report = run_identity("prop_split2", params, "numeric")
     assert report.passed and report.residual == "0"
     params["chip"] = -5  # breaks orthogonality, so the identity fails
-    assert not run_identity("prop_split2", params, "numeric").passed
+    report = run_identity("prop_split2", params, "numeric")
+    assert not report.passed
+    assert report.residual == "prop_split2: -14"
 
 
 def test_assembly_needs_numeric_mode():
@@ -137,6 +139,35 @@ def test_corrupted_sign_convention_fails_fmtl():
         abelian.PHI_HAT_SIGN = 1
         abelian._fm_kernel.cache_clear()
     assert suite_passed(run_suite(seed=42, trials=1, only=("fmtl", "phis")))
+
+
+def test_failure_reports_first_nonzero_label():
+    abelian.PHI_HAT_SIGN = -1
+    abelian._fm_kernel.cache_clear()
+    try:
+        reports = run_suite(seed=42, trials=2, only=("fmtl",))
+    finally:
+        abelian.PHI_HAT_SIGN = 1
+        abelian._fm_kernel.cache_clear()
+    assert len(reports) == 3
+    for report in reports:
+        assert report.residual.startswith("coordinates: ")
+        assert not report.passed
+
+
+@pytest.mark.parametrize("identity_id,label", [
+    ("prop_split", "prop_split"),
+    ("prop_split1", "prop_split1"),
+    ("prop_split2", "prop_split2"),
+    ("dw0_chern", "euler_value"),  # its Chern class holds off the locus
+])
+def test_symbolic_proof_needs_the_elimination(identity_id, label):
+    params = REGISTRY[identity_id].symbolic_params()
+    assert run_identity(identity_id, params, "symbolic").residual == "0"
+    del params["constraint"]
+    report = run_identity(identity_id, params, "symbolic")
+    assert not report.passed
+    assert report.residual.startswith(f"{label}: ")
 
 
 def test_numeric_samplers_satisfy_side_conditions():
