@@ -1,4 +1,7 @@
+import dataclasses
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -153,6 +156,23 @@ def test_failure_reports_first_nonzero_label():
     for report in reports:
         assert report.residual.startswith("coordinates: ")
         assert not report.passed
+
+
+def test_failure_text_matches_golden():
+    # failure residuals are the one output whose bytes pass through
+    # ExteriorClass.__repr__: pin every report of a sign-corrupted suite
+    golden = Path(__file__).parent / "golden" / "run_suite_phi_hat_minus_seed42_trials3.json"
+    abelian.PHI_HAT_SIGN = -1
+    abelian._fm_kernel.cache_clear()
+    try:
+        reports = run_suite(seed=42, trials=3)
+    finally:
+        abelian.PHI_HAT_SIGN = 1
+        abelian._fm_kernel.cache_clear()
+    assert len(reports) == 77
+    assert sum(not rep.passed for rep in reports) == 22
+    out = json.dumps([dataclasses.asdict(rep) for rep in reports], indent=2)
+    assert out == golden.read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("identity_id,label", [
