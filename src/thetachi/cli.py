@@ -56,8 +56,23 @@ def _fail_usage(message: str) -> int:
     return EXIT_USAGE
 
 
-def _print_json(payload: dict):
-    print(json.dumps(payload, indent=2))
+def _emit(build) -> int:
+    """Print the JSON of the payload that ``build()`` returns.
+
+    ``str()`` of an int with more than ``sys.get_int_max_str_digits()``
+    digits raises ValueError.  The limit is process-wide, so a command
+    reports it (exit 2) rather than raising it.  ``build`` only formats
+    values that are already computed, so no other ValueError can arise.
+    """
+    try:
+        text = json.dumps(build(), indent=2)
+    except ValueError:
+        return _fail_usage(
+            f"a value has more than {sys.get_int_max_str_digits()} decimal digits "
+            "and cannot be printed"
+        )
+    print(text)
+    return EXIT_OK
 
 
 def cmd_eval(args) -> int:
@@ -81,32 +96,33 @@ def cmd_eval(args) -> int:
     failures = []
     for name in wanted:
         try:
-            results[name] = evaluators[name](v, w).to_json_dict()
+            results[name] = evaluators[name](v, w)
         except FormulaError as exc:
             results[name] = {"error": str(exc)}
             failures.append(name)
     if failures and args.theorem != "all":
         return _fail_usage(results[failures[0]]["error"])
-    payload = {
+    if args.verbose:
+        print("conventions in use:", file=sys.stderr)
+        for key, value in CONVENTIONS.items():
+            print(f"  {key}: {value}", file=sys.stderr)
+    return _emit(lambda: {
         "n": str(args.n),
         "v": v.text(),
         "w": w.text(),
         "d_v": str(dv(v)),
         "d_w": str(dv(w)),
         "orthogonal": True,
-        "results": results,
+        "results": {
+            name: result if name in failures else result.to_json_dict()
+            for name, result in results.items()
+        },
         "admissibility": {
             "v": check_assumptions(v, w).to_json_dict(),
             "w": check_assumptions(w, v).to_json_dict(),
         },
         "conventions": CONVENTIONS,
-    }
-    if args.verbose:
-        print("conventions in use:", file=sys.stderr)
-        for key, value in CONVENTIONS.items():
-            print(f"  {key}: {value}", file=sys.stderr)
-    _print_json(payload)
-    return EXIT_OK
+    })
 
 
 def cmd_enumerate(args) -> int:
@@ -153,18 +169,22 @@ def cmd_kummer(args) -> int:
     kummer = chi_kummer(kc)
     hilbert = chi_hilbert(args.n, args.chiD, args.r)
     residual = etale_cover_residual(args.n, args.chiD, args.r)
-    payload = {
-        "n": str(args.n),
-        "chiD": str(args.chiD),
-        "r": str(args.r),
-        "kummer": kummer.to_json_dict(),
-        "hilbert": hilbert.to_json_dict(),
-        "pull1_residual": str(residual),
-    }
-    if args.n >= 3:
-        payload["bb_cross_value"] = chi_from_bb(kc).to_json_dict()
-    _print_json(payload)
-    return EXIT_OK
+    bb = chi_from_bb(kc) if args.n >= 3 else None
+
+    def payload():
+        out = {
+            "n": str(args.n),
+            "chiD": str(args.chiD),
+            "r": str(args.r),
+            "kummer": kummer.to_json_dict(),
+            "hilbert": hilbert.to_json_dict(),
+            "pull1_residual": str(residual),
+        }
+        if bb is not None:
+            out["bb_cross_value"] = bb.to_json_dict()
+        return out
+
+    return _emit(payload)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -6,11 +6,19 @@ four anticommuting degree-one generators; an :class:`ExteriorClass` is a
 finite sum of monomials in those generators with scalar coefficients
 (``int``/``Fraction``/:class:`~thetachi.poly.Poly`).
 
+A monomial is stored as an ``int`` bitset, bit i for generator i, so the
+monomial is the product of its generators in increasing index order (the
+bitmap representation of basis blades).  The public API speaks in sorted
+index tuples; ``ExteriorClass.terms`` is keyed by bitsets.
+
 Sign conventions, fixed once and validated by the regression pins in the
 test suite:
 
-* monomial keys are sorted tuples of generator indices; the sign of any
-  product is the parity of the merge permutation;
+* the product of monomials a and b is zero when ``a & b``, else ``a | b``
+  times the parity of the merge permutation: the number of pairs
+  (x in a, y in b) with x > y.  That count's parity is the parity of
+  ``a & crossing(b)``, where ``crossing(b)`` sets bit x exactly when an
+  odd number of generators of b lie below x;
 * fiber integration strips the fiber generators from the front of the
   monomial; moving them there is sign-free, because the four generators are
   contiguous and each crosses the same generators below the fiber;
@@ -90,35 +98,49 @@ class Space:
         return other
 
 
+def _bits(indices) -> int:
+    """Bitset of an iterable of generator indices."""
+    key = 0
+    for i in indices:
+        key |= 1 << i
+    return key
+
+
+def _indices(key: int) -> tuple:
+    """Sorted index tuple of a bitset."""
+    out = []
+    while key:
+        low = key & -key
+        out.append(low.bit_length() - 1)
+        key ^= low
+    return tuple(out)
+
+
+def _crossing(key: int) -> int:
+    """Mask with bit x set when an odd number of bits of key lie below x.
+
+    ``-(2 << y)`` sets every bit above y; a negative result is fine, since
+    it is only ever and-ed with a nonnegative key.
+    """
+    mask = 0
+    while key:
+        low = key & -key
+        mask ^= -(low << 1)
+        key ^= low
+    return mask
+
+
 def merge_sign(a: tuple, b: tuple):
     """Merge two sorted index tuples; return (key, sign) or None on overlap.
 
     The sign is the parity of the shuffle bringing the concatenation a+b
-    into sorted order.
+    into sorted order, computed by the same crossing-mask test as wedge.
     """
-    if not a:
-        return b, 1
-    if not b:
-        return a, 1
-    merged = []
-    crossings = 0
-    i = j = 0
-    na = len(a)
-    while i < na and j < len(b):
-        x, y = a[i], b[j]
-        if x == y:
-            return None
-        if x < y:
-            merged.append(x)
-            i += 1
-        else:
-            # b[j] jumps over the remaining entries of a
-            crossings += na - i
-            merged.append(y)
-            j += 1
-    merged.extend(a[i:])
-    merged.extend(b[j:])
-    return tuple(merged), (-1 if crossings & 1 else 1)
+    ka, kb = _bits(a), _bits(b)
+    if ka & kb:
+        return None
+    sign = -1 if (ka & _crossing(kb)).bit_count() & 1 else 1
+    return _indices(ka | kb), sign
 
 
 class ExteriorClass:
@@ -127,6 +149,7 @@ class ExteriorClass:
     __slots__ = ("space", "terms")
 
     def __init__(self, space: Space, terms=None):
+        """Validate sorted index-tuple keys and store them as bitsets."""
         self.space = space
         self.terms = {}
         if terms:
@@ -134,8 +157,18 @@ class ExteriorClass:
             for key, coeff in terms.items():
                 if key and (key[0] < 0 or key[-1] >= ngens):
                     raise SpaceMismatch(f"monomial {key} outside space range")
-                if not scalar_is_zero(coeff):
-                    self.terms[key] = normalize_scalar(coeff)
+                if any(x >= y for x, y in zip(key, key[1:])):
+                    raise ValueError(f"monomial {key} is not strictly increasing")
+                if coeff:
+                    self.terms[_bits(key)] = normalize_scalar(coeff)
+
+    @classmethod
+    def _of(cls, space: Space, terms: dict) -> "ExteriorClass":
+        """Trusted constructor: bitset keys, zero coefficients dropped."""
+        self = object.__new__(cls)
+        self.space = space
+        self.terms = {k: normalize_scalar(c) for k, c in terms.items() if c}
+        return self
 
     # -- constructors -----------------------------------------------------
 
@@ -145,7 +178,7 @@ class ExteriorClass:
 
     @staticmethod
     def unit(space: Space, coeff: Scalar = 1) -> "ExteriorClass":
-        return ExteriorClass(space, {(): coeff})
+        return ExteriorClass._of(space, {0: coeff})
 
     @staticmethod
     def generator(space: Space, index: int) -> "ExteriorClass":
@@ -173,12 +206,12 @@ class ExteriorClass:
         terms = dict(self.terms)
         for key, coeff in other.terms.items():
             terms[key] = terms.get(key, 0) + coeff
-        return ExteriorClass(self.space, terms)
+        return ExteriorClass._of(self.space, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExteriorClass(self.space, {k: -c for k, c in self.terms.items()})
+        return ExteriorClass._of(self.space, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, Poly)):
@@ -188,7 +221,7 @@ class ExteriorClass:
     def scaled(self, scalar: Scalar) -> "ExteriorClass":
         if scalar_is_zero(scalar):
             return ExteriorClass.zero(self.space)
-        return ExteriorClass(self.space, {k: c * scalar for k, c in self.terms.items()})
+        return ExteriorClass._of(self.space, {k: c * scalar for k, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, ExteriorClass):
@@ -200,7 +233,9 @@ class ExteriorClass:
         return self.scaled(other)
 
     def __truediv__(self, k):
-        return ExteriorClass(self.space, {key: scalar_div(c, k) for key, c in self.terms.items()})
+        return ExteriorClass._of(
+            self.space, {key: scalar_div(c, k) for key, c in self.terms.items()}
+        )
 
     # -- grading ------------------------------------------------------------
 
@@ -209,18 +244,21 @@ class ExteriorClass:
         return not self.terms
 
     def degrees(self) -> tuple:
-        return tuple(sorted({len(k) for k in self.terms}))
+        return tuple(sorted({k.bit_count() for k in self.terms}))
 
     def part(self, degree: int) -> "ExteriorClass":
-        return ExteriorClass(
-            self.space, {k: c for k, c in self.terms.items() if len(k) == degree}
+        return ExteriorClass._of(
+            self.space, {k: c for k, c in self.terms.items() if k.bit_count() == degree}
         )
 
     def is_homogeneous(self) -> bool:
         return len(self.degrees()) <= 1
 
     def coefficient(self, indices: Iterable[int]) -> Scalar:
-        return self.terms.get(tuple(sorted(indices)), 0)
+        key = tuple(sorted(indices))
+        if len(set(key)) != len(key) or (key and key[0] < 0):
+            return 0
+        return self.terms.get(_bits(key), 0)
 
     def __eq__(self, other):
         if not isinstance(other, ExteriorClass):
@@ -239,9 +277,10 @@ class ExteriorClass:
         if not self.terms:
             return "0"
         names = self.space.generator_names()
+        monomials = sorted((k.bit_count(), _indices(k), k) for k in self.terms)
         parts = []
-        for key in sorted(self.terms, key=lambda k: (len(k), k)):
-            mono = "^".join(names[i] for i in key) or "1"
+        for _, indices, key in monomials:
+            mono = "^".join(names[i] for i in indices) or "1"
             parts.append(f"({self.terms[key]})*{mono}")
         return " + ".join(parts)
 
@@ -249,21 +288,24 @@ class ExteriorClass:
 def wedge(a: ExteriorClass, b: ExteriorClass) -> ExteriorClass:
     """Graded-commutative product; overlapping monomials vanish."""
     a._check(b)
+    right = [(kb, _crossing(kb), cb) for kb, cb in b.terms.items()]
     out: dict = {}
+    get = out.get
     for ka, ca in a.terms.items():
-        for kb, cb in b.terms.items():
-            merged = merge_sign(ka, kb)
-            if merged is None:
+        for kb, crossing, cb in right:
+            if ka & kb:
                 continue
-            key, sign = merged
-            out[key] = out.get(key, 0) + (ca * cb if sign > 0 else -(ca * cb))
-    return ExteriorClass(a.space, out)
+            key = ka | kb
+            if (ka & crossing).bit_count() & 1:
+                out[key] = get(key, 0) - ca * cb
+            else:
+                out[key] = get(key, 0) + ca * cb
+    return ExteriorClass._of(a.space, out)
 
 
 def integrate(c: ExteriorClass) -> Scalar:
     """Coefficient of the full top monomial in listed order (0 if absent)."""
-    top = tuple(range(c.space.ngens))
-    return c.terms.get(top, 0)
+    return c.terms.get((1 << c.space.ngens) - 1, 0)
 
 
 def fiber_integrate(c: ExteriorClass, fiber_position: int) -> ExteriorClass:
@@ -274,27 +316,22 @@ def fiber_integrate(c: ExteriorClass, fiber_position: int) -> ExteriorClass:
     """
     if not 0 <= fiber_position < len(c.space.factors):
         raise SpaceMismatch(f"no factor at position {fiber_position}")
-    fiber = c.space.factor_range(fiber_position)
-    lo, hi = fiber.start, fiber.stop
-    target = c.space.without(fiber_position)
-    out: dict = {}
-    for key, coeff in c.terms.items():
-        rest = tuple(
-            idx if idx < lo else idx - GENERATORS_PER_FACTOR
-            for idx in key
-            if not lo <= idx < hi
-        )
-        if len(key) - len(rest) != GENERATORS_PER_FACTOR:
-            continue
-        # sign-free: each earlier generator is crossed by all four fiber ones
-        out[rest] = out.get(rest, 0) + coeff
-    return ExteriorClass(target, out)
+    lo = c.space.factor_range(fiber_position).start
+    fiber = ((1 << GENERATORS_PER_FACTOR) - 1) << lo
+    low = (1 << lo) - 1
+    # sign-free: each earlier generator is crossed by all four fiber ones;
+    # the map key -> rest is injective on keys holding the whole fiber
+    return ExteriorClass._of(c.space.without(fiber_position), {
+        (key & low) | ((key >> GENERATORS_PER_FACTOR) & ~low): coeff
+        for key, coeff in c.terms.items()
+        if key & fiber == fiber
+    })
 
 
 def relabel(c: ExteriorClass, new_space: Space) -> ExteriorClass:
     """The same class on a space with identical factor kinds, new labels."""
     c.space.relabeled(new_space)
-    return ExteriorClass(new_space, c.terms)
+    return ExteriorClass._of(new_space, c.terms)
 
 
 def exp_even(c: ExteriorClass) -> ExteriorClass:
@@ -322,12 +359,14 @@ class MorphismH1:
     """Pullback action of a torus morphism on degree-one cohomology.
 
     ``rows[j]`` lists ``(source_index, scalar)`` pairs expressing the
-    pullback of the target's j-th generator, and ``images[j]`` is that
-    degree-one class.  The pullback of arbitrary classes is the
-    multiplicative extension, so degree is preserved.
+    pullback of the target's j-th generator (repeated indices add up).
+    The pullback of arbitrary classes is the multiplicative extension, so
+    degree is preserved: a monomial expands one generator at a time, each
+    appended on the right of the partial source monomials, whose sign is
+    the parity of the generators already present above the new one.
     """
 
-    __slots__ = ("source", "target", "rows", "images")
+    __slots__ = ("source", "target", "rows")
 
     def __init__(self, source: Space, target: Space, rows):
         if len(rows) != target.ngens:
@@ -339,37 +378,51 @@ class MorphismH1:
                 if not 0 <= idx < source.ngens:
                     raise SpaceMismatch(f"source index {idx} out of range")
                 if not scalar_is_zero(coeff):
-                    entries.append((idx, coeff))
+                    entries.append((idx, normalize_scalar(coeff)))
             clean.append(tuple(entries))
         self.source = source
         self.target = target
         self.rows = tuple(clean)
-        self.images = tuple(
-            ExteriorClass(source, {(i,): c for i, c in row}) for row in self.rows
-        )
 
     def pullback(self, c: ExteriorClass) -> ExteriorClass:
         if c.space != self.target:
             raise SpaceMismatch("class does not live on the morphism target")
+        rows = self.rows
         out: dict = {}
         for key, coeff in c.terms.items():
-            term = ExteriorClass.unit(self.source, coeff)
-            for j in key:
-                term = wedge(term, self.images[j])
-                if term.is_zero:
-                    break
-            for mono, value in term.terms.items():
+            partial = {0: coeff}
+            while key and partial:
+                low = key & -key
+                key ^= low
+                grown: dict = {}
+                get = grown.get
+                for mono, value in partial.items():
+                    if not value:
+                        continue
+                    for i, a in rows[low.bit_length() - 1]:
+                        bit = 1 << i
+                        if mono & bit:
+                            continue
+                        if (mono >> i).bit_count() & 1:
+                            grown[mono | bit] = get(mono | bit, 0) - value * a
+                        else:
+                            grown[mono | bit] = get(mono | bit, 0) + value * a
+                partial = grown
+            for mono, value in partial.items():
                 out[mono] = out.get(mono, 0) + value
-        return ExteriorClass(self.source, out)
+        return ExteriorClass._of(self.source, out)
 
     def after(self, inner: "MorphismH1") -> "MorphismH1":
         """Composite self∘inner as a map of spaces (pullbacks compose)."""
         if inner.target != self.source:
             raise SpaceMismatch("composition mismatch")
-        rows = [
-            sorted((i, c) for (i,), c in inner.pullback(image).terms.items())
-            for image in self.images
-        ]
+        rows = []
+        for row in self.rows:
+            image: dict = {}
+            for j, c in row:
+                for i, a in inner.rows[j]:
+                    image[i] = image.get(i, 0) + c * a
+            rows.append(sorted(image.items()))
         return MorphismH1(inner.source, self.target, rows)
 
     def __repr__(self):

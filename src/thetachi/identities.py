@@ -681,7 +681,7 @@ def _describe_instantiation(params) -> dict:
 def _on_locus(value, constraint):
     """value with chi' := numerator/denominator substituted, denominator cleared."""
     if isinstance(value, ExteriorClass):
-        return ExteriorClass(
+        return ExteriorClass._of(
             value.space, {k: _on_locus(c, constraint) for k, c in value.terms.items()}
         )
     if isinstance(value, Poly):

@@ -207,7 +207,8 @@ def scalar_div(s: Scalar, k) -> Scalar:
 
 def normalize_scalar(s: Scalar) -> Scalar:
     """Collapse integral Fractions to int; leave everything else alone."""
-    if isinstance(s, Fraction) and s.denominator == 1:
+    # an exact type test: isinstance goes through ABCMeta for every int
+    if type(s) is Fraction and s.denominator == 1:
         return int(s)
     return s
 

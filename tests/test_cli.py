@@ -50,6 +50,22 @@ def test_eval_malformed_vector_exits_2(capsys):
     assert "r,k,chi" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("eval", "--n", "20000", "--v", "1,0,-40000", "--w", "0,1,0"),
+    ("kummer", "--n", "20000", "--chiD", "20000", "--r", "0"),
+])
+def test_value_past_digit_limit_exits_2(capsys, argv):
+    # the exact value has more digits than int -> str allows; the limit is
+    # process-wide, so the command reports it instead of raising
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"more than {limit} decimal digits" in err
+    assert sys.get_int_max_str_digits() == limit  # left alone
+
+
 def test_eval_verbose_banner(capsys):
     code, _, err = run_cli(
         capsys, "eval", "--n", "1", "--v", "1,0,-1", "--w", "2,3,2", "--verbose"

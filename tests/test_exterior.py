@@ -2,6 +2,9 @@
 permutation-parity oracle that shares no code with the engine's merge sign.
 """
 
+import itertools
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -55,7 +58,6 @@ def brute_product(space, monomials):
 
 
 def test_merge_sign_against_bubble_oracle():
-    import itertools
     universe = range(6)
     for size_a in range(0, 4):
         for a in itertools.combinations(universe, size_a):
@@ -92,7 +94,6 @@ def poincare(space=AxAH):
 
 def test_poincare_fourth_power_brute_force():
     """c1(P)^4/4! via explicit expansion over all summand selections."""
-    import itertools
     summands = [(i, i + 4) for i in range(4)]
     total = ExteriorClass.zero(AxAH)
     for choice in itertools.product(summands, repeat=4):
@@ -211,10 +212,10 @@ coeffs = st.integers(min_value=-5, max_value=5)
 
 
 @st.composite
-def classes(draw, space=AxAH, homogeneous=None):
+def classes(draw, space=AxAH, homogeneous=None, max_degree=None):
     top = space.ngens - 1
     indices = st.lists(st.integers(min_value=0, max_value=top), min_size=0,
-                       max_size=space.ngens, unique=True)
+                       max_size=max_degree or space.ngens, unique=True)
     n_terms = draw(st.integers(min_value=0, max_value=4))
     terms = {}
     for _ in range(n_terms):
@@ -277,11 +278,19 @@ def block_classes(draw, space):
     return ExteriorClass(space, terms)
 
 
+def decoded_terms(c):
+    """c.terms with each bitset key decoded to its sorted index tuple."""
+    return {
+        tuple(i for i in range(c.space.ngens) if key >> i & 1): coeff
+        for key, coeff in c.terms.items()
+    }
+
+
 def oracle_fiber_integrate(c, position, target):
     """Move the fiber block to the front (bubble sign), strip, reindex."""
     fiber = list(c.space.factor_range(position))
     out = ExteriorClass.zero(target)
-    for key, coeff in c.terms.items():
+    for key, coeff in decoded_terms(c).items():
         rest = [i for i in key if i not in fiber]
         if len(key) - len(rest) != len(fiber):
             continue
@@ -325,3 +334,66 @@ def test_concurrent_use_is_safe():
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(work, range(32)))
     assert all(value == sequential for value in results)
+
+
+# -- oracles for the bitset kernels (tuple-based, no engine bitset code) ------------
+
+
+@given(classes(space=AxAxAH, max_degree=5), classes(space=AxAxAH, max_degree=5))
+def test_wedge_matches_brute_product_on_twelve_generators(a, b):
+    # low degrees, so that most pairs of terms do not overlap
+    expected = ExteriorClass.zero(AxAxAH)
+    for ka, ca in decoded_terms(a).items():
+        for kb, cb in decoded_terms(b).items():
+            expected = expected + brute_product(AxAxAH, (ka, kb)).scaled(ca * cb)
+    assert wedge(a, b) == expected
+
+
+def fraction_det(matrix):
+    """Determinant by exact Fraction Gaussian elimination."""
+    m = [[Fraction(x) for x in row] for row in matrix]
+    n = len(m)
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        for r in range(col + 1, n):
+            factor = m[r][col] / m[col][col]
+            for c in range(col, n):
+                m[r][c] -= factor * m[col][c]
+    return det
+
+
+@pytest.mark.parametrize("space", [A, AxA], ids=["A", "AxA"])
+@given(data=st.data())
+def test_pullback_of_top_class_is_determinant(space, data):
+    n = space.ngens
+    matrix = data.draw(st.lists(
+        st.lists(st.integers(min_value=-2, max_value=2), min_size=n, max_size=n),
+        min_size=n, max_size=n,
+    ))
+    phi = MorphismH1(space, space, [list(enumerate(row)) for row in matrix])
+    top = ExteriorClass.monomial(space, range(n))
+    assert phi.pullback(top) == top.scaled(fraction_det(matrix))
+    # any monomial e_J pulls back to the sum over I of the minor det M[J, I] e_I
+    # (Cauchy-Binet); unlike the top class, this sees the per-step sign
+    rows = sorted(data.draw(st.sets(st.integers(min_value=0, max_value=n - 1))))
+    expected = ExteriorClass.zero(space)
+    for cols in itertools.combinations(range(n), len(rows)):
+        minor = [[matrix[r][c] for c in cols] for r in rows]
+        expected = expected + ExteriorClass.monomial(space, cols, fraction_det(minor))
+    assert phi.pullback(ExteriorClass.monomial(space, rows)) == expected
+
+
+def test_coefficient_reads_no_colliding_key():
+    c = ExteriorClass(A, {(1,): 5, (0, 2): 3})
+    assert c.coefficient((1,)) == 5
+    assert c.coefficient((1, 1)) == 0  # a repeated index is not the key of (1,)
+    assert c.coefficient((2, 0)) == c.coefficient((0, 2)) == 3
+    with pytest.raises(ValueError):
+        ExteriorClass(A, {(2, 0): 1})  # keys must be sorted, or they would collide
