@@ -1,0 +1,132 @@
+#!/usr/bin/env python3
+"""Mutation gate: the test suite must catch drift in each sign convention
+and bitset kernel listed in MUTANTS.
+
+Copies the repository into a temporary directory and runs the Tier-1 suite
+there, first unmutated (it must pass), then once per mutant with that one
+source edit applied, one subprocess at a time.  Prints a kill matrix: for
+each mutant, the number of failing tests in each test file.  Exits 1 if
+the unmutated copy fails, a mutant's pattern does not occur exactly once,
+or any mutant survives; else 0.
+
+Usage: python scripts/mutation_gate.py
+"""
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+# every mutant breaks the gate's own pattern test by construction, so that
+# test alone would kill it; it is left out of the runs
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors",
+         "-p", "no:cacheprovider", "-rfE",
+         "--deselect", "tests/test_scripts.py::test_mutation_gate_patterns_occur_once")
+TIMEOUT_S = 900
+IGNORED = shutil.ignore_patterns(
+    ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench_out", "*.egg-info"
+)
+
+# (name, file, pattern, replacement); each pattern occurs exactly once
+MUTANTS = (
+    ("wedge crossing mask", "src/thetachi/exterior.py",
+     "mask ^= -(low << 1)", "mask ^= -low"),
+    ("pullback append parity", "src/thetachi/exterior.py",
+     "if (mono >> i).bit_count() & 1:", "if (mono & ((1 << i) - 1)).bit_count() & 1:"),
+    ("fiber_integrate shift", "src/thetachi/exterior.py",
+     "((key >> GENERATORS_PER_FACTOR) & ~low)",
+     "((key >> (GENERATORS_PER_FACTOR - 1)) & ~low)"),
+    ("PHI_HAT_SIGN = -1", "src/thetachi/abelian.py",
+     "PHI_HAT_SIGN = 1\n", "PHI_HAT_SIGN = -1\n"),
+    ("fm_vector middle sign", "src/thetachi/mukai.py",
+     "MukaiVector(v.chi, -v.k, v.r, v.n, other)", "MukaiVector(v.chi, v.k, v.r, v.n, other)"),
+    ("exp_even factorial", "src/thetachi/exterior.py",
+     "factorial *= k", "factorial *= 1"),
+    ("Poly guard test removed", "src/thetachi/poly.py",
+     "if mono & guard:", "if False:"),
+    ("Poly normalization removed", "src/thetachi/poly.py",
+     "m: c.numerator if type(c) is Fraction and c.denominator == 1 else c\n", "m: c\n"),
+)
+
+_FAILED = re.compile(r"^(?:FAILED|ERROR) (tests/[^:\s]+)")
+
+
+def run_tier1(tree: Path) -> tuple:
+    """(returncode, Counter of failing tests per test file) of Tier-1 in tree."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(tree / "src"), env.get("PYTHONPATH")))
+    )
+    try:
+        result = subprocess.run(
+            [sys.executable, *TIER1], cwd=tree, env=env,
+            capture_output=True, text=True, timeout=TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired:
+        return None, Counter()
+    failing = Counter(
+        match.group(1) for line in result.stdout.splitlines()
+        if (match := _FAILED.match(line))
+    )
+    return result.returncode, failing
+
+
+def pattern_counts(tree: Path) -> dict:
+    """{mutant name: occurrences of its pattern in its file} for tree."""
+    return {
+        name: (tree / path).read_text(encoding="utf-8").count(pattern)
+        for name, path, pattern, _ in MUTANTS
+    }
+
+
+def main() -> int:
+    bad = {name: count for name, count in pattern_counts(ROOT).items() if count != 1}
+    if bad:
+        print(f"error: mutant patterns must occur exactly once: {bad}")
+        return 1
+    with tempfile.TemporaryDirectory(prefix="mutation_gate_") as tmp:
+        base = Path(tmp) / "base"
+        shutil.copytree(ROOT, base, ignore=IGNORED)
+        code, failing = run_tier1(base)
+        if code != 0:
+            print(f"error: Tier-1 fails on the unmutated copy (exit {code}): {dict(failing)}")
+            return 1
+        rows = []
+        for name, path, pattern, replacement in MUTANTS:
+            tree = Path(tmp) / "mutant"
+            shutil.copytree(base, tree, ignore=IGNORED)
+            target = tree / path
+            text = target.read_text(encoding="utf-8")
+            target.write_text(text.replace(pattern, replacement), encoding="utf-8")
+            start = time.perf_counter_ns()
+            code, failing = run_tier1(tree)
+            elapsed_s = (time.perf_counter_ns() - start) // 1_000_000_000
+            shutil.rmtree(tree)
+            status = "timeout" if code is None else ("killed" if code != 0 else "SURVIVED")
+            rows.append((name, status, failing, elapsed_s))
+            print(f"{name}: {status} ({sum(failing.values())} failing tests, {elapsed_s} s)",
+                  file=sys.stderr)
+
+    files = sorted({f for _, _, failing, _ in rows for f in failing})
+    short = [f.removeprefix("tests/test_").removesuffix(".py") for f in files]
+    width = max(len(name) for name, *_ in rows)
+    print(f"{'mutant':<{width}}  {'status':<8}  " + "  ".join(short))
+    for name, status, failing, _ in rows:
+        cells = "  ".join(f"{failing[f]:>{len(s)}}" for f, s in zip(files, short))
+        print(f"{name:<{width}}  {status:<8}  {cells}")
+    survivors = [name for name, status, *_ in rows if status == "SURVIVED"]
+    if survivors:
+        print(f"survived: {', '.join(survivors)}")
+        return 1
+    print(f"all {len(rows)} mutants killed")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

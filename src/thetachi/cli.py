@@ -83,9 +83,11 @@ def cmd_eval(args) -> int:
         return _fail_usage(str(exc))
     chi_vw = euler_chi_tensor(v, w)
     if chi_vw != 0:
-        return _fail_usage(
-            f"vectors are not orthogonal: chi(v (x) w) = {chi_vw} (must be 0)"
-        )
+        try:
+            shown = f"= {chi_vw}"
+        except ValueError:  # past sys.get_int_max_str_digits(), see _emit
+            shown = f"has more than {sys.get_int_max_str_digits()} decimal digits"
+        return _fail_usage(f"vectors are not orthogonal: chi(v (x) w) {shown} (must be 0)")
     results = {}
     wanted = ("main", "two", "three") if args.theorem == "all" else (args.theorem,)
     evaluators = {

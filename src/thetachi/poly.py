@@ -2,37 +2,97 @@
 
 Every scalar in this package is one of ``int``, ``fractions.Fraction`` or
 :class:`Poly`.  Arithmetic is exact everywhere; floats are never produced.
-A :class:`Poly` stores a mapping from monomials to nonzero rational
-coefficients, where a monomial is a sorted tuple of ``(variable, exponent)``
-pairs.  The empty monomial is the constant term.
+
+A :class:`Poly` stores a dict from monomials to nonzero coefficients.
+
+* Int first: a coefficient that is an integer is stored as an ``int``;
+  only a non-integral coefficient is a ``Fraction``.  Every operation
+  passes its coefficients through the rule of :func:`normalize_scalar`,
+  so sums and products of int-only polynomials never build a ``Fraction``.
+* Packed monomials (Monagan & Pearce, "Polynomial division using dynamic
+  arrays, heaps, and packed exponent vectors", CASC 2007): a monomial is
+  one ``int`` holding a 16-bit exponent field per variable, so the product
+  of two monomials is one integer addition and the constant monomial is 0.
+  :meth:`Poly.var` assigns a variable its field the first time it sees the
+  name, from a module-wide name -> index table that only grows.  The order
+  of registration fixes only the packing, never a printed result:
+  ``coeffs_by_power``, ``subs`` and ``__repr__`` decode the fields by name.
+* Guard bits: the top bit of every field stays clear, so exponents are
+  below 2**15.  Each field of a sum of two such monomials is below 2**16
+  and cannot carry into its neighbour; a multiplication whose product
+  monomial has a guard bit set raises ``OverflowError`` instead of
+  producing a wrong monomial.  ``__pow__`` squares its base once past the
+  last bit it uses, so ``p ** n`` raises once p's degree in a variable
+  times 2**n.bit_length() reaches 2**15.
 """
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
 from typing import Union
 
-Mono = tuple  # tuple[tuple[str, int], ...], sorted by variable name
+Mono = int  # packed exponent vector, _FIELD_BITS bits per variable
 Scalar = Union[int, Fraction, "Poly"]
 
-_ONE: Mono = ()
+_ONE: Mono = 0
+_FIELD_BITS = 16
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
+
+# name -> field index, and the names in field order; both only grow
+_INDEX: dict = {}
+_NAMES: list = []
+# the top bit of every registered field
+_GUARD = 0
+_REGISTER = threading.Lock()
 
 
-def _mono_mul(a: Mono, b: Mono) -> Mono:
-    if not a:
-        return b
-    if not b:
-        return a
-    merged = {}
-    for name, exp in a:
-        merged[name] = exp
-    for name, exp in b:
-        merged[name] = merged.get(name, 0) + exp
-    return tuple(sorted((n, e) for n, e in merged.items() if e))
+def _shift(name: str) -> int:
+    """Bit offset of the field of ``name``, registering the name if new."""
+    global _GUARD
+    index = _INDEX.get(name)
+    if index is None:
+        with _REGISTER:
+            index = _INDEX.get(name)
+            if index is None:
+                index = len(_NAMES)
+                _NAMES.append(name)
+                _GUARD |= 1 << (_FIELD_BITS * (index + 1) - 1)
+                _INDEX[name] = index
+    return _FIELD_BITS * index
+
+
+def _decode(mono: Mono) -> tuple:
+    """The monomial as a tuple of ``(name, exponent)`` pairs sorted by name."""
+    pairs = []
+    index = 0
+    while mono:
+        exp = mono & _FIELD_MASK
+        if exp:
+            pairs.append((_NAMES[index], exp))
+        mono >>= _FIELD_BITS
+        index += 1
+    pairs.sort()
+    return tuple(pairs)
+
+
+def _overflow(mono: Mono) -> OverflowError:
+    names = [
+        name for index, name in enumerate(_NAMES)
+        if mono >> (_FIELD_BITS * (index + 1) - 1) & 1
+    ]
+    return OverflowError(
+        f"exponent of {', '.join(names)} reaches 2**{_FIELD_BITS - 1}"
+    )
 
 
 class Poly:
-    """Polynomial with Fraction coefficients, normalized (no zero terms)."""
+    """Polynomial with int/Fraction coefficients over packed monomials.
+
+    ``terms`` maps each packed monomial to its nonzero coefficient, an
+    ``int`` whenever the coefficient is integral.  See the module docstring
+    for the packing, the guard bits and the int-first rule.
+    """
 
     __slots__ = ("terms",)
 
@@ -40,13 +100,21 @@ class Poly:
         self.terms = dict(terms) if terms else {}
 
     @staticmethod
+    def _of(terms: dict) -> "Poly":
+        """Trusted constructor: takes ownership of a normalized ``terms``."""
+        poly = object.__new__(Poly)
+        poly.terms = terms
+        return poly
+
+    @staticmethod
     def const(value) -> "Poly":
-        value = Fraction(value)
-        return Poly({_ONE: value} if value else {})
+        if type(value) is not int:
+            value = normalize_scalar(Fraction(value))
+        return Poly._of({_ONE: value} if value else {})
 
     @staticmethod
     def var(name: str) -> "Poly":
-        return Poly({((name, 1),): Fraction(1)})
+        return Poly._of({1 << _shift(name): 1})
 
     @staticmethod
     def _coerce(value) -> "Poly":
@@ -59,18 +127,21 @@ class Poly:
     def __add__(self, other):
         other = Poly._coerce(other)
         terms = dict(self.terms)
+        get = terms.get
         for mono, coeff in other.terms.items():
-            new = terms.get(mono, 0) + coeff
-            if new:
-                terms[mono] = new
-            else:
+            new = get(mono, 0) + coeff
+            if not new:
                 terms.pop(mono, None)
-        return Poly(terms)
+            elif type(new) is Fraction and new.denominator == 1:
+                terms[mono] = new.numerator
+            else:
+                terms[mono] = new
+        return Poly._of(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly({m: -c for m, c in self.terms.items()})
+        return Poly._of({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-Poly._coerce(other))
@@ -80,20 +151,27 @@ class Poly:
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
-            other = Fraction(other)
+            if type(other) is not int:
+                other = normalize_scalar(Fraction(other))
             if not other:
-                return Poly()
-            return Poly({m: c * other for m, c in self.terms.items()})
+                return Poly._of({})
+            return Poly._of({
+                m: normalize_scalar(c * other) for m, c in self.terms.items()
+            })
+        guard = _GUARD
         out: dict = {}
+        get = out.get
+        right = other.terms.items()
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = _mono_mul(m1, m2)
-                new = out.get(mono, 0) + c1 * c2
-                if new:
-                    out[mono] = new
-                else:
-                    out.pop(mono, None)
-        return Poly(out)
+            for m2, c2 in right:
+                mono = m1 + m2
+                if mono & guard:
+                    raise _overflow(mono)
+                out[mono] = get(mono, 0) + c1 * c2
+        return Poly._of({
+            m: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+            for m, c in out.items() if c
+        })
 
     __rmul__ = __mul__
 
@@ -115,8 +193,9 @@ class Poly:
             if const is None:
                 raise TypeError("polynomial division only by constants")
             other = const
-        other = Fraction(other)
-        return Poly({m: c / other for m, c in self.terms.items()})
+        if type(other) is not int:
+            other = normalize_scalar(Fraction(other))
+        return Poly._of({m: scalar_div(c, other) for m, c in self.terms.items()})
 
     # -- predicates and views --------------------------------------------
 
@@ -150,25 +229,22 @@ class Poly:
 
     def coeffs_by_power(self, name: str) -> dict:
         """Split into polynomials indexed by the power of one variable."""
+        index = _INDEX.get(name)
+        if index is None:
+            return {0: Poly(self.terms)} if self.terms else {}
+        shift = _FIELD_BITS * index
         out: dict = {}
         for mono, coeff in self.terms.items():
-            power = 0
-            rest = []
-            for var, exp in mono:
-                if var == name:
-                    power = exp
-                else:
-                    rest.append((var, exp))
-            bucket = out.setdefault(power, {})
-            bucket[tuple(rest)] = bucket.get(tuple(rest), 0) + coeff
-        return {p: Poly({m: c for m, c in t.items() if c}) for p, t in out.items()}
+            power = (mono >> shift) & _FIELD_MASK
+            out.setdefault(power, {})[mono - (power << shift)] = coeff
+        return {p: Poly._of(t) for p, t in out.items()}
 
     def subs(self, assignment: dict):
         """Substitute scalars or polynomials for variables; exact."""
         result: Scalar = Poly()
         for mono, coeff in self.terms.items():
             term: Scalar = Poly.const(coeff)
-            for var, exp in mono:
+            for var, exp in _decode(mono):
                 factor = assignment.get(var)
                 if factor is None:
                     factor = Poly.var(var)
@@ -180,7 +256,7 @@ class Poly:
         if not self.terms:
             return "Poly(0)"
         parts = []
-        for mono, coeff in sorted(self.terms.items()):
+        for mono, coeff in sorted((_decode(m), c) for m, c in self.terms.items()):
             factors = "*".join(
                 name if exp == 1 else f"{name}^{exp}" for name, exp in mono
             )

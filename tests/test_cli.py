@@ -66,6 +66,29 @@ def test_value_past_digit_limit_exits_2(capsys, argv):
     assert sys.get_int_max_str_digits() == limit  # left alone
 
 
+def test_eval_non_orthogonal_past_digit_limit_exits_2(capsys):
+    # chi(v (x) w) of these vectors has more digits than int -> str allows;
+    # the message leaves the value out instead of dying while formatting it
+    big = "9" * 2500
+    result = subprocess.run(
+        [sys.executable, "-m", "thetachi.cli", "eval", "--n", big,
+         "--v", f"{big},{big},{big}", "--w", f"{big},{big},1"],
+        capture_output=True, text=True,
+    )
+    limit = sys.get_int_max_str_digits()
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+    assert result.stderr == (
+        "error: vectors are not orthogonal: chi(v (x) w) has more than "
+        f"{limit} decimal digits (must be 0)\n"
+    )
+    # small values keep the message with the value in it
+    code, out, err = run_cli(capsys, "eval", "--n", "1", "--v", "1,0,-1", "--w", "2,4,3")
+    assert (code, out) == (2, "")
+    assert err == "error: vectors are not orthogonal: chi(v (x) w) = 1 (must be 0)\n"
+
+
 def test_eval_verbose_banner(capsys):
     code, _, err = run_cli(
         capsys, "eval", "--n", "1", "--v", "1,0,-1", "--w", "2,3,2", "--verbose"

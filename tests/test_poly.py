@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from thetachi import poly as poly_module
 from thetachi.poly import Poly, eliminate_linear, scalar_div, scalar_is_zero
 
 x, y, z = Poly.var("x"), Poly.var("y"), Poly.var("z")
@@ -91,3 +92,172 @@ def test_ring_axioms(a, b, c):
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
     assert a + (-a) == 0
+
+
+# -- an independent reference: {sorted (name, exp) tuple: Fraction} ---------
+# It shares no code with thetachi.poly; results are compared through repr,
+# which spells out every term in a fixed order.
+
+NAMES = ("x", "y", "z", "u", "v")
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for mono, coeff in b.items():
+        out[mono] = out.get(mono, Fraction(0)) + coeff
+    return {m: c for m, c in out.items() if c}
+
+
+def ref_neg(a):
+    return {m: -c for m, c in a.items()}
+
+
+def ref_mono_mul(m1, m2):
+    exps = dict(m1)
+    for name, exp in m2:
+        exps[name] = exps.get(name, 0) + exp
+    return tuple(sorted(exps.items()))
+
+
+def ref_mul(a, b):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            mono = ref_mono_mul(m1, m2)
+            out[mono] = out.get(mono, Fraction(0)) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def ref_pow(a, n):
+    out = {(): Fraction(1)}
+    for _ in range(n):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_coeffs_by_power(a, name):
+    out = {}
+    for mono, coeff in a.items():
+        power = dict(mono).get(name, 0)
+        rest = tuple((n, e) for n, e in mono if n != name)
+        out.setdefault(power, {})[rest] = coeff
+    return out
+
+
+def ref_subs(a, assignment):
+    out = {}
+    for mono, coeff in a.items():
+        term = {(): coeff}
+        for name, exp in mono:
+            factor = assignment.get(name, {((name, 1),): Fraction(1)})
+            term = ref_mul(term, ref_pow(factor, exp))
+        out = ref_add(out, term)
+    return out
+
+
+def ref_repr(a):
+    if not a:
+        return "Poly(0)"
+    parts = []
+    for mono, coeff in sorted(a.items()):
+        factors = "*".join(name if exp == 1 else f"{name}^{exp}" for name, exp in mono)
+        parts.append(f"{coeff}*{factors}" if factors else f"{coeff}")
+    return " + ".join(parts)
+
+
+def assert_int_first(p):
+    """Every integral coefficient is stored as an int."""
+    for coeff in p.terms.values():
+        assert type(coeff) is int or (type(coeff) is Fraction and coeff.denominator != 1)
+
+
+fractions_ = st.builds(
+    Fraction, st.integers(min_value=-6, max_value=6), st.integers(min_value=1, max_value=3)
+)
+
+
+@st.composite
+def poly_pairs(draw):
+    """A Poly and the same polynomial as a reference dict."""
+    terms = draw(st.lists(
+        st.tuples(fractions_, st.dictionaries(
+            st.sampled_from(NAMES), st.integers(min_value=1, max_value=3), max_size=3)),
+        max_size=5,
+    ))
+    poly, ref = Poly(), {}
+    for coeff, exps in terms:
+        term = Poly.const(coeff)
+        for name, exp in exps.items():
+            term = term * Poly.var(name) ** exp
+        poly = poly + term
+        ref = ref_add(ref, {tuple(sorted(exps.items())): coeff} if coeff else {})
+    return poly, ref
+
+
+@given(poly_pairs(), poly_pairs(), st.integers(min_value=0, max_value=3),
+       st.sampled_from(NAMES + ("never_registered",)))
+def test_against_reference(pa, pb, n, name):
+    (a, ra), (b, rb) = pa, pb
+    cases = [
+        (a, ra),
+        (a + b, ref_add(ra, rb)),
+        (a - b, ref_add(ra, ref_neg(rb))),
+        (a * b, ref_mul(ra, rb)),
+        (a ** n, ref_pow(ra, n)),
+    ]
+    for poly, ref in cases:
+        assert repr(poly) == ref_repr(ref)
+        assert_int_first(poly)
+    buckets = a.coeffs_by_power(name)
+    expected = ref_coeffs_by_power(ra, name)
+    assert sorted(buckets) == sorted(expected)
+    for power, part in buckets.items():
+        assert repr(part) == ref_repr(expected[power])
+    assignment = {"x": b, "y": Fraction(2, 3), "never_registered": 5}
+    ref_assignment = {"x": rb, "y": {(): Fraction(2, 3)}}
+    value = a.subs(assignment)
+    assert repr(Poly._coerce(value)) == ref_repr(ref_subs(ra, ref_assignment))
+    assert "never_registered" not in poly_module._INDEX
+
+
+def test_int_first_normalization():
+    half = Fraction(1, 2)
+    results = [
+        Poly.const(Fraction(4, 2)),
+        Poly.const(3),
+        x,
+        (x * Fraction(3, 2)) * 2,
+        x * 6 / 3,
+        x / 2 + x / 2,
+        (x * half + y) * (2 * x),
+        (x * half) * (y * Fraction(2, 3)) * 3,
+        eliminate_linear(z * z * half + x, "z", x, 2),
+        eliminate_linear(z * Fraction(1, 3) + x * half, "z", 3 * x, 2),
+    ]
+    for p in results:
+        assert_int_first(p)
+    assert Poly.const(Fraction(4, 2)).terms == {0: 2}
+    assert type(((x * half + y) * (2 * x)).coeffs_by_power("x")[2].constant_value()) is int
+    # z/3 + x/2 at z = 3x/2, times 2: Fraction inputs, an int output
+    assert results[-1] == 2 * x
+    assert all(type(c) is int for c in results[-1].terms.values())
+
+
+def test_exponent_overflow_is_refused():
+    with pytest.raises(OverflowError):
+        Poly.var("x") ** (1 << 15)
+    # two fields registered one after the other: hi is the neighbour of lo
+    lo, hi = Poly.var("ovf_lo"), Poly.var("ovf_hi")
+    top = lo ** ((1 << 14) - 1)
+    top = top * top * lo  # lo^(2^15 - 1), the largest exponent a field holds
+    assert repr(top) == f"1*ovf_lo^{(1 << 15) - 1}"
+    with pytest.raises(OverflowError):
+        top * lo
+    with pytest.raises(OverflowError):
+        (top + hi) * (lo + 1)
+    # a full field does not leak into its neighbour
+    assert (top * hi).coeffs_by_power("ovf_hi") == {1: top}
+    assert repr(top * hi * hi) == f"1*ovf_hi^2*ovf_lo^{(1 << 15) - 1}"
+    # eliminate_linear raises powers of the numerator
+    with pytest.raises(OverflowError):
+        eliminate_linear(z * z, "z", lo ** (1 << 13) * lo ** (1 << 13), 1)

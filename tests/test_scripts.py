@@ -1,5 +1,6 @@
 """Smoke tests: the scripts under ``scripts/`` run end to end and exit 0."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -32,3 +33,16 @@ def test_tabulate_theorem_values_script(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "pairs_n1.csv").is_file()
+
+
+def test_mutation_gate_patterns_occur_once():
+    # the gate itself runs Tier-1 once per mutant; this keeps its table from
+    # rotting as the source changes
+    spec = importlib.util.spec_from_file_location(
+        "mutation_gate", ROOT / "scripts" / "mutation_gate.py"
+    )
+    gate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gate)
+    counts = gate.pattern_counts(ROOT)
+    assert len(counts) == len(gate.MUTANTS) == 8
+    assert counts == {name: 1 for name in counts}
