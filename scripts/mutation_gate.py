@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Mutation gate: the test suite must catch drift in each sign convention
-and bitset kernel listed in MUTANTS.
+"""Mutation gate: the test suite must catch drift in each sign convention,
+bitset kernel and partner-search branch listed in MUTANTS.
 
 Copies the repository into a temporary directory and runs the Tier-1 suite
 there, first unmutated (it must pass), then once per mutant with that one
@@ -52,6 +52,10 @@ MUTANTS = (
      "if mono & guard:", "if False:"),
     ("Poly normalization removed", "src/thetachi/poly.py",
      "m: c.numerator if type(c) is Fraction and c.denominator == 1 else c\n", "m: c\n"),
+    ("partner exact division dropped", "src/thetachi/pairs.py",
+     "if remainder == 0 and (j := ", "if (j := "),
+    ("rank-0 column cut to one", "src/thetachi/pairs.py",
+     "yield from column\n", "yield from column[:1]\n"),
 )
 
 _FAILED = re.compile(r"^(?:FAILED|ERROR) (tests/[^:\s]+)")

@@ -43,6 +43,14 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 
+# Size caps, refused with exit 2 before any work.  The box volume
+# (max_rank+1)(2 max_k+1)(2 max_chi+1) bounds the vector scan and the
+# vectors held in memory; it admits the rank<=12, |k|<=12, |chi|<=24 audit
+# box (15,925 cells).  verify's time and output grow linearly with
+# --trials; the cap is ten times the 200 trials of the acceptance run.
+MAX_BOX_VOLUME = 20_000
+MAX_TRIALS = 2_000
+
 CONVENTIONS = {
     "hilbert_scheme_vector": "Pic0 x Hilb^n is represented by v = (1, 0, -n), giving d_v = n",
     "lambda_hat": "degree-two part of the transform of lambda; -(d f3^f4 + e f1^f2)",
@@ -132,6 +140,12 @@ def cmd_enumerate(args) -> int:
         return _fail_usage("n must be at least 1")
     if min(args.max_rank, args.max_k, args.max_chi) < 0:
         return _fail_usage("--max-rank, --max-k and --max-chi must be nonnegative")
+    volume = (args.max_rank + 1) * (2 * args.max_k + 1) * (2 * args.max_chi + 1)
+    if volume > MAX_BOX_VOLUME:
+        return _fail_usage(
+            f"the box has {volume} cells, (max-rank+1)(2 max-k+1)(2 max-chi+1); "
+            f"at most {MAX_BOX_VOLUME} are allowed"
+        )
     rows, summary = enumerate_rows(args.n, args.max_rank, args.max_k, args.max_chi)
     text = rows_to_csv(rows, summary) if args.format == "csv" else rows_to_json(rows, summary)
     try:
@@ -152,6 +166,8 @@ def cmd_verify(args) -> int:
         unknown = [name for name in only if name not in ALL_IDENTITIES]
         if unknown:
             return _fail_usage(f"unknown identities: {', '.join(unknown)}")
+    if args.trials > MAX_TRIALS:
+        return _fail_usage(f"--trials must be at most {MAX_TRIALS}, got {args.trials}")
     try:
         reports = run_suite(args.seed, args.trials, only)
     except (UnknownIdentity, SideCondition, ValueError) as exc:

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .mukai import MukaiVector, c1_tensor, dv, euler_chi_tensor
+from .mukai import MukaiVector, c1_tensor, dv, euler_chi_tensor, fm_vector
 from .poly import scalar_div
 
 
@@ -51,7 +51,7 @@ class ChiResult:
 
     @property
     def integral(self) -> bool:
-        return Fraction(self.value).denominator == 1
+        return self.value.denominator == 1
 
     def to_json_dict(self) -> dict:
         out = {
@@ -83,16 +83,44 @@ def _require_orthogonal(v: MukaiVector, w: MukaiVector):
         )
 
 
-def _dimension_binomial(dv_: int, dw_: int) -> Fraction:
-    """binom(dv+dw, dv) / (dv+dw), the common rational factor."""
+@dataclass(frozen=True)
+class VectorData:
+    """A vector with what the closed forms read from it alone: d_v and v_hat.
+
+    A caller that pairs one vector with many partners
+    (``pairs.enumerate_rows``) builds this once per vector.
+    """
+
+    vector: MukaiVector
+    d: int
+    hat: MukaiVector
+
+    @classmethod
+    def of(cls, v: MukaiVector) -> "VectorData":
+        return cls(v, dv(v), fm_vector(v))
+
+
+def _dimension_binomial(dv_: int, dw_: int) -> Fraction | None:
+    """binom(dv+dw, dv) / (dv+dw), the common rational factor.
+
+    None unless d_v, d_w >= 0 and d_v + d_w > 0; every closed form refuses
+    such a pair before it reads the factor.
+    """
     total = dv_ + dw_
-    if total <= 0:
-        raise FormulaError("d_v + d_w must be positive")
+    if dv_ < 0 or dw_ < 0 or total <= 0:
+        return None
     return Fraction(binom(total, dv_), total)
 
 
 def _pair_inputs(v: MukaiVector, w: MukaiVector) -> dict:
     return {"v": v.text(), "w": w.text(), "n": v.n}
+
+
+def _evaluate(body, v: MukaiVector, w: MukaiVector, *args) -> ChiResult:
+    """One closed form for one orthogonal pair of plain vectors."""
+    _require_orthogonal(v, w)
+    vd, wd = VectorData.of(v), VectorData.of(w)
+    return body(vd, wd, _dimension_binomial(vd.d, wd.d), _pair_inputs(v, w), *args)
 
 
 def chi_fixed_det(v: MukaiVector, w: MukaiVector) -> ChiResult:
@@ -102,7 +130,7 @@ def chi_fixed_det(v: MukaiVector, w: MukaiVector) -> ChiResult:
     When d_v = 0 the moduli space is r_v^2 reduced points and the generic
     value must agree with r_v^2 (symmetrically for d_w = 0 with r_w^2).
     """
-    return _chi_tensor_square(v, w, "chi_fixed_det", transform=False)
+    return _evaluate(_chi_tensor_square, v, w, "chi_fixed_det", False)
 
 
 def chi_fixed_fm_det(v: MukaiVector, w: MukaiVector) -> ChiResult:
@@ -110,27 +138,25 @@ def chi_fixed_fm_det(v: MukaiVector, w: MukaiVector) -> ChiResult:
 
     The d = 0 special fibers consist of chi^2 points instead of r^2.
     """
-    return _chi_tensor_square(v, w, "chi_fixed_fm_det", transform=True)
+    return _evaluate(_chi_tensor_square, v, w, "chi_fixed_fm_det", True)
 
 
-def _chi_tensor_square(v, w, formula_id: str, transform: bool) -> ChiResult:
-    from .mukai import fm_vector
-
-    _require_orthogonal(v, w)
-    dv_, dw_ = dv(v), dv(w)
+def _chi_tensor_square(v: VectorData, w: VectorData, binomial, inputs,
+                       formula_id: str, transform: bool) -> ChiResult:
+    dv_, dw_ = v.d, w.d
     if dv_ < 0 or dw_ < 0:
         raise FormulaError(f"negative dimension invariant: d_v={dv_}, d_w={dw_}")
     if dv_ + dw_ == 0:
         raise FormulaError("d_v + d_w = 0: both moduli degenerate")
     if transform:
-        square = c1_tensor(fm_vector(v), fm_vector(w)).square()
-        special_v, special_w = v.chi**2, w.chi**2
+        square = c1_tensor(v.hat, w.hat).square()
+        special_v, special_w = v.vector.chi**2, w.vector.chi**2
         special_name = "chi^2"
     else:
-        square = c1_tensor(v, w).square()
-        special_v, special_w = v.r**2, w.r**2
+        square = c1_tensor(v.vector, w.vector).square()
+        special_v, special_w = v.vector.r**2, w.vector.r**2
         special_name = "r^2"
-    value = Fraction(square, 2) * _dimension_binomial(dv_, dw_)
+    value = Fraction(square * binomial.numerator, 2 * binomial.denominator)  # square/2 * binomial
     branch = "generic"
     cross: dict = {}
     if dv_ == 0 or dw_ == 0:
@@ -142,7 +168,15 @@ def _chi_tensor_square(v, w, formula_id: str, transform: bool) -> ChiResult:
                 f"{formula_id}: generic value {value} disagrees with the "
                 f"degenerate-fiber count {expected}"
             )
-    return ChiResult(formula_id, value, _pair_inputs(v, w), branch, cross)
+    return ChiResult(formula_id, value, inputs, branch, cross)
+
+
+def _albanese_value(dv_: int, dw_: int, binomial) -> Fraction:
+    if dv_ < 1:
+        raise FormulaError(f"d_v must be at least 1, got {dv_}")
+    if dw_ < 0:
+        raise FormulaError(f"d_w must be nonnegative, got {dw_}")
+    return Fraction(dv_**2 * binomial.numerator, binomial.denominator)
 
 
 def chi_albanese_fiber(dv_: int, dw_: int) -> ChiResult:
@@ -151,11 +185,7 @@ def chi_albanese_fiber(dv_: int, dw_: int) -> ChiResult:
     Defined for d_v >= 1; at d_v = 1 the fiber is a point and the value
     is 1 regardless of d_w.
     """
-    if dv_ < 1:
-        raise FormulaError(f"d_v must be at least 1, got {dv_}")
-    if dw_ < 0:
-        raise FormulaError(f"d_w must be nonnegative, got {dw_}")
-    value = Fraction(dv_**2) * _dimension_binomial(dv_, dw_)
+    value = _albanese_value(dv_, dw_, _dimension_binomial(dv_, dw_))
     return ChiResult("chi_albanese_fiber", value, {"d_v": dv_, "d_w": dw_})
 
 
@@ -207,29 +237,59 @@ def chi_arbitrary_det(v: MukaiVector, w: MukaiVector) -> ChiResult:
     """Albanese-fiber value for the pair (v, w); equals chi on the full
     moduli space of the partner vector.
 
-    Generic branch delegates to chi_albanese_fiber(d_v, d_w).  When
+    Generic branch is the value of chi_albanese_fiber(d_v, d_w).  When
     d_w = 0 the partner moduli space is a finite set and the value is d_v;
     both branches are evaluated and must agree where both are defined.
     """
-    _require_orthogonal(v, w)
-    dv_, dw_ = dv(v), dv(w)
+    return _evaluate(_chi_arbitrary_det, v, w)
+
+
+def _chi_arbitrary_det(v: VectorData, w: VectorData, binomial, inputs) -> ChiResult:
+    dv_, dw_ = v.d, w.d
     if dw_ == 0:
         cross = {}
         if dv_ >= 1:
-            generic = chi_albanese_fiber(dv_, 0).value
+            generic = _albanese_value(dv_, 0, binomial)
             if generic != dv_:
                 raise FormulaError(
                     f"chi_arbitrary_det: generic value {generic} disagrees "
                     f"with the finite-fiber count {dv_}"
                 )
             cross = {"generic": generic}
-        return ChiResult(
-            "chi_arbitrary_det", Fraction(dv_), _pair_inputs(v, w), "special_dw0", cross
-        )
+        return ChiResult("chi_arbitrary_det", Fraction(dv_), inputs, "special_dw0", cross)
     if dv_ < 1:
         raise FormulaError(f"chi_arbitrary_det needs d_v >= 1 or d_w = 0, got d_v={dv_}")
-    inner = chi_albanese_fiber(dv_, dw_)
-    return ChiResult("chi_arbitrary_det", inner.value, _pair_inputs(v, w))
+    return ChiResult("chi_arbitrary_det", _albanese_value(dv_, dw_, binomial), inputs)
+
+
+# the bodies behind chi_fixed_det, chi_fixed_fm_det and chi_arbitrary_det
+_CLOSED_FORMS = (
+    (_chi_tensor_square, "chi_fixed_det", False),
+    (_chi_tensor_square, "chi_fixed_fm_det", True),
+    (_chi_arbitrary_det,),
+)
+
+
+def closed_forms(v: VectorData, w: VectorData) -> tuple:
+    """(chi_fixed_det, chi_fixed_fm_det, chi_arbitrary_det) of (v, w).
+
+    Runs the public evaluators' bodies and checks on one orthogonality test
+    and one dimension binomial; an entry is None where its evaluator raises
+    FormulaError.
+    """
+    try:
+        _require_orthogonal(v.vector, w.vector)
+    except FormulaError:
+        return (None,) * len(_CLOSED_FORMS)
+    binomial = _dimension_binomial(v.d, w.d)
+    inputs = _pair_inputs(v.vector, w.vector)
+    results = []
+    for body, *args in _CLOSED_FORMS:
+        try:
+            results.append(body(v, w, binomial, inputs, *args))
+        except FormulaError:
+            results.append(None)
+    return tuple(results)
 
 
 def beauville_bogomolov(kc: KummerClass) -> int:

@@ -209,9 +209,12 @@ def is_positive(v: MukaiVector) -> bool:
     return v.k > 0 and v.chi != 0 and mukai_pairing(v, v) not in (0, 4)
 
 
+def h2_vanishing_direction(v: MukaiVector, w: MukaiVector) -> int:
+    """Sign of c1(v (x) w) . H; see AdmissibilityReport."""
+    dot = 2 * v.n * (v.r * w.k + w.r * v.k)
+    return (dot > 0) - (dot < 0)
+
+
 def check_assumptions(v: MukaiVector, w: MukaiVector | None = None) -> AdmissibilityReport:
-    direction = None
-    if w is not None:
-        dot = 2 * v.n * (v.r * w.k + w.r * v.k)
-        direction = (dot > 0) - (dot < 0)
+    direction = None if w is None else h2_vanishing_direction(v, w)
     return AdmissibilityReport(is_primitive(v), is_positive(v), direction)

@@ -1,10 +1,17 @@
 """Enumeration of admissible orthogonal vector pairs and their theta values.
 
-Scans a box of Mukai vectors, keeps the primitive positive ones, forms all
-ordered orthogonal pairs, and tabulates the three theta Euler
-characteristics together with branch and integrality flags.  Output is
-deterministic: rows are sorted lexicographically by their integer key and
-every number is rendered as an exact decimal string.
+Scans a box of Mukai vectors and keeps the primitive positive ones.  The
+Euler pairing chi(v (x) w) = r_w chi_v + 2n k_v k_w + r_v chi_w is linear in
+chi_w, so each vector v finds its orthogonal partners by solving for them,
+one (r_w, k_w) column of the box at a time: for r_v != 0 a column holds at
+most one partner, whose chi_w is looked up when the division is exact; for
+r_v = 0 the pairing does not involve chi_w, so the whole column is a
+partner or none of it is.  The cost grows with the number of vectors times
+the number of columns, not with the number of pairs of vectors.  d_v and
+the transform are computed once per vector.  Each pair is tabulated with
+the three theta Euler characteristics and branch and integrality flags.
+Output is deterministic: rows come out in the lexicographic order of their
+integer key, and every number is rendered as an exact decimal string.
 """
 
 from __future__ import annotations
@@ -12,19 +19,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .formulas import (
-    ChiResult,
-    FormulaError,
-    chi_arbitrary_det,
-    chi_fixed_det,
-    chi_fixed_fm_det,
-)
-from .mukai import MukaiVector, check_assumptions, dv, euler_chi_tensor, is_positive, is_primitive
+from .formulas import ChiResult, VectorData, closed_forms
+from .mukai import MukaiVector, euler_chi_tensor, h2_vanishing_direction, is_positive, is_primitive
 
 CSV_COLUMNS = (
     "n", "v_r", "v_k", "v_chi", "w_r", "w_k", "w_chi",
     "d_v", "d_w", "chi_main", "chi_two", "chi_three", "flags",
 )
+# flag tags of chi_main, chi_two, chi_three, and of the h2 direction
+_FORMULA_TAGS = ("main", "two", "three")
+_H2_FLAGS = {1: "h2_pos", 0: "h2_zero", -1: "h2_neg"}
 
 
 @dataclass(frozen=True)
@@ -83,50 +87,67 @@ def admissible_vectors(n: int, max_rank: int, max_k: int, max_chi: int):
     return out
 
 
-def _evaluate(fn, v, w, flags, tag):
-    try:
-        return fn(v, w)
-    except FormulaError:
-        flags.append(f"{tag}_undef")
-        return None
-
-
-def build_row(v: MukaiVector, w: MukaiVector) -> PairRow:
+def build_row(v: VectorData, w: VectorData) -> PairRow:
     flags: list = []
-    d_v, d_w = dv(v), dv(w)
-    if d_v < 0:
+    if v.d < 0:
         flags.append("dv_neg")
-    if d_w < 0:
+    if w.d < 0:
         flags.append("dw_neg")
-    chi_main = _evaluate(chi_fixed_det, v, w, flags, "main")
-    chi_two = _evaluate(chi_fixed_fm_det, v, w, flags, "two")
-    chi_three = _evaluate(chi_arbitrary_det, v, w, flags, "three")
-    for name, result in (("main", chi_main), ("two", chi_two), ("three", chi_three)):
+    results = closed_forms(v, w)
+    flags.extend(f"{tag}_undef" for tag, result in zip(_FORMULA_TAGS, results)
+                 if result is None)
+    for tag, result in zip(_FORMULA_TAGS, results):
         if result is None:
             continue
         if result.branch != "generic":
-            flags.append(f"{name}_{result.branch}")
+            flags.append(f"{tag}_{result.branch}")
         if not result.integral:
-            flags.append(f"nonintegral_{name}")
-    direction = check_assumptions(v, w).h2_vanishing_direction
-    flags.append({1: "h2_pos", 0: "h2_zero", -1: "h2_neg"}[direction])
-    return PairRow(v, w, d_v, d_w, chi_main, chi_two, chi_three, tuple(flags))
+            flags.append(f"nonintegral_{tag}")
+    flags.append(_H2_FLAGS[h2_vanishing_direction(v.vector, w.vector)])
+    return PairRow(v.vector, w.vector, v.d, w.d, *results, tuple(flags))
+
+
+def _partners(v: MukaiVector, columns: dict, position: dict):
+    """Positions of the vectors w with chi(v (x) w) = 0, in the box order.
+
+    ``columns`` maps each (r, k) of the box, in lexicographic order, to the
+    positions of its vectors by ascending chi; ``position`` maps (r, k, chi)
+    to a position.
+    """
+    r_v, chi_v, twice_nk = v.r, v.chi, 2 * v.n * v.k
+    for (r_w, k_w), column in columns.items():
+        rest = r_w * chi_v + twice_nk * k_w  # chi(v (x) w) - r_v chi_w
+        if r_v == 0:
+            if rest == 0:
+                yield from column
+            continue
+        chi_w, remainder = divmod(-rest, r_v)
+        if remainder == 0 and (j := position.get((r_w, k_w, chi_w))) is not None:
+            yield j
 
 
 def enumerate_rows(n: int, max_rank: int, max_k: int, max_chi: int):
     """All ordered orthogonal pairs of admissible vectors in the box.
 
-    Returns (rows, summary); rows are sorted by their integer key and the
-    summary carries the counts and the integrality audit.
+    Returns (rows, summary); rows are in sort_key order and the summary
+    carries the counts and the integrality audit.
     """
     vectors = admissible_vectors(n, max_rank, max_k, max_chi)
+    data = [VectorData.of(v) for v in vectors]
+    columns: dict = {}
+    for i, v in enumerate(vectors):
+        columns.setdefault((v.r, v.k), []).append(i)
+    position = {(v.r, v.k, v.chi): i for i, v in enumerate(vectors)}
     rows = []
-    # vectors are lexicographic and w varies fastest, so rows are in sort_key order
-    for v in vectors:
-        for w in vectors:
+    # v in box order, then each partner in box order: sort_key order
+    for v_data in data:
+        v = v_data.vector
+        for j in _partners(v, columns, position):
+            w = vectors[j]
+            # the search solved for w; a pair off the pairing is a search bug
             if euler_chi_tensor(v, w) != 0:
-                continue
-            rows.append(build_row(v, w))
+                raise AssertionError(f"partner search paired {v.text()} with {w.text()}")
+            rows.append(build_row(v_data, data[j]))
     violations = [
         row for row in rows
         if any(flag.startswith("nonintegral") for flag in row.flags)

@@ -21,9 +21,9 @@ A :class:`Poly` stores a dict from monomials to nonzero coefficients.
   below 2**15.  Each field of a sum of two such monomials is below 2**16
   and cannot carry into its neighbour; a multiplication whose product
   monomial has a guard bit set raises ``OverflowError`` instead of
-  producing a wrong monomial.  ``__pow__`` squares its base once past the
-  last bit it uses, so ``p ** n`` raises once p's degree in a variable
-  times 2**n.bit_length() reaches 2**15.
+  producing a wrong monomial.  ``__pow__`` squares its base only up to
+  the top bit of n, so ``p ** n`` raises exactly when n times p's degree
+  in some variable reaches 2**15, that is, when the result does not fit.
 """
 
 from __future__ import annotations
@@ -183,8 +183,9 @@ class Poly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __truediv__(self, other):

@@ -1,11 +1,13 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from thetachi.cli import main
+import thetachi.cli as cli
+from thetachi.cli import MAX_BOX_VOLUME, MAX_TRIALS, main
 
 
 def run_cli(capsys, *argv):
@@ -178,6 +180,70 @@ def test_enumerate_bad_bounds_exit_2(tmp_path, capsys, flag, value):
     assert captured.err.startswith("error: ")
     assert captured.out == ""
     assert not out.exists()
+
+
+def assert_refused(captured, out=None):
+    """Exit-2 contract of a cap: one error line, nothing written."""
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert out is None or not out.exists()
+
+
+@pytest.mark.parametrize("box", [
+    (1, 4, 4, 6), (2, 4, 4, 6), (3, 4, 4, 6),  # AC-8
+    (2, 5, 5, 8),  # the larger perfbench box (the AC-8 boxes are the others)
+    (6, 12, 12, 24),  # integrality audit, n <= 6 and rank <= 12
+    (1, 31, 12, 12),  # 32 * 25 * 25 cells, exactly the cap
+])
+def test_enumerate_box_cap_accepts(tmp_path, capsys, monkeypatch, box):
+    assert (box[1] + 1) * (2 * box[2] + 1) * (2 * box[3] + 1) <= MAX_BOX_VOLUME
+    seen = []
+
+    def fake_enumerate_rows(*args):
+        seen.append(args)
+        return [], {"pairs": "0", "vectors": "0", "nonintegral_rows": []}
+
+    # the cap is checked before any work; only the refusal is under test
+    monkeypatch.setattr(cli, "enumerate_rows", fake_enumerate_rows)
+    out = tmp_path / "box.csv"
+    code = main(["enumerate", *(x for flag, value in zip(
+        ("--n", "--max-rank", "--max-k", "--max-chi"), box) for x in (flag, str(value))),
+        "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0 and seen == [box] and out.exists()
+
+
+@pytest.mark.parametrize("rank,k,chi", [
+    ("1000", "1000", "1000"),  # about 4 * 10^9 cells
+    ("31", "12", "13"),  # max-chi one past the box that is exactly the cap
+    ("0", "0", "10000"),  # 20,001 cells in one column
+])
+def test_enumerate_box_cap_refuses_fast(tmp_path, capsys, rank, k, chi):
+    out = tmp_path / "never.csv"
+    start = time.perf_counter_ns()
+    code = main(["enumerate", "--n", "1", "--max-rank", rank, "--max-k", k,
+                 "--max-chi", chi, "--out", str(out)])
+    elapsed_ns = time.perf_counter_ns() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert elapsed_ns < 1_000_000_000
+    assert_refused(captured, out)
+    assert f"at most {MAX_BOX_VOLUME}" in captured.err
+
+
+@pytest.mark.parametrize("trials,code", [("200", 0), (str(MAX_TRIALS), 0),
+                                         (str(MAX_TRIALS + 1), 2), ("10000000", 2)])
+def test_verify_trials_cap(capsys, monkeypatch, trials, code):
+    seen = []
+    monkeypatch.setattr(cli, "run_suite", lambda seed, n, only: seen.append(n) or [])
+    assert main(["verify", "--only", "llp", "--trials", trials]) == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert seen == [int(trials)]
+    else:
+        assert seen == []
+        assert_refused(captured)
+        assert f"at most {MAX_TRIALS}" in captured.err
 
 
 def test_enumerate_unwritable_path(capsys):

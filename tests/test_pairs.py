@@ -1,6 +1,10 @@
 import json
 
-from thetachi.formulas import chi_fixed_det
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from thetachi.formulas import VectorData, chi_fixed_det
 from thetachi.mukai import MukaiVector
 from thetachi.pairs import (
     admissible_vectors,
@@ -9,6 +13,52 @@ from thetachi.pairs import (
     rows_to_csv,
     rows_to_json,
 )
+
+
+def row_of(v, w):
+    return build_row(VectorData.of(v), VectorData.of(w))
+
+
+def brute_pairs(n, max_rank, max_k, max_chi):
+    """Every ordered (v, w) with r_w chi_v + 2n k_v k_w + r_v chi_w = 0, O(V^2)."""
+    vectors = admissible_vectors(n, max_rank, max_k, max_chi)
+    return [
+        (v, w) for v in vectors for w in vectors
+        if w.r * v.chi + 2 * n * v.k * w.k + v.r * w.chi == 0
+    ]
+
+
+bound = st.integers(0, 4)
+
+
+@given(st.integers(1, 4), bound, bound, bound)
+@example(1, 2, 3, 4)
+@example(2, 4, 4, 4)
+def test_partner_search_matches_brute_force(n, max_rank, max_k, max_chi):
+    rows, summary = enumerate_rows(n, max_rank, max_k, max_chi)
+    assert [(row.v, row.w) for row in rows] == brute_pairs(n, max_rank, max_k, max_chi)
+    assert summary["pairs"] == str(len(rows))
+
+
+@pytest.mark.parametrize("box", [(1, 2, 3, 4), (2, 4, 4, 4)])
+def test_brute_force_examples_cover_whole_columns_and_negative_chi(box):
+    # the explicit examples above reach both branches of the search
+    pairs = brute_pairs(*box)
+    columns = {}
+    for v, w in pairs:
+        if v.r == 0:
+            columns.setdefault((v, w.r, w.k), []).append(w)
+    assert any(len(column) >= 2 for column in columns.values())
+    assert any(v.chi < 0 and w.chi < 0 for v, w in pairs)
+    assert any(v.r > 0 and w.r > 0 for v, w in pairs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_rows_come_out_in_sort_key_order(n):
+    rows, _ = enumerate_rows(n, 3, 3, 5)
+    keys = [row.sort_key() for row in rows]
+    assert len(keys) > 100
+    assert all(a < b for a, b in zip(keys, keys[1:]))  # sorted, no repeats
 
 
 def test_admissible_vectors_filtering():
@@ -39,7 +89,7 @@ def test_rows_are_recomputable_and_sorted():
 
 def test_isotropic_pair_row_flags_undefined_values():
     # d_v = d_w = 0: the quotient formulas are outside their domain
-    row = build_row(MukaiVector(1, 1, 1, 1), MukaiVector(1, -1, 1, 1))
+    row = row_of(MukaiVector(1, 1, 1, 1), MukaiVector(1, -1, 1, 1))
     assert row.chi_main is None and row.chi_two is None
     assert "main_undef" in row.flags and "two_undef" in row.flags
     fields = row.csv_fields()
@@ -50,13 +100,13 @@ def test_isotropic_pair_row_flags_undefined_values():
 
 def test_negative_invariant_row_flags():
     # d_v = -5 with an orthogonal positive partner: flagged, not fabricated
-    row = build_row(MukaiVector(1, 0, 5, 1), MukaiVector(1, 1, -5, 1))
+    row = row_of(MukaiVector(1, 0, 5, 1), MukaiVector(1, 1, -5, 1))
     assert "dv_neg" in row.flags
     assert row.chi_main is None and "main_undef" in row.flags
 
 
 def test_special_branch_rows_flagged():
-    row = build_row(MukaiVector(2, 1, 1, 2), MukaiVector(2, 1, -3, 2))
+    row = row_of(MukaiVector(2, 1, 1, 2), MukaiVector(2, 1, -3, 2))
     assert "main_special_dv0" in row.flags
     assert "two_special_dv0" in row.flags
     assert row.chi_main.value == 4 and row.chi_two.value == 1

@@ -244,8 +244,15 @@ def test_int_first_normalization():
 
 
 def test_exponent_overflow_is_refused():
+    x = Poly.var("x")
+    # x^(2^14) fits a field: __pow__ squares no further than the top bit
+    product = Poly.const(1)
+    for _ in range(1 << 14):
+        product = product * x
+    assert x ** (1 << 14) == product
+    assert repr(x ** (1 << 14)) == f"1*x^{1 << 14}"
     with pytest.raises(OverflowError):
-        Poly.var("x") ** (1 << 15)
+        x ** (1 << 15)
     # two fields registered one after the other: hi is the neighbour of lo
     lo, hi = Poly.var("ovf_lo"), Poly.var("ovf_hi")
     top = lo ** ((1 << 14) - 1)
