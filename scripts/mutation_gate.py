@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Mutation gate: the test suite must catch drift in each sign convention,
-bitset kernel and partner-search branch listed in MUTANTS.
+bitset or contraction kernel and partner-search branch listed in MUTANTS.
 
 Copies the repository into a temporary directory and runs the Tier-1 suite
 there, first unmutated (it must pass), then once per mutant with that one
@@ -56,6 +56,10 @@ MUTANTS = (
      "if remainder == 0 and (j := ", "if (j := "),
     ("rank-0 column cut to one", "src/thetachi/pairs.py",
      "yield from column\n", "yield from column[:1]\n"),
+    ("pushforward complement lookup", "src/thetachi/exterior.py",
+     "(fiber ^ (ka & fiber), None", "(fiber, None"),
+    ("integrate_product sign operands", "src/thetachi/exterior.py",
+     "if (ka & _crossing(kb)).bit_count() & 1:", "if (kb & _crossing(ka)).bit_count() & 1:"),
 )
 
 _FAILED = re.compile(r"^(?:FAILED|ERROR) (tests/[^:\s]+)")

@@ -31,9 +31,9 @@ from .exterior import (
     MorphismH1,
     Space,
     exp_even,
-    fiber_integrate,
     integrate,
-    wedge,
+    integrate_product,
+    pushforward,
 )
 from .poly import Scalar, scalar_is_zero
 
@@ -255,7 +255,9 @@ def _transform(c: ExteriorClass, name: str, p1: MorphismH1, reverse: bool) -> Ex
     for deg in c.degrees():
         if deg % 2:
             raise ValueError("transform defined on even classes only")
-    return fiber_integrate(wedge(p1.pullback(c), _fm_kernel(reverse)), 0)
+    # both factors are even, so they commute; the small pulled-back class goes
+    # second, where pushforward groups its terms
+    return pushforward(_fm_kernel(reverse), p1.pullback(c), 0)
 
 
 def lambda_hat(pol: Polarization) -> ExteriorClass:
@@ -277,5 +279,6 @@ def mukai_pair(x: ExteriorClass, y: ExteriorClass) -> Scalar:
         raise ValueError("pairing needs two classes on one four-torus")
     x0, y0 = x.coefficient(()), y.coefficient(())
     x4, y4 = integrate(x), integrate(y)
-    mid = integrate(wedge(x.part(2), y.part(2)))
+    # the complement of a degree-two monomial on A has degree two
+    mid = integrate_product(x.part(2), y)
     return mid - x0 * y4 - x4 * y0

@@ -25,6 +25,14 @@ test suite:
 * total integration reads off the coefficient of the full top monomial in
   listed order, which integrates to +1.
 
+The contraction kernels ``pushforward`` and ``integrate_product`` give
+``fiber_integrate(wedge(a, b).part(degree), position)`` and
+``integrate(wedge(a, b))`` without building the product.  They keep both
+rules: a pair of terms takes its sign from b's crossing mask exactly as in
+``wedge``, and the fiber strip after it stays sign-free.  Because the strip
+acts bitwise, the stripped key of ``ka | kb`` is the union of the stripped
+keys of ``ka`` and ``kb``, so each term is stripped once, not each pair.
+
 All values are immutable and all operations are pure functions.
 """
 
@@ -167,7 +175,10 @@ class ExteriorClass:
         """Trusted constructor: bitset keys, zero coefficients dropped."""
         self = object.__new__(cls)
         self.space = space
-        self.terms = {k: normalize_scalar(c) for k, c in terms.items() if c}
+        self.terms = {
+            k: c if type(c) is int else normalize_scalar(c)
+            for k, c in terms.items() if c
+        }
         return self
 
     # -- constructors -----------------------------------------------------
@@ -308,24 +319,90 @@ def integrate(c: ExteriorClass) -> Scalar:
     return c.terms.get((1 << c.space.ngens) - 1, 0)
 
 
+def _fiber_masks(space: Space, fiber_position: int) -> tuple:
+    """(fiber, low): the bits of one factor's generators and of those below."""
+    if not 0 <= fiber_position < len(space.factors):
+        raise SpaceMismatch(f"no factor at position {fiber_position}")
+    lo = space.factor_range(fiber_position).start
+    return ((1 << GENERATORS_PER_FACTOR) - 1) << lo, (1 << lo) - 1
+
+
+def _strip(key: int, low: int) -> int:
+    """key with the fiber block just above ``low`` removed, later bits shifted
+    down onto the complementary space.
+
+    Sign-free: each earlier generator is crossed by all four fiber ones.  The
+    map is injective on keys holding the whole fiber, and bitwise, so it
+    sends a disjoint union to the union of the images.
+    """
+    return (key & low) | ((key >> GENERATORS_PER_FACTOR) & ~low)
+
+
 def fiber_integrate(c: ExteriorClass, fiber_position: int) -> ExteriorClass:
     """Integrate over one factor of a product space.
 
     Keeps only the monomials containing all four generators of the fiber
     factor, strips them, and reindexes onto the complementary space.
     """
-    if not 0 <= fiber_position < len(c.space.factors):
-        raise SpaceMismatch(f"no factor at position {fiber_position}")
-    lo = c.space.factor_range(fiber_position).start
-    fiber = ((1 << GENERATORS_PER_FACTOR) - 1) << lo
-    low = (1 << lo) - 1
-    # sign-free: each earlier generator is crossed by all four fiber ones;
-    # the map key -> rest is injective on keys holding the whole fiber
+    fiber, low = _fiber_masks(c.space, fiber_position)
     return ExteriorClass._of(c.space.without(fiber_position), {
-        (key & low) | ((key >> GENERATORS_PER_FACTOR) & ~low): coeff
-        for key, coeff in c.terms.items()
-        if key & fiber == fiber
+        _strip(key, low): coeff for key, coeff in c.terms.items() if key & fiber == fiber
     })
+
+
+def pushforward(a: ExteriorClass, b: ExteriorClass, fiber_position: int,
+                degree=None) -> ExteriorClass:
+    """``fiber_integrate(wedge(a, b).part(degree), fiber_position)`` in one pass.
+
+    b's terms are grouped by the fiber generators they hold (and by degree
+    when ``degree`` is given).  Each term of a meets only the group that
+    completes its fiber bits to the whole fiber and its degree to
+    ``degree``; the rest of the product would be thrown away.  ``degree``
+    None keeps every degree.  Grouping a term costs more than looking one
+    up, so the smaller class is best passed as b.
+    """
+    a._check(b)
+    fiber, low = _fiber_masks(a.space, fiber_position)
+    groups: dict = {}
+    for kb, cb in b.terms.items():
+        slot = (kb & fiber, None if degree is None else kb.bit_count())
+        groups.setdefault(slot, []).append((kb, _crossing(kb), _strip(kb, low), cb))
+    out: dict = {}
+    get = out.get
+    for ka, ca in a.terms.items():
+        partners = groups.get(
+            (fiber ^ (ka & fiber), None if degree is None else degree - ka.bit_count())
+        )
+        if partners is None:
+            continue
+        rest = _strip(ka, low)
+        for kb, crossing, kb_rest, cb in partners:
+            if ka & kb:
+                continue
+            key = rest | kb_rest
+            if (ka & crossing).bit_count() & 1:
+                out[key] = get(key, 0) - ca * cb
+            else:
+                out[key] = get(key, 0) + ca * cb
+    return ExteriorClass._of(a.space.without(fiber_position), out)
+
+
+def integrate_product(a: ExteriorClass, b: ExteriorClass) -> Scalar:
+    """``integrate(wedge(a, b))``: each term of a meets only its complement in b."""
+    a._check(b)
+    top = (1 << a.space.ngens) - 1
+    get = b.terms.get
+    total = 0
+    for ka, ca in a.terms.items():
+        kb = top ^ ka
+        cb = get(kb)
+        if cb is None:
+            continue
+        if (ka & _crossing(kb)).bit_count() & 1:
+            total = total - ca * cb
+        else:
+            total = total + ca * cb
+    return normalize_scalar(total) if total else 0
 
 
 def relabel(c: ExteriorClass, new_space: Space) -> ExteriorClass:

@@ -64,8 +64,8 @@ from .abelian import (
 from .exterior import (
     ExteriorClass,
     exp_even,
-    fiber_integrate,
-    integrate,
+    integrate_product,
+    pushforward,
     relabel,
     wedge,
 )
@@ -118,9 +118,10 @@ def _alpha_class(coeffs: dict, prefix: str = "a") -> ExteriorClass:
     return two_form(SP_A, 0, {pair: coeffs[prefix + key] for key, pair in _PAIRS.items()})
 
 
-def _push_second_A(c: ExteriorClass) -> ExteriorClass:
-    """Fiber-integrate a class on AxA over the first factor, land on A."""
-    return relabel(fiber_integrate(c, 0), SP_A)
+def _push_second_A(a: ExteriorClass, b: ExteriorClass, degree=None) -> ExteriorClass:
+    """Push a ^ b (its degree part, if given) on AxA forward along the first
+    factor, landing on A."""
+    return relabel(pushforward(a, b, 0, degree), SP_A)
 
 
 def _lambda_on(sp, pol: Polarization) -> ExteriorClass:
@@ -133,7 +134,7 @@ _CP_HALF_SQUARE = wedge(C1_P, C1_P) / 2
 
 def _half_square(c: ExteriorClass):
     """Integral of c^2/2 over A: chi(A, L) for c = c1(L), and lam^2/2 in d_v."""
-    return scalar_div(integrate(wedge(c, c)), 2)
+    return scalar_div(integrate_product(c, c), 2)
 
 
 def _rand_nonzero(rng) -> int:
@@ -221,22 +222,23 @@ def _translation_bundle_c1(pol, r, chi, rp, lamp, chip) -> ExteriorClass:
     v_cls = mukai_class(SP_A, 0, r, lam, chi)
     w_cls = mukai_class(SP_A, 0, rp, lamp, chip)
     mr = addition(SP_AxA, 0, 1, SP_A, r)
-    inner = wedge(
+    return -_push_second_A(
         wedge(mr.pullback(v_cls), M_AxA.pullback(exp_even(-lam))),
         P1_AxA.pullback(wedge(exp_even(lam), w_cls)),
+        6,
     )
-    return -_push_second_A(inner.part(6))
 
 
 def _dual_bundle_c1(pol, r, chi, rp, lamp, chip) -> ExteriorClass:
     """c1 on Ah: -p2![f*v . p1*w . exp(chi c1(P))]_(3)."""
     v_cls = mukai_class(SP_A, 0, r, _lambda_on(SP_A, pol), chi)
     w_cls = mukai_class(SP_A, 0, rp, lamp, chip)
-    inner = wedge(
+    return -pushforward(
         wedge(f_map(pol).pullback(v_cls), P1_AxAH.pullback(w_cls)),
         exp_even(C1_P.scaled(chi)),
+        0,
+        6,
     )
-    return -fiber_integrate(inner.part(6), 0)
 
 
 def _two_parameter_bundle_chi(pol, r, chi, rp, lamp, chip):
@@ -246,13 +248,11 @@ def _two_parameter_bundle_chi(pol, r, chi, rp, lamp, chip):
     m12 = addition(SP_AxAxAH, 0, 1, SP_A)
     p1 = projection(SP_AxAxAH, (0,), SP_A)
     p13 = projection(SP_AxAxAH, (0, 2), SP_AxAH)
-    inner = wedge(
-        wedge(m12.pullback(v_cls), p13.pullback(ab._fm_kernel(False))),
-        p1.pullback(w_cls),
-    )
-    c1 = -relabel(fiber_integrate(inner.part(6), 0), SP_AxAH)
+    # the kernel and p1*w are small; m12*v is pushed against their product
+    kernel_w = wedge(p13.pullback(ab._fm_kernel(False)), p1.pullback(w_cls))
+    c1 = -relabel(pushforward(m12.pullback(v_cls), kernel_w, 0, 6), SP_AxAH)
     square = wedge(c1, c1)
-    return integrate(wedge(square, square) / 24)
+    return scalar_div(integrate_product(square, square), 24)
 
 
 # -- individual identities ----------------------------------------------------
@@ -281,7 +281,7 @@ def _check_sec4_table(params) -> dict:
         ("mr_omega.p1_alpha", mr_omega, p1_alpha, alpha.scaled(r * r)),
     ]
     return {
-        label: _push_second_A(wedge(left, right)) - expected
+        label: _push_second_A(left, right) - expected
         for label, left, right, expected in rows
     }
 
@@ -295,10 +295,10 @@ def _check_sec4_lemma(params) -> dict:
     mr = addition(SP_AxA, 0, 1, SP_A, r)
 
     pushed = _push_second_A(
-        wedge(wedge(mr.pullback(lam), M_AxA.pullback(lam)), P1_AxA.pullback(alpha))
+        wedge(mr.pullback(lam), M_AxA.pullback(lam)), P1_AxA.pullback(alpha)
     )
-    int_alpha_lam = integrate(wedge(alpha, lam))
-    lam_sq = integrate(wedge(lam, lam))
+    int_alpha_lam = integrate_product(alpha, lam)
+    lam_sq = integrate_product(lam, lam)
     expected = lam.scaled(int_alpha_lam * (r - 1) ** 2) + alpha.scaled(r * lam_sq)
     return {"lemma": pushed - expected}
 
@@ -323,9 +323,9 @@ def _check_fmp(params) -> dict:
     pol = Polarization(params["d"], params["e"])
     lam = _lambda_on(SP_A, pol)
     alpha = _alpha_class(params)
-    pushed = fiber_integrate(wedge(P1_AxAH.pullback(alpha), _CP_HALF_SQUARE), 0)
+    pushed = pushforward(P1_AxAH.pullback(alpha), _CP_HALF_SQUARE, 0)
     left = make_phi(pol, "A->Ah").pullback(pushed)
-    int_alpha_lam = integrate(wedge(alpha, lam))
+    int_alpha_lam = integrate_product(alpha, lam)
     expected = lam.scaled(-int_alpha_lam) + alpha.scaled(_half_square(lam))
     return {"fmp": left - expected}
 
@@ -369,12 +369,12 @@ def _check_sec5_a(params) -> dict:
     pol = Polarization(params["d"], params["e"])
     lam, lamp = _lambda_on(SP_A, pol), _alpha_class(params)
     lamp_hat, p1_lamp = hat_of(lamp), P1_AxAH.pullback(lamp)
-    lam_dot = integrate(wedge(lam, lamp))
-    pushed = fiber_integrate(wedge(f_map(pol).pullback(OMEGA), p1_lamp), 0)
+    lam_dot = integrate_product(lam, lamp)
+    pushed = pushforward(f_map(pol).pullback(OMEGA), p1_lamp, 0)
     return {
         "push_f_omega":
             pushed - lamp_hat.scaled(_half_square(lam)) + lambda_hat(pol).scaled(lam_dot),
-        "hat_definition": fiber_integrate(wedge(_CP_HALF_SQUARE, p1_lamp), 0) - lamp_hat,
+        "hat_definition": pushforward(_CP_HALF_SQUARE, p1_lamp, 0) - lamp_hat,
     }
 
 
@@ -382,26 +382,24 @@ def _check_sec5_b(params) -> dict:
     pol = Polarization(params["d"], params["e"])
     lam, lam_hat = _lambda_on(SP_A, pol), lambda_hat(pol)
     f_lam = f_map(pol).pullback(lam)
-    pushed = fiber_integrate(wedge(f_lam, P1_AxAH.pullback(OMEGA)), 0)
+    pushed = pushforward(f_lam, P1_AxAH.pullback(OMEGA), 0)
     return {
         "push_f_lam": pushed + lam_hat.scaled(_half_square(lam)),
-        "hat_via_f": fiber_integrate(wedge(_CP_HALF_SQUARE, f_lam), 0) - lam_hat,
+        "hat_via_f": pushforward(_CP_HALF_SQUARE, f_lam, 0) - lam_hat,
     }
 
 
 def _check_sec5_c(params) -> dict:
     pol = Polarization(params["d"], params["e"])
-    pushed = fiber_integrate(wedge(f_map(pol).pullback(OMEGA), C1_P), 0)
+    pushed = pushforward(f_map(pol).pullback(OMEGA), C1_P, 0)
     return {"push_f_omega_cP": pushed + lambda_hat(pol).scaled(2)}
 
 
 def _check_sec5_d(params) -> dict:
     pol = Polarization(params["d"], params["e"])
     lam, lamp = _lambda_on(SP_A, pol), _alpha_class(params)
-    pushed = fiber_integrate(
-        wedge(wedge(f_map(pol).pullback(lam), P1_AxAH.pullback(lamp)), C1_P), 0
-    )
-    return {"push_f_lam_lamp_cP": pushed + hat_of(lamp).scaled(integrate(wedge(lam, lam)))}
+    pushed = pushforward(wedge(f_map(pol).pullback(lam), P1_AxAH.pullback(lamp)), C1_P, 0)
+    return {"push_f_lam_lamp_cP": pushed + hat_of(lamp).scaled(integrate_product(lam, lam))}
 
 
 def _check_fmtl(params) -> dict:
@@ -411,7 +409,7 @@ def _check_fmtl(params) -> dict:
     and that class must be -2 lambda_hat for the transform-defined hat.
     """
     pol = Polarization(params["d"], params["e"])
-    value = fiber_integrate(wedge(f_map(pol).pullback(OMEGA), C1_P), 0)
+    value = pushforward(f_map(pol).pullback(OMEGA), C1_P, 0)
     explicit = two_form(SP_AH, 0, {(2, 3): 2 * pol.d, (0, 1): 2 * pol.e})
     return {
         "coordinates": value - explicit,
@@ -435,8 +433,8 @@ def _check_llp(params) -> dict:
     pol = Polarization(params["d"], params["e"])
     lam_prod = polarization_class(SP_AxAH, 0, pol)
     lam_hat = projection(SP_AxAH, (1,), SP_AH).pullback(lambda_hat(pol))
-    lam_sq = integrate(wedge(_lambda_on(SP_A, pol), _lambda_on(SP_A, pol)))
-    value = integrate(wedge(wedge(lam_prod, lam_hat), _CP_HALF_SQUARE))
+    lam_sq = integrate_product(_lambda_on(SP_A, pol), _lambda_on(SP_A, pol))
+    value = integrate_product(wedge(lam_prod, lam_hat), _CP_HALF_SQUARE)
     return {"llp": value - lam_sq}
 
 
@@ -448,8 +446,9 @@ def _check_bl(params) -> dict:
     q13 = projection(SP_AxAHxAH, (0, 2), SP_AxAH)
     lam = _lambda_on(SP_A, pol)
 
-    inner = wedge(wedge(q12.pullback(C1_P), q13.pullback(C1_P)), q1.pullback(lam))
-    pushed = fiber_integrate(inner, 0)  # lives on Ah1 x Ah2
+    pushed = pushforward(  # lives on Ah1 x Ah2
+        wedge(q12.pullback(C1_P), q13.pullback(C1_P)), q1.pullback(lam), 0
+    )
     phi_times_one = factorwise(
         SP_AxAH, SP_AHxAH, [(0, ab._phi_rows(pol)), (1, None)]
     )
@@ -491,8 +490,7 @@ def _check_dw0_chern(params) -> dict:
     v_cls = mukai_class(SP_A, 0, r, lam, chi)
     w_cls = mukai_class(SP_A, 0, rp, lamp, chip)
 
-    inner = wedge(M_AxA.pullback(w_cls), P1_AxA.pullback(v_cls))
-    c1 = -_push_second_A(inner.part(6))
+    c1 = -_push_second_A(M_AxA.pullback(w_cls), P1_AxA.pullback(v_cls), 6)
     expected = -(lam.scaled(chip) + lamp.scaled(chi))
     d_v = _half_square(lam) - r * chi
     d_w = _half_square(lamp) - rp * chip

@@ -5,9 +5,11 @@ arbitrary-precision.  Each test prints one PASS/FAIL line; run with
 ``pytest tests/test_acceptance.py -v -s`` to see them.
 """
 
+import hashlib
 import json
 import random
 import time
+from pathlib import Path
 
 from thetachi.abelian import (
     Polarization,
@@ -39,6 +41,8 @@ from thetachi.mukai import (
 from thetachi.pairs import enumerate_rows, rows_to_csv
 
 from fractions import Fraction
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def report(criterion: str, ok: bool, detail: str = ""):
@@ -162,18 +166,38 @@ def test_ac7_engine_pins():
     )
 
 
+# per AC-8 box: pair count and sha256 of the CSV bytes, as in the first three
+# lines of perfbench/golden/SHA256SUMS
+AC8_BOXES = {
+    1: (3669, "e3f080aeed13b419ff9537f93bf2abb141f49162ef7a7bf272ef3a79b148dff4"),
+    2: (2393, "0aa1eb78dcd8abe01bfd8c23c51a00f880f56d74c963abf5773a8c15db66b0da"),
+    3: (2321, "f79d1d58f09b3993f22b4f5291ad2f1eed5deaa4abd26d7306ea8a59a8043233"),
+}
+
+
 def test_ac8_integrality_audit():
     total_pairs = 0
     violations = []
-    for n in (1, 2, 3):
+    drifted = []
+    for n, (pairs, digest) in AC8_BOXES.items():
         rows, summary = enumerate_rows(n, max_rank=4, max_k=4, max_chi=6)
         total_pairs += len(rows)
         violations.extend(summary["nonintegral_rows"])
+        got = hashlib.sha256(rows_to_csv(rows, summary).encode()).hexdigest()
+        if (len(rows), got) != (pairs, digest):
+            drifted.append(f"n={n}: {len(rows)} pairs, sha256 {got[:12]}")
     report(
         "AC-8 integrality audit (n<=3, rank<=4, |k|<=4, |chi|<=6)",
-        not violations,
-        f"{total_pairs} pairs, {len(violations)} non-integral",
+        not violations and not drifted and total_pairs == 8383,
+        f"{total_pairs} pairs, {len(violations)} non-integral, drifted: {drifted}",
     )
+
+
+def test_ac8_pins_match_benchmark_goldens():
+    sums = (ROOT / "perfbench" / "golden" / "SHA256SUMS").read_text().splitlines()
+    assert sums[:3] == [
+        f"{digest}  enumerate_n{n}_r4_k4_c6.csv" for n, (_, digest) in AC8_BOXES.items()
+    ]
 
 
 def test_ac9_determinism(tmp_path):

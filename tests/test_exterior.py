@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thetachi.exterior import (
@@ -20,7 +20,9 @@ from thetachi.exterior import (
     exp_even,
     fiber_integrate,
     integrate,
+    integrate_product,
     merge_sign,
+    pushforward,
     relabel,
     wedge,
 )
@@ -31,6 +33,7 @@ AH = Space((Factor("Ah", "Ah"),))
 AxAH = Space((Factor("A", "A"), Factor("Ah", "Ah")))
 AxA = Space((Factor("A", "A1"), Factor("A", "A2")))
 AxAxAH = Space((Factor("A", "A1"), Factor("A", "A2"), Factor("Ah", "Ah")))
+AxAHxAH = Space((Factor("A", "A"), Factor("Ah", "Ah1"), Factor("Ah", "Ah2")))
 A1xAH = Space((Factor("A", "A1"), Factor("Ah", "Ah")))
 
 
@@ -342,14 +345,96 @@ def test_concurrent_use_is_safe():
 # -- oracles for the bitset kernels (tuple-based, no engine bitset code) ------------
 
 
+def brute_wedge(a, b):
+    """a ^ b summed term by term over brute_product."""
+    out = ExteriorClass.zero(a.space)
+    for ka, ca in decoded_terms(a).items():
+        for kb, cb in decoded_terms(b).items():
+            out = out + brute_product(a.space, (ka, kb)).scaled(ca * cb)
+    return out
+
+
 @given(classes(space=AxAxAH, max_degree=5), classes(space=AxAxAH, max_degree=5))
 def test_wedge_matches_brute_product_on_twelve_generators(a, b):
     # low degrees, so that most pairs of terms do not overlap
-    expected = ExteriorClass.zero(AxAxAH)
-    for ka, ca in decoded_terms(a).items():
-        for kb, cb in decoded_terms(b).items():
-            expected = expected + brute_product(AxAxAH, (ka, kb)).scaled(ca * cb)
-    assert wedge(a, b) == expected
+    assert wedge(a, b) == brute_wedge(a, b)
+
+
+# -- oracles for the contraction kernels ------------------------------------------
+
+KERNEL_COEFFS = {
+    "int": coeffs,
+    "Fraction": st.builds(Fraction, coeffs, st.integers(min_value=1, max_value=4)),
+    "Poly": st.builds(lambda c, k: Poly.var("x") * c + k, coeffs, coeffs),
+}
+KERNEL_SPACES = {"AxA": AxA, "AxAh": AxAH, "AxAxAh": AxAxAH, "AxAhxAh": AxAHxAH}
+FIBER_CASES = {
+    f"{name}-fiber{position}": (space, position)
+    for name, space in KERNEL_SPACES.items()
+    for position in range(len(space.factors))
+}
+
+
+@st.composite
+def partnered_pairs(draw, space, block, coeff):
+    """(a, b) on space whose terms often split ``block`` between them: about
+    half of b's terms hold exactly the block generators some term of a lacks.
+    Outside the block, keys are small random sets, so terms also overlap."""
+    rest = st.lists(st.sampled_from([i for i in range(space.ngens) if i not in block]),
+                    unique=True, max_size=3) if len(block) < space.ngens else st.just([])
+    part = st.lists(st.sampled_from(block), unique=True)
+    a = {}
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        a[tuple(sorted(draw(part) + draw(rest)))] = draw(coeff)
+    b = {}
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        if draw(st.booleans()):
+            partner = draw(st.sampled_from(sorted(a)))
+            inside = [i for i in block if i not in partner]
+        else:
+            inside = draw(part)
+        b[tuple(sorted(inside + draw(rest)))] = draw(coeff)
+    return ExteriorClass(space, a), ExteriorClass(space, b)
+
+
+@pytest.mark.parametrize("coeff", KERNEL_COEFFS.values(), ids=KERNEL_COEFFS)
+@pytest.mark.parametrize("space, position", FIBER_CASES.values(), ids=FIBER_CASES)
+@settings(max_examples=20)  # per case; the cases span spaces, fibers and scalars
+@given(data=st.data())
+def test_pushforward_matches_brute_wedge_and_oracle(space, position, coeff, data):
+    """pushforward(a, b, p, d) is the oracle fiber integral of the degree-d
+    part of the brute-force product, for d None and every degree."""
+    a, b = data.draw(partnered_pairs(space, list(space.factor_range(position)), coeff))
+    product = brute_wedge(a, b)
+    target = Space(space.factors[:position] + space.factors[position + 1:])
+    for degree in (None, *range(space.ngens + 1)):
+        part = product if degree is None else product.part(degree)
+        assert pushforward(a, b, position, degree) == oracle_fiber_integrate(part, position, target)
+
+
+@pytest.mark.parametrize("coeff", KERNEL_COEFFS.values(), ids=KERNEL_COEFFS)
+@pytest.mark.parametrize("space", [A, *KERNEL_SPACES.values()], ids=["A", *KERNEL_SPACES])
+@settings(max_examples=20)  # per case; the cases span spaces, fibers and scalars
+@given(data=st.data())
+def test_integrate_product_is_top_of_brute_wedge(space, coeff, data):
+    """integrate_product(a, b) is the top coefficient of the brute-force
+    product, normalized the same way (0 when absent); odd degrees included."""
+    a, b = data.draw(partnered_pairs(space, list(range(space.ngens)), coeff))
+    expected = brute_wedge(a, b).coefficient(range(space.ngens))
+    value = integrate_product(a, b)
+    assert value == expected
+    assert type(value) is type(expected)
+
+
+def test_kernels_refuse_mismatched_spaces():
+    a, b = ExteriorClass.generator(AxA, 0), ExteriorClass.generator(AxAH, 0)
+    with pytest.raises(SpaceMismatch):
+        pushforward(a, b, 0)
+    with pytest.raises(SpaceMismatch):
+        integrate_product(a, b)
+    for bad in (-1, 2):
+        with pytest.raises(SpaceMismatch):
+            pushforward(a, a, bad)
 
 
 def fraction_det(matrix):
