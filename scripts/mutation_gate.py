@@ -3,11 +3,12 @@
 bitset or contraction kernel and partner-search branch listed in MUTANTS.
 
 Copies the repository into a temporary directory and runs the Tier-1 suite
-there, first unmutated (it must pass), then once per mutant with that one
-source edit applied, one subprocess at a time.  Prints a kill matrix: for
-each mutant, the number of failing tests in each test file.  Exits 1 if
-the unmutated copy fails, a mutant's pattern does not occur exactly once,
-or any mutant survives; else 0.
+there, under the Hypothesis profile "gate" (no shrinking), first unmutated
+(it must pass), then once per mutant with that one source edit applied,
+one subprocess at a time.  Prints a kill matrix: for each mutant, the
+number of failing tests in each test file.  Exits 1 if the unmutated copy
+fails, a mutant's pattern does not occur exactly once, or any mutant
+survives; else 0.
 
 Usage: python scripts/mutation_gate.py
 """
@@ -24,9 +25,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 # every mutant breaks the gate's own pattern test by construction, so that
-# test alone would kill it; it is left out of the runs
+# test alone would kill it; it is left out of the runs.  The "gate" profile
+# (tests/conftest.py) generates the same examples as Tier-1's but does not
+# shrink a failing one: the gate only counts failing tests.
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors",
-         "-p", "no:cacheprovider", "-rfE",
+         "-p", "no:cacheprovider", "-rfE", "--hypothesis-profile=gate",
          "--deselect", "tests/test_scripts.py::test_mutation_gate_patterns_occur_once")
 TIMEOUT_S = 900
 IGNORED = shutil.ignore_patterns(

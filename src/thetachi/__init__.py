@@ -6,7 +6,6 @@ verification suite for the cohomological identities behind the formulas.
 from .abelian import Polarization, fm_transform, fm_transform_back, lambda_hat, mukai_pair
 from .exterior import (
     ExteriorClass,
-    Factor,
     MorphismH1,
     Space,
     exp_even,

@@ -1,10 +1,12 @@
 """Atlas for a polarized abelian surface and its dual.
 
-Builds the standard spaces (A, Ah, AxA, AxAh, AxAxAh, AxAhxAh, AhxAh and
-the reversed AhxA), the named classes (polarization, point class, Poincare
-class), the morphism library (addition and scaled addition, multiplication
-by N, the polarization morphisms in both directions and their products),
-and the cohomological Fourier-Mukai transform.
+Names the standard spaces (A, Ah, AxA, AxAh, AxAxAh, AxAhxAh, AhxAh and
+the reversed AhxA) as ``SP_*`` constants, each just its tuple of factor
+kinds, so a pushforward from AxA lands on ``SP_A`` itself.  Builds the
+named classes (polarization, point class, Poincare class), the morphism
+library (addition and scaled addition, multiplication by N, the
+polarization morphisms in both directions and their products), and the
+cohomological Fourier-Mukai transform.
 
 Conventions pinned here and enforced by the regression tests:
 
@@ -27,7 +29,6 @@ from functools import lru_cache
 
 from .exterior import (
     ExteriorClass,
-    Factor,
     MorphismH1,
     Space,
     exp_even,
@@ -44,21 +45,14 @@ PHI_HAT_SIGN = 1
 
 # -- spaces ----------------------------------------------------------------
 
-
-@lru_cache(maxsize=None)
-def space(*factors) -> Space:
-    """Memoized space from (kind, label) pairs, left factor first."""
-    return Space(tuple(Factor(k, l) for k, l in factors))
-
-
-SP_A = space(("A", "A"))
-SP_AH = space(("Ah", "Ah"))
-SP_AxA = space(("A", "A1"), ("A", "A2"))
-SP_AxAH = space(("A", "A"), ("Ah", "Ah"))
-SP_AHxA = space(("Ah", "Ah"), ("A", "A"))
-SP_AxAxAH = space(("A", "A1"), ("A", "A2"), ("Ah", "Ah"))
-SP_AxAHxAH = space(("A", "A"), ("Ah", "Ah1"), ("Ah", "Ah2"))
-SP_AHxAH = space(("Ah", "Ah1"), ("Ah", "Ah2"))
+SP_A = Space(("A",))
+SP_AH = Space(("Ah",))
+SP_AxA = Space(("A", "A"))
+SP_AxAH = Space(("A", "Ah"))
+SP_AHxA = Space(("Ah", "A"))
+SP_AxAxAH = Space(("A", "A", "Ah"))
+SP_AxAHxAH = Space(("A", "Ah", "Ah"))
+SP_AHxAH = Space(("Ah", "Ah"))
 
 
 @dataclass(frozen=True)
@@ -82,10 +76,6 @@ class Polarization:
 
 
 # -- named classes ----------------------------------------------------------
-
-
-def unit(sp: Space, coeff: Scalar = 1) -> ExteriorClass:
-    return ExteriorClass.unit(sp, coeff)
 
 
 def two_form(sp: Space, position: int, coeffs: dict) -> ExteriorClass:
@@ -124,7 +114,7 @@ def poincare_class(sp: Space, first: int, second: int) -> ExteriorClass:
 
 def mukai_class(sp: Space, position: int, rank: Scalar, c1: ExteriorClass, chi: Scalar) -> ExteriorClass:
     """rank + c1 + chi * (point class); c1 must already live on sp."""
-    return unit(sp, rank) + c1 + point_class(sp, position).scaled(chi)
+    return ExteriorClass.unit(sp, rank) + c1 + point_class(sp, position).scaled(chi)
 
 
 # -- morphisms ---------------------------------------------------------------
@@ -133,7 +123,7 @@ def mukai_class(sp: Space, position: int, rank: Scalar, c1: ExteriorClass, chi: 
 def projection(source: Space, positions: tuple, target: Space) -> MorphismH1:
     """Pullback along the projection of a product onto chosen factors."""
     rows = []
-    for t_pos in range(len(target.factors)):
+    for t_pos in range(len(target.kinds)):
         s_off = source.factor_range(positions[t_pos]).start
         for i in range(4):
             rows.append([(s_off + i, 1)])
@@ -188,7 +178,7 @@ def factorwise(source: Space, target: Space, assignments) -> MorphismH1:
     of ``(local_source_index, scalar)`` pairs.
     """
     rows = []
-    for t_pos in range(len(target.factors)):
+    for t_pos in range(len(target.kinds)):
         s_pos, local = assignments[t_pos]
         s_off = source.factor_range(s_pos).start
         if local is None:
@@ -251,7 +241,7 @@ def fm_transform_back(c: ExteriorClass) -> ExteriorClass:
 
 def _transform(c: ExteriorClass, name: str, p1: MorphismH1, reverse: bool) -> ExteriorClass:
     if c.space != p1.target:
-        raise ValueError(f"{name} expects a class on the {p1.target.factors[0].label} space")
+        raise ValueError(f"{name} expects a class on the {p1.target.kinds[0]} space")
     for deg in c.degrees():
         if deg % 2:
             raise ValueError("transform defined on even classes only")
@@ -275,7 +265,7 @@ def hat_of(c2: ExteriorClass) -> ExteriorClass:
 
 def mukai_pair(x: ExteriorClass, y: ExteriorClass) -> Scalar:
     """Mukai pairing of even classes: ∫(x2 y2 - x0 y4 - x4 y0)."""
-    if x.space != y.space or len(x.space.factors) != 1:
+    if x.space != y.space or len(x.space.kinds) != 1:
         raise ValueError("pairing needs two classes on one four-torus")
     x0, y0 = x.coefficient(()), y.coefficient(())
     x4, y4 = integrate(x), integrate(y)

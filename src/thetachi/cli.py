@@ -64,21 +64,28 @@ def _fail_usage(message: str) -> int:
     return EXIT_USAGE
 
 
-def _emit(build) -> int:
-    """Print the JSON of the payload that ``build()`` returns.
+def _format(build, refusal: str):
+    """The text that ``build()`` returns, or None after refusing it.
 
     ``str()`` of an int with more than ``sys.get_int_max_str_digits()``
     digits raises ValueError.  The limit is process-wide, so a command
-    reports it (exit 2) rather than raising it.  ``build`` only formats
-    values that are already computed, so no other ValueError can arise.
+    reports it as a usage error, ``refusal`` with ``{}`` standing for the
+    digit count, rather than raising it; the caller then exits 2.
+    ``build`` only formats values that are already computed, so no other
+    ValueError can arise.
     """
     try:
-        text = json.dumps(build(), indent=2)
+        return build()
     except ValueError:
-        return _fail_usage(
-            f"a value has more than {sys.get_int_max_str_digits()} decimal digits "
-            "and cannot be printed"
-        )
+        _fail_usage(refusal.format(f"more than {sys.get_int_max_str_digits()} decimal digits"))
+        return None
+
+
+def _emit(build) -> int:
+    """Print the JSON of the payload that ``build()`` returns."""
+    text = _format(lambda: json.dumps(build(), indent=2), "a value has {} and cannot be printed")
+    if text is None:
+        return EXIT_USAGE
     print(text)
     return EXIT_OK
 
@@ -91,11 +98,11 @@ def cmd_eval(args) -> int:
         return _fail_usage(str(exc))
     chi_vw = euler_chi_tensor(v, w)
     if chi_vw != 0:
-        try:
-            shown = f"= {chi_vw}"
-        except ValueError:  # past sys.get_int_max_str_digits(), see _emit
-            shown = f"has more than {sys.get_int_max_str_digits()} decimal digits"
-        return _fail_usage(f"vectors are not orthogonal: chi(v (x) w) {shown} (must be 0)")
+        message = _format(
+            lambda: f"vectors are not orthogonal: chi(v (x) w) = {chi_vw} (must be 0)",
+            "vectors are not orthogonal: chi(v (x) w) has {} (must be 0)",
+        )
+        return EXIT_USAGE if message is None else _fail_usage(message)
     results = {}
     wanted = ("main", "two", "three") if args.theorem == "all" else (args.theorem,)
     evaluators = {
@@ -147,7 +154,10 @@ def cmd_enumerate(args) -> int:
             f"at most {MAX_BOX_VOLUME} are allowed"
         )
     rows, summary = enumerate_rows(args.n, args.max_rank, args.max_k, args.max_chi)
-    text = rows_to_csv(rows, summary) if args.format == "csv" else rows_to_json(rows, summary)
+    to_text = rows_to_csv if args.format == "csv" else rows_to_json
+    text = _format(lambda: to_text(rows, summary), "a value has {} and cannot be written")
+    if text is None:
+        return EXIT_USAGE
     try:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)

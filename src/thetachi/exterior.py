@@ -1,10 +1,13 @@
 """Graded-commutative exterior algebra over exact scalars.
 
 The algebra models the real cohomology of a product of four-dimensional
-tori.  A :class:`Space` is an ordered list of factors, each contributing
-four anticommuting degree-one generators; an :class:`ExteriorClass` is a
-finite sum of monomials in those generators with scalar coefficients
-(``int``/``Fraction``/:class:`~thetachi.poly.Poly`).
+tori.  A :class:`Space` is the ordered tuple of its factor kinds, ``"A"``
+for the surface and ``"Ah"`` for its dual, and nothing else: integrating
+out the first factor of AxA lands on the same space as A.  Each factor
+contributes four anticommuting degree-one generators, named only for
+printing (the kind, numbered from 1 when it repeats: ``A1.f1v``).  An
+:class:`ExteriorClass` is a finite sum of monomials in those generators
+with scalar coefficients (``int``/``Fraction``/:class:`~thetachi.poly.Poly`).
 
 A monomial is stored as an ``int`` bitset, bit i for generator i, so the
 monomial is the product of its generators in increasing index order (the
@@ -51,59 +54,48 @@ class SpaceMismatch(ValueError):
     """Raised when classes or morphisms on different spaces are combined."""
 
 
-@dataclass(frozen=True)
-class Factor:
-    """One torus factor: a kind ("A" or "Ah") plus a bookkeeping label."""
-
-    kind: str
-    label: str
-
-    def generator_names(self) -> tuple:
-        if self.kind == "A":
-            base = ("f1v", "f2v", "f3v", "f4v")
-        elif self.kind == "Ah":
-            base = ("f1", "f2", "f3", "f4")
-        else:
-            raise ValueError(f"unknown factor kind {self.kind!r}")
-        return tuple(f"{self.label}.{g}" for g in base)
+# generator stems of each factor kind: A carries f1v..f4v, its dual Ah f1..f4
+_STEMS = {"A": ("f1v", "f2v", "f3v", "f4v"), "Ah": ("f1", "f2", "f3", "f4")}
 
 
 @dataclass(frozen=True)
 class Space:
-    """An ordered product of factors; generator indices are contiguous."""
+    """An ordered product of factors, given by their kinds ("A" or "Ah").
 
-    factors: tuple
+    A space is its kinds: two spaces with the same kinds in the same order
+    are equal.  Generator indices are contiguous, four per factor, left
+    factor first.
+    """
+
+    kinds: tuple
 
     def __post_init__(self):
-        labels = [f.label for f in self.factors]
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate factor labels in {labels}")
+        for kind in self.kinds:
+            if kind not in _STEMS:
+                raise ValueError(f"unknown factor kind {kind!r}")
 
     @property
     def ngens(self) -> int:
-        return GENERATORS_PER_FACTOR * len(self.factors)
+        return GENERATORS_PER_FACTOR * len(self.kinds)
 
     def factor_range(self, position: int) -> range:
         lo = GENERATORS_PER_FACTOR * position
         return range(lo, lo + GENERATORS_PER_FACTOR)
 
     def generator_names(self) -> tuple:
+        """``<factor>.<stem>`` per generator.  A factor is named by its kind,
+        numbered from 1 in order when the kind occurs more than once
+        (A1, A2 on AxA; A, Ah1, Ah2 on AxAhxAh)."""
+        seen: dict = {}
         names = []
-        for factor in self.factors:
-            names.extend(factor.generator_names())
+        for kind in self.kinds:
+            seen[kind] = seen.get(kind, 0) + 1
+            label = f"{kind}{seen[kind]}" if self.kinds.count(kind) > 1 else kind
+            names.extend(f"{label}.{stem}" for stem in _STEMS[kind])
         return tuple(names)
 
     def without(self, position: int) -> "Space":
-        rest = self.factors[:position] + self.factors[position + 1:]
-        return Space(rest)
-
-    def relabeled(self, other: "Space") -> "Space":
-        """The same space with another space's labels; kinds must agree."""
-        mine = tuple(f.kind for f in self.factors)
-        theirs = tuple(f.kind for f in other.factors)
-        if mine != theirs:
-            raise SpaceMismatch(f"cannot relabel kinds {mine} as {theirs}")
-        return other
+        return Space(self.kinds[:position] + self.kinds[position + 1:])
 
 
 def _bits(indices) -> int:
@@ -321,7 +313,7 @@ def integrate(c: ExteriorClass) -> Scalar:
 
 def _fiber_masks(space: Space, fiber_position: int) -> tuple:
     """(fiber, low): the bits of one factor's generators and of those below."""
-    if not 0 <= fiber_position < len(space.factors):
+    if not 0 <= fiber_position < len(space.kinds):
         raise SpaceMismatch(f"no factor at position {fiber_position}")
     lo = space.factor_range(fiber_position).start
     return ((1 << GENERATORS_PER_FACTOR) - 1) << lo, (1 << lo) - 1
@@ -403,12 +395,6 @@ def integrate_product(a: ExteriorClass, b: ExteriorClass) -> Scalar:
         else:
             total = total + ca * cb
     return normalize_scalar(total) if total else 0
-
-
-def relabel(c: ExteriorClass, new_space: Space) -> ExteriorClass:
-    """The same class on a space with identical factor kinds, new labels."""
-    c.space.relabeled(new_space)
-    return ExteriorClass._of(new_space, c.terms)
 
 
 def exp_even(c: ExteriorClass) -> ExteriorClass:

@@ -59,14 +59,12 @@ from .abelian import (
     polarization_class,
     projection,
     two_form,
-    unit,
 )
 from .exterior import (
     ExteriorClass,
     exp_even,
     integrate_product,
     pushforward,
-    relabel,
     wedge,
 )
 # the three theorem evaluators are looked up by name in _check_assembly
@@ -116,12 +114,6 @@ def _alpha_class(coeffs: dict, prefix: str = "a") -> ExteriorClass:
     """General degree-two class on A from six coefficients a12..a34
     (x12..x34 for prefix "x")."""
     return two_form(SP_A, 0, {pair: coeffs[prefix + key] for key, pair in _PAIRS.items()})
-
-
-def _push_second_A(a: ExteriorClass, b: ExteriorClass, degree=None) -> ExteriorClass:
-    """Push a ^ b (its degree part, if given) on AxA forward along the first
-    factor, landing on A."""
-    return relabel(pushforward(a, b, 0, degree), SP_A)
 
 
 def _lambda_on(sp, pol: Polarization) -> ExteriorClass:
@@ -222,9 +214,10 @@ def _translation_bundle_c1(pol, r, chi, rp, lamp, chip) -> ExteriorClass:
     v_cls = mukai_class(SP_A, 0, r, lam, chi)
     w_cls = mukai_class(SP_A, 0, rp, lamp, chip)
     mr = addition(SP_AxA, 0, 1, SP_A, r)
-    return -_push_second_A(
+    return -pushforward(
         wedge(mr.pullback(v_cls), M_AxA.pullback(exp_even(-lam))),
         P1_AxA.pullback(wedge(exp_even(lam), w_cls)),
+        0,
         6,
     )
 
@@ -250,7 +243,7 @@ def _two_parameter_bundle_chi(pol, r, chi, rp, lamp, chip):
     p13 = projection(SP_AxAxAH, (0, 2), SP_AxAH)
     # the kernel and p1*w are small; m12*v is pushed against their product
     kernel_w = wedge(p13.pullback(ab._fm_kernel(False)), p1.pullback(w_cls))
-    c1 = -relabel(pushforward(m12.pullback(v_cls), kernel_w, 0, 6), SP_AxAH)
+    c1 = -pushforward(m12.pullback(v_cls), kernel_w, 0, 6)
     square = wedge(c1, c1)
     return scalar_div(integrate_product(square, square), 24)
 
@@ -281,7 +274,7 @@ def _check_sec4_table(params) -> dict:
         ("mr_omega.p1_alpha", mr_omega, p1_alpha, alpha.scaled(r * r)),
     ]
     return {
-        label: _push_second_A(left, right) - expected
+        label: pushforward(left, right, 0) - expected
         for label, left, right, expected in rows
     }
 
@@ -294,8 +287,8 @@ def _check_sec4_lemma(params) -> dict:
     alpha = _alpha_class(params)
     mr = addition(SP_AxA, 0, 1, SP_A, r)
 
-    pushed = _push_second_A(
-        wedge(mr.pullback(lam), M_AxA.pullback(lam)), P1_AxA.pullback(alpha)
+    pushed = pushforward(
+        wedge(mr.pullback(lam), M_AxA.pullback(lam)), P1_AxA.pullback(alpha), 0
     )
     int_alpha_lam = integrate_product(alpha, lam)
     lam_sq = integrate_product(lam, lam)
@@ -490,7 +483,7 @@ def _check_dw0_chern(params) -> dict:
     v_cls = mukai_class(SP_A, 0, r, lam, chi)
     w_cls = mukai_class(SP_A, 0, rp, lamp, chip)
 
-    c1 = -_push_second_A(M_AxA.pullback(w_cls), P1_AxA.pullback(v_cls), 6)
+    c1 = -pushforward(M_AxA.pullback(w_cls), P1_AxA.pullback(v_cls), 0, 6)
     expected = -(lam.scaled(chip) + lamp.scaled(chi))
     d_v = _half_square(lam) - r * chi
     d_w = _half_square(lamp) - rp * chip
@@ -509,7 +502,7 @@ def _check_fm_isometry(params) -> dict:
     """The transform preserves the Mukai pairing of even classes."""
     def build(prefix):
         return (
-            unit(SP_A, params[f"{prefix}0"])
+            ExteriorClass.unit(SP_A, params[f"{prefix}0"])
             + _alpha_class(params, prefix)
             + OMEGA.scaled(params[f"{prefix}top"])
         )

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import thetachi.abelian as abelian
 from thetachi.abelian import (
     M_AxA,
     Polarization,
@@ -27,7 +28,7 @@ from thetachi.abelian import (
     polarization_class,
     projection,
 )
-from thetachi.exterior import ExteriorClass, fiber_integrate, integrate, relabel, wedge
+from thetachi.exterior import ExteriorClass, fiber_integrate, integrate, wedge
 
 
 def det4(rows):
@@ -48,6 +49,35 @@ def det4(rows):
 
 def matrix_of(phi):
     return [dict(row) for row in phi.rows]
+
+
+# -- spaces ------------------------------------------------------------------
+
+# generator names of the eight standard spaces, as their classes print them
+GENERATOR_NAMES = {
+    "SP_A": "A.f1v A.f2v A.f3v A.f4v",
+    "SP_AH": "Ah.f1 Ah.f2 Ah.f3 Ah.f4",
+    "SP_AxA": "A1.f1v A1.f2v A1.f3v A1.f4v A2.f1v A2.f2v A2.f3v A2.f4v",
+    "SP_AxAH": "A.f1v A.f2v A.f3v A.f4v Ah.f1 Ah.f2 Ah.f3 Ah.f4",
+    "SP_AHxA": "Ah.f1 Ah.f2 Ah.f3 Ah.f4 A.f1v A.f2v A.f3v A.f4v",
+    "SP_AxAxAH": "A1.f1v A1.f2v A1.f3v A1.f4v A2.f1v A2.f2v A2.f3v A2.f4v "
+                 "Ah.f1 Ah.f2 Ah.f3 Ah.f4",
+    "SP_AxAHxAH": "A.f1v A.f2v A.f3v A.f4v Ah1.f1 Ah1.f2 Ah1.f3 Ah1.f4 "
+                  "Ah2.f1 Ah2.f2 Ah2.f3 Ah2.f4",
+    "SP_AHxAH": "Ah1.f1 Ah1.f2 Ah1.f3 Ah1.f4 Ah2.f1 Ah2.f2 Ah2.f3 Ah2.f4",
+}
+
+
+@pytest.mark.parametrize("name", GENERATOR_NAMES)
+def test_standard_space_generator_names(name):
+    assert " ".join(getattr(abelian, name).generator_names()) == GENERATOR_NAMES[name]
+
+
+def test_integrating_out_a_factor_lands_on_the_standard_space():
+    """A space is its kinds: no relabeling after a fiber integral."""
+    assert abelian.SP_AxA.without(0) == SP_A
+    assert abelian.SP_AxAxAH.without(0) == SP_AxAH
+    assert abelian.SP_AxAHxAH.without(0) == abelian.SP_AHxAH
 
 
 def test_phi_rows_match_contraction():
@@ -135,12 +165,7 @@ def test_mult_by_scales_each_degree():
     second_only = ExteriorClass(
         SP_AxA, {k: c for k, c in decoded_terms(m_then).items() if min(k) >= 4}
     )
-    pushed = relabel(
-        fiber_integrate(
-            wedge(point_class(SP_AxA, 0), second_only), 0
-        ),
-        SP_A,
-    )
+    pushed = fiber_integrate(wedge(point_class(SP_AxA, 0), second_only), 0)
     assert pushed == triple.pullback(lam)
 
 
@@ -154,15 +179,9 @@ def test_scaled_addition_intersections():
     for r in (-2, 0, 1, 3):
         mr = addition(SP_AxA, 0, 1, SP_A, r)
         m = addition(SP_AxA, 0, 1, SP_A)
-        pushed = relabel(
-            fiber_integrate(wedge(mr.pullback(point_class(SP_A, 0)), p1.pullback(alpha)), 0),
-            SP_A,
-        )
+        pushed = fiber_integrate(wedge(mr.pullback(point_class(SP_A, 0)), p1.pullback(alpha)), 0)
         assert pushed == alpha.scaled(r * r)
-        pushed = relabel(
-            fiber_integrate(wedge(mr.pullback(point_class(SP_A, 0)), m.pullback(lam)), 0),
-            SP_A,
-        )
+        pushed = fiber_integrate(wedge(mr.pullback(point_class(SP_A, 0)), m.pullback(lam)), 0)
         assert pushed == lam.scaled((r - 1) ** 2)
 
 

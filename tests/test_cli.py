@@ -91,6 +91,27 @@ def test_eval_non_orthogonal_past_digit_limit_exits_2(capsys):
     assert err == "error: vectors are not orthogonal: chi(v (x) w) = 1 (must be 0)\n"
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_enumerate_value_past_digit_limit_exits_2(tmp_path, fmt):
+    # at n = 10^9 some pairs' Euler characteristics have more digits than
+    # int -> str allows; the command refuses them and writes no file
+    out_file = tmp_path / f"pairs.{fmt}"
+    result = subprocess.run(
+        [sys.executable, "-m", "thetachi.cli", "enumerate", "--n", "1000000000",
+         "--max-rank", "1", "--max-k", "1", "--max-chi", "800",
+         "--out", str(out_file), "--format", fmt],
+        capture_output=True, text=True,
+    )
+    limit = sys.get_int_max_str_digits()
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+    assert result.stderr == (
+        f"error: a value has more than {limit} decimal digits and cannot be written\n"
+    )
+    assert not out_file.exists()
+
+
 def test_eval_verbose_banner(capsys):
     code, _, err = run_cli(
         capsys, "eval", "--n", "1", "--v", "1,0,-1", "--w", "2,3,2", "--verbose"

@@ -18,7 +18,6 @@ from thetachi.abelian import (
 from thetachi.cli import main
 from thetachi.exterior import (
     ExteriorClass,
-    Factor,
     MorphismH1,
     Space,
     SpaceMismatch,
@@ -40,9 +39,7 @@ def test_poly_error_paths():
 
 def test_space_construction_errors():
     with pytest.raises(ValueError):
-        Space((Factor("A", "X"), Factor("A", "X")))
-    with pytest.raises(ValueError):
-        Factor("B", "X").generator_names()
+        Space(("B",))
 
 
 def test_class_construction_errors():

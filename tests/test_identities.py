@@ -241,19 +241,18 @@ def test_correlation_bundle_sign_is_plus_dv():
         point_class,
         projection,
         two_form,
-        unit,
     )
-    from thetachi.exterior import fiber_integrate, relabel, wedge
+    from thetachi.exterior import ExteriorClass, fiber_integrate, wedge
 
     # v = (1, 0, chi), w = (0, lam', -0) with chi' = -r' chi; r = 1
     chi = 3
     lamp = two_form(SP_A, 0, {(0, 1): 2, (2, 3): 5})
-    v_cls = unit(SP_A, 1) + point_class(SP_A, 0).scaled(chi)
+    v_cls = ExteriorClass.unit(SP_A, 1) + point_class(SP_A, 0).scaled(chi)
     w_cls = lamp + point_class(SP_A, 0).scaled(0)
     m = addition(SP_AxA, 0, 1, SP_A)
     p1 = projection(SP_AxA, (0,), SP_A)
     inner = wedge(m.pullback(v_cls), p1.pullback(w_cls))
-    c1_bundle = -relabel(fiber_integrate(inner.part(6), 0), SP_A)
+    c1_bundle = -fiber_integrate(inner.part(6), 0)
     d_v = -chi  # lam = 0, so d_v = -r chi
     c1_tensor_cls = lamp  # r lam' + r' lam with r = 1, r' = 0
     assert c1_bundle == c1_tensor_cls.scaled(d_v)
