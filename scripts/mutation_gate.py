@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Mutation gate: the test suite must catch drift in each sign convention,
-bitset or contraction kernel and partner-search branch listed in MUTANTS.
+bitset or contraction kernel, table of basis images and partner-search
+branch listed in MUTANTS.
 
 Copies the repository into a temporary directory and runs the Tier-1 suite
 there, under the Hypothesis profile "gate" (no shrinking), first unmutated
@@ -58,11 +59,15 @@ MUTANTS = (
     ("partner exact division dropped", "src/thetachi/pairs.py",
      "if remainder == 0 and (j := ", "if (j := "),
     ("rank-0 column cut to one", "src/thetachi/pairs.py",
-     "yield from column\n", "yield from column[:1]\n"),
+     "yield from columns.get((r_w, k_w), ())\n", "yield from columns.get((r_w, k_w), ())[:1]\n"),
     ("pushforward complement lookup", "src/thetachi/exterior.py",
      "(fiber ^ (ka & fiber), None", "(fiber, None"),
     ("integrate_product sign operands", "src/thetachi/exterior.py",
      "if (ka & _crossing(kb)).bit_count() & 1:", "if (kb & _crossing(ka)).bit_count() & 1:"),
+    ("pullback table wrong key", "src/thetachi/exterior.py",
+     "image = images.get(key)\n", "image = images.get(key & -key)\n"),
+    ("transform table drops coefficient", "src/thetachi/abelian.py",
+     "get(image_key, 0) + coeff * a", "get(image_key, 0) + a"),
 )
 
 _FAILED = re.compile(r"^(?:FAILED|ERROR) (tests/[^:\s]+)")

@@ -6,7 +6,8 @@ kinds, so a pushforward from AxA lands on ``SP_A`` itself.  Builds the
 named classes (polarization, point class, Poincare class), the morphism
 library (addition and scaled addition, multiplication by N, the
 polarization morphisms in both directions and their products), and the
-cohomological Fourier-Mukai transform.
+cohomological Fourier-Mukai transform, a fixed linear map applied through
+the cached transforms of the basis monomials.
 
 Conventions pinned here and enforced by the regression tests:
 
@@ -231,23 +232,47 @@ def fm_transform(c: ExteriorClass) -> ExteriorClass:
     Computes the fiber integral over A of (pullback of c) ^ exp(c1(P)).
     Degree 0 goes to degree 4, degree 4 to degree 0, degree 2 to degree 2.
     """
-    return _transform(c, "fm_transform", P1_AxAH, False)
+    return _transform(c, "fm_transform", False)
 
 
 def fm_transform_back(c: ExteriorClass) -> ExteriorClass:
     """Transform with the transposed Poincare kernel, from Ah back to A."""
-    return _transform(c, "fm_transform_back", P1_AHxA, True)
+    return _transform(c, "fm_transform_back", True)
 
 
-def _transform(c: ExteriorClass, name: str, p1: MorphismH1, reverse: bool) -> ExteriorClass:
-    if c.space != p1.target:
-        raise ValueError(f"{name} expects a class on the {p1.target.kinds[0]} space")
+@lru_cache(maxsize=None)
+def _transform_image(reverse: bool, key: int) -> tuple:
+    """Transform of the basis monomial ``key``, as ``((key, int), ...)``.
+
+    Both factors of the product are even, so they commute; the small
+    pulled-back monomial goes second, where ``pushforward`` groups its terms.
+    """
+    p1 = P1_AHxA if reverse else P1_AxAH
+    basis = ExteriorClass._of(p1.target, {key: 1})
+    return tuple(pushforward(_fm_kernel(reverse), p1.pullback(basis), 0).terms.items())
+
+
+def _transform(c: ExteriorClass, name: str, reverse: bool) -> ExteriorClass:
+    """Sum over the terms of c of coefficient times the basis image.
+
+    Exact: the pullback and the pushforward against the fixed kernel are
+    both linear over the scalar ring, so the transform of c is the
+    coefficient-weighted sum of the transforms of its monomials, and the
+    kernel's coefficients are ints, so the images carry no rounding and no
+    scalar type of their own.  Each image is computed once per direction.
+    """
+    source, target = (SP_AH, SP_A) if reverse else (SP_A, SP_AH)
+    if c.space != source:
+        raise ValueError(f"{name} expects a class on the {source.kinds[0]} space")
     for deg in c.degrees():
         if deg % 2:
             raise ValueError("transform defined on even classes only")
-    # both factors are even, so they commute; the small pulled-back class goes
-    # second, where pushforward groups its terms
-    return pushforward(_fm_kernel(reverse), p1.pullback(c), 0)
+    out: dict = {}
+    get = out.get
+    for key, coeff in c.terms.items():
+        for image_key, a in _transform_image(reverse, key):
+            out[image_key] = get(image_key, 0) + coeff * a
+    return ExteriorClass._of(target, out)
 
 
 def lambda_hat(pol: Polarization) -> ExteriorClass:

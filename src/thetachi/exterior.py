@@ -36,7 +36,10 @@ rules: a pair of terms takes its sign from b's crossing mask exactly as in
 acts bitwise, the stripped key of ``ka | kb`` is the union of the stripped
 keys of ``ka`` and ``kb``, so each term is stripped once, not each pair.
 
-All values are immutable and all operations are pure functions.
+All values are immutable and all operations are pure functions, with one
+kind of internal state: a :class:`MorphismH1` fills a write-once table of
+basis images as its pullback meets new monomials.  The table is a function
+of the morphism's immutable rows, so it never changes a result.
 """
 
 from __future__ import annotations
@@ -427,9 +430,19 @@ class MorphismH1:
     degree is preserved: a monomial expands one generator at a time, each
     appended on the right of the partial source monomials, whose sign is
     the parity of the generators already present above the new one.
+
+    The pullback is linear, so it is applied through a table of basis
+    images: the image of a target monomial, a column of the compound
+    matrix of the rows (its entries are the Cauchy-Binet minors), is
+    expanded the first time the monomial is met and stored, and every
+    pullback is the sum of its coefficients times their images.  The rows
+    are an immutable tuple, so an image never goes stale; the table only
+    grows, holds at most 2^ngens(target) entries, and an entry is written
+    once (threads that race on a key store equal images and keep the
+    first).
     """
 
-    __slots__ = ("source", "target", "rows")
+    __slots__ = ("source", "target", "rows", "_images")
 
     def __init__(self, source: Space, target: Space, rows):
         if len(rows) != target.ngens:
@@ -446,33 +459,45 @@ class MorphismH1:
         self.source = source
         self.target = target
         self.rows = tuple(clean)
+        self._images: dict = {}  # target key -> ((source key, scalar), ...)
+
+    def _image(self, key: int) -> tuple:
+        """Pullback of the target monomial ``key`` with coefficient 1, stored."""
+        rows = self.rows
+        partial = {0: 1}
+        rest = key
+        while rest and partial:
+            low = rest & -rest
+            rest ^= low
+            grown: dict = {}
+            get = grown.get
+            for mono, value in partial.items():
+                if not value:
+                    continue
+                for i, a in rows[low.bit_length() - 1]:
+                    bit = 1 << i
+                    if mono & bit:
+                        continue
+                    if (mono >> i).bit_count() & 1:
+                        grown[mono | bit] = get(mono | bit, 0) - value * a
+                    else:
+                        grown[mono | bit] = get(mono | bit, 0) + value * a
+            partial = grown
+        image = tuple((mono, value) for mono, value in partial.items() if value)
+        return self._images.setdefault(key, image)
 
     def pullback(self, c: ExteriorClass) -> ExteriorClass:
         if c.space != self.target:
             raise SpaceMismatch("class does not live on the morphism target")
-        rows = self.rows
+        images = self._images
         out: dict = {}
+        get = out.get
         for key, coeff in c.terms.items():
-            partial = {0: coeff}
-            while key and partial:
-                low = key & -key
-                key ^= low
-                grown: dict = {}
-                get = grown.get
-                for mono, value in partial.items():
-                    if not value:
-                        continue
-                    for i, a in rows[low.bit_length() - 1]:
-                        bit = 1 << i
-                        if mono & bit:
-                            continue
-                        if (mono >> i).bit_count() & 1:
-                            grown[mono | bit] = get(mono | bit, 0) - value * a
-                        else:
-                            grown[mono | bit] = get(mono | bit, 0) + value * a
-                partial = grown
-            for mono, value in partial.items():
-                out[mono] = out.get(mono, 0) + value
+            image = images.get(key)
+            if image is None:
+                image = self._image(key)
+            for mono, a in image:
+                out[mono] = get(mono, 0) + coeff * a
         return ExteriorClass._of(self.source, out)
 
     def after(self, inner: "MorphismH1") -> "MorphismH1":

@@ -123,6 +123,20 @@ def _lambda_on(sp, pol: Polarization) -> ExteriorClass:
 # c1(P)^2/2 on AxAh, whose pushforward against p1*alpha defines alpha-hat
 _CP_HALF_SQUARE = wedge(C1_P, C1_P) / 2
 
+# Parameter-free morphisms and classes of the checks below, built once so
+# that the morphisms' tables of basis images live for the whole process.
+# Nothing here reads a parameter or PHI_HAT_SIGN: f_map, make_phi,
+# one_times_phi and scaled additions stay per call.
+# On AxAxAh: m12, p1 and p13*exp(c1(P)) of the two-parameter bundle.
+_M12 = addition(SP_AxAxAH, 0, 1, SP_A)
+_P1_AxAxAH = projection(SP_AxAxAH, (0,), SP_A)
+_P13_KERNEL = projection(SP_AxAxAH, (0, 2), SP_AxAH).pullback(ab._fm_kernel(False))
+# On AxAhxAh: q1 and q12*c1(P) ^ q13*c1(P) of the double Poincare pushforward.
+_Q1 = projection(SP_AxAHxAH, (0,), SP_A)
+_Q_POINCARE = wedge(projection(SP_AxAHxAH, (0, 1), SP_AxAH).pullback(C1_P),
+                    projection(SP_AxAHxAH, (0, 2), SP_AxAH).pullback(C1_P))
+_P2_AxAH = projection(SP_AxAH, (1,), SP_AH)
+
 
 def _half_square(c: ExteriorClass):
     """Integral of c^2/2 over A: chi(A, L) for c = c1(L), and lam^2/2 in d_v."""
@@ -238,12 +252,9 @@ def _two_parameter_bundle_chi(pol, r, chi, rp, lamp, chip):
     """chi = c1^4/24 on AxAh, c1 = -p23![m12*v . p13*exp(c1(P)) . p1*w]_(3)."""
     v_cls = mukai_class(SP_A, 0, r, _lambda_on(SP_A, pol), chi)
     w_cls = mukai_class(SP_A, 0, rp, lamp, chip)
-    m12 = addition(SP_AxAxAH, 0, 1, SP_A)
-    p1 = projection(SP_AxAxAH, (0,), SP_A)
-    p13 = projection(SP_AxAxAH, (0, 2), SP_AxAH)
     # the kernel and p1*w are small; m12*v is pushed against their product
-    kernel_w = wedge(p13.pullback(ab._fm_kernel(False)), p1.pullback(w_cls))
-    c1 = -pushforward(m12.pullback(v_cls), kernel_w, 0, 6)
+    kernel_w = wedge(_P13_KERNEL, _P1_AxAxAH.pullback(w_cls))
+    c1 = -pushforward(_M12.pullback(v_cls), kernel_w, 0, 6)
     square = wedge(c1, c1)
     return scalar_div(integrate_product(square, square), 24)
 
@@ -425,7 +436,7 @@ def _check_llp(params) -> dict:
     """lam . lam_hat . c1(P)^2/2 integrates to lam^2 over the product."""
     pol = Polarization(params["d"], params["e"])
     lam_prod = polarization_class(SP_AxAH, 0, pol)
-    lam_hat = projection(SP_AxAH, (1,), SP_AH).pullback(lambda_hat(pol))
+    lam_hat = _P2_AxAH.pullback(lambda_hat(pol))
     lam_sq = integrate_product(_lambda_on(SP_A, pol), _lambda_on(SP_A, pol))
     value = integrate_product(wedge(lam_prod, lam_hat), _CP_HALF_SQUARE)
     return {"llp": value - lam_sq}
@@ -434,14 +445,9 @@ def _check_llp(params) -> dict:
 def _check_bl(params) -> dict:
     """Double-Poincare pushforward pulled back along Phi x 1."""
     pol = Polarization(params["d"], params["e"])
-    q1 = projection(SP_AxAHxAH, (0,), SP_A)
-    q12 = projection(SP_AxAHxAH, (0, 1), SP_AxAH)
-    q13 = projection(SP_AxAHxAH, (0, 2), SP_AxAH)
     lam = _lambda_on(SP_A, pol)
 
-    pushed = pushforward(  # lives on Ah1 x Ah2
-        wedge(q12.pullback(C1_P), q13.pullback(C1_P)), q1.pullback(lam), 0
-    )
+    pushed = pushforward(_Q_POINCARE, _Q1.pullback(lam), 0)  # lives on Ah1 x Ah2
     phi_times_one = factorwise(
         SP_AxAH, SP_AHxAH, [(0, ab._phi_rows(pol)), (1, None)]
     )

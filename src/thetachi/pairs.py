@@ -6,10 +6,12 @@ chi_w, so each vector v finds its orthogonal partners by solving for them,
 one (r_w, k_w) column of the box at a time: for r_v != 0 a column holds at
 most one partner, whose chi_w is looked up when the division is exact; for
 r_v = 0 the pairing does not involve chi_w, so the whole column is a
-partner or none of it is.  The cost grows with the number of vectors times
-the number of columns, not with the number of pairs of vectors.  d_v and
-the transform are computed once per vector.  Each pair is tabulated with
-the three theta Euler characteristics and branch and integrality flags.
+partner or none of it is.  Per r_w only the interval of k_w whose solved
+chi_w lies in the box is walked, so the cost follows the number of
+candidate partners, not the number of columns or of pairs of vectors.
+d_v and the transform are computed once per vector.  Each pair is
+tabulated with the three theta Euler characteristics and branch and
+integrality flags.
 Output is deterministic: rows come out in the lexicographic order of their
 integer key, and every number is rendered as an exact decimal string.
 """
@@ -107,23 +109,39 @@ def build_row(v: VectorData, w: VectorData) -> PairRow:
     return PairRow(v.vector, w.vector, v.d, w.d, *results, tuple(flags))
 
 
-def _partners(v: MukaiVector, columns: dict, position: dict):
+def _solutions(base: int, step: int, bound: int, max_k: int) -> range:
+    """The k in [-max_k, max_k] with |base + step k| <= bound, ascending."""
+    if step == 0:
+        return range(-max_k, max_k + 1) if abs(base) <= bound else range(0)
+    if step < 0:  # |base + step k| = |-base + |step| k|
+        base, step = -base, -step
+    return range(max(-max_k, -((bound + base) // step)),
+                 min(max_k, (bound - base) // step) + 1)
+
+
+def _partners(v: MukaiVector, box: tuple, columns: dict, position: dict):
     """Positions of the vectors w with chi(v (x) w) = 0, in the box order.
 
-    ``columns`` maps each (r, k) of the box, in lexicographic order, to the
-    positions of its vectors by ascending chi; ``position`` maps (r, k, chi)
-    to a position.
+    ``box`` is (max_rank, max_k, max_chi); ``columns`` maps each (r, k) of
+    the box to the positions of its vectors by ascending chi, and
+    ``position`` maps (r, k, chi) to a position.  With rest = r_w chi_v +
+    2n k_v k_w, a partner has r_v chi_w = -rest, so |rest| <= r_v max_chi
+    keeps chi_w in the box: per r_w only that interval of k_w is walked.
+    For r_v = 0 the bound is 0 and the interval is the one k_w with
+    rest = 0 (positivity makes k_v > 0), whose whole column pairs with v.
     """
+    max_rank, max_k, max_chi = box
     r_v, chi_v, twice_nk = v.r, v.chi, 2 * v.n * v.k
-    for (r_w, k_w), column in columns.items():
-        rest = r_w * chi_v + twice_nk * k_w  # chi(v (x) w) - r_v chi_w
-        if r_v == 0:
-            if rest == 0:
-                yield from column
-            continue
-        chi_w, remainder = divmod(-rest, r_v)
-        if remainder == 0 and (j := position.get((r_w, k_w, chi_w))) is not None:
-            yield j
+    bound = r_v * max_chi  # ranks in the box are nonnegative
+    for r_w in range(max_rank + 1):
+        base = r_w * chi_v
+        for k_w in _solutions(base, twice_nk, bound, max_k):
+            if r_v == 0:
+                yield from columns.get((r_w, k_w), ())
+                continue
+            chi_w, remainder = divmod(-(base + twice_nk * k_w), r_v)
+            if remainder == 0 and (j := position.get((r_w, k_w, chi_w))) is not None:
+                yield j
 
 
 def enumerate_rows(n: int, max_rank: int, max_k: int, max_chi: int):
@@ -142,7 +160,7 @@ def enumerate_rows(n: int, max_rank: int, max_k: int, max_chi: int):
     # v in box order, then each partner in box order: sort_key order
     for v_data in data:
         v = v_data.vector
-        for j in _partners(v, columns, position):
+        for j in _partners(v, (max_rank, max_k, max_chi), columns, position):
             w = vectors[j]
             # the search solved for w; a pair off the pairing is a search bug
             if euler_chi_tensor(v, w) != 0:

@@ -2,6 +2,7 @@
 pinned sign conventions, pairing preservation, and the double transform."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -13,6 +14,7 @@ from thetachi.abelian import (
     Polarization,
     SP_A,
     SP_AH,
+    SP_AHxA,
     SP_AxAH,
     addition,
     dual_polarization_class,
@@ -28,7 +30,8 @@ from thetachi.abelian import (
     polarization_class,
     projection,
 )
-from thetachi.exterior import ExteriorClass, fiber_integrate, integrate, wedge
+from thetachi.exterior import ExteriorClass, Space, exp_even, fiber_integrate, integrate, wedge
+from thetachi.poly import Poly
 
 
 def det4(rows):
@@ -265,3 +268,32 @@ def test_fm_preserves_mukai_pairing(x, y):
 @given(even_classes(), even_classes())
 def test_pairing_symmetric(x, y):
     assert mukai_pair(x, y) == mukai_pair(y, x)
+
+
+TRANSFORM_COEFFS = {
+    "int": even_coeff,
+    "Fraction": st.builds(Fraction, even_coeff, st.integers(min_value=1, max_value=4)),
+    "Poly": st.builds(lambda c, k: Poly.var("x") * c + k, even_coeff, even_coeff),
+}
+EVEN_KEYS = [key for size in (0, 2, 4) for key in itertools.combinations(range(4), size)]
+ODD_KEYS = [key for size in (1, 3) for key in itertools.combinations(range(4), size)]
+
+
+@pytest.mark.parametrize("coeff", TRANSFORM_COEFFS.values(), ids=TRANSFORM_COEFFS)
+@pytest.mark.parametrize("transform, kernel_space", [
+    (fm_transform, SP_AxAH), (fm_transform_back, SP_AHxA),
+], ids=["forward", "back"])
+@given(data=st.data())
+def test_transform_table_matches_unfused_definition(transform, kernel_space, coeff, data):
+    """The table of transform images gives fiber_integrate(kernel ^ p1*c)
+    over the first factor, built here from a fresh kernel and projection;
+    a class with an odd term is refused."""
+    source = Space(kernel_space.kinds[:1])
+    keys = data.draw(st.lists(st.sampled_from(EVEN_KEYS), unique=True))
+    c = ExteriorClass(source, {key: data.draw(coeff) for key in keys})
+    kernel = exp_even(poincare_class(kernel_space, 0, 1))
+    p1 = projection(kernel_space, (0,), source)
+    assert transform(c) == fiber_integrate(wedge(kernel, p1.pullback(c)), 0)
+    odd = c + ExteriorClass.monomial(source, data.draw(st.sampled_from(ODD_KEYS)))
+    with pytest.raises(ValueError):
+        transform(odd)

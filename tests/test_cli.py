@@ -293,16 +293,9 @@ def test_verify_symbolic_only_run(capsys):
     assert [rep["mode"] for rep in reports] == ["symbolic"]
 
 
-def test_verify_failure_exit_code(capsys):
-    import thetachi.abelian as abelian
-
-    abelian.PHI_HAT_SIGN = -1
-    abelian._fm_kernel.cache_clear()
-    try:
+def test_verify_failure_exit_code(capsys, phi_hat_minus):
+    with phi_hat_minus():
         code, out, err = run_cli(capsys, "verify", "--only", "fmtl", "--trials", "1")
-    finally:
-        abelian.PHI_HAT_SIGN = 1
-        abelian._fm_kernel.cache_clear()
     assert code == 1
     assert not any(rep["pass"] for rep in json.loads(out))
 

@@ -4,6 +4,7 @@ permutation-parity oracle that shares no code with the engine's merge sign.
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -316,8 +317,12 @@ def test_homogeneity_and_degrees():
 
 def test_concurrent_use_is_safe():
     """Values are immutable and operations pure; parallel identical work
-    must agree with the sequential result."""
+    must agree with the sequential result.  That includes pullbacks racing
+    to fill one morphism's cold table of basis images, and transforms
+    racing to fill the cleared table of transform images."""
     from concurrent.futures import ThreadPoolExecutor
+
+    import thetachi.abelian as abelian
 
     cP = poincare()
     lam = ExteriorClass(AxAH, {(0, 1): 3, (2, 3): 4})
@@ -329,6 +334,25 @@ def test_concurrent_use_is_safe():
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(work, range(32)))
     assert all(value == sequential for value in results)
+
+    rows = [[(i, 1), ((i + 1) % 8, 2), ((3 * i + 5) % 8, -1)] for i in range(4)]
+    everything = ExteriorClass(A, {key: 1 + len(key) for key in all_keys(4)})
+    even = ExteriorClass(A, {key: 2 - 3 * len(key) for key in all_keys(4) if len(key) % 2 == 0})
+    expected_pullback = MorphismH1(AxA, A, rows).pullback(everything)
+    expected_transform = abelian.fm_transform(even)
+    shared = MorphismH1(AxA, A, rows)  # its table is cold
+    abelian._transform_image.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so the fills interleave
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            pulled = list(pool.map(lambda _: shared.pullback(everything), range(32), timeout=60))
+            transformed = list(pool.map(lambda _: abelian.fm_transform(even), range(32),
+                                        timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(value == expected_pullback for value in pulled)
+    assert all(value == expected_transform for value in transformed)
 
 
 # -- oracles for the bitset kernels (tuple-based, no engine bitset code) ------------
@@ -465,6 +489,63 @@ def test_pullback_of_top_class_is_determinant(space, data):
         minor = [[matrix[r][c] for c in cols] for r in rows]
         expected = expected + ExteriorClass.monomial(space, cols, fraction_det(minor))
     assert phi.pullback(ExteriorClass.monomial(space, rows)) == expected
+
+
+def all_keys(ngens):
+    """Every sorted index tuple on ngens generators, the empty one first."""
+    return [key for size in range(ngens + 1)
+            for key in itertools.combinations(range(ngens), size)]
+
+
+def expanded_pullback(matrix, source, c):
+    """Pullback by multilinear expansion, sharing no code with the engine's:
+    target generator j becomes sum_i matrix[j][i] e_i, and each product of
+    distinct picked source generators is signed by bubble_sign."""
+    out = {}
+    for key, coeff in decoded_terms(c).items():
+        for picks in itertools.permutations(range(source.ngens), len(key)):
+            scalar = coeff * bubble_sign(picks)
+            for j, i in zip(key, picks):
+                scalar = scalar * matrix[j][i]
+            mono = tuple(sorted(picks))
+            out[mono] = out.get(mono, 0) + scalar
+    return ExteriorClass(source, out)
+
+
+@pytest.mark.parametrize("coeff", KERNEL_COEFFS.values(), ids=KERNEL_COEFFS)
+@pytest.mark.parametrize("source", [A, AxA], ids=["A", "AxA"])
+@settings(max_examples=10)  # per case; the full-basis expansion dominates
+@given(data=st.data())
+def test_pullback_table_cold_warm_and_shared_rows(source, coeff, data):
+    """A pullback through a cold table, through the same table warm, after
+    every basis image is stored, and along a second morphism with the same
+    rows: each equals the multilinear expansion."""
+    matrix = [[data.draw(coeff) for _ in range(source.ngens)] for _ in range(4)]
+    rows = [list(enumerate(row)) for row in matrix]
+    keys = data.draw(st.lists(st.sampled_from(all_keys(4)), min_size=1, max_size=6, unique=True))
+    c = ExteriorClass(A, {key: data.draw(coeff) for key in keys})
+    everything = ExteriorClass(A, {key: 1 for key in all_keys(4)})
+    expected = expanded_pullback(matrix, source, c)
+    phi = MorphismH1(source, A, rows)
+    assert phi.pullback(c) == expected  # cold
+    assert phi.pullback(c) == expected  # warm
+    assert phi.pullback(everything) == expanded_pullback(matrix, source, everything)
+    assert phi.pullback(c) == expected  # every image stored
+    assert MorphismH1(source, A, rows).pullback(c) == expected
+
+
+def test_pullback_table_matches_minors():
+    """After the table is full, the image of each monomial e_J is still
+    sum over I of the minor det M[J, I] e_I (Cauchy-Binet)."""
+    matrix = [[(3 * r + 5 * c) % 7 - 3 for c in range(8)] for r in range(4)]
+    phi = MorphismH1(AxA, A, [list(enumerate(row)) for row in matrix])
+    phi.pullback(ExteriorClass(A, {key: 1 for key in all_keys(4)}))
+    for rows in all_keys(4):
+        expected = ExteriorClass.zero(AxA)
+        for cols in itertools.combinations(range(8), len(rows)):
+            minor = [[matrix[r][c] for c in cols] for r in rows]
+            expected = expected + ExteriorClass.monomial(AxA, cols, fraction_det(minor))
+        assert phi.pullback(ExteriorClass.monomial(A, rows, 2)) == expected.scaled(2)
 
 
 def pfaffian(matrix):

@@ -5,7 +5,6 @@ from pathlib import Path
 
 import pytest
 
-import thetachi.abelian as abelian
 from thetachi.identities import (
     ALL_IDENTITIES,
     REGISTRY,
@@ -127,10 +126,8 @@ def test_orthogonality_elimination_rejects_zero_denominator():
         run_identity("prop_split", params, "symbolic")
 
 
-def test_corrupted_sign_convention_fails_fmtl():
-    abelian.PHI_HAT_SIGN = -1
-    abelian._fm_kernel.cache_clear()
-    try:
+def test_corrupted_sign_convention_fails_fmtl(phi_hat_minus):
+    with phi_hat_minus():
         reports = run_suite(seed=42, trials=1, only=("fmtl", "phis", "sec4_lemma"))
         by_id = {}
         for report in reports:
@@ -138,37 +135,24 @@ def test_corrupted_sign_convention_fails_fmtl():
         assert not any(by_id["fmtl"])
         assert not any(by_id["phis"])
         assert all(by_id["sec4_lemma"])  # insensitive to the dual-side sign
-    finally:
-        abelian.PHI_HAT_SIGN = 1
-        abelian._fm_kernel.cache_clear()
     assert suite_passed(run_suite(seed=42, trials=1, only=("fmtl", "phis")))
 
 
-def test_failure_reports_first_nonzero_label():
-    abelian.PHI_HAT_SIGN = -1
-    abelian._fm_kernel.cache_clear()
-    try:
+def test_failure_reports_first_nonzero_label(phi_hat_minus):
+    with phi_hat_minus():
         reports = run_suite(seed=42, trials=2, only=("fmtl",))
-    finally:
-        abelian.PHI_HAT_SIGN = 1
-        abelian._fm_kernel.cache_clear()
     assert len(reports) == 3
     for report in reports:
         assert report.residual.startswith("coordinates: ")
         assert not report.passed
 
 
-def test_failure_text_matches_golden():
+def test_failure_text_matches_golden(phi_hat_minus):
     # failure residuals are the one output whose bytes pass through
     # ExteriorClass.__repr__: pin every report of a sign-corrupted suite
     golden = Path(__file__).parent / "golden" / "run_suite_phi_hat_minus_seed42_trials3.json"
-    abelian.PHI_HAT_SIGN = -1
-    abelian._fm_kernel.cache_clear()
-    try:
+    with phi_hat_minus():
         reports = run_suite(seed=42, trials=3)
-    finally:
-        abelian.PHI_HAT_SIGN = 1
-        abelian._fm_kernel.cache_clear()
     assert len(reports) == 77
     assert sum(not rep.passed for rep in reports) == 22
     out = json.dumps([dataclasses.asdict(rep) for rep in reports], indent=2)

@@ -34,6 +34,11 @@ bound = st.integers(0, 4)
 @given(st.integers(1, 4), bound, bound, bound)
 @example(1, 2, 3, 4)
 @example(2, 4, 4, 4)
+# lopsided boxes: one chi value, one k value, many ranks
+@example(1, 12, 4, 0)
+@example(3, 9, 0, 5)
+@example(2, 10, 3, 1)
+@example(1, 8, 0, 0)
 def test_partner_search_matches_brute_force(n, max_rank, max_k, max_chi):
     rows, summary = enumerate_rows(n, max_rank, max_k, max_chi)
     assert [(row.v, row.w) for row in rows] == brute_pairs(n, max_rank, max_k, max_chi)
