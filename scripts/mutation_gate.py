@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Mutation gate: the test suite must catch drift in each sign convention,
-bitset or contraction kernel, table of basis images and partner-search
-branch listed in MUTANTS.
+bitset or contraction kernel, table of basis images, partner-search
+branch and closed-form binomial sum listed in MUTANTS.
 
 Copies the repository into a temporary directory and runs the Tier-1 suite
 there, under the Hypothesis profile "gate" (no shrinking), first unmutated
@@ -68,6 +68,9 @@ MUTANTS = (
      "image = images.get(key)\n", "image = images.get(key & -key)\n"),
     ("transform table drops coefficient", "src/thetachi/abelian.py",
      "get(image_key, 0) + coeff * a", "get(image_key, 0) + a"),
+    ("closed-form binomials swapped", "src/thetachi/formulas.py",
+     "value = special_v * binom_w + special_w * binom_v",
+     "value = special_v * binom_v + special_w * binom_w"),
 )
 
 _FAILED = re.compile(r"^(?:FAILED|ERROR) (tests/[^:\s]+)")

@@ -139,10 +139,6 @@ def addition(source: Space, pos1: int, pos2: int, target: Space, scale: Scalar =
     return MorphismH1(source, target, rows)
 
 
-def mult_by(sp: Space, n: Scalar) -> MorphismH1:
-    return MorphismH1(sp, sp, [[(i, n)] for i in range(sp.ngens)])
-
-
 def _phi_rows(pol: Polarization):
     # contraction of f1..f4 with lambda = d f1v^f2v + e f3v^f4v
     d, e = pol.d, pol.e

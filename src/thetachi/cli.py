@@ -64,6 +64,13 @@ def _fail_usage(message: str) -> int:
     return EXIT_USAGE
 
 
+_PRINT_REFUSAL = "a value has {} and cannot be printed"
+
+
+def _refuse_digits(refusal: str) -> int:
+    return _fail_usage(refusal.format(f"more than {sys.get_int_max_str_digits()} decimal digits"))
+
+
 def _format(build, refusal: str):
     """The text that ``build()`` returns, or None after refusing it.
 
@@ -77,13 +84,27 @@ def _format(build, refusal: str):
     try:
         return build()
     except ValueError:
-        _fail_usage(refusal.format(f"more than {sys.get_int_max_str_digits()} decimal digits"))
+        _refuse_digits(refusal)
         return None
+
+
+def _binomial_past_digit_limit(top: int, k: int) -> bool:
+    """Whether binom(top, k), 0 <= k, 0 <= top, has provably too many digits
+    to print, decided before ``math.comb`` spends the time to build it.
+
+    binom(m, j) >= (m/j)^j with j = min(k, m - k) gives at least
+    j * floor(log2(m // j)) bits, from integer arithmetic only.  A value of
+    more than 4 * limit bits has more than ``limit`` decimal digits, since
+    log10(2) > 1/4.  A limit of 0 means no limit.
+    """
+    limit = sys.get_int_max_str_digits()
+    j = min(k, top - k)
+    return limit > 0 and j > 0 and j * ((top // j).bit_length() - 1) > 4 * limit
 
 
 def _emit(build) -> int:
     """Print the JSON of the payload that ``build()`` returns."""
-    text = _format(lambda: json.dumps(build(), indent=2), "a value has {} and cannot be printed")
+    text = _format(lambda: json.dumps(build(), indent=2), _PRINT_REFUSAL)
     if text is None:
         return EXIT_USAGE
     print(text)
@@ -103,6 +124,12 @@ def cmd_eval(args) -> int:
             "vectors are not orthogonal: chi(v (x) w) has {} (must be 0)",
         )
         return EXIT_USAGE if message is None else _fail_usage(message)
+    d_v, d_w = dv(v), dv(w)
+    # for d_v, d_w >= 1 every value printed is at least binom(d-1, min-1);
+    # past the digit limit nothing is evaluated and _emit's refusal is given
+    oversized = min(d_v, d_w) >= 1 and _binomial_past_digit_limit(
+        d_v + d_w - 1, min(d_v, d_w) - 1
+    )
     results = {}
     wanted = ("main", "two", "three") if args.theorem == "all" else (args.theorem,)
     evaluators = {
@@ -111,7 +138,7 @@ def cmd_eval(args) -> int:
         "three": chi_arbitrary_det,
     }
     failures = []
-    for name in wanted:
+    for name in () if oversized else wanted:
         try:
             results[name] = evaluators[name](v, w)
         except FormulaError as exc:
@@ -123,12 +150,14 @@ def cmd_eval(args) -> int:
         print("conventions in use:", file=sys.stderr)
         for key, value in CONVENTIONS.items():
             print(f"  {key}: {value}", file=sys.stderr)
+    if oversized:
+        return _refuse_digits(_PRINT_REFUSAL)
     return _emit(lambda: {
         "n": str(args.n),
         "v": v.text(),
         "w": w.text(),
-        "d_v": str(dv(v)),
-        "d_w": str(dv(w)),
+        "d_v": str(d_v),
+        "d_w": str(d_w),
         "orthogonal": True,
         "results": {
             name: result if name in failures else result.to_json_dict()
@@ -194,6 +223,11 @@ def cmd_kummer(args) -> int:
     if args.n < 1:
         return _fail_usage("n must be at least 1")
     kc = KummerClass(args.chiD, args.r, args.n)
+    # the Kummer value prints n times this binomial; a negative top reflects
+    # as binom(a, k) = (-1)^k binom(k - a - 1, k)
+    top, k = kc.top, args.n - 1
+    if _binomial_past_digit_limit(top if top >= 0 else k - top - 1, k):
+        return _refuse_digits(_PRINT_REFUSAL)
     kummer = chi_kummer(kc)
     hilbert = chi_hilbert(args.n, args.chiD, args.r)
     residual = etale_cover_residual(args.n, args.chiD, args.r)

@@ -257,9 +257,6 @@ class ExteriorClass:
             self.space, {k: c for k, c in self.terms.items() if k.bit_count() == degree}
         )
 
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
-
     def coefficient(self, indices: Iterable[int]) -> Scalar:
         key = tuple(sorted(indices))
         if len(set(key)) != len(key) or (key and key[0] < 0):

@@ -1,12 +1,16 @@
 """Exact evaluators for the theta-bundle Euler-characteristic formulas.
 
-All values are carried as exact rationals until the integrality check at
-the boundary; nothing is ever rounded.  The binomial coefficient is the
-product-formula polynomial in its top argument, so negative (or symbolic)
-tops are fine; this is the extension that matches the Riemann-Roch
-polynomials the closed forms abbreviate.  Integer tops are evaluated by
-``math.comb`` (with the reflection formula for negative tops), so a large
-top with a large bottom index stays fast.
+On the orthogonality locus the closed forms (1/2) c1^2/d * binom(d, d_v)
+and d_v^2/d * binom(d, d_v), d = d_v + d_w, are integer sums of
+binom(d-1, d_w-1) and binom(d-1, d_v-1), and are evaluated as such; with
+binom(m, -1) = 0 the degenerate d_v = 0 and d_w = 0 fibers fall out of
+the same sums.  Every value is an int except chi_hilbert's, which carries
+chi(D)/n; nothing is ever rounded.  The binomial coefficient is the product-formula polynomial in
+its top argument, so negative (or symbolic) tops are fine; this is the
+extension that matches the Riemann-Roch polynomials the closed forms
+abbreviate.  Integer tops are evaluated by ``math.comb`` (with the
+reflection formula for negative tops), so a large top with a large bottom
+index stays fast.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .mukai import MukaiVector, c1_tensor, dv, euler_chi_tensor, fm_vector
+from .mukai import MukaiVector, dv, euler_chi_tensor
 from .poly import scalar_div
 
 
@@ -44,7 +48,7 @@ class ChiResult:
     """Exact value of one Euler-characteristic formula plus provenance."""
 
     formula_id: str
-    value: Fraction
+    value: int | Fraction
     inputs: dict
     branch: str = "generic"
     cross_check: dict = field(default_factory=dict)
@@ -71,10 +75,6 @@ class ChiResult:
         return self.value == other
 
 
-def _as_value(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 def _require_orthogonal(v: MukaiVector, w: MukaiVector):
     chi_vw = euler_chi_tensor(v, w)
     if chi_vw != 0:
@@ -85,7 +85,7 @@ def _require_orthogonal(v: MukaiVector, w: MukaiVector):
 
 @dataclass(frozen=True)
 class VectorData:
-    """A vector with what the closed forms read from it alone: d_v and v_hat.
+    """A vector with what the closed forms read from it alone: d_v.
 
     A caller that pairs one vector with many partners
     (``pairs.enumerate_rows``) builds this once per vector.
@@ -93,23 +93,10 @@ class VectorData:
 
     vector: MukaiVector
     d: int
-    hat: MukaiVector
 
     @classmethod
     def of(cls, v: MukaiVector) -> "VectorData":
-        return cls(v, dv(v), fm_vector(v))
-
-
-def _dimension_binomial(dv_: int, dw_: int) -> Fraction | None:
-    """binom(dv+dw, dv) / (dv+dw), the common rational factor.
-
-    None unless d_v, d_w >= 0 and d_v + d_w > 0; every closed form refuses
-    such a pair before it reads the factor.
-    """
-    total = dv_ + dw_
-    if dv_ < 0 or dw_ < 0 or total <= 0:
-        return None
-    return Fraction(binom(total, dv_), total)
+        return cls(v, dv(v))
 
 
 def _pair_inputs(v: MukaiVector, w: MukaiVector) -> dict:
@@ -120,13 +107,14 @@ def _evaluate(body, v: MukaiVector, w: MukaiVector, *args) -> ChiResult:
     """One closed form for one orthogonal pair of plain vectors."""
     _require_orthogonal(v, w)
     vd, wd = VectorData.of(v), VectorData.of(w)
-    return body(vd, wd, _dimension_binomial(vd.d, wd.d), _pair_inputs(v, w), *args)
+    return body(vd, wd, _pair_inputs(v, w), *args)
 
 
 def chi_fixed_det(v: MukaiVector, w: MukaiVector) -> ChiResult:
     """Theta Euler characteristic on the fixed-determinant moduli space.
 
-    Generic value: (1/2) c1(v (x) w)^2 / (d_v + d_w) * binom(d_v+d_w, d_v).
+    Generic value: (1/2) c1(v (x) w)^2 / (d_v + d_w) * binom(d_v+d_w, d_v),
+    evaluated as r_v^2 binom(d-1, d_w-1) + r_w^2 binom(d-1, d_v-1).
     When d_v = 0 the moduli space is r_v^2 reduced points and the generic
     value must agree with r_v^2 (symmetrically for d_w = 0 with r_w^2).
     """
@@ -134,14 +122,15 @@ def chi_fixed_det(v: MukaiVector, w: MukaiVector) -> ChiResult:
 
 
 def chi_fixed_fm_det(v: MukaiVector, w: MukaiVector) -> ChiResult:
-    """Same formula with c1(v_hat (x) w_hat) of the transformed vectors.
+    """Same formula with c1(v_hat (x) w_hat) of the transformed vectors:
+    chi_v^2 binom(d-1, d_w-1) + chi_w^2 binom(d-1, d_v-1).
 
     The d = 0 special fibers consist of chi^2 points instead of r^2.
     """
     return _evaluate(_chi_tensor_square, v, w, "chi_fixed_fm_det", True)
 
 
-def _chi_tensor_square(v: VectorData, w: VectorData, binomial, inputs,
+def _chi_tensor_square(v: VectorData, w: VectorData, inputs,
                        formula_id: str, transform: bool) -> ChiResult:
     dv_, dw_ = v.d, w.d
     if dv_ < 0 or dw_ < 0:
@@ -149,14 +138,18 @@ def _chi_tensor_square(v: VectorData, w: VectorData, binomial, inputs,
     if dv_ + dw_ == 0:
         raise FormulaError("d_v + d_w = 0: both moduli degenerate")
     if transform:
-        square = c1_tensor(v.hat, w.hat).square()
         special_v, special_w = v.vector.chi**2, w.vector.chi**2
         special_name = "chi^2"
     else:
-        square = c1_tensor(v.vector, w.vector).square()
         special_v, special_w = v.vector.r**2, w.vector.r**2
         special_name = "r^2"
-    value = Fraction(square * binomial.numerator, 2 * binomial.denominator)  # square/2 * binomial
+    # c1^2/2 = special_v d_w + special_w d_v on the orthogonality locus.
+    # binom refuses a negative lower index, so binom(d-1, -1) = 0 is taken
+    # here; binom(d-1, d_w-1) = binom(d-1, d_v-1) d_w/d_v spares a binom.
+    d = dv_ + dw_
+    binom_v = binom(d - 1, dv_ - 1) if dv_ else 0
+    binom_w = binom_v * dw_ // dv_ if dv_ else 1
+    value = special_v * binom_w + special_w * binom_v
     branch = "generic"
     cross: dict = {}
     if dv_ == 0 or dw_ == 0:
@@ -171,22 +164,22 @@ def _chi_tensor_square(v: VectorData, w: VectorData, binomial, inputs,
     return ChiResult(formula_id, value, inputs, branch, cross)
 
 
-def _albanese_value(dv_: int, dw_: int, binomial) -> Fraction:
+def _albanese_value(dv_: int, dw_: int) -> int:
     if dv_ < 1:
         raise FormulaError(f"d_v must be at least 1, got {dv_}")
     if dw_ < 0:
         raise FormulaError(f"d_w must be nonnegative, got {dw_}")
-    return Fraction(dv_**2 * binomial.numerator, binomial.denominator)
+    return dv_ * binom(dv_ + dw_ - 1, dv_ - 1)
 
 
 def chi_albanese_fiber(dv_: int, dw_: int) -> ChiResult:
-    """d_v^2/(d_v+d_w) * binom(d_v+d_w, d_v); the Albanese-fiber value.
+    """d_v^2/(d_v+d_w) * binom(d_v+d_w, d_v) = d_v * binom(d_v+d_w-1, d_v-1);
+    the Albanese-fiber value.
 
     Defined for d_v >= 1; at d_v = 1 the fiber is a point and the value
     is 1 regardless of d_w.
     """
-    value = _albanese_value(dv_, dw_, _dimension_binomial(dv_, dw_))
-    return ChiResult("chi_albanese_fiber", value, {"d_v": dv_, "d_w": dw_})
+    return ChiResult("chi_albanese_fiber", _albanese_value(dv_, dw_), {"d_v": dv_, "d_w": dw_})
 
 
 @dataclass(frozen=True)
@@ -201,10 +194,15 @@ class KummerClass:
         if self.n < 1:
             raise FormulaError("n must be at least 1")
 
+    @property
+    def top(self) -> int:
+        """chi(D) - (r^2 - 1) n - 1, the top of the Kummer binomial."""
+        return self.chiD - (self.r**2 - 1) * self.n - 1
+
 
 def chi_kummer(kc: KummerClass) -> ChiResult:
     """n * binom(chi(D) - (r^2 - 1) n - 1, n - 1) on the Kummer fiber."""
-    value = _as_value(kc.n * binom(kc.chiD - (kc.r**2 - 1) * kc.n - 1, kc.n - 1))
+    value = kc.n * binom(kc.top, kc.n - 1)
     return ChiResult(
         "chi_kummer", value, {"n": kc.n, "chiD": kc.chiD, "r": kc.r}
     )
@@ -214,7 +212,7 @@ def chi_hilbert(n: int, chiD: int, r: int) -> ChiResult:
     """(chi(D)/n) * binom(chi(D) - (r^2 - 1) n - 1, n - 1) on the Hilbert scheme."""
     if n < 1:
         raise FormulaError("n must be at least 1")
-    value = Fraction(chiD, n) * _as_value(binom(chiD - (r**2 - 1) * n - 1, n - 1))
+    value = Fraction(chiD, n) * binom(chiD - (r**2 - 1) * n - 1, n - 1)
     return ChiResult("chi_hilbert", value, {"n": n, "chiD": chiD, "r": r})
 
 
@@ -229,7 +227,7 @@ def chi_k3_reference(dv_: int, dw_: int) -> ChiResult:
     """K3-surface comparison value binom(d_v + d_w + 2, d_v + 1)."""
     if dv_ < -1:
         raise FormulaError("d_v + 1 must be nonnegative for the K3 value")
-    value = _as_value(binom(dv_ + dw_ + 2, dv_ + 1))
+    value = binom(dv_ + dw_ + 2, dv_ + 1)
     return ChiResult("chi_k3_reference", value, {"d_v": dv_, "d_w": dw_})
 
 
@@ -244,22 +242,22 @@ def chi_arbitrary_det(v: MukaiVector, w: MukaiVector) -> ChiResult:
     return _evaluate(_chi_arbitrary_det, v, w)
 
 
-def _chi_arbitrary_det(v: VectorData, w: VectorData, binomial, inputs) -> ChiResult:
+def _chi_arbitrary_det(v: VectorData, w: VectorData, inputs) -> ChiResult:
     dv_, dw_ = v.d, w.d
     if dw_ == 0:
         cross = {}
         if dv_ >= 1:
-            generic = _albanese_value(dv_, 0, binomial)
+            generic = _albanese_value(dv_, 0)
             if generic != dv_:
                 raise FormulaError(
                     f"chi_arbitrary_det: generic value {generic} disagrees "
                     f"with the finite-fiber count {dv_}"
                 )
             cross = {"generic": generic}
-        return ChiResult("chi_arbitrary_det", Fraction(dv_), inputs, "special_dw0", cross)
+        return ChiResult("chi_arbitrary_det", dv_, inputs, "special_dw0", cross)
     if dv_ < 1:
         raise FormulaError(f"chi_arbitrary_det needs d_v >= 1 or d_w = 0, got d_v={dv_}")
-    return ChiResult("chi_arbitrary_det", _albanese_value(dv_, dw_, binomial), inputs)
+    return ChiResult("chi_arbitrary_det", _albanese_value(dv_, dw_), inputs)
 
 
 # the bodies behind chi_fixed_det, chi_fixed_fm_det and chi_arbitrary_det
@@ -273,20 +271,18 @@ _CLOSED_FORMS = (
 def closed_forms(v: VectorData, w: VectorData) -> tuple:
     """(chi_fixed_det, chi_fixed_fm_det, chi_arbitrary_det) of (v, w).
 
-    Runs the public evaluators' bodies and checks on one orthogonality test
-    and one dimension binomial; an entry is None where its evaluator raises
-    FormulaError.
+    Runs the public evaluators' bodies and checks on one orthogonality
+    test; an entry is None where its evaluator raises FormulaError.
     """
     try:
         _require_orthogonal(v.vector, w.vector)
     except FormulaError:
         return (None,) * len(_CLOSED_FORMS)
-    binomial = _dimension_binomial(v.d, w.d)
     inputs = _pair_inputs(v.vector, w.vector)
     results = []
     for body, *args in _CLOSED_FORMS:
         try:
-            results.append(body(v, w, binomial, inputs, *args))
+            results.append(body(v, w, inputs, *args))
         except FormulaError:
             results.append(None)
     return tuple(results)
@@ -306,7 +302,7 @@ def beauville_bogomolov(kc: KummerClass) -> int:
 def chi_from_bb(kc: KummerClass) -> ChiResult:
     """n * binom(B/2 + n - 1, n - 1); must equal chi_kummer."""
     b = beauville_bogomolov(kc)
-    value = _as_value(kc.n * binom(b // 2 + kc.n - 1, kc.n - 1))
+    value = kc.n * binom(b // 2 + kc.n - 1, kc.n - 1)
     result = ChiResult(
         "chi_from_bb", value, {"n": kc.n, "chiD": kc.chiD, "r": kc.r}, "generic",
         {"B": b},

@@ -542,7 +542,7 @@ def _check_assembly(identity_id, bundle_chi, theorem, base_is_dw, params) -> dic
     base, other = vector_dv(v), vector_dv(w)
     if base_is_dw:
         base, other = other, base
-    assembled = chi_albanese_fiber(base, other).value * chi_bundle / base**4
+    assembled = Fraction(chi_albanese_fiber(base, other).value) * chi_bundle / base**4
     return {identity_id: assembled - globals()[theorem](v, w).value}
 
 

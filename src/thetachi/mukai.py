@@ -16,7 +16,6 @@ Conventions (also printed by the CLI banner):
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import gcd
 
@@ -83,13 +82,6 @@ class MukaiVector:
             "chi": str(self.chi),
             "n": str(self.n),
         }
-
-    @staticmethod
-    def from_json(blob: str, side: str = SIDE_A) -> "MukaiVector":
-        data = json.loads(blob)
-        return MukaiVector(
-            int(data["r"]), int(data["k"]), int(data["chi"]), int(data["n"]), side
-        )
 
 
 def parse_vector(text: str, n: int, side: str = SIDE_A) -> MukaiVector:

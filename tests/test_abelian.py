@@ -30,7 +30,15 @@ from thetachi.abelian import (
     polarization_class,
     projection,
 )
-from thetachi.exterior import ExteriorClass, Space, exp_even, fiber_integrate, integrate, wedge
+from thetachi.exterior import (
+    ExteriorClass,
+    MorphismH1,
+    Space,
+    exp_even,
+    fiber_integrate,
+    integrate,
+    wedge,
+)
 from thetachi.poly import Poly
 
 
@@ -153,9 +161,8 @@ def decoded_terms(c):
 
 
 def test_mult_by_scales_each_degree():
-    from thetachi.abelian import mult_by
-
-    triple = mult_by(SP_A, 3)
+    # [N]* on H^1 multiplies every generator by N
+    triple = MorphismH1(SP_A, SP_A, [[(i, 3)] for i in range(SP_A.ngens)])
     pol = Polarization(1, 2)
     lam = polarization_class(SP_A, 0, pol)
     assert triple.pullback(lam) == lam.scaled(9)

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 import time
@@ -66,6 +67,30 @@ def test_value_past_digit_limit_exits_2(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"more than {limit} decimal digits" in err
     assert sys.get_int_max_str_digits() == limit  # left alone
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--n", "1", "--v", "1,0,-100000", "--w", "0,1000,0"),
+    ("eval", "--n", "1", "--v", "1,0,-1000000", "--w", "0,1000,0", "--theorem", "two"),
+    ("kummer", "--n", "200000", "--chiD", "600000", "--r", "0"),
+    ("kummer", "--n", "1000000", "--chiD", "3000000", "--r", "0"),
+    ("kummer", "--n", "1000000", "--chiD", "-5000000", "--r", "2"),  # negative top
+])
+def test_oversized_binomial_refused_before_it_is_built(capsys, monkeypatch, argv):
+    # building these binomials takes seconds to minutes, only for the value
+    # to be refused when printed; the refusal must come first
+    real_comb = math.comb
+
+    def comb(n, k):
+        if min(k, n - k) > 10_000:
+            raise AssertionError(f"math.comb built binom({n}, {k})")
+        return real_comb(n, k)
+
+    monkeypatch.setattr(math, "comb", comb)
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: a value has more than {limit} decimal digits and cannot be printed\n"
 
 
 def test_eval_non_orthogonal_past_digit_limit_exits_2(capsys):

@@ -309,10 +309,9 @@ def test_fubini_middle_factor_first(c):
 
 def test_homogeneity_and_degrees():
     mixed = ExteriorClass(A, {(): 1, (0, 1): 2})
-    assert not mixed.is_homogeneous()
     assert mixed.degrees() == (0, 2)
-    assert mixed.part(2).is_homogeneous()
-    assert ExteriorClass.zero(A).is_homogeneous()
+    assert mixed.part(2).degrees() == (2,)
+    assert ExteriorClass.zero(A).degrees() == ()
 
 
 def test_concurrent_use_is_safe():

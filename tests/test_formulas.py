@@ -1,10 +1,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from thetachi import identities
+from thetachi.abelian import SP_A, Polarization, hat_of, lambda_hat, polarization_class
 from thetachi.formulas import (
     FormulaError,
     KummerClass,
+    VectorData,
     beauville_bogomolov,
     binom,
     chi_albanese_fiber,
@@ -15,9 +20,10 @@ from thetachi.formulas import (
     chi_hilbert,
     chi_k3_reference,
     chi_kummer,
+    closed_forms,
     etale_cover_residual,
 )
-from thetachi.mukai import MukaiVector, dv, euler_chi_tensor
+from thetachi.mukai import MukaiVector, c1_tensor, dv, euler_chi_tensor, fm_vector
 from thetachi.poly import Poly
 
 
@@ -227,3 +233,130 @@ def test_non_integral_values_survive_exactly():
     res = ChiResult("probe", Fraction(10, 3), {})
     assert not res.integral
     assert res.to_json_dict()["value"] == "10/3"
+
+
+# -- the closed forms as integer binomial sums --------------------------------
+
+
+def test_tensor_squares_are_binomial_weights_symbolically():
+    """On chi(v (x) w) = 0, c1(v (x) w)^2/2 = r^2 d_w + r'^2 d_v and
+    c1(v_hat (x) w_hat)^2/2 = chi^2 d_w + chi'^2 d_v: the identities that
+    turn (1/2) c1^2/d * binom(d, d_v) into the binomial sums the evaluators
+    compute.  Proved with a general lambda' and chi' eliminated; attaching
+    each weight to the other binomial must leave a nonzero residual."""
+    p = identities._ORTHOGONAL_SPEC.symbolic_params()
+    r, rp, chi, chip = p["r"], p["rp"], p["chi"], p["chip"]
+    pol = Polarization(p["d"], p["e"])
+    lam, lamp = polarization_class(SP_A, 0, pol), identities._alpha_class(p)
+    d_v = identities._half_square(lam) - r * chi
+    d_w = identities._half_square(lamp) - rp * chip
+    half_square = identities._half_square(lamp.scaled(r) + lam.scaled(rp))
+    half_square_hat = identities._half_square(
+        hat_of(lamp).scaled(chi) + lambda_hat(pol).scaled(chip)
+    )
+
+    def residual(label, value):
+        return identities._first_nonzero({label: value}, p["constraint"])
+
+    assert residual("main", half_square - (r * r * d_w + rp * rp * d_v)) == "0"
+    assert residual("two", half_square_hat - (chi * chi * d_w + chip * chip * d_v)) == "0"
+    # negative control: the binomials swapped
+    assert residual("main", half_square - (r * r * d_v + rp * rp * d_w)) != "0"
+    assert residual("two", half_square_hat - (chi * chi * d_v + chip * chip * d_w)) != "0"
+
+
+def reference_closed_forms(v, w) -> tuple:
+    """(main, two, three) by the rational expressions the binomial sums
+    replaced: (1/2) c1^2 * binom(d, d_v)/d and d_v^2 * binom(d, d_v)/d, the
+    degenerate d_w = 0 value d_v of theorem three, None where undefined."""
+    dv_, dw_ = dv(v), dv(w)
+    total = dv_ + dw_
+    main = two = three = None
+    if dv_ >= 0 and dw_ >= 0 and total > 0:
+        binomial = Fraction(binom(total, dv_), total)
+        main = Fraction(c1_tensor(v, w).square(), 2) * binomial
+        two = Fraction(c1_tensor(fm_vector(v), fm_vector(w)).square(), 2) * binomial
+        if dv_ >= 1:
+            three = dv_**2 * binomial
+    if dw_ == 0:
+        three = dv_
+    return main, two, three
+
+
+def _evaluate_or_none(evaluator, v, w):
+    try:
+        return evaluator(v, w)
+    except FormulaError:
+        return None
+
+
+_EVALUATORS = (("main", chi_fixed_det), ("two", chi_fixed_fm_det), ("three", chi_arbitrary_det))
+
+
+def check_against_reference(v, w) -> set:
+    """Assert the int evaluators and closed_forms equal the reference on
+    (v, w); return the "theorem:branch" outcomes reached, "undef" for None."""
+    rows = closed_forms(VectorData.of(v), VectorData.of(w))
+    reached = set()
+    for (tag, evaluator), row, expected in zip(_EVALUATORS, rows, reference_closed_forms(v, w)):
+        result = _evaluate_or_none(evaluator, v, w)
+        if expected is None:
+            assert result is None and row is None
+            reached.add(f"{tag}:undef")
+            continue
+        assert type(result.value) is int and result.value == expected
+        assert (row.value, row.branch, row.cross_check) == (
+            result.value, result.branch, result.cross_check
+        )
+        reached.add(f"{tag}:{result.branch}")
+    return reached
+
+
+@st.composite
+def orthogonal_pairs(draw):
+    """(v, w) with chi(v (x) w) = 0: w is an integer combination of the
+    three cross products that span the kernel of w -> chi(v (x) w)."""
+    n = draw(st.integers(1, 3))
+    r, k, chi = draw(st.integers(-3, 6)), draw(st.integers(-4, 4)), draw(st.integers(-9, 9))
+    s, t, u = (draw(st.integers(-2, 2)) for _ in range(3))
+    w = (s * 2 * n * k + t * r, -s * chi + u * r, -t * chi - u * 2 * n * k)
+    v, w = MukaiVector(r, k, chi, n), MukaiVector(*w, n)
+    assert euler_chi_tensor(v, w) == 0
+    return v, w
+
+
+@given(orthogonal_pairs())
+def test_int_closed_forms_match_rational_reference(pair):
+    check_against_reference(*pair)
+
+
+def test_reference_oracle_reaches_every_branch():
+    pairs = [
+        (V1, w_family(3)),  # generic
+        (MukaiVector(2, 1, 1, 2), MukaiVector(2, 1, -3, 2)),  # d_v = 0
+        (MukaiVector(2, 1, -3, 2), MukaiVector(2, 1, 1, 2)),  # d_w = 0
+        (MukaiVector(1, 1, 1, 1), MukaiVector(1, -1, 1, 1)),  # d_v = d_w = 0
+        (MukaiVector(1, 0, 5, 1), MukaiVector(1, 1, -5, 1)),  # d_v < 0
+    ]
+    reached = set().union(*(check_against_reference(v, w) for v, w in pairs))
+    assert reached >= {
+        f"{tag}:{branch}"
+        for tag in ("main", "two")
+        for branch in ("generic", "special_dv0", "special_dw0", "undef")
+    } | {"three:generic", "three:special_dw0", "three:undef"}
+
+
+@given(orthogonal_pairs())
+def test_closed_form_symmetries(pair):
+    v, w = pair
+    values = [
+        None if result is None else result.value
+        for result in (
+            _evaluate_or_none(chi_fixed_det, v, w),
+            _evaluate_or_none(chi_fixed_det, w, v),
+            _evaluate_or_none(chi_fixed_fm_det, v, w),
+            _evaluate_or_none(chi_fixed_det, fm_vector(v), fm_vector(w)),
+        )
+    ]
+    assert values[0] == values[1]
+    assert values[2] == values[3]

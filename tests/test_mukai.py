@@ -1,5 +1,3 @@
-import json
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -148,8 +146,7 @@ def test_text_and_json_round_trip():
     v = parse_vector(" 2, -3 , 5", 4)
     assert v == MukaiVector(2, -3, 5, 4)
     assert v.text() == "2,-3,5"
-    blob = json.dumps(v.to_json_dict())
-    assert MukaiVector.from_json(blob) == v
+    assert v.to_json_dict() == {"r": "2", "k": "-3", "chi": "5", "n": "4"}
     with pytest.raises(ValueError):
         parse_vector("1,2", 1)
     with pytest.raises(ValueError):
