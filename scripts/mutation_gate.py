@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Mutation gate: the test suite must catch drift in each sign convention,
 bitset or contraction kernel, table of basis images, partner-search
-branch and closed-form binomial sum listed in MUTANTS.
+branch, closed-form binomial sum and the dimension invariant d_v listed
+in MUTANTS.
 
 Copies the repository into a temporary directory and runs the Tier-1 suite
 there, under the Hypothesis profile "gate" (no shrinking), first unmutated
@@ -49,7 +50,10 @@ MUTANTS = (
     ("PHI_HAT_SIGN = -1", "src/thetachi/abelian.py",
      "PHI_HAT_SIGN = 1\n", "PHI_HAT_SIGN = -1\n"),
     ("fm_vector middle sign", "src/thetachi/mukai.py",
-     "MukaiVector(v.chi, -v.k, v.r, v.n, other)", "MukaiVector(v.chi, v.k, v.r, v.n, other)"),
+     "MukaiVector(v.chi, -v.k, v.r, v.n, _OTHER_SIDE[v.side])",
+     "MukaiVector(v.chi, v.k, v.r, v.n, _OTHER_SIDE[v.side])"),
+    ("d_v sign of r chi", "src/thetachi/mukai.py",
+     "- self.r * self.chi", "+ self.r * self.chi"),
     ("exp_even factorial", "src/thetachi/exterior.py",
      "factorial *= k", "factorial *= 1"),
     ("Poly guard test removed", "src/thetachi/poly.py",

@@ -1,13 +1,13 @@
 """Atlas for a polarized abelian surface and its dual.
 
-Names the standard spaces (A, Ah, AxA, AxAh, AxAxAh, AxAhxAh, AhxAh and
-the reversed AhxA) as ``SP_*`` constants, each just its tuple of factor
-kinds, so a pushforward from AxA lands on ``SP_A`` itself.  Builds the
-named classes (polarization, point class, Poincare class), the morphism
-library (addition and scaled addition, multiplication by N, the
-polarization morphisms in both directions and their products), and the
-cohomological Fourier-Mukai transform, a fixed linear map applied through
-the cached transforms of the basis monomials.
+Names the standard spaces (A, Ah, AxA, AxAh, AxAxAh, AxAhxAh, AhxAh) as
+``SP_*`` constants, each just its tuple of factor kinds, so a pushforward
+from AxA lands on ``SP_A`` itself.  Builds the named classes
+(polarization, point class, Poincare class), the morphism library
+(addition and scaled addition, multiplication by N, the polarization
+morphisms in both directions and their products), and the cohomological
+Fourier-Mukai transform, a fixed linear map applied through the cached
+transforms of the basis monomials: one table serves both directions.
 
 Conventions pinned here and enforced by the regression tests:
 
@@ -50,7 +50,6 @@ SP_A = Space(("A",))
 SP_AH = Space(("Ah",))
 SP_AxA = Space(("A", "A"))
 SP_AxAH = Space(("A", "Ah"))
-SP_AHxA = Space(("Ah", "A"))
 SP_AxAxAH = Space(("A", "A", "Ah"))
 SP_AxAHxAH = Space(("A", "Ah", "Ah"))
 SP_AHxAH = Space(("Ah", "Ah"))
@@ -208,18 +207,12 @@ M_AxA = addition(SP_AxA, 0, 1, SP_A)
 P1_AxA = projection(SP_AxA, (0,), SP_A)
 P2_AxA = projection(SP_AxA, (1,), SP_A)
 P1_AxAH = projection(SP_AxAH, (0,), SP_A)
-P1_AHxA = projection(SP_AHxA, (0,), SP_AH)
 C1_P = poincare_class(SP_AxAH, 0, 1)
+FM_KERNEL = exp_even(C1_P)  # exp(c1(P)), the Fourier-Mukai kernel
 OMEGA = point_class(SP_A, 0)
 
 
 # -- Fourier-Mukai transform --------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _fm_kernel(reverse: bool) -> ExteriorClass:
-    sp = SP_AHxA if reverse else SP_AxAH
-    return exp_even(poincare_class(sp, 0, 1))
 
 
 def fm_transform(c: ExteriorClass) -> ExteriorClass:
@@ -228,36 +221,38 @@ def fm_transform(c: ExteriorClass) -> ExteriorClass:
     Computes the fiber integral over A of (pullback of c) ^ exp(c1(P)).
     Degree 0 goes to degree 4, degree 4 to degree 0, degree 2 to degree 2.
     """
-    return _transform(c, "fm_transform", False)
+    return _transform(c, "fm_transform", SP_A, SP_AH)
 
 
 def fm_transform_back(c: ExteriorClass) -> ExteriorClass:
     """Transform with the transposed Poincare kernel, from Ah back to A."""
-    return _transform(c, "fm_transform_back", True)
+    return _transform(c, "fm_transform_back", SP_AH, SP_A)
 
 
 @lru_cache(maxsize=None)
-def _transform_image(reverse: bool, key: int) -> tuple:
+def _transform_image(key: int) -> tuple:
     """Transform of the basis monomial ``key``, as ``((key, int), ...)``.
 
+    Serves both directions.  A space is only its kinds, and the Poincare
+    class sums generator i of one factor times generator i of the other,
+    so the transposed kernel on AhxA has the same bitset terms as exp(c1(P))
+    on AxAh, and the image of a monomial is the same bitset either way.
     Both factors of the product are even, so they commute; the small
     pulled-back monomial goes second, where ``pushforward`` groups its terms.
     """
-    p1 = P1_AHxA if reverse else P1_AxAH
-    basis = ExteriorClass._of(p1.target, {key: 1})
-    return tuple(pushforward(_fm_kernel(reverse), p1.pullback(basis), 0).terms.items())
+    basis = ExteriorClass._of(SP_A, {key: 1})
+    return tuple(pushforward(FM_KERNEL, P1_AxAH.pullback(basis), 0).terms.items())
 
 
-def _transform(c: ExteriorClass, name: str, reverse: bool) -> ExteriorClass:
+def _transform(c: ExteriorClass, name: str, source: Space, target: Space) -> ExteriorClass:
     """Sum over the terms of c of coefficient times the basis image.
 
     Exact: the pullback and the pushforward against the fixed kernel are
     both linear over the scalar ring, so the transform of c is the
     coefficient-weighted sum of the transforms of its monomials, and the
     kernel's coefficients are ints, so the images carry no rounding and no
-    scalar type of their own.  Each image is computed once per direction.
+    scalar type of their own.  Each image is computed once.
     """
-    source, target = (SP_AH, SP_A) if reverse else (SP_A, SP_AH)
     if c.space != source:
         raise ValueError(f"{name} expects a class on the {source.kinds[0]} space")
     for deg in c.degrees():
@@ -266,14 +261,14 @@ def _transform(c: ExteriorClass, name: str, reverse: bool) -> ExteriorClass:
     out: dict = {}
     get = out.get
     for key, coeff in c.terms.items():
-        for image_key, a in _transform_image(reverse, key):
+        for image_key, a in _transform_image(key):
             out[image_key] = get(image_key, 0) + coeff * a
     return ExteriorClass._of(target, out)
 
 
 def lambda_hat(pol: Polarization) -> ExteriorClass:
     """Degree-two part of fm(lambda); equals -(d f3^f4 + e f1^f2)."""
-    return fm_transform(polarization_class(SP_A, 0, pol)).part(2)
+    return hat_of(polarization_class(SP_A, 0, pol))
 
 
 def hat_of(c2: ExteriorClass) -> ExteriorClass:

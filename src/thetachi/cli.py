@@ -21,6 +21,7 @@ import sys
 from .formulas import (
     FormulaError,
     KummerClass,
+    binom_past_digit_limit,
     chi_arbitrary_det,
     chi_fixed_det,
     chi_fixed_fm_det,
@@ -36,8 +37,8 @@ from .identities import (
     run_suite,
     suite_passed,
 )
-from .mukai import check_assumptions, dv, euler_chi_tensor, parse_vector
-from .pairs import enumerate_rows, rows_to_csv, rows_to_json
+from .mukai import check_assumptions, euler_chi_tensor, parse_vector
+from .pairs import DigitLimitError, enumerate_rows, rows_to_csv, rows_to_json
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -65,6 +66,7 @@ def _fail_usage(message: str) -> int:
 
 
 _PRINT_REFUSAL = "a value has {} and cannot be printed"
+_WRITE_REFUSAL = "a value has {} and cannot be written"
 
 
 def _refuse_digits(refusal: str) -> int:
@@ -86,20 +88,6 @@ def _format(build, refusal: str):
     except ValueError:
         _refuse_digits(refusal)
         return None
-
-
-def _binomial_past_digit_limit(top: int, k: int) -> bool:
-    """Whether binom(top, k), 0 <= k, 0 <= top, has provably too many digits
-    to print, decided before ``math.comb`` spends the time to build it.
-
-    binom(m, j) >= (m/j)^j with j = min(k, m - k) gives at least
-    j * floor(log2(m // j)) bits, from integer arithmetic only.  A value of
-    more than 4 * limit bits has more than ``limit`` decimal digits, since
-    log10(2) > 1/4.  A limit of 0 means no limit.
-    """
-    limit = sys.get_int_max_str_digits()
-    j = min(k, top - k)
-    return limit > 0 and j > 0 and j * ((top // j).bit_length() - 1) > 4 * limit
 
 
 def _emit(build) -> int:
@@ -124,10 +112,10 @@ def cmd_eval(args) -> int:
             "vectors are not orthogonal: chi(v (x) w) has {} (must be 0)",
         )
         return EXIT_USAGE if message is None else _fail_usage(message)
-    d_v, d_w = dv(v), dv(w)
+    d_v, d_w = v.d, w.d
     # for d_v, d_w >= 1 every value printed is at least binom(d-1, min-1);
     # past the digit limit nothing is evaluated and _emit's refusal is given
-    oversized = min(d_v, d_w) >= 1 and _binomial_past_digit_limit(
+    oversized = min(d_v, d_w) >= 1 and binom_past_digit_limit(
         d_v + d_w - 1, min(d_v, d_w) - 1
     )
     results = {}
@@ -182,9 +170,12 @@ def cmd_enumerate(args) -> int:
             f"the box has {volume} cells, (max-rank+1)(2 max-k+1)(2 max-chi+1); "
             f"at most {MAX_BOX_VOLUME} are allowed"
         )
-    rows, summary = enumerate_rows(args.n, args.max_rank, args.max_k, args.max_chi)
+    try:
+        rows, summary = enumerate_rows(args.n, args.max_rank, args.max_k, args.max_chi)
+    except DigitLimitError:
+        return _refuse_digits(_WRITE_REFUSAL)
     to_text = rows_to_csv if args.format == "csv" else rows_to_json
-    text = _format(lambda: to_text(rows, summary), "a value has {} and cannot be written")
+    text = _format(lambda: to_text(rows, summary), _WRITE_REFUSAL)
     if text is None:
         return EXIT_USAGE
     try:
@@ -226,7 +217,7 @@ def cmd_kummer(args) -> int:
     # the Kummer value prints n times this binomial; a negative top reflects
     # as binom(a, k) = (-1)^k binom(k - a - 1, k)
     top, k = kc.top, args.n - 1
-    if _binomial_past_digit_limit(top if top >= 0 else k - top - 1, k):
+    if binom_past_digit_limit(top if top >= 0 else k - top - 1, k):
         return _refuse_digits(_PRINT_REFUSAL)
     kummer = chi_kummer(kc)
     hilbert = chi_hilbert(args.n, args.chiD, args.r)

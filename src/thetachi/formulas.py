@@ -4,22 +4,27 @@ On the orthogonality locus the closed forms (1/2) c1^2/d * binom(d, d_v)
 and d_v^2/d * binom(d, d_v), d = d_v + d_w, are integer sums of
 binom(d-1, d_w-1) and binom(d-1, d_v-1), and are evaluated as such; with
 binom(m, -1) = 0 the degenerate d_v = 0 and d_w = 0 fibers fall out of
-the same sums.  Every value is an int except chi_hilbert's, which carries
-chi(D)/n; nothing is ever rounded.  The binomial coefficient is the product-formula polynomial in
-its top argument, so negative (or symbolic) tops are fine; this is the
-extension that matches the Riemann-Roch polynomials the closed forms
-abbreviate.  Integer tops are evaluated by ``math.comb`` (with the
-reflection formula for negative tops), so a large top with a large bottom
-index stays fast.
+the same sums.  The theta evaluators take two ``MukaiVector``s and read
+only r, chi and the stored d_v (``v.d``) from each; ``closed_forms`` runs
+the three of them on one orthogonality check, as ``pairs`` does per row.
+Every value is an int except chi_hilbert's, which carries chi(D)/n;
+nothing is ever rounded.  The binomial coefficient is the product-formula
+polynomial in its top argument, so negative (or symbolic) tops are fine;
+this is the extension that matches the Riemann-Roch polynomials the
+closed forms abbreviate.  Integer tops are evaluated by ``math.comb``
+(with the reflection formula for negative tops), so a large top with a
+large bottom index stays fast; ``binom_past_digit_limit`` tells from the
+arguments alone when a binomial would be too long to print.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .mukai import MukaiVector, dv, euler_chi_tensor
+from .mukai import MukaiVector, euler_chi_tensor
 from .poly import scalar_div
 
 
@@ -41,6 +46,20 @@ def binom(a, b: int):
     for i in range(b):
         prod = prod * (a - i)
     return scalar_div(prod, math.factorial(b))
+
+
+def binom_past_digit_limit(top: int, k: int) -> bool:
+    """Whether binom(top, k), 0 <= k, 0 <= top, has provably too many digits
+    to print, decided before ``math.comb`` spends the time to build it.
+
+    binom(m, j) >= (m/j)^j with j = min(k, m - k) gives at least
+    j * floor(log2(m // j)) bits, from integer arithmetic only.  A value of
+    more than 4 * limit bits has more than ``limit`` decimal digits, since
+    log10(2) > 1/4.  A limit of 0 means no limit.
+    """
+    limit = sys.get_int_max_str_digits()
+    j = min(k, top - k)
+    return limit > 0 and j > 0 and j * ((top // j).bit_length() - 1) > 4 * limit
 
 
 @dataclass(frozen=True)
@@ -83,31 +102,8 @@ def _require_orthogonal(v: MukaiVector, w: MukaiVector):
         )
 
 
-@dataclass(frozen=True)
-class VectorData:
-    """A vector with what the closed forms read from it alone: d_v.
-
-    A caller that pairs one vector with many partners
-    (``pairs.enumerate_rows``) builds this once per vector.
-    """
-
-    vector: MukaiVector
-    d: int
-
-    @classmethod
-    def of(cls, v: MukaiVector) -> "VectorData":
-        return cls(v, dv(v))
-
-
 def _pair_inputs(v: MukaiVector, w: MukaiVector) -> dict:
     return {"v": v.text(), "w": w.text(), "n": v.n}
-
-
-def _evaluate(body, v: MukaiVector, w: MukaiVector, *args) -> ChiResult:
-    """One closed form for one orthogonal pair of plain vectors."""
-    _require_orthogonal(v, w)
-    vd, wd = VectorData.of(v), VectorData.of(w)
-    return body(vd, wd, _pair_inputs(v, w), *args)
 
 
 def chi_fixed_det(v: MukaiVector, w: MukaiVector) -> ChiResult:
@@ -118,7 +114,8 @@ def chi_fixed_det(v: MukaiVector, w: MukaiVector) -> ChiResult:
     When d_v = 0 the moduli space is r_v^2 reduced points and the generic
     value must agree with r_v^2 (symmetrically for d_w = 0 with r_w^2).
     """
-    return _evaluate(_chi_tensor_square, v, w, "chi_fixed_det", False)
+    _require_orthogonal(v, w)
+    return _chi_tensor_square(v, w, _pair_inputs(v, w), "chi_fixed_det", v.r**2, w.r**2, "r^2")
 
 
 def chi_fixed_fm_det(v: MukaiVector, w: MukaiVector) -> ChiResult:
@@ -127,22 +124,21 @@ def chi_fixed_fm_det(v: MukaiVector, w: MukaiVector) -> ChiResult:
 
     The d = 0 special fibers consist of chi^2 points instead of r^2.
     """
-    return _evaluate(_chi_tensor_square, v, w, "chi_fixed_fm_det", True)
+    _require_orthogonal(v, w)
+    return _chi_tensor_square(
+        v, w, _pair_inputs(v, w), "chi_fixed_fm_det", v.chi**2, w.chi**2, "chi^2"
+    )
 
 
-def _chi_tensor_square(v: VectorData, w: VectorData, inputs,
-                       formula_id: str, transform: bool) -> ChiResult:
+def _chi_tensor_square(v: MukaiVector, w: MukaiVector, inputs, formula_id: str,
+                       special_v: int, special_w: int, special_name: str) -> ChiResult:
+    """special_v binom(d-1, d_w-1) + special_w binom(d-1, d_v-1), where
+    ``special_name`` (r^2 or chi^2) names the degenerate-fiber counts."""
     dv_, dw_ = v.d, w.d
     if dv_ < 0 or dw_ < 0:
         raise FormulaError(f"negative dimension invariant: d_v={dv_}, d_w={dw_}")
     if dv_ + dw_ == 0:
         raise FormulaError("d_v + d_w = 0: both moduli degenerate")
-    if transform:
-        special_v, special_w = v.vector.chi**2, w.vector.chi**2
-        special_name = "chi^2"
-    else:
-        special_v, special_w = v.vector.r**2, w.vector.r**2
-        special_name = "r^2"
     # c1^2/2 = special_v d_w + special_w d_v on the orthogonality locus.
     # binom refuses a negative lower index, so binom(d-1, -1) = 0 is taken
     # here; binom(d-1, d_w-1) = binom(d-1, d_v-1) d_w/d_v spares a binom.
@@ -239,10 +235,11 @@ def chi_arbitrary_det(v: MukaiVector, w: MukaiVector) -> ChiResult:
     d_w = 0 the partner moduli space is a finite set and the value is d_v;
     both branches are evaluated and must agree where both are defined.
     """
-    return _evaluate(_chi_arbitrary_det, v, w)
+    _require_orthogonal(v, w)
+    return _chi_arbitrary_det(v, w, _pair_inputs(v, w))
 
 
-def _chi_arbitrary_det(v: VectorData, w: VectorData, inputs) -> ChiResult:
+def _chi_arbitrary_det(v: MukaiVector, w: MukaiVector, inputs) -> ChiResult:
     dv_, dw_ = v.d, w.d
     if dw_ == 0:
         cross = {}
@@ -260,32 +257,31 @@ def _chi_arbitrary_det(v: VectorData, w: VectorData, inputs) -> ChiResult:
     return ChiResult("chi_arbitrary_det", _albanese_value(dv_, dw_), inputs)
 
 
-# the bodies behind chi_fixed_det, chi_fixed_fm_det and chi_arbitrary_det
-_CLOSED_FORMS = (
-    (_chi_tensor_square, "chi_fixed_det", False),
-    (_chi_tensor_square, "chi_fixed_fm_det", True),
-    (_chi_arbitrary_det,),
-)
+def _defined(body, *args):
+    """body(*args), or None where it raises FormulaError."""
+    try:
+        return body(*args)
+    except FormulaError:
+        return None
 
 
-def closed_forms(v: VectorData, w: VectorData) -> tuple:
+def closed_forms(v: MukaiVector, w: MukaiVector) -> tuple:
     """(chi_fixed_det, chi_fixed_fm_det, chi_arbitrary_det) of (v, w).
 
     Runs the public evaluators' bodies and checks on one orthogonality
     test; an entry is None where its evaluator raises FormulaError.
     """
     try:
-        _require_orthogonal(v.vector, w.vector)
+        _require_orthogonal(v, w)
     except FormulaError:
-        return (None,) * len(_CLOSED_FORMS)
-    inputs = _pair_inputs(v.vector, w.vector)
-    results = []
-    for body, *args in _CLOSED_FORMS:
-        try:
-            results.append(body(v, w, inputs, *args))
-        except FormulaError:
-            results.append(None)
-    return tuple(results)
+        return None, None, None
+    inputs = _pair_inputs(v, w)
+    return (
+        _defined(_chi_tensor_square, v, w, inputs, "chi_fixed_det", v.r**2, w.r**2, "r^2"),
+        _defined(_chi_tensor_square, v, w, inputs, "chi_fixed_fm_det",
+                 v.chi**2, w.chi**2, "chi^2"),
+        _defined(_chi_arbitrary_det, v, w, inputs),
+    )
 
 
 def beauville_bogomolov(kc: KummerClass) -> int:

@@ -69,7 +69,7 @@ from .exterior import (
 )
 # the three theorem evaluators are looked up by name in _check_assembly
 from .formulas import chi_albanese_fiber, chi_arbitrary_det, chi_fixed_det, chi_fixed_fm_det  # noqa: F401
-from .mukai import MukaiVector, dv as vector_dv, euler_chi_tensor
+from .mukai import MukaiVector, euler_chi_tensor
 from .poly import Poly, eliminate_linear, scalar_div, scalar_is_zero
 
 
@@ -130,7 +130,7 @@ _CP_HALF_SQUARE = wedge(C1_P, C1_P) / 2
 # On AxAxAh: m12, p1 and p13*exp(c1(P)) of the two-parameter bundle.
 _M12 = addition(SP_AxAxAH, 0, 1, SP_A)
 _P1_AxAxAH = projection(SP_AxAxAH, (0,), SP_A)
-_P13_KERNEL = projection(SP_AxAxAH, (0, 2), SP_AxAH).pullback(ab._fm_kernel(False))
+_P13_KERNEL = projection(SP_AxAxAH, (0, 2), SP_AxAH).pullback(ab.FM_KERNEL)
 # On AxAhxAh: q1 and q12*c1(P) ^ q13*c1(P) of the double Poincare pushforward.
 _Q1 = projection(SP_AxAHxAH, (0,), SP_A)
 _Q_POINCARE = wedge(projection(SP_AxAHxAH, (0, 1), SP_AxAH).pullback(C1_P),
@@ -539,7 +539,7 @@ def _check_assembly(identity_id, bundle_chi, theorem, base_is_dw, params) -> dic
     """
     v, w, bundle = _assembly_inputs(params)
     chi_bundle = bundle_chi(*bundle)
-    base, other = vector_dv(v), vector_dv(w)
+    base, other = v.d, w.d
     if base_is_dw:
         base, other = other, base
     assembled = Fraction(chi_albanese_fiber(base, other).value) * chi_bundle / base**4
@@ -588,7 +588,7 @@ def _sample_vector_pair(rng, need_dw_positive: bool, need_k_nonzero: bool = Fals
         w = MukaiVector(rp, kp, chip, n)
         if euler_chi_tensor(v, w) != 0:
             continue
-        d_v, d_w = vector_dv(v), vector_dv(w)
+        d_v, d_w = v.d, w.d
         if d_v < 1 or d_w < 0 or (need_dw_positive and d_w < 1):
             continue
         return {

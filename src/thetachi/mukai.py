@@ -3,7 +3,8 @@
 Vectors are triples (rank, k, chi) with first Chern class k*H, where H is
 the ample generator with H^2 = 2n.  The pairing of x and y is
 ``2n kx ky - rx chi_y - chi_x ry``; half the self-pairing of v is the
-dimension invariant d_v.
+dimension invariant d_v = n k^2 - r chi, stored on a vector as ``v.d``;
+with r and chi it is all that the closed forms read from a vector.
 
 Conventions (also printed by the CLI banner):
 
@@ -11,7 +12,8 @@ Conventions (also printed by the CLI banner):
   represented by v = (1, 0, -n'), so d_v = n';
 * the Fourier-Mukai transform of (r, k, chi) is (chi, -k, r) in the basis
   given by the dual polarization H_hat = -lambda_hat(H); the closed form
-  is checked against the exterior-algebra engine transform.
+  is checked against the exterior-algebra engine transform, one code path
+  for both sides.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ class LatticeError(ValueError):
 
 SIDE_A = "A"
 SIDE_AH = "Ah"
+_OTHER_SIDE = {SIDE_A: SIDE_AH, SIDE_AH: SIDE_A}
 
 
 @dataclass(frozen=True)
@@ -64,6 +67,12 @@ class MukaiVector:
             raise ValueError("ambient n must be a positive integer")
         if self.side not in (SIDE_A, SIDE_AH):
             raise ValueError(f"side must be {SIDE_A!r} or {SIDE_AH!r}")
+        # d_v = n k^2 - r chi, half the self-pairing.  Not a field, so
+        # equality, hashing and repr ignore it and ``replace`` recomputes it.
+        # Set for every vector rather than cached on first read: a cache
+        # writes through ``__dict__``, which makes CPython's attribute reads
+        # on that vector several times slower.
+        object.__setattr__(self, "d", self.n * self.k * self.k - self.r * self.chi)
 
     @property
     def c1(self) -> NSClass:
@@ -84,13 +93,13 @@ class MukaiVector:
         }
 
 
-def parse_vector(text: str, n: int, side: str = SIDE_A) -> MukaiVector:
+def parse_vector(text: str, n: int) -> MukaiVector:
     """Parse "r,k,chi" with the ambient n supplied separately."""
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError(f"expected 'r,k,chi', got {text!r}")
     r, k, chi = (int(p.strip()) for p in parts)
-    return MukaiVector(r, k, chi, n, side)
+    return MukaiVector(r, k, chi, n)
 
 
 def _check_compatible(x: MukaiVector, y: MukaiVector):
@@ -107,9 +116,7 @@ def mukai_pairing(x: MukaiVector, y: MukaiVector) -> int:
 
 def dv(v: MukaiVector) -> int:
     """Half the self-pairing; always an integer here."""
-    pairing = mukai_pairing(v, v)
-    assert pairing % 2 == 0
-    return pairing // 2
+    return v.d
 
 
 def euler_chi_tensor(v: MukaiVector, w: MukaiVector) -> int:
@@ -132,33 +139,32 @@ def fm_vector(v: MukaiVector) -> MukaiVector:
     The sign of the middle component reflects the H_hat convention; it is
     validated componentwise against the engine transform.
     """
-    other = SIDE_AH if v.side == SIDE_A else SIDE_A
-    return MukaiVector(v.chi, -v.k, v.r, v.n, other)
+    return MukaiVector(v.chi, -v.k, v.r, v.n, _OTHER_SIDE[v.side])
+
+
+# Per side: its space, the name of the abelian transform leaving it (looked
+# up at call time), the class of H on it and the key of H's unit coefficient.
+_SIDES = {
+    SIDE_A: (SP_A, "fm_transform", abelian.polarization_class, (0, 1)),
+    SIDE_AH: (SP_AH, "fm_transform_back", abelian.dual_polarization_class, (2, 3)),
+}
 
 
 def fm_vector_via_engine(v: MukaiVector) -> MukaiVector:
-    """Engine oracle: transform r + k*lambda + chi*omega and read it back."""
+    """Engine oracle: transform r + k*H + chi*omega and read it back."""
     pol = Polarization(1, v.n)
-    if v.side == SIDE_A:
-        sp, transform = SP_A, abelian.fm_transform
-        c1 = abelian.polarization_class(sp, 0, pol)
-    else:
-        sp, transform = SP_AH, abelian.fm_transform_back
-        c1 = abelian.dual_polarization_class(sp, 0, pol)
-    cls = abelian.mukai_class(sp, 0, v.r, c1.scaled(v.k), v.chi)
-    image = transform(cls)
+    sp, transform, h_class, _ = _SIDES[v.side]
+    cls = abelian.mukai_class(sp, 0, v.r, h_class(sp, 0, pol).scaled(v.k), v.chi)
+    image = getattr(abelian, transform)(cls)
 
-    other = SIDE_AH if v.side == SIDE_A else SIDE_A
+    other = _OTHER_SIDE[v.side]
+    sp, _, h_class, h_key = _SIDES[other]
     r_hat = image.coefficient(())
     chi_hat = abelian.integrate(image)
-    if other == SIDE_AH:
-        generator = abelian.dual_polarization_class(SP_AH, 0, pol)
-    else:
-        generator = abelian.polarization_class(SP_A, 0, pol)
     two = image.part(2)
-    # solve two == k_hat * generator, requiring an exact integer match
-    k_hat = two.coefficient((2, 3)) if other == SIDE_AH else two.coefficient((0, 1))
-    if not isinstance(k_hat, int) or two != generator.scaled(k_hat):
+    # solve two == k_hat * H, requiring an exact integer match
+    k_hat = two.coefficient(h_key)
+    if not isinstance(k_hat, int) or two != h_class(sp, 0, pol).scaled(k_hat):
         raise LatticeError(f"transform of {v} left the rank-one lattice: {two}")
     if not isinstance(r_hat, int) or not isinstance(chi_hat, int):
         raise LatticeError(f"non-integer transform components for {v}")

@@ -9,9 +9,10 @@ r_v = 0 the pairing does not involve chi_w, so the whole column is a
 partner or none of it is.  Per r_w only the interval of k_w whose solved
 chi_w lies in the box is walked, so the cost follows the number of
 candidate partners, not the number of columns or of pairs of vectors.
-d_v and the transform are computed once per vector.  Each pair is
+d_v is computed once per vector (``MukaiVector.d``).  Each pair is
 tabulated with the three theta Euler characteristics and branch and
-integrality flags.
+integrality flags.  A pair whose values provably have more digits than
+``int`` -> ``str`` allows stops the scan before they are built.
 Output is deterministic: rows come out in the lexicographic order of their
 integer key, and every number is rendered as an exact decimal string.
 """
@@ -19,9 +20,10 @@ integer key, and every number is rendered as an exact decimal string.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
-from .formulas import ChiResult, VectorData, closed_forms
+from .formulas import ChiResult, binom_past_digit_limit, closed_forms
 from .mukai import MukaiVector, euler_chi_tensor, h2_vanishing_direction, is_positive, is_primitive
 
 CSV_COLUMNS = (
@@ -31,6 +33,10 @@ CSV_COLUMNS = (
 # flag tags of chi_main, chi_two, chi_three, and of the h2 direction
 _FORMULA_TAGS = ("main", "two", "three")
 _H2_FLAGS = {1: "h2_pos", 0: "h2_zero", -1: "h2_neg"}
+
+
+class DigitLimitError(ValueError):
+    """A pair's values provably have more digits than ``int`` -> ``str`` allows."""
 
 
 @dataclass(frozen=True)
@@ -89,7 +95,7 @@ def admissible_vectors(n: int, max_rank: int, max_k: int, max_chi: int):
     return out
 
 
-def build_row(v: VectorData, w: VectorData) -> PairRow:
+def build_row(v: MukaiVector, w: MukaiVector) -> PairRow:
     flags: list = []
     if v.d < 0:
         flags.append("dv_neg")
@@ -105,8 +111,8 @@ def build_row(v: VectorData, w: VectorData) -> PairRow:
             flags.append(f"{tag}_{result.branch}")
         if not result.integral:
             flags.append(f"nonintegral_{tag}")
-    flags.append(_H2_FLAGS[h2_vanishing_direction(v.vector, w.vector)])
-    return PairRow(v.vector, w.vector, v.d, w.d, *results, tuple(flags))
+    flags.append(_H2_FLAGS[h2_vanishing_direction(v, w)])
+    return PairRow(v, w, v.d, w.d, *results, tuple(flags))
 
 
 def _solutions(base: int, step: int, bound: int, max_k: int) -> range:
@@ -148,24 +154,31 @@ def enumerate_rows(n: int, max_rank: int, max_k: int, max_chi: int):
     """All ordered orthogonal pairs of admissible vectors in the box.
 
     Returns (rows, summary); rows are in sort_key order and the summary
-    carries the counts and the integrality audit.
+    carries the counts and the integrality audit.  Raises DigitLimitError at
+    the first pair whose values provably have more than
+    ``sys.get_int_max_str_digits()`` digits, before building them.
     """
     vectors = admissible_vectors(n, max_rank, max_k, max_chi)
-    data = [VectorData.of(v) for v in vectors]
+    # binom(m, j) < 2^m: no pair with d_v + d_w <= 4 * limit can be past it
+    small_d = 4 * sys.get_int_max_str_digits()
     columns: dict = {}
     for i, v in enumerate(vectors):
         columns.setdefault((v.r, v.k), []).append(i)
     position = {(v.r, v.k, v.chi): i for i, v in enumerate(vectors)}
     rows = []
     # v in box order, then each partner in box order: sort_key order
-    for v_data in data:
-        v = v_data.vector
+    for v in vectors:
         for j in _partners(v, (max_rank, max_k, max_chi), columns, position):
             w = vectors[j]
             # the search solved for w; a pair off the pairing is a search bug
             if euler_chi_tensor(v, w) != 0:
                 raise AssertionError(f"partner search paired {v.text()} with {w.text()}")
-            rows.append(build_row(v_data, data[j]))
+            # for d_v, d_w >= 1 the row holds d_v binom(d-1, d_v-1), the one
+            # binomial its closed forms build
+            if (v.d + w.d > small_d and v.d >= 1 and w.d >= 1
+                    and binom_past_digit_limit(v.d + w.d - 1, v.d - 1)):
+                raise DigitLimitError(f"the values of {v.text()} and {w.text()} are too long to print")
+            rows.append(build_row(v, w))
     violations = [
         row for row in rows
         if any(flag.startswith("nonintegral") for flag in row.flags)

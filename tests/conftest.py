@@ -23,26 +23,23 @@ settings.register_profile(
 settings.load_profile("deterministic")
 
 
-def _clear_transform_caches():
-    abelian._fm_kernel.cache_clear()
-    abelian._transform_image.cache_clear()
 
 
 @contextlib.contextmanager
 def _phi_hat_sign_flipped():
     abelian.PHI_HAT_SIGN = -1
-    _clear_transform_caches()
+    abelian._transform_image.cache_clear()
     try:
         yield
     finally:
         abelian.PHI_HAT_SIGN = 1
-        _clear_transform_caches()
+        abelian._transform_image.cache_clear()
 
 
 @pytest.fixture
 def phi_hat_minus():
     """Negative control: ``with phi_hat_minus(): ...`` runs its body with the
     dual-direction contraction sign corrupted (``PHI_HAT_SIGN = -1``) and
-    restores it after, clearing the cached transform kernel and basis images
-    on entry and exit."""
+    restores it after, clearing the cached transform basis images on entry
+    and exit."""
     return _phi_hat_sign_flipped

@@ -137,6 +137,31 @@ def test_enumerate_value_past_digit_limit_exits_2(tmp_path, fmt):
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_enumerate_stops_at_first_oversized_row(capsys, monkeypatch, tmp_path, fmt):
+    # 9,096 values of this box are past the digit limit; building all 17,991
+    # rows before refusing took seconds.  No binomial that j * floor(log2(m
+    # // j)) bits, j = min(k, m - k), already proves too long may be built.
+    limit = sys.get_int_max_str_digits()
+    real_comb = math.comb
+
+    def comb(n, k):
+        j = min(k, n - k)
+        if j > 0 and j * ((n // j).bit_length() - 1) > 4 * limit:
+            raise AssertionError(f"math.comb built binom({n}, {k})")
+        return real_comb(n, k)
+
+    monkeypatch.setattr(math, "comb", comb)
+    out_file = tmp_path / f"pairs.{fmt}"
+    code, out, err = run_cli(
+        capsys, "enumerate", "--n", "1000000000", "--max-rank", "1", "--max-k", "2",
+        "--max-chi", "999", "--out", str(out_file), "--format", fmt,
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: a value has more than {limit} decimal digits and cannot be written\n"
+    assert not out_file.exists()
+
+
 def test_eval_verbose_banner(capsys):
     code, _, err = run_cli(
         capsys, "eval", "--n", "1", "--v", "1,0,-1", "--w", "2,3,2", "--verbose"

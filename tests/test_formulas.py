@@ -9,7 +9,6 @@ from thetachi.abelian import SP_A, Polarization, hat_of, lambda_hat, polarizatio
 from thetachi.formulas import (
     FormulaError,
     KummerClass,
-    VectorData,
     beauville_bogomolov,
     binom,
     chi_albanese_fiber,
@@ -296,7 +295,7 @@ _EVALUATORS = (("main", chi_fixed_det), ("two", chi_fixed_fm_det), ("three", chi
 def check_against_reference(v, w) -> set:
     """Assert the int evaluators and closed_forms equal the reference on
     (v, w); return the "theorem:branch" outcomes reached, "undef" for None."""
-    rows = closed_forms(VectorData.of(v), VectorData.of(w))
+    rows = closed_forms(v, w)
     reached = set()
     for (tag, evaluator), row, expected in zip(_EVALUATORS, rows, reference_closed_forms(v, w)):
         result = _evaluate_or_none(evaluator, v, w)

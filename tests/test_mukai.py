@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -52,6 +54,21 @@ def test_dv_examples():
     assert dv(MukaiVector(1, 0, -1, 1)) == 1
     for k in range(-3, 4):
         assert dv(MukaiVector(2, k, 2, 1)) == k * k - 4
+
+
+@given(st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50),
+       st.integers(1, 9), st.sampled_from(("A", "Ah")))
+def test_d_is_half_the_self_pairing(r, k, chi, n, side):
+    # the pairing-based definition is the oracle for the stored d
+    v = MukaiVector(r, k, chi, n, side)
+    pairing = mukai_pairing(v, v)
+    assert pairing % 2 == 0
+    assert v.d == pairing // 2 == dv(v)
+    # d is not a field: equality, hash and repr ignore it, replace recomputes it
+    fresh = MukaiVector(r, k, chi, n, side)
+    assert v == fresh and hash(v) == hash(fresh) and repr(v) == repr(fresh)
+    assert "d" not in {f.name for f in dataclasses.fields(v)} | set(v.to_json_dict())
+    assert dataclasses.replace(v, chi=chi + 1).d == v.d - r
 
 
 def test_euler_chi_tensor_examples():

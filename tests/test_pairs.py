@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from thetachi.formulas import VectorData, chi_fixed_det
+from thetachi.formulas import chi_fixed_det
 from thetachi.mukai import MukaiVector
 from thetachi.pairs import (
     admissible_vectors,
@@ -13,10 +13,6 @@ from thetachi.pairs import (
     rows_to_csv,
     rows_to_json,
 )
-
-
-def row_of(v, w):
-    return build_row(VectorData.of(v), VectorData.of(w))
 
 
 def brute_pairs(n, max_rank, max_k, max_chi):
@@ -94,7 +90,7 @@ def test_rows_are_recomputable_and_sorted():
 
 def test_isotropic_pair_row_flags_undefined_values():
     # d_v = d_w = 0: the quotient formulas are outside their domain
-    row = row_of(MukaiVector(1, 1, 1, 1), MukaiVector(1, -1, 1, 1))
+    row = build_row(MukaiVector(1, 1, 1, 1), MukaiVector(1, -1, 1, 1))
     assert row.chi_main is None and row.chi_two is None
     assert "main_undef" in row.flags and "two_undef" in row.flags
     fields = row.csv_fields()
@@ -105,13 +101,13 @@ def test_isotropic_pair_row_flags_undefined_values():
 
 def test_negative_invariant_row_flags():
     # d_v = -5 with an orthogonal positive partner: flagged, not fabricated
-    row = row_of(MukaiVector(1, 0, 5, 1), MukaiVector(1, 1, -5, 1))
+    row = build_row(MukaiVector(1, 0, 5, 1), MukaiVector(1, 1, -5, 1))
     assert "dv_neg" in row.flags
     assert row.chi_main is None and "main_undef" in row.flags
 
 
 def test_special_branch_rows_flagged():
-    row = row_of(MukaiVector(2, 1, 1, 2), MukaiVector(2, 1, -3, 2))
+    row = build_row(MukaiVector(2, 1, 1, 2), MukaiVector(2, 1, -3, 2))
     assert "main_special_dv0" in row.flags
     assert "two_special_dv0" in row.flags
     assert row.chi_main.value == 4 and row.chi_two.value == 1
