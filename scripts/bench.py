@@ -1,0 +1,137 @@
+#!/usr/bin/env python3
+"""Paired benchmark record: ``perfbench/run.py --trace 0`` on two trees.
+
+Runs every workload on a base tree and a changed tree, ``PAIRS`` times
+each, alternating which tree runs first, and writes one JSON record with,
+per workload and side, the median and quartiles of the scaled ``wall_s``
+and the medians of the raw ``wall_s`` and of the scaled and raw
+``setup_s``, all in integer nanoseconds, plus ``ops_per_s``, ``peak_rss``
+in KiB, how many operations failed and how many pairs the change won on
+scaled ``wall_s``.  The record also holds the host-speed probe (median of
+five runs before and after, in ns, against its nominal time), the Python
+version, ``nproc``, and for each tree its HEAD commit and the git tree
+SHA of its ``src/`` as measured, which equals ``git rev-parse
+<commit>:src`` of the commit that holds that source.
+
+Usage:
+    python scripts/bench.py --base DIR --change DIR --out BENCH_<n>.json
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from statistics import median, quantiles
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("verify", "symbolic", "oracle", "enumerate")
+PAIRS = 10  # perfbench/README.md: ten or more runs per side
+SECONDS = 25  # BENCHMARK.json run_seconds
+SEED = 1
+NS = 1_000_000_000
+
+
+def git(tree: Path, *args, env=None) -> str:
+    done = subprocess.run(["git", "-C", str(tree), *args], capture_output=True,
+                          text=True, check=True, env=env)
+    return done.stdout.strip()
+
+
+def src_tree(tree: Path) -> str:
+    """Git tree SHA of ``tree/src`` as it is on disk, committed or not."""
+    with tempfile.TemporaryDirectory() as tmp:
+        env = dict(os.environ, GIT_INDEX_FILE=str(Path(tmp) / "index"))
+        git(tree, "add", "src", env=env)
+        return git(tree, "write-tree", "--prefix=src/", env=env)
+
+
+def run_once(tree: Path, workload: str) -> dict:
+    """One ``perfbench/run.py`` run in ``tree``; the values it recorded."""
+    path = tree / ".perfbench_out" / f"result-{workload}-s{SEED}-t0.json"
+    path.unlink(missing_ok=True)
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+         "--seconds", str(SECONDS), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True, check=False,
+    )
+    if done.returncode not in (0, 1):  # 1: some operation failed its gate
+        raise RuntimeError(f"perfbench/run.py failed in {tree}:\n{done.stderr}")
+    detail = json.loads(path.read_text(encoding="utf-8"))
+    metrics = {name: m["value"] for name, m in detail["result"]["metrics"].items()}
+    return {
+        "wall_ns": round(metrics["wall_s"] * NS),
+        "raw_wall_ns": round(detail["raw_wall_s"] * NS),
+        "setup_ns": round(metrics["setup_s"] * NS),
+        "raw_setup_ns": round(detail["raw_setup_s"] * NS),
+        "ops_per_s": round(metrics["ops_per_s"]),
+        "peak_rss_kib": round(metrics["peak_rss_mib"] * 1024),
+        "failed": detail["result"]["failed"],
+        "attempted": detail["result"]["attempted"],
+    }
+
+
+def summary(runs: list) -> dict:
+    wall = [run["wall_ns"] for run in runs]
+    q1, _, q3 = quantiles(wall, n=4) if len(wall) > 1 else (wall[0],) * 3
+    out = {"wall_ns": round(median(wall)), "wall_q1_ns": round(q1), "wall_q3_ns": round(q3)}
+    for key in ("raw_wall_ns", "setup_ns", "raw_setup_ns", "ops_per_s", "peak_rss_kib"):
+        out[key] = round(median(run[key] for run in runs))
+    out["failed"] = sum(run["failed"] for run in runs)
+    out["attempted"] = sum(run["attempted"] for run in runs)
+    out["runs_wall_ns"] = wall
+    return out
+
+
+def probe_ns(hostspeed) -> int:
+    return round(median(hostspeed.probe() for _ in range(5)) * NS)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import hostspeed
+
+    trees = {"base": args.base.resolve(), "change": args.change.resolve()}
+    record = {
+        "python": platform.python_version(),
+        "nproc": os.cpu_count(),
+        "seed": SEED,
+        "seconds": SECONDS,
+        "pairs": PAIRS,
+        "trees": {side: {"head": git(tree, "rev-parse", "HEAD"), "src_tree": src_tree(tree)}
+                  for side, tree in trees.items()},
+        "probe_nominal_ns": round(hostspeed.NOMINAL_S * NS),
+        "probe_before_ns": probe_ns(hostspeed),
+        "workloads": {},
+    }
+    for workload in WORKLOADS:
+        runs = {"base": [], "change": []}
+        for pair in range(PAIRS):
+            order = ("base", "change") if pair % 2 == 0 else ("change", "base")
+            for side in order:
+                runs[side].append(run_once(trees[side], workload))
+            print(workload, pair, {side: r[-1]["wall_ns"] for side, r in runs.items()},
+                  file=sys.stderr)
+        wins = sum(c["wall_ns"] < b["wall_ns"] for b, c in zip(runs["base"], runs["change"]))
+        record["workloads"][workload] = {
+            "base": summary(runs["base"]),
+            "change": summary(runs["change"]),
+            "change_wins_wall": wins,
+        }
+    record["probe_after_ns"] = probe_ns(hostspeed)
+    args.out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Mutation gate: the test suite must catch drift in each sign convention,
 bitset or contraction kernel, table of basis images, partner-search
-branch, closed-form binomial sum and the dimension invariant d_v listed
-in MUTANTS.
+branch, closed-form binomial sum, the dimension invariant d_v and the
+lane split of the numeric trials listed in MUTANTS.
 
 Copies the repository into a temporary directory and runs the Tier-1 suite
 there, under the Hypothesis profile "gate" (no shrinking), first unmutated
@@ -75,6 +75,9 @@ MUTANTS = (
     ("closed-form binomials swapped", "src/thetachi/formulas.py",
      "value = special_v * binom_w + special_w * binom_v",
      "value = special_v * binom_v + special_w * binom_w"),
+    ("lane split misaligned", "src/thetachi/identities.py",
+     "return value[i] if type(value) is Lanes else value",
+     "return value[i - 1] if type(value) is Lanes else value"),
 )
 
 _FAILED = re.compile(r"^(?:FAILED|ERROR) (tests/[^:\s]+)")

@@ -7,7 +7,8 @@ out the first factor of AxA lands on the same space as A.  Each factor
 contributes four anticommuting degree-one generators, named only for
 printing (the kind, numbered from 1 when it repeats: ``A1.f1v``).  An
 :class:`ExteriorClass` is a finite sum of monomials in those generators
-with scalar coefficients (``int``/``Fraction``/:class:`~thetachi.poly.Poly`).
+with scalar coefficients (``int``/``Fraction``/:class:`~thetachi.poly.Poly`,
+or :class:`~thetachi.poly.Lanes` for many numeric trials at once).
 
 A monomial is stored as an ``int`` bitset, bit i for generator i, so the
 monomial is the product of its generators in increasing index order (the
@@ -48,9 +49,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .poly import Poly, Scalar, normalize_scalar, scalar_div, scalar_is_zero
+from .poly import Lanes, Poly, Scalar, normalize_scalar, scalar_div, scalar_is_zero
 
 GENERATORS_PER_FACTOR = 4
+# what __add__ and __sub__ take as a multiple of the unit class
+_SCALARS = (int, Fraction, Poly, Lanes)
 
 
 class SpaceMismatch(ValueError):
@@ -206,7 +209,7 @@ class ExteriorClass:
             raise SpaceMismatch("classes live on different spaces")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
+        if isinstance(other, _SCALARS):
             other = ExteriorClass.unit(self.space, other)
         self._check(other)
         terms = dict(self.terms)
@@ -220,7 +223,7 @@ class ExteriorClass:
         return ExteriorClass._of(self.space, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
+        if isinstance(other, _SCALARS):
             other = ExteriorClass.unit(self.space, other)
         return self + (-other)
 

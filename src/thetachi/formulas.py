@@ -54,12 +54,12 @@ def binom_past_digit_limit(top: int, k: int) -> bool:
 
     binom(m, j) >= (m/j)^j with j = min(k, m - k) gives at least
     j * floor(log2(m // j)) bits, from integer arithmetic only.  A value of
-    more than 4 * limit bits has more than ``limit`` decimal digits, since
-    log10(2) > 1/4.  A limit of 0 means no limit.
+    b bits with 3 * b > 10 * limit has more than ``limit`` decimal digits,
+    since log10(2) > 3/10.  A limit of 0 means no limit.
     """
     limit = sys.get_int_max_str_digits()
     j = min(k, top - k)
-    return limit > 0 and j > 0 and j * ((top // j).bit_length() - 1) > 4 * limit
+    return limit > 0 and j > 0 and 3 * j * ((top // j).bit_length() - 1) > 10 * limit
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,8 @@ def chi_fixed_det(v: MukaiVector, w: MukaiVector) -> ChiResult:
     value must agree with r_v^2 (symmetrically for d_w = 0 with r_w^2).
     """
     _require_orthogonal(v, w)
-    return _chi_tensor_square(v, w, _pair_inputs(v, w), "chi_fixed_det", v.r**2, w.r**2, "r^2")
+    return _chi_tensor_square(v, w, _pair_inputs(v, w), "chi_fixed_det", v.r**2, w.r**2, "r^2",
+                              _row_binom(v.d, w.d))
 
 
 def chi_fixed_fm_det(v: MukaiVector, w: MukaiVector) -> ChiResult:
@@ -126,24 +127,36 @@ def chi_fixed_fm_det(v: MukaiVector, w: MukaiVector) -> ChiResult:
     """
     _require_orthogonal(v, w)
     return _chi_tensor_square(
-        v, w, _pair_inputs(v, w), "chi_fixed_fm_det", v.chi**2, w.chi**2, "chi^2"
+        v, w, _pair_inputs(v, w), "chi_fixed_fm_det", v.chi**2, w.chi**2, "chi^2",
+        _row_binom(v.d, w.d),
     )
 
 
+def _row_binom(dv_: int, dw_: int):
+    """binom(d-1, d_v-1), d = d_v + d_w: the one binomial of the closed forms.
+
+    binom refuses a negative lower index, so binom(d-1, -1) = 0 is taken
+    here.  None where no closed form is defined (d_v or d_w negative, or
+    d = 0), so nothing is built for a row that only raises.
+    """
+    if dv_ < 0 or dw_ < 0 or dv_ + dw_ == 0:
+        return None
+    return binom(dv_ + dw_ - 1, dv_ - 1) if dv_ else 0
+
+
 def _chi_tensor_square(v: MukaiVector, w: MukaiVector, inputs, formula_id: str,
-                       special_v: int, special_w: int, special_name: str) -> ChiResult:
+                       special_v: int, special_w: int, special_name: str,
+                       binom_v) -> ChiResult:
     """special_v binom(d-1, d_w-1) + special_w binom(d-1, d_v-1), where
-    ``special_name`` (r^2 or chi^2) names the degenerate-fiber counts."""
+    ``special_name`` (r^2 or chi^2) names the degenerate-fiber counts and
+    ``binom_v`` is ``_row_binom(d_v, d_w)``."""
     dv_, dw_ = v.d, w.d
     if dv_ < 0 or dw_ < 0:
         raise FormulaError(f"negative dimension invariant: d_v={dv_}, d_w={dw_}")
     if dv_ + dw_ == 0:
         raise FormulaError("d_v + d_w = 0: both moduli degenerate")
-    # c1^2/2 = special_v d_w + special_w d_v on the orthogonality locus.
-    # binom refuses a negative lower index, so binom(d-1, -1) = 0 is taken
-    # here; binom(d-1, d_w-1) = binom(d-1, d_v-1) d_w/d_v spares a binom.
-    d = dv_ + dw_
-    binom_v = binom(d - 1, dv_ - 1) if dv_ else 0
+    # c1^2/2 = special_v d_w + special_w d_v on the orthogonality locus;
+    # binom(d-1, d_w-1) = binom(d-1, d_v-1) d_w/d_v spares a binom.
     binom_w = binom_v * dw_ // dv_ if dv_ else 1
     value = special_v * binom_w + special_w * binom_v
     branch = "generic"
@@ -160,12 +173,13 @@ def _chi_tensor_square(v: MukaiVector, w: MukaiVector, inputs, formula_id: str,
     return ChiResult(formula_id, value, inputs, branch, cross)
 
 
-def _albanese_value(dv_: int, dw_: int) -> int:
+def _albanese_value(dv_: int, dw_: int, binom_v) -> int:
+    """d_v * binom_v, with ``binom_v`` = ``_row_binom(d_v, d_w)``."""
     if dv_ < 1:
         raise FormulaError(f"d_v must be at least 1, got {dv_}")
     if dw_ < 0:
         raise FormulaError(f"d_w must be nonnegative, got {dw_}")
-    return dv_ * binom(dv_ + dw_ - 1, dv_ - 1)
+    return dv_ * binom_v
 
 
 def chi_albanese_fiber(dv_: int, dw_: int) -> ChiResult:
@@ -175,7 +189,8 @@ def chi_albanese_fiber(dv_: int, dw_: int) -> ChiResult:
     Defined for d_v >= 1; at d_v = 1 the fiber is a point and the value
     is 1 regardless of d_w.
     """
-    return ChiResult("chi_albanese_fiber", _albanese_value(dv_, dw_), {"d_v": dv_, "d_w": dw_})
+    return ChiResult("chi_albanese_fiber", _albanese_value(dv_, dw_, _row_binom(dv_, dw_)),
+                     {"d_v": dv_, "d_w": dw_})
 
 
 @dataclass(frozen=True)
@@ -236,15 +251,15 @@ def chi_arbitrary_det(v: MukaiVector, w: MukaiVector) -> ChiResult:
     both branches are evaluated and must agree where both are defined.
     """
     _require_orthogonal(v, w)
-    return _chi_arbitrary_det(v, w, _pair_inputs(v, w))
+    return _chi_arbitrary_det(v, w, _pair_inputs(v, w), _row_binom(v.d, w.d))
 
 
-def _chi_arbitrary_det(v: MukaiVector, w: MukaiVector, inputs) -> ChiResult:
+def _chi_arbitrary_det(v: MukaiVector, w: MukaiVector, inputs, binom_v) -> ChiResult:
     dv_, dw_ = v.d, w.d
     if dw_ == 0:
         cross = {}
         if dv_ >= 1:
-            generic = _albanese_value(dv_, 0)
+            generic = _albanese_value(dv_, 0, binom_v)
             if generic != dv_:
                 raise FormulaError(
                     f"chi_arbitrary_det: generic value {generic} disagrees "
@@ -254,7 +269,7 @@ def _chi_arbitrary_det(v: MukaiVector, w: MukaiVector, inputs) -> ChiResult:
         return ChiResult("chi_arbitrary_det", dv_, inputs, "special_dw0", cross)
     if dv_ < 1:
         raise FormulaError(f"chi_arbitrary_det needs d_v >= 1 or d_w = 0, got d_v={dv_}")
-    return ChiResult("chi_arbitrary_det", _albanese_value(dv_, dw_), inputs)
+    return ChiResult("chi_arbitrary_det", _albanese_value(dv_, dw_, binom_v), inputs)
 
 
 def _defined(body, *args):
@@ -269,18 +284,21 @@ def closed_forms(v: MukaiVector, w: MukaiVector) -> tuple:
     """(chi_fixed_det, chi_fixed_fm_det, chi_arbitrary_det) of (v, w).
 
     Runs the public evaluators' bodies and checks on one orthogonality
-    test; an entry is None where its evaluator raises FormulaError.
+    test and one ``_row_binom``; an entry is None where its evaluator
+    raises FormulaError.
     """
     try:
         _require_orthogonal(v, w)
     except FormulaError:
         return None, None, None
     inputs = _pair_inputs(v, w)
+    binom_v = _row_binom(v.d, w.d)
     return (
-        _defined(_chi_tensor_square, v, w, inputs, "chi_fixed_det", v.r**2, w.r**2, "r^2"),
+        _defined(_chi_tensor_square, v, w, inputs, "chi_fixed_det", v.r**2, w.r**2, "r^2",
+                 binom_v),
         _defined(_chi_tensor_square, v, w, inputs, "chi_fixed_fm_det",
-                 v.chi**2, w.chi**2, "chi^2"),
-        _defined(_chi_arbitrary_det, v, w, inputs),
+                 v.chi**2, w.chi**2, "chi^2", binom_v),
+        _defined(_chi_arbitrary_det, v, w, inputs, binom_v),
     )
 
 

@@ -19,6 +19,15 @@ symbolic parameters and the seeded sampler are derived from it.  Only two
 numeric draws are bespoke, because they need a condition the symbolic
 proof does not impose: the d_w = 0 quotient locus of ``dw0_chern`` and the
 integral Mukai pairs of the ``assembly_*`` checks.
+
+``run_suite`` runs all numeric trials of a ``ParamSpec``-sampled identity
+as one lane pass: the trials' draws are zipped into ``Lanes`` parameters,
+the check runs once, and each residual is split back lane by lane into one
+report per trial, equal to what ``run_identity`` reports for that trial
+alone.  The bespoke draws stay per trial: ``dw0_chern`` branches on d_w,
+and ``assembly_*`` build integral ``MukaiVector``s and take a ``Fraction``
+of a value.
+
 Registry keys (sec4_table, ..., assembly_three) are the stable interface
 tokens used by the command-line ``verify --only`` filter.
 """
@@ -70,7 +79,7 @@ from .exterior import (
 # the three theorem evaluators are looked up by name in _check_assembly
 from .formulas import chi_albanese_fiber, chi_arbitrary_det, chi_fixed_det, chi_fixed_fm_det  # noqa: F401
 from .mukai import MukaiVector, euler_chi_tensor
-from .poly import Poly, eliminate_linear, scalar_div, scalar_is_zero
+from .poly import Lanes, Poly, eliminate_linear, scalar_div, scalar_is_zero
 
 
 class UnknownIdentity(KeyError):
@@ -607,6 +616,7 @@ class Identity:
     check: callable
     sample: callable
     symbolic_params: callable | None  # None: numeric-only identity
+    laned: bool  # numeric trials run as one lane pass (a ParamSpec draw)
 
 
 REGISTRY: dict = {}
@@ -619,6 +629,7 @@ def _register(identity_id, check, spec=None, sample=None):
         check,
         sample or spec.sample,
         spec.symbolic_params if spec is not None else None,
+        sample is None,
     )
 
 
@@ -686,14 +697,49 @@ def _on_locus(value, constraint):
     return value
 
 
+def _is_zero(value) -> bool:
+    return value.is_zero if isinstance(value, ExteriorClass) else scalar_is_zero(value)
+
+
 def _first_nonzero(residuals: dict, constraint) -> str:
     """"label: repr" of the first residual that is not exactly zero, else "0"."""
     for label, value in residuals.items():
         if constraint is not None:
             value = _on_locus(value, constraint)
-        if not (value.is_zero if isinstance(value, ExteriorClass) else scalar_is_zero(value)):
+        if not _is_zero(value):
             return f"{label}: {value!r}"
     return "0"
+
+
+def _lane(value, i: int):
+    """Lane i of a residual: the scalar or class a run of trial i alone holds."""
+    if isinstance(value, ExteriorClass):
+        return ExteriorClass._of(value.space, {k: _lane(c, i) for k, c in value.terms.items()})
+    return value[i] if type(value) is Lanes else value
+
+
+def _run_lanes(identity: Identity, samples: list) -> list:
+    """Numeric reports of ``samples``, in order, from one check on Lanes.
+
+    A residual that is zero in every lane is zero in each and is skipped;
+    the rest are split lane by lane and judged as ``run_identity`` judges
+    one trial.
+    """
+    params = {name: Lanes([p[name] for p in samples]) for name in samples[0]}
+    live = {label: value for label, value in identity.check(params).items()
+            if not _is_zero(value)}
+    reports = []
+    for trial, sample in enumerate(samples):
+        lanes = {label: _lane(value, trial) for label, value in live.items()}
+        reports.append(_report(identity.identity_id, "numeric", sample,
+                               _first_nonzero(lanes, None), trial))
+    return reports
+
+
+def _report(identity_id, mode, params, residual: str, trial) -> IdentityReport:
+    return IdentityReport(
+        identity_id, mode, _describe_instantiation(params), residual, residual == "0", trial
+    )
 
 
 def run_identity(identity_id: str, params: dict | None = None,
@@ -712,17 +758,17 @@ def run_identity(identity_id: str, params: dict | None = None,
             raise ValueError("numeric mode needs sampled parameters")
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    residual = _first_nonzero(identity.check(params), params.get("constraint"))
-    return IdentityReport(
-        identity_id, mode, _describe_instantiation(params), residual, residual == "0", trial
-    )
+    return _report(identity_id, mode, params,
+                   _first_nonzero(identity.check(params), params.get("constraint")), trial)
 
 
 def run_suite(seed: int, trials: int, only=None) -> list:
     """Run every selected identity symbolically once and numerically `trials` times.
 
     Deterministic for a fixed seed: each identity draws from its own
-    seeded generator, and reports are sorted before returning.
+    seeded generator, and reports are sorted before returning.  All draws
+    of an identity are made first, in trial order; a laned identity then
+    checks them in one lane pass, the others one trial at a time.
     """
     if trials < 0:
         raise ValueError("trials must be nonnegative")
@@ -736,9 +782,12 @@ def run_suite(seed: int, trials: int, only=None) -> list:
         if identity.symbolic_params is not None:
             reports.append(run_identity(identity_id, None, "symbolic"))
         rng = random.Random(f"{seed}:{identity_id}")
-        for trial in range(trials):
-            params = identity.sample(rng)
-            reports.append(run_identity(identity_id, params, "numeric", trial))
+        samples = [identity.sample(rng) for _ in range(trials)]
+        if identity.laned and samples:
+            reports.extend(_run_lanes(identity, samples))
+        else:
+            reports.extend(run_identity(identity_id, params, "numeric", trial)
+                           for trial, params in enumerate(samples))
     reports.sort(
         key=lambda rep: (
             rep.identity_id,

@@ -11,10 +11,11 @@ chi_w lies in the box is walked, so the cost follows the number of
 candidate partners, not the number of columns or of pairs of vectors.
 d_v is computed once per vector (``MukaiVector.d``).  Each pair is
 tabulated with the three theta Euler characteristics and branch and
-integrality flags.  A pair whose values provably have more digits than
-``int`` -> ``str`` allows stops the scan before they are built.
-Output is deterministic: rows come out in the lexicographic order of their
-integer key, and every number is rendered as an exact decimal string.
+integrality flags.  Every pair is found before any row is built, and a
+pair whose values provably have more digits than ``int`` -> ``str``
+allows stops the scan, so a refused box builds no row.  Output is
+deterministic: rows come out in the lexicographic order of their integer
+key, and every number is rendered as an exact decimal string.
 """
 
 from __future__ import annotations
@@ -154,18 +155,20 @@ def enumerate_rows(n: int, max_rank: int, max_k: int, max_chi: int):
     """All ordered orthogonal pairs of admissible vectors in the box.
 
     Returns (rows, summary); rows are in sort_key order and the summary
-    carries the counts and the integrality audit.  Raises DigitLimitError at
-    the first pair whose values provably have more than
-    ``sys.get_int_max_str_digits()`` digits, before building them.
+    carries the counts and the integrality audit.  All pairs are found
+    before any row is built, so DigitLimitError, raised at the first pair
+    whose values provably have more than ``sys.get_int_max_str_digits()``
+    digits, comes before any value is computed.
     """
     vectors = admissible_vectors(n, max_rank, max_k, max_chi)
-    # binom(m, j) < 2^m: no pair with d_v + d_w <= 4 * limit can be past it
-    small_d = 4 * sys.get_int_max_str_digits()
+    # binom(m, j) < 2^m: no pair with d_v + d_w <= 10 * limit / 3 can be
+    # past it (binom_past_digit_limit)
+    small_d = 10 * sys.get_int_max_str_digits() // 3
     columns: dict = {}
     for i, v in enumerate(vectors):
         columns.setdefault((v.r, v.k), []).append(i)
     position = {(v.r, v.k, v.chi): i for i, v in enumerate(vectors)}
-    rows = []
+    found = []
     # v in box order, then each partner in box order: sort_key order
     for v in vectors:
         for j in _partners(v, (max_rank, max_k, max_chi), columns, position):
@@ -178,7 +181,8 @@ def enumerate_rows(n: int, max_rank: int, max_k: int, max_chi: int):
             if (v.d + w.d > small_d and v.d >= 1 and w.d >= 1
                     and binom_past_digit_limit(v.d + w.d - 1, v.d - 1)):
                 raise DigitLimitError(f"the values of {v.text()} and {w.text()} are too long to print")
-            rows.append(build_row(v, w))
+            found.append((v, w))
+    rows = [build_row(v, w) for v, w in found]
     violations = [
         row for row in rows
         if any(flag.startswith("nonintegral") for flag in row.flags)

@@ -1,7 +1,8 @@
 """Sparse multivariate polynomials over the rationals.
 
-Every scalar in this package is one of ``int``, ``fractions.Fraction`` or
-:class:`Poly`.  Arithmetic is exact everywhere; floats are never produced.
+Every scalar in this package is one of ``int``, ``fractions.Fraction``,
+:class:`Poly` or :class:`Lanes`.  Arithmetic is exact everywhere; floats are
+never produced.
 
 A :class:`Poly` stores a dict from monomials to nonzero coefficients.
 
@@ -24,16 +25,26 @@ A :class:`Poly` stores a dict from monomials to nonzero coefficients.
   producing a wrong monomial.  ``__pow__`` squares its base only up to
   the top bit of n, so ``p ** n`` raises exactly when n times p's degree
   in some variable reaches 2**15, that is, when the result does not fit.
+
+A :class:`Lanes` is a tuple of int/Fraction scalars, one per numeric trial,
+so that one pass of the engine evaluates all trials at once.  Its operators
+act lane by lane with Python's own int/Fraction arithmetic, and the scalar
+helpers below normalize, divide and test it lane by lane, so each lane holds
+exactly the value and type that a run on that lane's scalar alone holds.
+It is true when any lane is nonzero: a class drops a term only when the
+term is zero in every lane.
 """
 
 from __future__ import annotations
 
+import operator
 import threading
 from fractions import Fraction
+from itertools import repeat
 from typing import Union
 
 Mono = int  # packed exponent vector, _FIELD_BITS bits per variable
-Scalar = Union[int, Fraction, "Poly"]
+Scalar = Union[int, Fraction, "Poly", "Lanes"]
 
 _ONE: Mono = 0
 _FIELD_BITS = 16
@@ -265,17 +276,81 @@ class Poly:
         return " + ".join(parts)
 
 
+# -- lanes -----------------------------------------------------------------
+
+# the lane scalars: bool is an int, and a sign flag may be one
+_RATIONAL = frozenset((int, bool, Fraction))
+
+
+def _lanewise(op):
+    """``op`` lane by lane, as the forward and the reflected method."""
+
+    def forward(self, other):
+        if type(other) is Lanes:
+            if len(other) != len(self):
+                raise ValueError(f"{len(self)} lanes against {len(other)}")
+            return tuple.__new__(Lanes, map(op, self, other))
+        if type(other) in _RATIONAL:
+            return tuple.__new__(Lanes, map(op, self, repeat(other)))
+        return NotImplemented
+
+    def reflected(self, other):
+        if type(other) in _RATIONAL:
+            return tuple.__new__(Lanes, map(op, repeat(other), self))
+        return NotImplemented
+
+    return forward, reflected
+
+
+class Lanes(tuple):
+    """One int/Fraction scalar per numeric trial; see the module docstring.
+
+    Immutable.  ``+ - * **`` and negation act lane by lane with an int, a
+    Fraction or another Lanes of the same length; a Poly is refused.
+    """
+
+    __slots__ = ()
+
+    __add__, __radd__ = _lanewise(operator.add)
+    __sub__, __rsub__ = _lanewise(operator.sub)
+    __mul__, __rmul__ = _lanewise(operator.mul)
+
+    def __neg__(self):
+        return tuple.__new__(Lanes, map(operator.neg, self))
+
+    def __pow__(self, n):
+        if type(n) is not int:
+            return NotImplemented
+        return tuple.__new__(Lanes, map(pow, self, repeat(n)))
+
+    def __bool__(self):
+        return any(self)
+
+    def __repr__(self):
+        return f"Lanes({list(self)!r})"
+
+
 # -- scalar helpers ------------------------------------------------------
 
 
 def scalar_is_zero(s: Scalar) -> bool:
+    """Whether s is zero; a Lanes is zero when it is zero in every lane."""
     if isinstance(s, Poly):
         return s.is_zero
+    if type(s) is Lanes:
+        return not any(s)
     return s == 0
 
 
 def scalar_div(s: Scalar, k) -> Scalar:
-    """Exact division of a scalar by a nonzero rational."""
+    """Exact division of a scalar by a nonzero rational, lane by lane for
+    a Lanes dividend or divisor."""
+    if type(s) is Lanes or type(k) is Lanes:
+        return tuple.__new__(Lanes, map(
+            scalar_div,
+            s if type(s) is Lanes else repeat(s),
+            k if type(k) is Lanes else repeat(k),
+        ))
     if isinstance(s, Poly):
         return s / k
     value = Fraction(s, k) if isinstance(k, int) else Fraction(s) / k
@@ -283,10 +358,15 @@ def scalar_div(s: Scalar, k) -> Scalar:
 
 
 def normalize_scalar(s: Scalar) -> Scalar:
-    """Collapse integral Fractions to int; leave everything else alone."""
+    """Collapse integral Fractions to int, in every lane of a Lanes; leave
+    everything else alone."""
     # an exact type test: isinstance goes through ABCMeta for every int
     if type(s) is Fraction and s.denominator == 1:
         return int(s)
+    if type(s) is Lanes and Fraction in set(map(type, s)):
+        return tuple.__new__(Lanes, [
+            int(x) if type(x) is Fraction and x.denominator == 1 else x for x in s
+        ])
     return s
 
 

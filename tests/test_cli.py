@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import thetachi.cli as cli
+import thetachi.pairs as pairs
 from thetachi.cli import MAX_BOX_VOLUME, MAX_TRIALS, main
 
 
@@ -117,37 +118,68 @@ def test_eval_non_orthogonal_past_digit_limit_exits_2(capsys):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_enumerate_value_past_digit_limit_exits_2(tmp_path, fmt):
+def test_enumerate_value_past_digit_limit_exits_2(capsys, monkeypatch, tmp_path, fmt):
     # at n = 10^9 some pairs' Euler characteristics have more digits than
-    # int -> str allows; the command refuses them and writes no file
+    # int -> str allows; the command refuses them and writes no file.  The
+    # largest binomial of this box has 17,351 bits, 5,223 digits, which the
+    # bound proves too long, so the refusal takes one partner search and
+    # builds none of its 8,005 rows
+    built = []
+    monkeypatch.setattr(pairs, "build_row", lambda v, w: built.append((v, w)))
     out_file = tmp_path / f"pairs.{fmt}"
-    result = subprocess.run(
-        [sys.executable, "-m", "thetachi.cli", "enumerate", "--n", "1000000000",
-         "--max-rank", "1", "--max-k", "1", "--max-chi", "800",
-         "--out", str(out_file), "--format", fmt],
-        capture_output=True, text=True,
+    start = time.perf_counter_ns()
+    code, out, err = run_cli(
+        capsys, "enumerate", "--n", "1000000000", "--max-rank", "1", "--max-k", "1",
+        "--max-chi", "800", "--out", str(out_file), "--format", fmt,
+    )
+    elapsed_ns = time.perf_counter_ns() - start
+    limit = sys.get_int_max_str_digits()
+    assert (code, out) == (2, "")
+    assert err == f"error: a value has more than {limit} decimal digits and cannot be written\n"
+    assert built == []
+    assert elapsed_ns < 1_000_000_000
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_enumerate_value_past_digit_limit_refused_when_written(capsys, monkeypatch, tmp_path,
+                                                                 fmt):
+    # the largest value of this box has 14,322 bits, past 4,300 digits, but
+    # the bound j * floor(log2(m // j)) falls short of it: every row is
+    # built and the value is refused only while the output is formatted
+    real_build_row = pairs.build_row
+    built = []
+
+    def build_row(v, w):
+        built.append((v, w))
+        return real_build_row(v, w)
+
+    monkeypatch.setattr(pairs, "build_row", build_row)
+    out_file = tmp_path / f"pairs.{fmt}"
+    code, out, err = run_cli(
+        capsys, "enumerate", "--n", "1000000000", "--max-rank", "1", "--max-k", "1",
+        "--max-chi", "650", "--out", str(out_file), "--format", fmt,
     )
     limit = sys.get_int_max_str_digits()
-    assert result.returncode == 2
-    assert result.stdout == ""
-    assert "Traceback" not in result.stderr
-    assert result.stderr == (
-        f"error: a value has more than {limit} decimal digits and cannot be written\n"
-    )
+    assert limit == 4300
+    assert (code, out) == (2, "")
+    assert err == f"error: a value has more than {limit} decimal digits and cannot be written\n"
+    assert len(built) == 6505
     assert not out_file.exists()
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_enumerate_stops_at_first_oversized_row(capsys, monkeypatch, tmp_path, fmt):
     # 9,096 values of this box are past the digit limit; building all 17,991
-    # rows before refusing took seconds.  No binomial that j * floor(log2(m
-    # // j)) bits, j = min(k, m - k), already proves too long may be built.
+    # rows before refusing took seconds.  No binomial that b = j * floor(log2(m
+    # // j)) bits, j = min(k, m - k), already proves too long (3 b > 10 limit,
+    # as log10 2 > 3/10) may be built.
     limit = sys.get_int_max_str_digits()
     real_comb = math.comb
 
     def comb(n, k):
         j = min(k, n - k)
-        if j > 0 and j * ((n // j).bit_length() - 1) > 4 * limit:
+        if j > 0 and 3 * j * ((n // j).bit_length() - 1) > 10 * limit:
             raise AssertionError(f"math.comb built binom({n}, {k})")
         return real_comb(n, k)
 

@@ -1,10 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from thetachi import identities
+from thetachi import formulas, identities
 from thetachi.abelian import SP_A, Polarization, hat_of, lambda_hat, polarization_class
 from thetachi.formulas import (
     FormulaError,
@@ -23,6 +24,7 @@ from thetachi.formulas import (
     etale_cover_residual,
 )
 from thetachi.mukai import MukaiVector, c1_tensor, dv, euler_chi_tensor, fm_vector
+from thetachi.pairs import enumerate_rows
 from thetachi.poly import Poly
 
 
@@ -359,3 +361,29 @@ def test_closed_form_symmetries(pair):
     ]
     assert values[0] == values[1]
     assert values[2] == values[3]
+
+
+def test_closed_forms_build_one_binomial_per_row(monkeypatch):
+    # the three closed forms of a row share binom(d-1, d_v-1): a generic row
+    # (d_v, d_w >= 1) makes exactly one math.comb call, a degenerate one at
+    # most one
+    rows, _ = enumerate_rows(2, 3, 3, 5)
+    real_comb = math.comb
+    calls = []
+
+    def comb(n, k):
+        calls.append((n, k))
+        return real_comb(n, k)
+
+    monkeypatch.setattr(formulas.math, "comb", comb)
+    generic = 0
+    for row in rows:
+        calls.clear()
+        values = closed_forms(row.v, row.w)
+        assert values == (row.chi_main, row.chi_two, row.chi_three)
+        if row.d_v >= 1 and row.d_w >= 1:
+            generic += 1
+            assert calls == [(row.d_v + row.d_w - 1, row.d_v - 1)]
+        else:
+            assert len(calls) <= 1
+    assert generic > 100

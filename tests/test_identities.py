@@ -1,10 +1,12 @@
 import dataclasses
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from thetachi import identities
 from thetachi.identities import (
     ALL_IDENTITIES,
     REGISTRY,
@@ -264,3 +266,72 @@ def test_samplers_match_symbolic_params():
                     params["r"] * params["chip"] + params["rp"] * params["chi"] + lam_dot
                     == 0
                 ), identity_id
+
+
+# -- the lane pass against per-trial runs -----------------------------------
+
+PER_TRIAL = {"dw0_chern", "assembly_main", "assembly_two", "assembly_three"}
+LANED = sorted(EXPECTED_IDS - PER_TRIAL)
+
+
+def test_laned_identities_are_the_param_spec_draws():
+    assert {i for i in ALL_IDENTITIES if REGISTRY[i].laned} == set(LANED)
+
+
+def per_trial_reports(identity_id, seed, trials) -> list:
+    """The numeric reports of run_suite, one run_identity per trial."""
+    rng = random.Random(f"{seed}:{identity_id}")
+    return [
+        run_identity(identity_id, REGISTRY[identity_id].sample(rng), "numeric", trial)
+        for trial in range(trials)
+    ]
+
+
+def report_json(reports) -> str:
+    return json.dumps([dataclasses.asdict(rep) for rep in reports])
+
+
+def lane_reports(identity_id, seed, trials) -> list:
+    return [rep for rep in run_suite(seed, trials, only=(identity_id,)) if rep.mode == "numeric"]
+
+
+@pytest.mark.parametrize("identity_id", LANED)
+def test_lane_pass_equals_per_trial_runs(identity_id, phi_hat_minus):
+    for seed in (1, 2, 3):
+        assert report_json(lane_reports(identity_id, seed, 5)) == report_json(
+            per_trial_reports(identity_id, seed, 5))
+    # with the dual-side sign corrupted some residuals are nonzero, in some
+    # trials only: their texts must come out of the right lane
+    with phi_hat_minus():
+        for seed in (1, 2, 3):
+            assert report_json(lane_reports(identity_id, seed, 5)) == report_json(
+                per_trial_reports(identity_id, seed, 5))
+
+
+def test_lane_pass_splits_failures_by_trial(phi_hat_minus):
+    with phi_hat_minus():
+        reports = lane_reports("prop_split1", 42, 50)
+    assert 0 < sum(rep.passed for rep in reports) < len(reports)
+    assert len({rep.residual for rep in reports}) > 2
+
+
+def test_lane_pass_keeps_each_lane_type_off_the_locus():
+    # chi' moved off orthogonality stays a Fraction: a scalar residual of
+    # integral value prints as Fraction(n, 1) in a per-trial run, and so in
+    # a lane; a half step puts non-integral coefficients into the classes
+    residuals = []
+    for identity_id in ("prop_split", "prop_split1", "prop_split2"):
+        rng = random.Random(f"off:{identity_id}")
+        samples = [REGISTRY[identity_id].sample(rng) for _ in range(12)]
+        for trial, sample in enumerate(samples):
+            if trial % 2 == 0:
+                sample["chip"] += 1 if trial % 4 else Fraction(1, 2)
+        laned = identities._run_lanes(REGISTRY[identity_id], samples)
+        single = [run_identity(identity_id, sample, "numeric", trial)
+                  for trial, sample in enumerate(samples)]
+        assert report_json(laned) == report_json(single)
+        assert all(rep.passed for rep in laned[1::2])
+        assert sum(not rep.passed for rep in laned[::2]) >= 3
+        residuals += [rep.residual for rep in laned]
+    assert any(", 1)" in text for text in residuals)  # Fraction(n, 1)
+    assert any("/2)*" in text for text in residuals)  # a non-integral coefficient

@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from thetachi import poly as poly_module
-from thetachi.poly import Poly, eliminate_linear, scalar_div, scalar_is_zero
+from thetachi.poly import (
+    Lanes,
+    Poly,
+    eliminate_linear,
+    normalize_scalar,
+    scalar_div,
+    scalar_is_zero,
+)
 
 x, y, z = Poly.var("x"), Poly.var("y"), Poly.var("z")
 
@@ -268,3 +276,62 @@ def test_exponent_overflow_is_refused():
     # eliminate_linear raises powers of the numerator
     with pytest.raises(OverflowError):
         eliminate_linear(z * z, "z", lo ** (1 << 13) * lo ** (1 << 13), 1)
+
+
+# -- Lanes against per-lane scalars ---------------------------------------
+
+# ints and Fractions, integral ones among them: a lane must keep the type
+# the same computation on its scalar alone gives, Fraction(3, 1) included
+rationals = st.one_of(
+    st.integers(-30, 30),
+    st.fractions(min_value=-30, max_value=30, max_denominator=6),
+    st.integers(-30, 30).map(Fraction),
+)
+lane_values = st.lists(rationals, min_size=1, max_size=5)
+
+
+def typed(values) -> list:
+    return [(type(v), v) for v in values]
+
+
+def assert_lanes(result, expected):
+    assert type(result) is Lanes
+    assert typed(result) == typed(expected)
+
+
+@given(lane_values, st.data())
+def test_lanes_match_per_lane_scalars(values, data):
+    lanes = Lanes(values)
+    others = data.draw(st.lists(rationals, min_size=len(values), max_size=len(values)))
+    scalar = data.draw(rationals)
+    for op in (operator.add, operator.sub, operator.mul):
+        assert_lanes(op(lanes, Lanes(others)), [op(x, y) for x, y in zip(values, others)])
+        assert_lanes(op(lanes, scalar), [op(x, scalar) for x in values])
+        assert_lanes(op(scalar, lanes), [op(scalar, x) for x in values])
+    assert_lanes(-lanes, [-x for x in values])
+    for n in range(4):
+        assert_lanes(lanes**n, [x**n for x in values])
+    assert_lanes(normalize_scalar(lanes), [normalize_scalar(x) for x in values])
+    assert scalar_is_zero(lanes) is all(scalar_is_zero(x) for x in values)
+    assert bool(lanes) is any(values)
+    nonzero = [x if x else 1 for x in others]
+    divisor = scalar if scalar else 7
+    assert_lanes(scalar_div(lanes, divisor), [scalar_div(x, divisor) for x in values])
+    assert_lanes(scalar_div(lanes, Lanes(nonzero)),
+                 [scalar_div(x, y) for x, y in zip(values, nonzero)])
+    assert_lanes(scalar_div(scalar, Lanes(nonzero)), [scalar_div(scalar, y) for y in nonzero])
+
+
+def test_lanes_refuse_what_a_lane_cannot_hold():
+    lanes = Lanes([1, Fraction(1, 2)])
+    assert repr(lanes) == "Lanes([1, Fraction(1, 2)])"
+    assert 2 * lanes == Lanes([2, 1])  # multiplication, never tuple repetition
+    assert lanes + lanes == Lanes([2, 1])  # addition, never concatenation
+    with pytest.raises(ValueError):
+        lanes + Lanes([1, 2, 3])
+    with pytest.raises(TypeError):
+        lanes * Poly.var("x")
+    with pytest.raises(TypeError):
+        lanes ** Fraction(1, 2)
+    with pytest.raises(TypeError):
+        lanes + 0.5

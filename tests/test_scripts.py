@@ -44,5 +44,5 @@ def test_mutation_gate_patterns_occur_once():
     gate = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gate)
     counts = gate.pattern_counts(ROOT)
-    assert len(counts) == len(gate.MUTANTS) == 16
+    assert len(counts) == len(gate.MUTANTS) == 17
     assert counts == {name: 1 for name in counts}
