@@ -13,6 +13,12 @@ version, ``nproc``, and for each tree its HEAD commit and the git tree
 SHA of its ``src/`` as measured, which equals ``git rev-parse
 <commit>:src`` of the commit that holds that source.
 
+When the repository root holds an earlier record (the highest-numbered
+``BENCH_<n>.json`` other than ``--out``), the new record gains a
+``previous`` section: that file's name and change-side HEAD, and per
+workload and median metric the earlier change-side value, the new one and
+the change between them in per mille.
+
 Usage:
     python scripts/bench.py --base DIR --change DIR --out BENCH_<n>.json
 """
@@ -23,6 +29,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 import tempfile
@@ -35,6 +42,8 @@ PAIRS = 10  # perfbench/README.md: ten or more runs per side
 SECONDS = 25  # BENCHMARK.json run_seconds
 SEED = 1
 NS = 1_000_000_000
+# the change-side medians that ``previous`` compares
+MEDIANS = ("wall_ns", "raw_wall_ns", "setup_ns", "raw_setup_ns", "ops_per_s", "peak_rss_kib")
 
 
 def git(tree: Path, *args, env=None) -> str:
@@ -88,6 +97,33 @@ def summary(runs: list) -> dict:
     return out
 
 
+def previous_diff(record: dict, root: Path, out: Path) -> dict | None:
+    """Change-side medians of the highest-numbered ``root/BENCH_<n>.json``
+    other than ``out`` against those of ``record``; None if there is none."""
+    numbered = [
+        (int(match.group(1)), path) for path in root.glob("BENCH_*.json")
+        if (match := re.fullmatch(r"BENCH_(\d+)\.json", path.name))
+        and path.resolve() != out.resolve()
+    ]
+    if not numbered:
+        return None
+    path = max(numbered)[1]
+    earlier = json.loads(path.read_text(encoding="utf-8"))
+    workloads = {}
+    for workload, sides in record["workloads"].items():
+        if workload not in earlier["workloads"]:
+            continue
+        before, now = earlier["workloads"][workload]["change"], sides["change"]
+        workloads[workload] = {
+            metric: {"previous": before[metric], "now": now[metric],
+                     "change_permille": round(1000 * (now[metric] - before[metric])
+                                              / before[metric])}
+            for metric in MEDIANS
+        }
+    return {"file": path.name, "head": earlier["trees"]["change"]["head"],
+            "workloads": workloads}
+
+
 def probe_ns(hostspeed) -> int:
     return round(median(hostspeed.probe() for _ in range(5)) * NS)
 
@@ -129,6 +165,9 @@ def main(argv=None) -> int:
             "change_wins_wall": wins,
         }
     record["probe_after_ns"] = probe_ns(hostspeed)
+    previous = previous_diff(record, ROOT, args.out)
+    if previous is not None:
+        record["previous"] = previous
     args.out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     return 0
 

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Mutation gate: the test suite must catch drift in each sign convention,
 bitset or contraction kernel, table of basis images, partner-search
-branch, closed-form binomial sum, the dimension invariant d_v and the
-lane split of the numeric trials listed in MUTANTS.
+branch, closed-form binomial sum, the dimension invariant d_v, the
+lane split of the numeric trials and the per-lane helper listed in
+MUTANTS.
 
 Copies the repository into a temporary directory and runs the Tier-1 suite
 there, under the Hypothesis profile "gate" (no shrinking), first unmutated
@@ -78,6 +79,9 @@ MUTANTS = (
     ("lane split misaligned", "src/thetachi/identities.py",
      "return value[i] if type(value) is Lanes else value",
      "return value[i - 1] if type(value) is Lanes else value"),
+    ("per-lane helper misaligned", "src/thetachi/identities.py",
+     "fn(*(a[i] if type(a) is Lanes else a for a in args))",
+     "fn(*(a[i - 1] if type(a) is Lanes else a for a in args))"),
 )
 
 _FAILED = re.compile(r"^(?:FAILED|ERROR) (tests/[^:\s]+)")

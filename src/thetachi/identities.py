@@ -20,13 +20,13 @@ numeric draws are bespoke, because they need a condition the symbolic
 proof does not impose: the d_w = 0 quotient locus of ``dw0_chern`` and the
 integral Mukai pairs of the ``assembly_*`` checks.
 
-``run_suite`` runs all numeric trials of a ``ParamSpec``-sampled identity
-as one lane pass: the trials' draws are zipped into ``Lanes`` parameters,
-the check runs once, and each residual is split back lane by lane into one
-report per trial, equal to what ``run_identity`` reports for that trial
-alone.  The bespoke draws stay per trial: ``dw0_chern`` branches on d_w,
-and ``assembly_*`` build integral ``MukaiVector``s and take a ``Fraction``
-of a value.
+``run_suite`` runs all numeric trials of every identity as one lane pass:
+the trials' draws are zipped into ``Lanes`` parameters, the check runs
+once, and each residual is split back lane by lane into one report per
+trial, equal to what ``run_identity`` reports for that trial alone.  The
+parts that must stay exact per trial go through ``_per_lane``, which runs
+them lane by lane: the integral ``MukaiVector``s and closed forms of
+``assembly_*`` and the d_w = 0 branch of ``dw0_chern``.
 
 Registry keys (sec4_table, ..., assembly_three) are the stable interface
 tokens used by the command-line ``verify --only`` filter.
@@ -76,7 +76,7 @@ from .exterior import (
     pushforward,
     wedge,
 )
-# the three theorem evaluators are looked up by name in _check_assembly
+# the three theorem evaluators are looked up by name in _assembly_residual
 from .formulas import chi_albanese_fiber, chi_arbitrary_det, chi_fixed_det, chi_fixed_fm_det  # noqa: F401
 from .mukai import MukaiVector, euler_chi_tensor
 from .poly import Lanes, Poly, eliminate_linear, scalar_div, scalar_is_zero
@@ -150,6 +150,16 @@ _P2_AxAH = projection(SP_AxAH, (1,), SP_AH)
 def _half_square(c: ExteriorClass):
     """Integral of c^2/2 over A: chi(A, L) for c = c1(L), and lam^2/2 in d_v."""
     return scalar_div(integrate_product(c, c), 2)
+
+
+def _per_lane(fn, *args):
+    """fn(*args), or the Lanes of fn on each lane when an argument is a
+    Lanes (the others shared): integral objects and branches stay per trial."""
+    width = next((len(a) for a in args if type(a) is Lanes), None)
+    if width is None:
+        return fn(*args)
+    return Lanes([fn(*(a[i] if type(a) is Lanes else a for a in args))
+                  for i in range(width)])
 
 
 def _rand_nonzero(rng) -> int:
@@ -504,13 +514,18 @@ def _check_dw0_chern(params) -> dict:
     d_w = _half_square(lamp) - rp * chip
     chi_of_c1 = _half_square(c1)
 
-    res = {
+    return {
         "chern_class": c1 - expected,
         "euler_value": chi_of_c1 - (chip * chip * d_v + chi * chi * d_w),
+        "quotient_value": _per_lane(_quotient_value, chi_of_c1, chip, d_v, d_w),
     }
-    if scalar_is_zero(d_w) and not scalar_is_zero(chip):
-        res["quotient_value"] = Fraction(chi_of_c1, chip * chip) - d_v
-    return res
+
+
+def _quotient_value(chi_of_c1, chip, d_v, d_w):
+    """chi(A, c1)/chi'^2 - d_v where d_w = 0 and chi' != 0; 0 (unreported) off it."""
+    if not scalar_is_zero(d_w) or scalar_is_zero(chip):
+        return 0
+    return Fraction(chi_of_c1, chip * chip) - d_v
 
 
 def _check_fm_isometry(params) -> dict:
@@ -530,29 +545,27 @@ def _check_fm_isometry(params) -> dict:
 # -- assembly checks (numeric only) -------------------------------------------
 
 
-def _assembly_inputs(params):
-    """Integral v, w with c1 = k H, k' H, and the bundle builders' arguments."""
-    n, d0, e0 = params["n"], params["d0"], params["e0"]
-    v = MukaiVector(params["r"], params["k"], params["chi"], n)
-    w = MukaiVector(params["rp"], params["kp"], params["chip"], n)
-    pol_v = Polarization(d0 * v.k, e0 * v.k)
-    lamp = _lambda_on(SP_A, Polarization(d0 * w.k, e0 * w.k))
-    return v, w, (pol_v, v.r, v.chi, w.r, lamp, w.chi)
-
-
 def _check_assembly(identity_id, bundle_chi, theorem, base_is_dw, params) -> dict:
     """Theorem-level assembly: Albanese value x bundle chi / d^4.
 
     d is d_v, or d_w when ``base_is_dw``.  ``theorem`` names the closed-form
     evaluator, looked up in this module when the check runs.
     """
-    v, w, bundle = _assembly_inputs(params)
-    chi_bundle = bundle_chi(*bundle)
-    base, other = v.d, w.d
-    if base_is_dw:
-        base, other = other, base
+    d0, e0, k, kp = params["d0"], params["e0"], params["k"], params["kp"]
+    lamp = _lambda_on(SP_A, Polarization(d0 * kp, e0 * kp))
+    chi_bundle = bundle_chi(Polarization(d0 * k, e0 * k), params["r"], params["chi"],
+                            params["rp"], lamp, params["chip"])
+    vectors = (params[name] for name in ("r", "k", "chi", "rp", "kp", "chip", "n"))
+    residual = _per_lane(partial(_assembly_residual, theorem, base_is_dw), chi_bundle, *vectors)
+    return {identity_id: residual}
+
+
+def _assembly_residual(theorem, base_is_dw, chi_bundle, r, k, chi, rp, kp, chip, n):
+    """One trial, from integral v = (r, kH, chi) and w = (r', k'H, chi')."""
+    v, w = MukaiVector(r, k, chi, n), MukaiVector(rp, kp, chip, n)
+    base, other = (w.d, v.d) if base_is_dw else (v.d, w.d)
     assembled = Fraction(chi_albanese_fiber(base, other).value) * chi_bundle / base**4
-    return {identity_id: assembled - globals()[theorem](v, w).value}
+    return assembled - globals()[theorem](v, w).value
 
 
 # -- samplers ------------------------------------------------------------------
@@ -612,11 +625,13 @@ def _sample_vector_pair(rng, need_dw_positive: bool, need_k_nonzero: bool = Fals
 
 @dataclass(frozen=True)
 class Identity:
+    """A registered check with its numeric draw and, unless the identity is
+    numeric-only, its symbolic parameters."""
+
     identity_id: str
     check: callable
     sample: callable
     symbolic_params: callable | None  # None: numeric-only identity
-    laned: bool  # numeric trials run as one lane pass (a ParamSpec draw)
 
 
 REGISTRY: dict = {}
@@ -629,7 +644,6 @@ def _register(identity_id, check, spec=None, sample=None):
         check,
         sample or spec.sample,
         spec.symbolic_params if spec is not None else None,
-        sample is None,
     )
 
 
@@ -767,8 +781,8 @@ def run_suite(seed: int, trials: int, only=None) -> list:
 
     Deterministic for a fixed seed: each identity draws from its own
     seeded generator, and reports are sorted before returning.  All draws
-    of an identity are made first, in trial order; a laned identity then
-    checks them in one lane pass, the others one trial at a time.
+    of an identity are made first, in trial order, then checked in one
+    lane pass.
     """
     if trials < 0:
         raise ValueError("trials must be nonnegative")
@@ -783,11 +797,8 @@ def run_suite(seed: int, trials: int, only=None) -> list:
             reports.append(run_identity(identity_id, None, "symbolic"))
         rng = random.Random(f"{seed}:{identity_id}")
         samples = [identity.sample(rng) for _ in range(trials)]
-        if identity.laned and samples:
+        if samples:
             reports.extend(_run_lanes(identity, samples))
-        else:
-            reports.extend(run_identity(identity_id, params, "numeric", trial)
-                           for trial, params in enumerate(samples))
     reports.sort(
         key=lambda rep: (
             rep.identity_id,

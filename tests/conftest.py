@@ -23,16 +23,15 @@ settings.register_profile(
 settings.load_profile("deterministic")
 
 
-
-
 @contextlib.contextmanager
 def _phi_hat_sign_flipped():
+    found = abelian.PHI_HAT_SIGN
     abelian.PHI_HAT_SIGN = -1
     abelian._transform_image.cache_clear()
     try:
         yield
     finally:
-        abelian.PHI_HAT_SIGN = 1
+        abelian.PHI_HAT_SIGN = found
         abelian._transform_image.cache_clear()
 
 
@@ -40,6 +39,6 @@ def _phi_hat_sign_flipped():
 def phi_hat_minus():
     """Negative control: ``with phi_hat_minus(): ...`` runs its body with the
     dual-direction contraction sign corrupted (``PHI_HAT_SIGN = -1``) and
-    restores it after, clearing the cached transform basis images on entry
-    and exit."""
+    restores the value it found after, clearing the cached transform basis
+    images on entry and exit."""
     return _phi_hat_sign_flipped

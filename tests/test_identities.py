@@ -16,7 +16,9 @@ from thetachi.identities import (
     run_suite,
     suite_passed,
 )
-from thetachi.poly import Poly
+from thetachi.formulas import FormulaError
+from thetachi.mukai import MukaiVector
+from thetachi.poly import Lanes, Poly
 
 EXPECTED_IDS = {
     "sec4_table", "sec4_lemma", "mstar", "fmp", "phis", "prop_split",
@@ -270,12 +272,30 @@ def test_samplers_match_symbolic_params():
 
 # -- the lane pass against per-trial runs -----------------------------------
 
-PER_TRIAL = {"dw0_chern", "assembly_main", "assembly_two", "assembly_three"}
-LANED = sorted(EXPECTED_IDS - PER_TRIAL)
+# their draws are bespoke: the d_w = 0 locus and integral Mukai pairs
+BESPOKE_DRAWS = ("dw0_chern", "assembly_main", "assembly_two", "assembly_three")
 
 
-def test_laned_identities_are_the_param_spec_draws():
-    assert {i for i in ALL_IDENTITIES if REGISTRY[i].laned} == set(LANED)
+def test_every_identity_checks_all_trials_in_one_lane_pass(monkeypatch):
+    # numeric trials have one path: a single check call on Lanes parameters
+    calls = []
+    for identity_id in ALL_IDENTITIES:
+        identity = REGISTRY[identity_id]
+
+        def check(params, identity_id=identity_id, check=identity.check):
+            types = {type(v) for name, v in params.items() if name != "constraint"}
+            calls.append((identity_id, types))
+            return check(params)
+
+        monkeypatch.setitem(REGISTRY, identity_id, dataclasses.replace(identity, check=check))
+    reports = run_suite(seed=1, trials=3)
+    assert suite_passed(reports)
+    numeric = [identity_id for identity_id, types in calls if types == {Lanes}]
+    assert sorted(numeric) == sorted(EXPECTED_IDS)
+    assert all(types == {Poly} for identity_id, types in calls if types != {Lanes})
+    assert len(calls) - len(numeric) == sum(
+        REGISTRY[i].symbolic_params is not None for i in ALL_IDENTITIES)
+    assert "laned" not in {field.name for field in dataclasses.fields(identities.Identity)}
 
 
 def per_trial_reports(identity_id, seed, trials) -> list:
@@ -295,7 +315,7 @@ def lane_reports(identity_id, seed, trials) -> list:
     return [rep for rep in run_suite(seed, trials, only=(identity_id,)) if rep.mode == "numeric"]
 
 
-@pytest.mark.parametrize("identity_id", LANED)
+@pytest.mark.parametrize("identity_id", sorted(EXPECTED_IDS))
 def test_lane_pass_equals_per_trial_runs(identity_id, phi_hat_minus):
     for seed in (1, 2, 3):
         assert report_json(lane_reports(identity_id, seed, 5)) == report_json(
@@ -335,3 +355,90 @@ def test_lane_pass_keeps_each_lane_type_off_the_locus():
         residuals += [rep.residual for rep in laned]
     assert any(", 1)" in text for text in residuals)  # Fraction(n, 1)
     assert any("/2)*" in text for text in residuals)  # a non-integral coefficient
+
+
+def test_per_lane_applies_to_each_lane_and_shares_scalars():
+    assert identities._per_lane(divmod, 7, 2) == (3, 1)
+    lanes = identities._per_lane(lambda a, b, c: (a - b) * c, Lanes([5, 1, 2]), 1, Lanes([1, 2, 3]))
+    assert type(lanes) is Lanes and lanes == (4, 0, 3)
+
+
+def test_dw0_chern_lanes_mixed_on_and_off_the_quotient_locus():
+    # every third trial stays on the d_w = 0 locus; the next leaves it but
+    # stays orthogonal (a34 + 1, chi re-solved), so quotient_value is absent
+    # there and the identity holds; the third moves chi off orthogonality
+    rng = random.Random("mixed:dw0_chern")
+    samples = [REGISTRY["dw0_chern"].sample(rng) for _ in range(15)]
+    for trial, sample in enumerate(samples):
+        if trial % 3 == 1:
+            sample["a34"] += 1
+            lam_dot = sample["d"] * sample["a34"] + sample["e"] * sample["a12"]
+            sample["chi"] = Fraction(-(lam_dot + sample["r"] * sample["chip"]), sample["rp"])
+        elif trial % 3 == 2:
+            sample["chi"] += 1
+    laned = identities._run_lanes(REGISTRY["dw0_chern"], samples)
+    single = [run_identity("dw0_chern", sample, "numeric", trial)
+              for trial, sample in enumerate(samples)]
+    assert report_json(laned) == report_json(single)
+    assert all(rep.passed for rep in laned[0::3] + laned[1::3])
+    assert not any(rep.passed for rep in laned[2::3])
+    assert all(rep.residual.startswith("euler_value: ") for rep in laned[2::3])
+
+
+@pytest.mark.parametrize("identity_id", BESPOKE_DRAWS[1:])
+def test_assembly_lanes_mixed_with_failing_trials(identity_id):
+    # the polarization's e0 feeds only the engine and n only the closed
+    # forms: moving e0 off n/d0 in every other trial makes those trials
+    # fail with a non-integral Fraction residual.  The other trials move
+    # chi' along orthogonality, (chi - r t, chi' + r' t), where d_v and d_w
+    # stay in the sampler's range, and keep passing.
+    rng = random.Random(f"mixed:{identity_id}")
+    samples = [REGISTRY[identity_id].sample(rng) for _ in range(12)]
+    moved = 0
+    for trial, sample in enumerate(samples):
+        if trial % 2 == 0:
+            sample["e0"] += 1
+            continue
+        n, r, rp = sample["n"], sample["r"], sample["rp"]
+        for t in (1, -1):
+            v = MukaiVector(r, sample["k"], sample["chi"] - r * t, n)
+            w = MukaiVector(rp, sample["kp"], sample["chip"] + rp * t, n)
+            if rp and v.d >= 1 and w.d >= (identity_id == "assembly_three"):
+                sample["chi"], sample["chip"] = v.chi, w.chi
+                moved += 1
+                break
+    assert moved >= 2
+    laned = identities._run_lanes(REGISTRY[identity_id], samples)
+    single = [run_identity(identity_id, sample, "numeric", trial)
+              for trial, sample in enumerate(samples)]
+    assert report_json(laned) == report_json(single)
+    assert all(rep.passed for rep in laned[1::2])
+    assert sum(not rep.passed for rep in laned[::2]) >= 4
+    assert any(not rep.residual.endswith(", 1)") for rep in laned[::2] if not rep.passed)
+
+
+def test_assembly_lane_refuses_a_pair_the_closed_form_refuses():
+    # chi' moved alone breaks orthogonality; the closed form raises in that
+    # lane just as in a run of that trial alone
+    rng = random.Random("mixed:refused")
+    samples = [REGISTRY["assembly_main"].sample(rng) for _ in range(4)]
+    samples[2]["chip"] += 1
+    with pytest.raises(FormulaError, match="not orthogonal"):
+        run_identity("assembly_main", samples[2], "numeric", 2)
+    with pytest.raises(FormulaError, match="not orthogonal"):
+        identities._run_lanes(REGISTRY["assembly_main"], samples)
+
+
+@pytest.mark.parametrize("found", [1, -1])
+def test_phi_hat_minus_restores_the_sign_it_found(phi_hat_minus, found):
+    from thetachi import abelian
+
+    before = abelian.PHI_HAT_SIGN
+    abelian.PHI_HAT_SIGN = found
+    try:
+        with phi_hat_minus():
+            assert abelian.PHI_HAT_SIGN == -1
+        assert abelian.PHI_HAT_SIGN == found
+    finally:
+        abelian.PHI_HAT_SIGN = before
+        abelian._transform_image.cache_clear()

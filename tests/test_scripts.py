@@ -1,6 +1,7 @@
 """Smoke tests: the scripts under ``scripts/`` run end to end and exit 0."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -35,14 +36,38 @@ def test_tabulate_theorem_values_script(tmp_path):
     assert (tmp_path / "pairs_n1.csv").is_file()
 
 
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_diffs_against_the_highest_numbered_earlier_record(tmp_path):
+    bench = load_script("bench")
+
+    def record(head, wall_ns):
+        sides = {side: dict.fromkeys(bench.MEDIANS, 100) for side in ("base", "change")}
+        sides["change"]["wall_ns"] = wall_ns
+        return {"trees": {"change": {"head": head}}, "workloads": {"verify": sides}}
+
+    for name, head, wall_ns in (("BENCH_9.json", "nine", 400), ("BENCH_12.json", "twelve", 200),
+                                ("BENCH_2.json", "two", 800), ("BENCH_x.json", "x", 1)):
+        (tmp_path / name).write_text(json.dumps(record(head, wall_ns)), encoding="utf-8")
+    out = tmp_path / "BENCH_13.json"
+    out.write_text("{}", encoding="utf-8")  # --out itself is never the earlier record
+    diff = bench.previous_diff(record("new", 150), tmp_path, out)
+    assert (diff["file"], diff["head"]) == ("BENCH_12.json", "twelve")
+    assert diff["workloads"]["verify"]["wall_ns"] == {
+        "previous": 200, "now": 150, "change_permille": -250}
+    assert diff["workloads"]["verify"]["ops_per_s"]["change_permille"] == 0
+    assert bench.previous_diff(record("new", 150), tmp_path / "empty", out) is None
+
+
 def test_mutation_gate_patterns_occur_once():
     # the gate itself runs Tier-1 once per mutant; this keeps its table from
     # rotting as the source changes
-    spec = importlib.util.spec_from_file_location(
-        "mutation_gate", ROOT / "scripts" / "mutation_gate.py"
-    )
-    gate = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gate)
+    gate = load_script("mutation_gate")
     counts = gate.pattern_counts(ROOT)
-    assert len(counts) == len(gate.MUTANTS) == 17
+    assert len(counts) == len(gate.MUTANTS) == 18
     assert counts == {name: 1 for name in counts}
