@@ -13,6 +13,12 @@ version, ``nproc``, and for each tree its HEAD commit and the git tree
 SHA of its ``src/`` as measured, which equals ``git rev-parse
 <commit>:src`` of the commit that holds that source.
 
+The record also holds one run per tree of the integrality-audit box
+(``AUDIT_BOX``: every n up to 6 with rank <= 12, |k| <= 12, |chi| <= 24),
+in a child process of its own: its wall time in ns, the pairs found, how
+many rows the audit flagged nonintegral, and the child's peak RSS in KiB.
+It is a measurement, not a gate.
+
 When the repository root holds an earlier record (the highest-numbered
 ``BENCH_<n>.json`` other than ``--out``), the new record gains a
 ``previous`` section: that file's name and change-side HEAD, and per
@@ -44,6 +50,23 @@ SEED = 1
 NS = 1_000_000_000
 # the change-side medians that ``previous`` compares
 MEDIANS = ("wall_ns", "raw_wall_ns", "setup_ns", "raw_setup_ns", "ops_per_s", "peak_rss_kib")
+# the integrality-audit box: (largest n, max_rank, max_k, max_chi), every n from 1
+AUDIT_BOX = (6, 12, 12, 24)
+_AUDIT_CHILD = """\
+import json, resource, sys, time
+from thetachi.pairs import enumerate_rows
+n_max, max_rank, max_k, max_chi = map(int, sys.argv[1:])
+pairs = nonintegral = 0
+start = time.perf_counter_ns()
+for n in range(1, n_max + 1):
+    rows, summary = enumerate_rows(n, max_rank, max_k, max_chi)
+    pairs += len(rows)
+    nonintegral += len(summary["nonintegral_rows"])
+    del rows, summary
+wall_ns = time.perf_counter_ns() - start
+print(json.dumps({"wall_ns": wall_ns, "pairs": pairs, "nonintegral": nonintegral,
+                  "peak_rss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
+"""
 
 
 def git(tree: Path, *args, env=None) -> str:
@@ -83,6 +106,15 @@ def run_once(tree: Path, workload: str) -> dict:
         "failed": detail["result"]["failed"],
         "attempted": detail["result"]["attempted"],
     }
+
+
+def run_audit(tree: Path, box: tuple = AUDIT_BOX) -> dict:
+    """The audit ``box`` on ``tree``'s ``src/``, in a child process."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(tree / "src"), env.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", _AUDIT_CHILD, *map(str, box)], cwd=tree,
+                          env=env, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
 
 
 def summary(runs: list) -> dict:
@@ -164,6 +196,12 @@ def main(argv=None) -> int:
             "change": summary(runs["change"]),
             "change_wins_wall": wins,
         }
+    n_max, max_rank, max_k, max_chi = AUDIT_BOX
+    record["audit"] = {"box": {"n": f"1..{n_max}", "max_rank": max_rank, "max_k": max_k,
+                               "max_chi": max_chi}}
+    for side, tree in trees.items():
+        record["audit"][side] = run_audit(tree)
+        print("audit", side, record["audit"][side], file=sys.stderr)
     record["probe_after_ns"] = probe_ns(hostspeed)
     previous = previous_diff(record, ROOT, args.out)
     if previous is not None:

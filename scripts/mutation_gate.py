@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Mutation gate: the test suite must catch drift in each sign convention,
 bitset or contraction kernel, table of basis images, partner-search
-branch, closed-form binomial sum, the dimension invariant d_v, the
-lane split of the numeric trials and the per-lane helper listed in
-MUTANTS.
+branch, closed-form binomial sum, degenerate-branch label of a row,
+the dimension invariant d_v, the lane split of the numeric trials and
+the per-lane helper listed in MUTANTS.
 
 Copies the repository into a temporary directory and runs the Tier-1 suite
 there, under the Hypothesis profile "gate" (no shrinking), first unmutated
@@ -76,6 +76,9 @@ MUTANTS = (
     ("closed-form binomials swapped", "src/thetachi/formulas.py",
      "value = special_v * binom_w + special_w * binom_v",
      "value = special_v * binom_v + special_w * binom_w"),
+    ("row branch labels swapped", "src/thetachi/formulas.py",
+     'value, "special_dv0" if dv_ == 0 else "special_dw0", expected',
+     'value, "special_dw0" if dv_ == 0 else "special_dv0", expected'),
     ("lane split misaligned", "src/thetachi/identities.py",
      "return value[i] if type(value) is Lanes else value",
      "return value[i - 1] if type(value) is Lanes else value"),

@@ -4,11 +4,14 @@ On the orthogonality locus the closed forms (1/2) c1^2/d * binom(d, d_v)
 and d_v^2/d * binom(d, d_v), d = d_v + d_w, are integer sums of
 binom(d-1, d_w-1) and binom(d-1, d_v-1), and are evaluated as such; with
 binom(m, -1) = 0 the degenerate d_v = 0 and d_w = 0 fibers fall out of
-the same sums.  The theta evaluators take two ``MukaiVector``s and read
-only r, chi and the stored d_v (``v.d``) from each; ``closed_forms`` runs
-the three of them on one orthogonality check, as ``pairs`` does per row.
-Every value is an int except chi_hilbert's, which carries chi(D)/n;
-nothing is ever rounded.  The binomial coefficient is the product-formula
+the same sums.  One int kernel, ``row_forms``, evaluates all three from r,
+chi and d of both vectors and their one binomial: per form it decides the
+domain by tests, without raising, and returns the value, the branch and
+the degenerate-fiber count it was checked against.  ``pairs`` keeps those
+entries per row; the theta evaluators and ``closed_forms`` wrap the same
+entries into ``ChiResult``s and raise ``FormulaError`` where a form is
+undefined.  Every value is an int except chi_hilbert's, which carries
+chi(D)/n; nothing is ever rounded.  The binomial coefficient is the product-formula
 polynomial in its top argument, so negative (or symbolic) tops are fine;
 this is the extension that matches the Riemann-Roch polynomials the
 closed forms abbreviate.  Integer tops are evaluated by ``math.comb``
@@ -106,6 +109,113 @@ def _pair_inputs(v: MukaiVector, w: MukaiVector) -> dict:
     return {"v": v.text(), "w": w.text(), "n": v.n}
 
 
+def _row_binom(dv_: int, dw_: int):
+    """binom(d-1, d_v-1), d = d_v + d_w: the one binomial of the closed forms.
+
+    binom refuses a negative lower index, so binom(d-1, -1) = 0 is taken
+    here.  None where no closed form is defined (d_v or d_w negative, or
+    d = 0), so nothing is built for a row that is undefined.
+    """
+    if dv_ < 0 or dw_ < 0 or dv_ + dw_ == 0:
+        return None
+    return binom(dv_ + dw_ - 1, dv_ - 1) if dv_ else 0
+
+
+# A form entry is the row kernel's decision for one closed form of a pair:
+# (value, branch, check) where the form is defined, ``check`` being the
+# degenerate-fiber count the value was tested against (None on a branch with
+# no such test), and (None, message, args) where it is not, with
+# ``message.format(*args)`` the text of the FormulaError its evaluator
+# raises.  Deciding a domain raises nothing and formats no message.
+
+
+def _square_form(formula_id: str, special_v: int, special_w: int, dv_: int, dw_: int,
+                 binom_v) -> tuple:
+    """special_v binom(d-1, d_w-1) + special_w binom(d-1, d_v-1) as a form
+    entry, where special_v and special_w (r^2 or chi^2) are the
+    degenerate-fiber counts and ``binom_v`` is ``_row_binom(d_v, d_w)``."""
+    if dv_ < 0 or dw_ < 0:
+        return None, "negative dimension invariant: d_v={}, d_w={}", (dv_, dw_)
+    if dv_ + dw_ == 0:
+        return None, "d_v + d_w = 0: both moduli degenerate", ()
+    # c1^2/2 = special_v d_w + special_w d_v on the orthogonality locus;
+    # binom(d-1, d_w-1) = binom(d-1, d_v-1) d_w/d_v spares a binom.
+    binom_w = binom_v * dw_ // dv_ if dv_ else 1
+    value = special_v * binom_w + special_w * binom_v
+    if dv_ and dw_:
+        return value, "generic", None
+    expected = special_v if dv_ == 0 else special_w
+    if value != expected:
+        return (None, "{}: generic value {} disagrees with the degenerate-fiber count {}",
+                (formula_id, value, expected))
+    return value, "special_dv0" if dv_ == 0 else "special_dw0", expected
+
+
+def _albanese_form(dv_: int, dw_: int, binom_v) -> tuple:
+    """d_v * binom_v as a form entry, with ``binom_v`` = ``_row_binom(d_v, d_w)``."""
+    if dv_ < 1:
+        return None, "d_v must be at least 1, got {}", (dv_,)
+    if dw_ < 0:
+        return None, "d_w must be nonnegative, got {}", (dw_,)
+    return dv_ * binom_v, "generic", None
+
+
+def _arbitrary_form(dv_: int, dw_: int, binom_v) -> tuple:
+    """chi_arbitrary_det as a form entry: the Albanese-fiber value, or d_v
+    where d_w = 0, checked against the former where both are defined."""
+    if dw_ == 0:
+        if dv_ < 1:
+            return dv_, "special_dw0", None
+        generic = _albanese_form(dv_, 0, binom_v)[0]
+        if generic != dv_:
+            return (None, "chi_arbitrary_det: generic value {} disagrees "
+                          "with the finite-fiber count {}", (generic, dv_))
+        return dv_, "special_dw0", generic
+    if dv_ < 1:
+        return None, "chi_arbitrary_det needs d_v >= 1 or d_w = 0, got d_v={}", (dv_,)
+    return _albanese_form(dv_, dw_, binom_v)
+
+
+def row_forms(r_v: int, chi_v: int, dv_: int, r_w: int, chi_w: int, dw_: int) -> tuple:
+    """The form entries of chi_fixed_det, chi_fixed_fm_det and
+    chi_arbitrary_det (``_FORM_IDS``) of an orthogonal pair, from r, chi and
+    d of each vector; the one binomial of the three is built once."""
+    binom_v = _row_binom(dv_, dw_)
+    return (
+        _square_form("chi_fixed_det", r_v * r_v, r_w * r_w, dv_, dw_, binom_v),
+        _square_form("chi_fixed_fm_det", chi_v * chi_v, chi_w * chi_w, dv_, dw_, binom_v),
+        _arbitrary_form(dv_, dw_, binom_v),
+    )
+
+
+# the closed forms of row_forms, with the name of each one's checked count
+_CHECK_NAMES = {"chi_fixed_det": "r^2", "chi_fixed_fm_det": "chi^2",
+                "chi_arbitrary_det": "generic"}
+_FORM_IDS = tuple(_CHECK_NAMES)
+
+
+def _form_result(formula_id: str, entry: tuple, inputs: dict) -> ChiResult:
+    """The ChiResult of a defined form entry; raises its FormulaError otherwise."""
+    value, branch, check = entry
+    if value is None:
+        raise FormulaError(branch.format(*check))
+    cross = {} if check is None else {_CHECK_NAMES[formula_id]: check}
+    return ChiResult(formula_id, value, inputs, branch, cross)
+
+
+def form_results(forms: tuple, inputs: dict) -> tuple:
+    """The ChiResults of the entries of ``row_forms``, None where undefined."""
+    return tuple(None if entry[0] is None else _form_result(formula_id, entry, inputs)
+                 for formula_id, entry in zip(_FORM_IDS, forms))
+
+
+def _evaluate(index: int, v: MukaiVector, w: MukaiVector) -> ChiResult:
+    """The closed form ``_FORM_IDS[index]`` of (v, w) as a ChiResult."""
+    _require_orthogonal(v, w)
+    entry = row_forms(v.r, v.chi, v.d, w.r, w.chi, w.d)[index]
+    return _form_result(_FORM_IDS[index], entry, _pair_inputs(v, w))
+
+
 def chi_fixed_det(v: MukaiVector, w: MukaiVector) -> ChiResult:
     """Theta Euler characteristic on the fixed-determinant moduli space.
 
@@ -114,9 +224,7 @@ def chi_fixed_det(v: MukaiVector, w: MukaiVector) -> ChiResult:
     When d_v = 0 the moduli space is r_v^2 reduced points and the generic
     value must agree with r_v^2 (symmetrically for d_w = 0 with r_w^2).
     """
-    _require_orthogonal(v, w)
-    return _chi_tensor_square(v, w, _pair_inputs(v, w), "chi_fixed_det", v.r**2, w.r**2, "r^2",
-                              _row_binom(v.d, w.d))
+    return _evaluate(0, v, w)
 
 
 def chi_fixed_fm_det(v: MukaiVector, w: MukaiVector) -> ChiResult:
@@ -125,61 +233,29 @@ def chi_fixed_fm_det(v: MukaiVector, w: MukaiVector) -> ChiResult:
 
     The d = 0 special fibers consist of chi^2 points instead of r^2.
     """
-    _require_orthogonal(v, w)
-    return _chi_tensor_square(
-        v, w, _pair_inputs(v, w), "chi_fixed_fm_det", v.chi**2, w.chi**2, "chi^2",
-        _row_binom(v.d, w.d),
-    )
+    return _evaluate(1, v, w)
 
 
-def _row_binom(dv_: int, dw_: int):
-    """binom(d-1, d_v-1), d = d_v + d_w: the one binomial of the closed forms.
+def chi_arbitrary_det(v: MukaiVector, w: MukaiVector) -> ChiResult:
+    """Albanese-fiber value for the pair (v, w); equals chi on the full
+    moduli space of the partner vector.
 
-    binom refuses a negative lower index, so binom(d-1, -1) = 0 is taken
-    here.  None where no closed form is defined (d_v or d_w negative, or
-    d = 0), so nothing is built for a row that only raises.
+    Generic branch is the value of chi_albanese_fiber(d_v, d_w).  When
+    d_w = 0 the partner moduli space is a finite set and the value is d_v;
+    both branches are evaluated and must agree where both are defined.
     """
-    if dv_ < 0 or dw_ < 0 or dv_ + dw_ == 0:
-        return None
-    return binom(dv_ + dw_ - 1, dv_ - 1) if dv_ else 0
+    return _evaluate(2, v, w)
 
 
-def _chi_tensor_square(v: MukaiVector, w: MukaiVector, inputs, formula_id: str,
-                       special_v: int, special_w: int, special_name: str,
-                       binom_v) -> ChiResult:
-    """special_v binom(d-1, d_w-1) + special_w binom(d-1, d_v-1), where
-    ``special_name`` (r^2 or chi^2) names the degenerate-fiber counts and
-    ``binom_v`` is ``_row_binom(d_v, d_w)``."""
-    dv_, dw_ = v.d, w.d
-    if dv_ < 0 or dw_ < 0:
-        raise FormulaError(f"negative dimension invariant: d_v={dv_}, d_w={dw_}")
-    if dv_ + dw_ == 0:
-        raise FormulaError("d_v + d_w = 0: both moduli degenerate")
-    # c1^2/2 = special_v d_w + special_w d_v on the orthogonality locus;
-    # binom(d-1, d_w-1) = binom(d-1, d_v-1) d_w/d_v spares a binom.
-    binom_w = binom_v * dw_ // dv_ if dv_ else 1
-    value = special_v * binom_w + special_w * binom_v
-    branch = "generic"
-    cross: dict = {}
-    if dv_ == 0 or dw_ == 0:
-        branch = "special_dv0" if dv_ == 0 else "special_dw0"
-        expected = special_v if dv_ == 0 else special_w
-        cross = {special_name: expected}
-        if value != expected:
-            raise FormulaError(
-                f"{formula_id}: generic value {value} disagrees with the "
-                f"degenerate-fiber count {expected}"
-            )
-    return ChiResult(formula_id, value, inputs, branch, cross)
-
-
-def _albanese_value(dv_: int, dw_: int, binom_v) -> int:
-    """d_v * binom_v, with ``binom_v`` = ``_row_binom(d_v, d_w)``."""
-    if dv_ < 1:
-        raise FormulaError(f"d_v must be at least 1, got {dv_}")
-    if dw_ < 0:
-        raise FormulaError(f"d_w must be nonnegative, got {dw_}")
-    return dv_ * binom_v
+def closed_forms(v: MukaiVector, w: MukaiVector) -> tuple:
+    """(chi_fixed_det, chi_fixed_fm_det, chi_arbitrary_det) of (v, w), on
+    one orthogonality test and one ``row_forms``; an entry is None where
+    its evaluator raises FormulaError."""
+    try:
+        _require_orthogonal(v, w)
+    except FormulaError:
+        return None, None, None
+    return form_results(row_forms(v.r, v.chi, v.d, w.r, w.chi, w.d), _pair_inputs(v, w))
 
 
 def chi_albanese_fiber(dv_: int, dw_: int) -> ChiResult:
@@ -189,8 +265,8 @@ def chi_albanese_fiber(dv_: int, dw_: int) -> ChiResult:
     Defined for d_v >= 1; at d_v = 1 the fiber is a point and the value
     is 1 regardless of d_w.
     """
-    return ChiResult("chi_albanese_fiber", _albanese_value(dv_, dw_, _row_binom(dv_, dw_)),
-                     {"d_v": dv_, "d_w": dw_})
+    return _form_result("chi_albanese_fiber", _albanese_form(dv_, dw_, _row_binom(dv_, dw_)),
+                        {"d_v": dv_, "d_w": dw_})
 
 
 @dataclass(frozen=True)
@@ -240,66 +316,6 @@ def chi_k3_reference(dv_: int, dw_: int) -> ChiResult:
         raise FormulaError("d_v + 1 must be nonnegative for the K3 value")
     value = binom(dv_ + dw_ + 2, dv_ + 1)
     return ChiResult("chi_k3_reference", value, {"d_v": dv_, "d_w": dw_})
-
-
-def chi_arbitrary_det(v: MukaiVector, w: MukaiVector) -> ChiResult:
-    """Albanese-fiber value for the pair (v, w); equals chi on the full
-    moduli space of the partner vector.
-
-    Generic branch is the value of chi_albanese_fiber(d_v, d_w).  When
-    d_w = 0 the partner moduli space is a finite set and the value is d_v;
-    both branches are evaluated and must agree where both are defined.
-    """
-    _require_orthogonal(v, w)
-    return _chi_arbitrary_det(v, w, _pair_inputs(v, w), _row_binom(v.d, w.d))
-
-
-def _chi_arbitrary_det(v: MukaiVector, w: MukaiVector, inputs, binom_v) -> ChiResult:
-    dv_, dw_ = v.d, w.d
-    if dw_ == 0:
-        cross = {}
-        if dv_ >= 1:
-            generic = _albanese_value(dv_, 0, binom_v)
-            if generic != dv_:
-                raise FormulaError(
-                    f"chi_arbitrary_det: generic value {generic} disagrees "
-                    f"with the finite-fiber count {dv_}"
-                )
-            cross = {"generic": generic}
-        return ChiResult("chi_arbitrary_det", dv_, inputs, "special_dw0", cross)
-    if dv_ < 1:
-        raise FormulaError(f"chi_arbitrary_det needs d_v >= 1 or d_w = 0, got d_v={dv_}")
-    return ChiResult("chi_arbitrary_det", _albanese_value(dv_, dw_, binom_v), inputs)
-
-
-def _defined(body, *args):
-    """body(*args), or None where it raises FormulaError."""
-    try:
-        return body(*args)
-    except FormulaError:
-        return None
-
-
-def closed_forms(v: MukaiVector, w: MukaiVector) -> tuple:
-    """(chi_fixed_det, chi_fixed_fm_det, chi_arbitrary_det) of (v, w).
-
-    Runs the public evaluators' bodies and checks on one orthogonality
-    test and one ``_row_binom``; an entry is None where its evaluator
-    raises FormulaError.
-    """
-    try:
-        _require_orthogonal(v, w)
-    except FormulaError:
-        return None, None, None
-    inputs = _pair_inputs(v, w)
-    binom_v = _row_binom(v.d, w.d)
-    return (
-        _defined(_chi_tensor_square, v, w, inputs, "chi_fixed_det", v.r**2, w.r**2, "r^2",
-                 binom_v),
-        _defined(_chi_tensor_square, v, w, inputs, "chi_fixed_fm_det",
-                 v.chi**2, w.chi**2, "chi^2", binom_v),
-        _defined(_chi_arbitrary_det, v, w, inputs, binom_v),
-    )
 
 
 def beauville_bogomolov(kc: KummerClass) -> int:

@@ -78,7 +78,7 @@ from .exterior import (
 )
 # the three theorem evaluators are looked up by name in _assembly_residual
 from .formulas import chi_albanese_fiber, chi_arbitrary_det, chi_fixed_det, chi_fixed_fm_det  # noqa: F401
-from .mukai import MukaiVector, euler_chi_tensor
+from .mukai import MukaiVector
 from .poly import Lanes, Poly, eliminate_linear, scalar_div, scalar_is_zero
 
 
@@ -606,11 +606,11 @@ def _sample_vector_pair(rng, need_dw_positive: bool, need_k_nonzero: bool = Fals
         if numer % r != 0:
             continue
         chip = numer // r
-        v = MukaiVector(r, k, chi, n)
-        w = MukaiVector(rp, kp, chip, n)
-        if euler_chi_tensor(v, w) != 0:
+        # chi(v (x) w) and d of v = (r, k, chi), w = (rp, kp, chip) in ints,
+        # as mukai.euler_chi_tensor and MukaiVector.d give them
+        if rp * chi + 2 * n * k * kp + r * chip != 0:
             continue
-        d_v, d_w = v.d, w.d
+        d_v, d_w = n * k * k - r * chi, n * kp * kp - rp * chip
         if d_v < 1 or d_w < 0 or (need_dw_positive and d_w < 1):
             continue
         return {

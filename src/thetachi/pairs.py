@@ -9,22 +9,28 @@ r_v = 0 the pairing does not involve chi_w, so the whole column is a
 partner or none of it is.  Per r_w only the interval of k_w whose solved
 chi_w lies in the box is walked, so the cost follows the number of
 candidate partners, not the number of columns or of pairs of vectors.
-d_v is computed once per vector (``MukaiVector.d``).  Each pair is
-tabulated with the three theta Euler characteristics and branch and
-integrality flags.  Every pair is found before any row is built, and a
-pair whose values provably have more digits than ``int`` -> ``str``
-allows stops the scan, so a refused box builds no row.  Output is
-deterministic: rows come out in the lexicographic order of their integer
-key, and every number is rendered as an exact decimal string.
+d_v is computed once per vector (``MukaiVector.d``).  The search asserts
+the orthogonality of each pair it finds, once.  Every pair is found before
+any row is built, and a pair whose values provably have more digits than
+``int`` -> ``str`` allows stops the scan, so a refused box builds no row.
+
+A row is lean: d_v, d_w, the ``formulas.row_forms`` entries of the three
+theta Euler characteristics (value or None, and branch) and a flags tuple
+shared by every row with the same flags.  Its ``ChiResult``s are built
+only when read, for the JSON output and the tests.  Values become text
+only in ``rows_to_csv`` and ``rows_to_json``, which make each vector's
+text once.  Output is deterministic: rows come out in the lexicographic
+order of their integer key, and every number is rendered as an exact
+decimal string.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
-from dataclasses import dataclass
 
-from .formulas import ChiResult, binom_past_digit_limit, closed_forms
+from .formulas import binom_past_digit_limit, form_results, row_forms
 from .mukai import MukaiVector, euler_chi_tensor, h2_vanishing_direction, is_positive, is_primitive
 
 CSV_COLUMNS = (
@@ -40,45 +46,44 @@ class DigitLimitError(ValueError):
     """A pair's values provably have more digits than ``int`` -> ``str`` allows."""
 
 
-@dataclass(frozen=True)
 class PairRow:
-    v: MukaiVector
-    w: MukaiVector
-    d_v: int
-    d_w: int
-    chi_main: ChiResult | None
-    chi_two: ChiResult | None
-    chi_three: ChiResult | None
-    flags: tuple
+    """One orthogonal pair: its vectors, d_v, d_w, the ``formulas.row_forms``
+    entries of its three closed forms and its flags.
 
-    def sort_key(self):
-        return (self.v.n, self.v.r, self.v.k, self.v.chi,
-                self.w.r, self.w.k, self.w.chi)
+    ``chi_main``, ``chi_two`` and ``chi_three`` are the ChiResults of those
+    entries, None where undefined; they are built on each access.
+    """
 
-    def csv_fields(self) -> tuple:
-        return (
-            str(self.v.n),
-            str(self.v.r), str(self.v.k), str(self.v.chi),
-            str(self.w.r), str(self.w.k), str(self.w.chi),
-            str(self.d_v), str(self.d_w),
-            *("" if result is None else str(result.value)
-              for result in (self.chi_main, self.chi_two, self.chi_three)),
-            ";".join(self.flags) or "-",
-        )
+    __slots__ = ("v", "w", "d_v", "d_w", "forms", "flags")
+
+    def __init__(self, v: MukaiVector, w: MukaiVector, d_v: int, d_w: int, forms: tuple,
+                 flags: tuple):
+        self.v = v
+        self.w = w
+        self.d_v = d_v
+        self.d_w = d_w
+        self.forms = forms
+        self.flags = flags
+
+    def results(self) -> tuple:
+        """(chi_main, chi_two, chi_three) as ChiResults, None where undefined."""
+        return form_results(self.forms, {"v": self.v.text(), "w": self.w.text(), "n": self.v.n})
+
+    chi_main = property(lambda self: self.results()[0])
+    chi_two = property(lambda self: self.results()[1])
+    chi_three = property(lambda self: self.results()[2])
 
     def to_json_dict(self) -> dict:
+        v_text, w_text = self.v.text(), self.w.text()
         out = {
             "n": str(self.v.n),
-            "v": self.v.text(),
-            "w": self.w.text(),
+            "v": v_text,
+            "w": w_text,
             "d_v": str(self.d_v),
             "d_w": str(self.d_w),
         }
-        for name, result in (
-            ("chi_main", self.chi_main),
-            ("chi_two", self.chi_two),
-            ("chi_three", self.chi_three),
-        ):
+        results = form_results(self.forms, {"v": v_text, "w": w_text, "n": self.v.n})
+        for name, result in zip(("chi_main", "chi_two", "chi_three"), results):
             out[name] = None if result is None else result.to_json_dict()
         out["flags"] = list(self.flags)
         return out
@@ -96,24 +101,36 @@ def admissible_vectors(n: int, max_rank: int, max_k: int, max_chi: int):
     return out
 
 
-def build_row(v: MukaiVector, w: MukaiVector) -> PairRow:
-    flags: list = []
-    if v.d < 0:
-        flags.append("dv_neg")
-    if w.d < 0:
-        flags.append("dw_neg")
-    results = closed_forms(v, w)
-    flags.extend(f"{tag}_undef" for tag, result in zip(_FORMULA_TAGS, results)
-                 if result is None)
-    for tag, result in zip(_FORMULA_TAGS, results):
-        if result is None:
+@functools.cache  # a finite key space; rows with the same flags share one tuple
+def _flags(key: tuple) -> tuple:
+    """The flags of a row with ``key`` = (d_v < 0, d_w < 0, h2 direction,
+    and per closed form None where it is undefined, else its branch, or the
+    branch in a 1-tuple where its value is not an integer)."""
+    dv_neg, dw_neg, h2, *states = key
+    flags = ["dv_neg"] * dv_neg + ["dw_neg"] * dw_neg
+    flags.extend(f"{tag}_undef" for tag, state in zip(_FORMULA_TAGS, states) if state is None)
+    for tag, state in zip(_FORMULA_TAGS, states):
+        if state is None:
             continue
-        if result.branch != "generic":
-            flags.append(f"{tag}_{result.branch}")
-        if not result.integral:
+        branch = state if type(state) is str else state[0]
+        if branch != "generic":
+            flags.append(f"{tag}_{branch}")
+        if branch is not state:
             flags.append(f"nonintegral_{tag}")
-    flags.append(_H2_FLAGS[h2_vanishing_direction(v, w)])
-    return PairRow(v, w, v.d, w.d, *results, tuple(flags))
+    flags.append(_H2_FLAGS[h2])
+    return tuple(flags)
+
+
+def build_row(v: MukaiVector, w: MukaiVector) -> PairRow:
+    """The row of an orthogonal pair; enumerate_rows tests the orthogonality."""
+    dv_, dw_ = v.d, w.d
+    forms = (main, main_branch, _), (two, two_branch, _), (three, three_branch, _) = row_forms(
+        v.r, v.chi, dv_, w.r, w.chi, dw_)
+    key = (dv_ < 0, dw_ < 0, h2_vanishing_direction(v, w),
+           None if main is None else main_branch if main.denominator == 1 else (main_branch,),
+           None if two is None else two_branch if two.denominator == 1 else (two_branch,),
+           None if three is None else three_branch if three.denominator == 1 else (three_branch,))
+    return PairRow(v, w, dv_, dw_, forms, _flags(key))
 
 
 def _solutions(base: int, step: int, bound: int, max_k: int) -> range:
@@ -154,8 +171,9 @@ def _partners(v: MukaiVector, box: tuple, columns: dict, position: dict):
 def enumerate_rows(n: int, max_rank: int, max_k: int, max_chi: int):
     """All ordered orthogonal pairs of admissible vectors in the box.
 
-    Returns (rows, summary); rows are in sort_key order and the summary
-    carries the counts and the integrality audit.  All pairs are found
+    Returns (rows, summary); rows are in the lexicographic order of
+    (r_v, k_v, chi_v, r_w, k_w, chi_w) and the summary carries the counts
+    and the integrality audit.  All pairs are found
     before any row is built, so DigitLimitError, raised at the first pair
     whose values provably have more than ``sys.get_int_max_str_digits()``
     digits, comes before any value is computed.
@@ -169,7 +187,7 @@ def enumerate_rows(n: int, max_rank: int, max_k: int, max_chi: int):
         columns.setdefault((v.r, v.k), []).append(i)
     position = {(v.r, v.k, v.chi): i for i, v in enumerate(vectors)}
     found = []
-    # v in box order, then each partner in box order: sort_key order
+    # v in box order, then each partner in box order: the rows' order
     for v in vectors:
         for j in _partners(v, (max_rank, max_k, max_chi), columns, position):
             w = vectors[j]
@@ -183,10 +201,11 @@ def enumerate_rows(n: int, max_rank: int, max_k: int, max_chi: int):
                 raise DigitLimitError(f"the values of {v.text()} and {w.text()} are too long to print")
             found.append((v, w))
     rows = [build_row(v, w) for v, w in found]
-    violations = [
-        row for row in rows
-        if any(flag.startswith("nonintegral") for flag in row.flags)
-    ]
+    # rows share their flags tuples (_flags): each distinct one is read once
+    distinct = {id(row.flags): row.flags for row in rows}
+    nonintegral = {key for key, flags in distinct.items()
+                   if any(flag.startswith("nonintegral") for flag in flags)}
+    violations = [row for row in rows if id(row.flags) in nonintegral] if nonintegral else []
     summary = {
         "n": str(n),
         "vectors": str(len(vectors)),
@@ -201,7 +220,17 @@ def enumerate_rows(n: int, max_rank: int, max_k: int, max_chi: int):
 
 def rows_to_csv(rows, summary) -> str:
     lines = [",".join(CSV_COLUMNS)]
-    lines.extend(",".join(row.csv_fields()) for row in rows)
+    # "r,k,chi" of each vector and the text of each flags tuple, made once;
+    # keyed by id, as the rows keep every vector and tuple alive
+    texts: dict = {}
+    for row in rows:
+        v, w, (main, two, three), flags = row.v, row.w, row.forms, row.flags
+        v_text = texts.get(id(v)) or texts.setdefault(id(v), v.text())
+        w_text = texts.get(id(w)) or texts.setdefault(id(w), w.text())
+        flag_text = texts.get(id(flags)) or texts.setdefault(id(flags), ";".join(flags) or "-")
+        lines.append(f"{v.n},{v_text},{w_text},{row.d_v},{row.d_w},"
+                     f"{'' if main[0] is None else main[0]},{'' if two[0] is None else two[0]},"
+                     f"{'' if three[0] is None else three[0]},{flag_text}")
     lines.append(f"# pairs={summary['pairs']} vectors={summary['vectors']} "
                  f"nonintegral={len(summary['nonintegral_rows'])}")
     return "\n".join(lines) + "\n"

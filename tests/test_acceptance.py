@@ -38,7 +38,7 @@ from thetachi.mukai import (
     fm_vector_via_engine,
     mukai_pairing,
 )
-from thetachi.pairs import enumerate_rows, rows_to_csv
+from thetachi.pairs import enumerate_rows, rows_to_csv, rows_to_json
 
 from fractions import Fraction
 
@@ -191,6 +191,25 @@ def test_ac8_integrality_audit():
         not violations and not drifted and total_pairs == 8383,
         f"{total_pairs} pairs, {len(violations)} non-integral, drifted: {drifted}",
     )
+
+
+# per AC-8 box: sha256 of the ``enumerate --format json`` bytes
+AC8_JSON_SHA256 = {
+    1: "561268754f71ea6830916af0816c54a2577671140423a101c6411b45223cb718",
+    2: "d886382b5eea70925742544d4aa2b3d23ea92a60f9363e1d2e02b6edca2549cc",
+    3: "04d3425663cb67c77b0d04bf6ed7a4867b9d182da3713bbe7720f73666edcbbe",
+}
+
+
+def test_ac8_json_digests():
+    drifted = []
+    for n, digest in AC8_JSON_SHA256.items():
+        rows, summary = enumerate_rows(n, max_rank=4, max_k=4, max_chi=6)
+        got = hashlib.sha256(rows_to_json(rows, summary).encode()).hexdigest()
+        if got != digest:
+            drifted.append(f"n={n}: sha256 {got[:12]}")
+    report("AC-8 JSON output pinned (n<=3, rank<=4, |k|<=4, |chi|<=6)", not drifted,
+           f"drifted: {drifted}")
 
 
 def test_ac8_pins_match_benchmark_goldens():

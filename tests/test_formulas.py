@@ -179,6 +179,40 @@ def test_chi_arbitrary_det_branches():
         chi_arbitrary_det(iso, MukaiVector(2, 1, -3, 2))
 
 
+def test_evaluator_error_texts():
+    cases = [
+        (chi_fixed_det, V1, MukaiVector(2, 4, 3, 1),
+         "vectors are not orthogonal: chi(v (x) w) = 1"),
+        (chi_fixed_fm_det, MukaiVector(1, 0, 5, 1), MukaiVector(1, 1, -5, 1),
+         "negative dimension invariant: d_v=-5, d_w=6"),
+        (chi_fixed_det, MukaiVector(1, 1, 1, 1), MukaiVector(1, -1, 1, 1),
+         "d_v + d_w = 0: both moduli degenerate"),
+        (chi_arbitrary_det, MukaiVector(2, 1, 1, 2), MukaiVector(2, 1, -3, 2),
+         "chi_arbitrary_det needs d_v >= 1 or d_w = 0, got d_v=0"),
+        (chi_arbitrary_det, MukaiVector(1, 1, -5, 1), MukaiVector(1, 0, 5, 1),
+         "d_w must be nonnegative, got -5"),
+    ]
+    for evaluator, v, w, text in cases:
+        with pytest.raises(FormulaError) as raised:
+            evaluator(v, w)
+        assert str(raised.value) == text
+    for (dv_, dw_), text in (((0, 3), "d_v must be at least 1, got 0"),
+                             ((2, -1), "d_w must be nonnegative, got -1")):
+        with pytest.raises(FormulaError) as raised:
+            chi_albanese_fiber(dv_, dw_)
+        assert str(raised.value) == text
+    # the cross-checks, which hold on every orthogonal pair, fed a wrong binomial
+    for entry, text in (
+        (formulas._square_form("chi_fixed_det", 4, 9, 0, 3, 5),
+         "chi_fixed_det: generic value 49 disagrees with the degenerate-fiber count 4"),
+        (formulas._arbitrary_form(2, 0, 3),
+         "chi_arbitrary_det: generic value 6 disagrees with the finite-fiber count 2"),
+    ):
+        with pytest.raises(FormulaError) as raised:
+            formulas._form_result("chi_fixed_det", entry, {})
+        assert str(raised.value) == text
+
+
 def test_degenerate_branch_counts_on_constructed_instances():
     """Isotropic-side values: r^2 for the determinant side, chi^2 for the
     transform side, across 100+ constructed orthogonal instances."""

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from thetachi.formulas import chi_fixed_det
-from thetachi.mukai import MukaiVector
+from thetachi import pairs
+from thetachi.formulas import FormulaError, chi_arbitrary_det, chi_fixed_det, chi_fixed_fm_det
+from thetachi.mukai import MukaiVector, euler_chi_tensor, h2_vanishing_direction
 from thetachi.pairs import (
     admissible_vectors,
     build_row,
@@ -25,6 +26,11 @@ def brute_pairs(n, max_rank, max_k, max_chi):
 
 
 bound = st.integers(0, 4)
+
+
+def row_key(row):
+    """The integer key whose lexicographic order the rows come out in."""
+    return (row.v.n, row.v.r, row.v.k, row.v.chi, row.w.r, row.w.k, row.w.chi)
 
 
 @given(st.integers(1, 4), bound, bound, bound)
@@ -57,7 +63,7 @@ def test_brute_force_examples_cover_whole_columns_and_negative_chi(box):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_rows_come_out_in_sort_key_order(n):
     rows, _ = enumerate_rows(n, 3, 3, 5)
-    keys = [row.sort_key() for row in rows]
+    keys = [row_key(row) for row in rows]
     assert len(keys) > 100
     assert all(a < b for a, b in zip(keys, keys[1:]))  # sorted, no repeats
 
@@ -73,7 +79,7 @@ def test_admissible_vectors_filtering():
 def test_rows_are_recomputable_and_sorted():
     rows, summary = enumerate_rows(1, 2, 3, 4)
     assert int(summary["pairs"]) == len(rows)
-    keys = [row.sort_key() for row in rows]
+    keys = [row_key(row) for row in rows]
     assert keys == sorted(keys)
     # spot-check one row against a fresh evaluation
     target = next(
@@ -93,7 +99,8 @@ def test_isotropic_pair_row_flags_undefined_values():
     row = build_row(MukaiVector(1, 1, 1, 1), MukaiVector(1, -1, 1, 1))
     assert row.chi_main is None and row.chi_two is None
     assert "main_undef" in row.flags and "two_undef" in row.flags
-    fields = row.csv_fields()
+    summary = {"pairs": "1", "vectors": "2", "nonintegral_rows": []}
+    fields = rows_to_csv([row], summary).splitlines()[1].split(",")
     assert fields[9] == "" and fields[10] == ""
     blob = row.to_json_dict()
     assert blob["chi_main"] is None
@@ -124,3 +131,81 @@ def test_csv_and_json_render_exact_strings():
     assert body[-1].startswith("#")
     payload = json.loads(rows_to_json(rows, summary))
     assert payload["summary"]["pairs"] == str(len(rows))
+
+
+# (v, w) reaching each special branch and undefined case of a row
+HAND_PAIRS = [
+    ((2, 1, 1, 2), (2, 1, -3, 2)),  # d_v = 0: special_dv0
+    ((2, 1, -3, 2), (2, 1, 1, 2)),  # d_w = 0: special_dw0
+    ((-2, 0, 1, 2), (2, 1, 1, 2)),  # d_w = 0, d_v = 2: three special_dw0 cross-checked
+    ((1, 0, 5, 1), (1, 1, -5, 1)),  # d_v < 0
+    ((1, 1, -5, 1), (1, 0, 5, 1)),  # d_w < 0
+    ((1, 1, 1, 1), (1, -1, 1, 1)),  # d_v = d_w = 0
+]
+_EVALUATORS = (("chi_main", "main", chi_fixed_det), ("chi_two", "two", chi_fixed_fm_det),
+               ("chi_three", "three", chi_arbitrary_det))
+
+
+def _evaluate(evaluator, v, w):
+    try:
+        return evaluator(v, w)
+    except FormulaError:
+        return None
+
+
+def reference_flags(v, w, results) -> tuple:
+    """The flags of a row, from the public evaluators' results."""
+    flags = ["dv_neg"] * (v.d < 0) + ["dw_neg"] * (w.d < 0)
+    flags += [f"{tag}_undef" for (_, tag, _), result in zip(_EVALUATORS, results)
+              if result is None]
+    for (_, tag, _), result in zip(_EVALUATORS, results):
+        if result is not None and result.branch != "generic":
+            flags.append(f"{tag}_{result.branch}")
+        if result is not None and not result.integral:
+            flags.append(f"nonintegral_{tag}")
+    flags.append({1: "h2_pos", 0: "h2_zero", -1: "h2_neg"}[h2_vanishing_direction(v, w)])
+    return tuple(flags)
+
+
+def test_rows_match_the_public_evaluators():
+    rows, _ = enumerate_rows(2, 3, 3, 5)
+    hand = [(MukaiVector(*v), MukaiVector(*w)) for v, w in HAND_PAIRS]
+    assert all(euler_chi_tensor(v, w) == 0 for v, w in hand)
+    reached = set()
+    for row in rows + [build_row(v, w) for v, w in hand]:
+        v, w = row.v, row.w
+        results = [_evaluate(evaluator, v, w) for _, _, evaluator in _EVALUATORS]
+        assert (row.d_v, row.d_w) == (v.d, w.d)
+        assert row.flags == reference_flags(v, w, results)
+        expected_json = {
+            "n": str(v.n), "v": v.text(), "w": w.text(), "d_v": str(v.d), "d_w": str(w.d),
+        }
+        for (name, tag, _), result in zip(_EVALUATORS, results):
+            got = getattr(row, name)
+            if result is None:
+                assert got is None
+                reached.add(f"{tag}:undef")
+                expected_json[name] = None
+                continue
+            assert type(got.value) is int
+            assert (got.formula_id, got.value, got.branch, got.cross_check, got.inputs) == (
+                result.formula_id, result.value, result.branch, result.cross_check, result.inputs)
+            assert got.to_json_dict() == result.to_json_dict()
+            reached.add(f"{tag}:{result.branch}")
+            expected_json[name] = result.to_json_dict()
+        expected_json["flags"] = list(row.flags)
+        assert row.to_json_dict() == expected_json
+    assert reached >= {
+        f"{tag}:{branch}" for tag in ("main", "two")
+        for branch in ("generic", "special_dv0", "special_dw0", "undef")
+    } | {"three:generic", "three:special_dw0", "three:undef"}
+
+
+def test_flags_name_each_nonintegral_value():
+    # the closed forms are int sums, so no row reaches this; the audit still
+    # names a value that is not an integer, after its branch flag
+    key = (False, True, -1, ("generic",), ("special_dv0",), None)
+    assert pairs._flags(key) == (
+        "dw_neg", "three_undef", "nonintegral_main", "two_special_dv0", "nonintegral_two",
+        "h2_neg",
+    )

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from thetachi.pairs import enumerate_rows
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -64,10 +66,22 @@ def test_bench_diffs_against_the_highest_numbered_earlier_record(tmp_path):
     assert bench.previous_diff(record("new", 150), tmp_path / "empty", out) is None
 
 
+def test_bench_audit_counts_pairs_in_a_child_process():
+    # a small box stands in for AUDIT_BOX: the child's counts are those of
+    # enumerate_rows for every n up to the first entry
+    bench = load_script("bench")
+    assert bench.AUDIT_BOX == (6, 12, 12, 24)
+    audit = bench.run_audit(ROOT, (2, 2, 1, 3))
+    expected = sum(len(enumerate_rows(n, 2, 1, 3)[0]) for n in (1, 2))
+    assert (audit["pairs"], audit["nonintegral"]) == (expected, 0)
+    assert expected > 0 and audit["wall_ns"] > 0 and audit["peak_rss_kib"] > 0
+    assert all(type(value) is int for value in audit.values())
+
+
 def test_mutation_gate_patterns_occur_once():
     # the gate itself runs Tier-1 once per mutant; this keeps its table from
     # rotting as the source changes
     gate = load_script("mutation_gate")
     counts = gate.pattern_counts(ROOT)
-    assert len(counts) == len(gate.MUTANTS) == 18
+    assert len(counts) == len(gate.MUTANTS) == 19
     assert counts == {name: 1 for name in counts}
