@@ -12,6 +12,8 @@ five runs before and after, in ns, against its nominal time), the Python
 version, ``nproc``, and for each tree its HEAD commit and the git tree
 SHA of its ``src/`` as measured, which equals ``git rev-parse
 <commit>:src`` of the commit that holds that source.
+Each run gets a fresh bytecode cache of its own (``child_env``), so both
+trees time the same cached import in ``setup_s``.
 
 The record also holds one run per tree of the integrality-audit box
 (``AUDIT_BOX``: every n up to 6 with rank <= 12, |k| <= 12, |chi| <= 24),
@@ -83,15 +85,33 @@ def src_tree(tree: Path) -> str:
         return git(tree, "write-tree", "--prefix=src/", env=env)
 
 
+def child_env(pycache: Path) -> dict:
+    """This process's environment for a ``perfbench/run.py`` child, with
+    its bytecode cache under ``pycache`` and bytecode writing on.
+
+    ``perfbench/run.py`` times a fresh interpreter's import after one
+    untimed import that writes the cache.  With the cache in a fresh
+    directory of its own, every run of either tree times the same cached
+    import, whatever ``__pycache__`` a checkout holds and whatever
+    ``PYTHONDONTWRITEBYTECODE`` says.
+    """
+    env = dict(os.environ)
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    env["PYTHONPYCACHEPREFIX"] = str(pycache)
+    return env
+
+
 def run_once(tree: Path, workload: str) -> dict:
     """One ``perfbench/run.py`` run in ``tree``; the values it recorded."""
     path = tree / ".perfbench_out" / f"result-{workload}-s{SEED}-t0.json"
     path.unlink(missing_ok=True)
-    done = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
-         "--seconds", str(SECONDS), "--trace", "0"],
-        cwd=tree, capture_output=True, text=True, check=False,
-    )
+    with tempfile.TemporaryDirectory(prefix="bench_pycache_") as pycache:
+        done = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+             "--seconds", str(SECONDS), "--trace", "0"],
+            cwd=tree, env=child_env(Path(pycache)), capture_output=True, text=True,
+            check=False,
+        )
     if done.returncode not in (0, 1):  # 1: some operation failed its gate
         raise RuntimeError(f"perfbench/run.py failed in {tree}:\n{done.stderr}")
     detail = json.loads(path.read_text(encoding="utf-8"))

@@ -2,8 +2,9 @@
 """Mutation gate: the test suite must catch drift in each sign convention,
 bitset or contraction kernel, table of basis images, partner-search
 branch, closed-form binomial sum, degenerate-branch label of a row,
-the dimension invariant d_v, the lane split of the numeric trials and
-the per-lane helper listed in MUTANTS.
+the dimension invariant d_v, the lane split of the numeric trials, the
+per-lane helper, and the JSON renderer and verify report template listed
+in MUTANTS.
 
 Copies the repository into a temporary directory and runs the Tier-1 suite
 there, under the Hypothesis profile "gate" (no shrinking), first unmutated
@@ -85,6 +86,10 @@ MUTANTS = (
     ("per-lane helper misaligned", "src/thetachi/identities.py",
      "fn(*(a[i] if type(a) is Lanes else a for a in args))",
      "fn(*(a[i - 1] if type(a) is Lanes else a for a in args))"),
+    ("report template pass swapped", "src/thetachi/identities.py",
+     '"true" if self.passed else "false"', '"false" if self.passed else "true"'),
+    ("JSON key separator", "src/thetachi/jsontext.py",
+     '": "', '":"'),
 )
 
 _FAILED = re.compile(r"^(?:FAILED|ERROR) (tests/[^:\s]+)")

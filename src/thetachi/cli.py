@@ -15,7 +15,6 @@ output is an exact decimal string; no floating point appears anywhere.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .formulas import (
@@ -37,6 +36,7 @@ from .identities import (
     run_suite,
     suite_passed,
 )
+from .jsontext import dumps
 from .mukai import check_assumptions, euler_chi_tensor, parse_vector
 from .pairs import DigitLimitError, enumerate_rows, rows_to_csv, rows_to_json
 
@@ -92,7 +92,7 @@ def _format(build, refusal: str):
 
 def _emit(build) -> int:
     """Print the JSON of the payload that ``build()`` returns."""
-    text = _format(lambda: json.dumps(build(), indent=2), _PRINT_REFUSAL)
+    text = _format(lambda: dumps(build()), _PRINT_REFUSAL)
     if text is None:
         return EXIT_USAGE
     print(text)
@@ -202,8 +202,15 @@ def cmd_verify(args) -> int:
         reports = run_suite(args.seed, args.trials, only)
     except (UnknownIdentity, SideCondition, ValueError) as exc:
         return _fail_usage(str(exc))
-    # stdout carries the pure JSON array; the human summary goes to stderr
-    print(json.dumps([report.to_json_dict() for report in reports], indent=2))
+    # stdout carries the pure JSON array, written one report at a time;
+    # the human summary goes to stderr
+    write = sys.stdout.write
+    write("[")
+    separator = "\n"
+    for report in reports:
+        write(separator + report.to_json_text())
+        separator = ",\n"
+    write("\n]\n" if reports else "]\n")
     passed = suite_passed(reports)
     counts = f"{sum(r.passed for r in reports)}/{len(reports)}"
     print(f"identities: {counts} passed", file=sys.stderr)

@@ -78,6 +78,7 @@ from .exterior import (
 )
 # the three theorem evaluators are looked up by name in _assembly_residual
 from .formulas import chi_albanese_fiber, chi_arbitrary_det, chi_fixed_det, chi_fixed_fm_det  # noqa: F401
+from .jsontext import quote
 from .mukai import MukaiVector
 from .poly import Lanes, Poly, eliminate_linear, scalar_div, scalar_is_zero
 
@@ -110,6 +111,21 @@ class IdentityReport:
         if self.trial is not None:
             out["trial"] = str(self.trial)
         return out
+
+    def to_json_text(self) -> str:
+        """``to_json_dict()`` as ``json.dumps`` renders it, with ``indent=2``,
+        as an item of a top-level list: one template of the report's shape,
+        with ``to_json_dict`` as its test oracle."""
+        items = sorted(self.instantiation.items())
+        instantiation = "{\n      " + ",\n      ".join(
+            [f"{quote(key)}: {quote(str(value))}" for key, value in items]
+        ) + "\n    }" if items else "{}"
+        trial = "" if self.trial is None else ',\n    "trial": ' + quote(str(self.trial))
+        return (f'  {{\n    "identity": {quote(self.identity_id)},\n'
+                f'    "mode": {quote(self.mode)},\n'
+                f'    "instantiation": {instantiation},\n'
+                f'    "residual": {quote(self.residual)},\n'
+                f'    "pass": {"true" if self.passed else "false"}{trial}\n  }}')
 
 
 # -- shared builders ----------------------------------------------------------
@@ -162,9 +178,21 @@ def _per_lane(fn, *args):
                   for i in range(width)])
 
 
+def _randint(rng, a: int, b: int) -> int:
+    """``rng.randint(a, b)``, the same draw from the same stream, without
+    its argument checks: CPython's ``Random._randbelow_with_getrandbits``
+    on the width of [a, b], plus a."""
+    width = b - a + 1
+    bits = width.bit_length()
+    r = rng.getrandbits(bits)
+    while r >= width:
+        r = rng.getrandbits(bits)
+    return a + r
+
+
 def _rand_nonzero(rng) -> int:
     while True:
-        value = rng.randint(-9, 9)
+        value = _randint(rng, -9, 9)
         if value:
             return value
 
@@ -210,7 +238,7 @@ class ParamSpec:
         out = {}
         for name, kind in self.params:
             if kind == FREE:
-                out[name] = rng.randint(-9, 9)
+                out[name] = _randint(rng, -9, 9)
             elif kind == NONZERO:
                 out[name] = _rand_nonzero(rng)
             else:
@@ -591,17 +619,17 @@ def _sample_dw0(rng):
 def _sample_vector_pair(rng, need_dw_positive: bool, need_k_nonzero: bool = False):
     """Integer orthogonal Mukai vectors with d_v >= 1 (and d_w if asked)."""
     while True:
-        n = rng.randint(1, 4)
+        n = _randint(rng, 1, 4)
         divisors = [t for t in range(1, n + 1) if n % t == 0]
         d0 = rng.choice(divisors)
         e0 = n // d0
         r = _rand_nonzero(rng)
-        k = rng.randint(-3, 3)
+        k = _randint(rng, -3, 3)
         if need_k_nonzero and k == 0:
             continue
-        chi = rng.randint(-9, 9)
-        rp = rng.randint(-9, 9)
-        kp = rng.randint(-3, 3)
+        chi = _randint(rng, -9, 9)
+        rp = _randint(rng, -9, 9)
+        kp = _randint(rng, -3, 3)
         numer = -(rp * chi + 2 * n * k * kp)
         if numer % r != 0:
             continue

@@ -18,19 +18,20 @@ A row is lean: d_v, d_w, the ``formulas.row_forms`` entries of the three
 theta Euler characteristics (value or None, and branch) and a flags tuple
 shared by every row with the same flags.  Its ``ChiResult``s are built
 only when read, for the JSON output and the tests.  Values become text
-only in ``rows_to_csv`` and ``rows_to_json``, which make each vector's
-text once.  Output is deterministic: rows come out in the lexicographic
-order of their integer key, and every number is rendered as an exact
-decimal string.
+only in ``rows_to_csv``, which makes each vector's text once, and
+``rows_to_json``, which renders the rows' ``to_json_dict`` payload through
+``jsontext.dumps``, the bytes of ``json.dumps`` with ``indent=2``.
+Output is deterministic: rows come out in the lexicographic order of their
+integer key, and every number is rendered as an exact decimal string.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import sys
 
 from .formulas import binom_past_digit_limit, form_results, row_forms
+from .jsontext import dumps
 from .mukai import MukaiVector, euler_chi_tensor, h2_vanishing_direction, is_positive, is_primitive
 
 CSV_COLUMNS = (
@@ -241,4 +242,4 @@ def rows_to_json(rows, summary) -> str:
         "rows": [row.to_json_dict() for row in rows],
         "summary": summary,
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return dumps(payload) + "\n"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -404,6 +405,33 @@ def test_verify_stdout_matches_golden(capsys):
     code, out, _ = run_cli(capsys, "verify", "--all", "--seed", "42", "--trials", "2")
     assert code == 0
     assert out == golden.read_text(encoding="utf-8")
+
+
+# sha256 of ``verify --all --seed 42 --trials T`` stdout, per T
+VERIFY_STDOUT_SHA256 = {
+    0: "2bbc3d27d8f3dc0614407d09dd441b5bb06887353107b5c7e9983a2894269f03",
+    2: "58eb5cc4fb61dd6e482c4d3b37ea66f72f86772751c22c48c83c32db34b3a536",
+    200: "b72ae539260db6921a3af1fbfc50071aa7c33e46fb5f7cbc83afa48db9e66f18",
+}
+
+
+@pytest.mark.parametrize("trials", sorted(VERIFY_STDOUT_SHA256))
+def test_verify_stdout_sha256_pinned(capsys, trials):
+    code, out, _ = run_cli(capsys, "verify", "--all", "--seed", "42", "--trials", str(trials))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_STDOUT_SHA256[trials]
+
+
+def test_eval_and_kummer_stdout_match_grid_golden(capsys):
+    # exact stdout of eval (every theorem choice, every row branch, results
+    # with an {"error": ...} entry) and kummer (n >= 3 carries bb_cross_value)
+    grid = json.loads((Path(__file__).parent / "golden" / "eval_kummer_grid.json")
+                      .read_text(encoding="utf-8"))
+    assert any('"error": ' in case["stdout"] for case in grid)
+    assert any('"bb_cross_value": ' in case["stdout"] for case in grid)
+    for case in grid:
+        code, out, _ = run_cli(capsys, *case["argv"])
+        assert (code, out) == (case["code"], case["stdout"]), case["argv"]
 
 
 def test_kummer_output(capsys):

@@ -442,3 +442,17 @@ def test_phi_hat_minus_restores_the_sign_it_found(phi_hat_minus, found):
     finally:
         abelian.PHI_HAT_SIGN = before
         abelian._transform_image.cache_clear()
+
+
+def test_randint_helper_reproduces_random_randint():
+    # the samplers draw through identities._randint, built on getrandbits;
+    # it must give Random.randint's values and leave the generator in the
+    # same state, for every range they draw from, seeded as run_suite seeds
+    ranges = ((-9, 9), (1, 4), (-3, 3))
+    for seed in range(300):
+        for key in (seed, f"{seed}:assembly_main"):
+            ours, theirs = random.Random(key), random.Random(key)
+            for step in range(60):
+                a, b = ranges[(seed + step) % 3]
+                assert identities._randint(ours, a, b) == theirs.randint(a, b)
+            assert ours.getstate() == theirs.getstate()

@@ -83,5 +83,28 @@ def test_mutation_gate_patterns_occur_once():
     # rotting as the source changes
     gate = load_script("mutation_gate")
     counts = gate.pattern_counts(ROOT)
-    assert len(counts) == len(gate.MUTANTS) == 19
+    assert len(counts) == len(gate.MUTANTS) == 21
     assert counts == {name: 1 for name in counts}
+
+
+def test_bench_child_env_gives_each_run_its_own_bytecode_cache(monkeypatch, tmp_path):
+    # a stray __pycache__ in one checkout, or PYTHONDONTWRITEBYTECODE, must
+    # not change one side's setup_s: the child writes and reads its
+    # bytecode under the given directory only
+    bench = load_script("bench")
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    env = bench.child_env(tmp_path)
+    assert "PYTHONDONTWRITEBYTECODE" not in env
+    assert env["PYTHONPYCACHEPREFIX"] == str(tmp_path)
+    assert os.environ["PYTHONDONTWRITEBYTECODE"] == "1"
+    module = tmp_path / "src" / "probe_module.py"
+    module.parent.mkdir()
+    module.write_text("VALUE = 1\n", encoding="utf-8")
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, probe_module; "
+         "print(sys.pycache_prefix, sys.dont_write_bytecode)"],
+        cwd=module.parent, env=env, capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.split() == [str(tmp_path), "False"]
+    assert not (module.parent / "__pycache__").exists()
+    assert list(tmp_path.rglob("probe_module*.pyc"))
