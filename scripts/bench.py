@@ -15,10 +15,12 @@ SHA of its ``src/`` as measured, which equals ``git rev-parse
 Each run gets a fresh bytecode cache of its own (``child_env``), so both
 trees time the same cached import in ``setup_s``.
 
-The record also holds one run per tree of the integrality-audit box
-(``AUDIT_BOX``: every n up to 6 with rank <= 12, |k| <= 12, |chi| <= 24),
-in a child process of its own: its wall time in ns, the pairs found, how
-many rows the audit flagged nonintegral, and the child's peak RSS in KiB.
+The record also holds ``AUDIT_RUNS`` runs per tree of the
+integrality-audit box (``AUDIT_BOX``: every n up to 6 with rank <= 12,
+|k| <= 12, |chi| <= 24), alternating which tree runs first as the
+workloads do, each in a child process of its own: its wall time in ns, the
+pairs found, how many rows the audit flagged nonintegral, and the child's
+peak RSS in KiB.  Each side keeps every run and the median of each field.
 It is a measurement, not a gate.
 
 When the repository root holds an earlier record (the highest-numbered
@@ -54,6 +56,7 @@ NS = 1_000_000_000
 MEDIANS = ("wall_ns", "raw_wall_ns", "setup_ns", "raw_setup_ns", "ops_per_s", "peak_rss_kib")
 # the integrality-audit box: (largest n, max_rank, max_k, max_chi), every n from 1
 AUDIT_BOX = (6, 12, 12, 24)
+AUDIT_RUNS = 3  # per tree: one unpaired run moved by 17% on untouched code
 _AUDIT_CHILD = """\
 import json, resource, sys, time
 from thetachi.pairs import enumerate_rows
@@ -137,6 +140,28 @@ def run_audit(tree: Path, box: tuple = AUDIT_BOX) -> dict:
     return json.loads(done.stdout)
 
 
+def paired_order(pair: int) -> tuple:
+    """The sides in the order they run in pair ``pair``: base first in even pairs."""
+    return ("base", "change") if pair % 2 == 0 else ("change", "base")
+
+
+def audit_record(trees: dict) -> dict:
+    """``AUDIT_RUNS`` audit runs per tree in alternating order; per side
+    every run and the median of each of its fields."""
+    n_max, max_rank, max_k, max_chi = AUDIT_BOX
+    record = {"box": {"n": f"1..{n_max}", "max_rank": max_rank, "max_k": max_k,
+                      "max_chi": max_chi}}
+    done = {side: [] for side in trees}
+    for pair in range(AUDIT_RUNS):
+        for side in paired_order(pair):
+            done[side].append(run_audit(trees[side]))
+            print("audit", side, done[side][-1], file=sys.stderr)
+    for side, results in done.items():
+        record[side] = {key: round(median(run[key] for run in results)) for key in results[0]}
+        record[side]["runs"] = results
+    return record
+
+
 def summary(runs: list) -> dict:
     wall = [run["wall_ns"] for run in runs]
     q1, _, q3 = quantiles(wall, n=4) if len(wall) > 1 else (wall[0],) * 3
@@ -205,8 +230,7 @@ def main(argv=None) -> int:
     for workload in WORKLOADS:
         runs = {"base": [], "change": []}
         for pair in range(PAIRS):
-            order = ("base", "change") if pair % 2 == 0 else ("change", "base")
-            for side in order:
+            for side in paired_order(pair):
                 runs[side].append(run_once(trees[side], workload))
             print(workload, pair, {side: r[-1]["wall_ns"] for side, r in runs.items()},
                   file=sys.stderr)
@@ -216,12 +240,7 @@ def main(argv=None) -> int:
             "change": summary(runs["change"]),
             "change_wins_wall": wins,
         }
-    n_max, max_rank, max_k, max_chi = AUDIT_BOX
-    record["audit"] = {"box": {"n": f"1..{n_max}", "max_rank": max_rank, "max_k": max_k,
-                               "max_chi": max_chi}}
-    for side, tree in trees.items():
-        record["audit"][side] = run_audit(tree)
-        print("audit", side, record["audit"][side], file=sys.stderr)
+    record["audit"] = audit_record(trees)
     record["probe_after_ns"] = probe_ns(hostspeed)
     previous = previous_diff(record, ROOT, args.out)
     if previous is not None:

@@ -3,8 +3,8 @@
 bitset or contraction kernel, table of basis images, partner-search
 branch, closed-form binomial sum, degenerate-branch label of a row,
 the dimension invariant d_v, the lane split of the numeric trials, the
-per-lane helper, and the JSON renderer and verify report template listed
-in MUTANTS.
+per-lane helper, the per-lane Fraction flags of the lanes, and the JSON
+renderer and verify report template listed in MUTANTS.
 
 Copies the repository into a temporary directory and runs the Tier-1 suite
 there, under the Hypothesis profile "gate" (no shrinking), first unmutated
@@ -86,6 +86,8 @@ MUTANTS = (
     ("per-lane helper misaligned", "src/thetachi/identities.py",
      "fn(*(a[i] if type(a) is Lanes else a for a in args))",
      "fn(*(a[i - 1] if type(a) is Lanes else a for a in args))"),
+    ("lane flags keep the left operand's", "src/thetachi/poly.py",
+     "return tuple(map(operator.or_, f, g))", "return f"),
     ("report template pass swapped", "src/thetachi/identities.py",
      '"true" if self.passed else "false"', '"false" if self.passed else "true"'),
     ("JSON key separator", "src/thetachi/jsontext.py",

@@ -621,7 +621,8 @@ def _sample_vector_pair(rng, need_dw_positive: bool, need_k_nonzero: bool = Fals
     while True:
         n = _randint(rng, 1, 4)
         divisors = [t for t in range(1, n + 1) if n % t == 0]
-        d0 = rng.choice(divisors)
+        # the draw of rng.choice(divisors), which is seq[_randbelow(len(seq))]
+        d0 = divisors[_randint(rng, 0, len(divisors) - 1)]
         e0 = n // d0
         r = _rand_nonzero(rng)
         k = _randint(rng, -3, 3)
@@ -714,15 +715,22 @@ ALL_IDENTITIES = tuple(REGISTRY)
 
 
 def _describe_instantiation(params) -> dict:
+    """The report's view of ``params``, in their order: ints as they are,
+    Fractions as text, a Poly as "symbolic", and the constraint as the
+    "eliminated" substitution.  Dispatches on exact types, most frequent
+    first: ``isinstance`` on Fraction goes through ABCMeta."""
     out = {}
     for key, value in params.items():
-        if key == "constraint":
+        kind = type(value)
+        if kind is int:
+            out[key] = value
+        elif kind is Fraction:
+            out[key] = str(value)
+        elif key == "constraint":
             var, num, den = value
             out["eliminated"] = f"{var} := ({num!r})/({den!r})"
-        elif isinstance(value, Poly):
+        elif kind is Poly:
             out[key] = "symbolic"
-        elif isinstance(value, Fraction):
-            out[key] = str(value)
         else:
             out[key] = value
     return out

@@ -26,13 +26,29 @@ A :class:`Poly` stores a dict from monomials to nonzero coefficients.
   the top bit of n, so ``p ** n`` raises exactly when n times p's degree
   in some variable reaches 2**15, that is, when the result does not fit.
 
-A :class:`Lanes` is a tuple of int/Fraction scalars, one per numeric trial,
-so that one pass of the engine evaluates all trials at once.  Its operators
-act lane by lane with Python's own int/Fraction arithmetic, and the scalar
-helpers below normalize, divide and test it lane by lane, so each lane holds
-exactly the value and type that a run on that lane's scalar alone holds.
-It is true when any lane is nonzero: a class drops a term only when the
-term is zero in every lane.
+A :class:`Lanes` holds one int/Fraction scalar per numeric trial, so that
+one pass of the engine evaluates all trials at once.  It stores no scalar
+objects but three tuples over a common layout: the int numerators, the
+positive int denominators (None when every one is 1), and per-lane flags
+marking the lanes that are a Fraction (None when none is).  Its operators
+are C-level ``map`` calls over those tuples:
+
+* ``+`` and ``-`` add the numerators directly when the two denominator
+  tuples are equal and cross-multiply otherwise; ``*`` and ``**`` act on
+  numerators and denominators alike.  None of them reduces a lane.
+* Reduction, by ``map(math.gcd, ...)``, happens only in :func:`scalar_div`
+  and :func:`normalize_scalar`; the engine normalizes every coefficient it
+  stores and every integral it returns, so an unreduced lane is short-lived.
+* A lane keeps the type a run on its scalar alone gives: it becomes a
+  Fraction when it meets one (``Fraction(n, 1)`` included, as ``int +
+  Fraction`` is a Fraction), and an int again only when scalar_div or
+  normalize_scalar leaves it integral.
+* A ``Fraction`` is built only when a lane is read: indexing, iteration
+  and ``repr``.
+
+So each lane reads as exactly the value and type that a run on that
+lane's scalar alone holds.  A Lanes is true when any lane is nonzero: a
+class drops a term only when the term is zero in every lane.
 """
 
 from __future__ import annotations
@@ -41,6 +57,7 @@ import operator
 import threading
 from fractions import Fraction
 from itertools import repeat
+from math import gcd
 from typing import Union
 
 Mono = int  # packed exponent vector, _FIELD_BITS bits per variable
@@ -282,49 +299,162 @@ class Poly:
 _RATIONAL = frozenset((int, bool, Fraction))
 
 
-def _lanewise(op):
-    """``op`` lane by lane, as the forward and the reflected method."""
+def _lanes(nums: tuple, dens, flags) -> "Lanes":
+    """Trusted constructor: takes ownership of the three tuples."""
+    lanes = object.__new__(Lanes)
+    lanes.nums = nums
+    lanes.dens = dens
+    lanes.flags = flags
+    return lanes
+
+
+def _broadcast(value, width: int):
+    """``value`` in each of ``width`` lanes, or None if a lane cannot hold it."""
+    kind = type(value)
+    if kind is int or kind is bool:
+        return _lanes((value,) * width, None, None)
+    if kind is Fraction:
+        den = value.denominator
+        return _lanes((value.numerator,) * width, None if den == 1 else (den,) * width,
+                      (True,) * width)
+    return None
+
+
+def _either(f, g):
+    """Fraction flags of a sum or product of two Lanes: a lane is a Fraction
+    when it is one in either operand."""
+    if f is None or f is g:
+        return g
+    if g is None:
+        return f
+    return tuple(map(operator.or_, f, g))
+
+
+def _reduced(nums, dens: tuple) -> "Lanes":
+    """The Lanes of nums[i]/dens[i], dens positive, each lane in lowest
+    terms and an int exactly when it is integral."""
+    common = tuple(map(gcd, nums, dens))
+    nums = tuple(map(operator.floordiv, nums, common))
+    dens = tuple(map(operator.floordiv, dens, common))
+    if dens.count(1) == len(dens):
+        return _lanes(nums, None, None)
+    return _lanes(nums, dens, tuple(map(operator.ne, dens, repeat(1))))
+
+
+def _sum(op):
+    """``op`` (add or sub) of two Lanes: numerators add directly over equal
+    denominator tuples and cross-multiplied otherwise, unreduced."""
+
+    def combine(a: "Lanes", b: "Lanes") -> "Lanes":
+        an, ad, bn, bd = a.nums, a.dens, b.nums, b.dens
+        if ad is bd or ad == bd:
+            return _lanes(tuple(map(op, an, bn)), ad, _either(a.flags, b.flags))
+        if ad is None:
+            nums, dens = map(op, map(operator.mul, an, bd), bn), bd
+        elif bd is None:
+            nums, dens = map(op, an, map(operator.mul, bn, ad)), ad
+        else:
+            nums = map(op, map(operator.mul, an, bd), map(operator.mul, bn, ad))
+            dens = tuple(map(operator.mul, ad, bd))
+        return _lanes(tuple(nums), dens, _either(a.flags, b.flags))
+
+    return combine
+
+
+def _product(a: "Lanes", b: "Lanes") -> "Lanes":
+    ad, bd = a.dens, b.dens
+    dens = bd if ad is None else ad if bd is None else tuple(map(operator.mul, ad, bd))
+    return _lanes(tuple(map(operator.mul, a.nums, b.nums)), dens, _either(a.flags, b.flags))
+
+
+def _lanewise(combine):
+    """``combine`` of two Lanes, as the forward and the reflected method
+    that take an int, a Fraction or a Lanes of the same length."""
 
     def forward(self, other):
         if type(other) is Lanes:
-            if len(other) != len(self):
+            if len(other.nums) != len(self.nums):
                 raise ValueError(f"{len(self)} lanes against {len(other)}")
-            return tuple.__new__(Lanes, map(op, self, other))
-        if type(other) in _RATIONAL:
-            return tuple.__new__(Lanes, map(op, self, repeat(other)))
-        return NotImplemented
+            return combine(self, other)
+        other = _broadcast(other, len(self.nums))
+        return NotImplemented if other is None else combine(self, other)
 
     def reflected(self, other):
-        if type(other) in _RATIONAL:
-            return tuple.__new__(Lanes, map(op, repeat(other), self))
-        return NotImplemented
+        other = _broadcast(other, len(self.nums))
+        return NotImplemented if other is None else combine(other, self)
 
     return forward, reflected
 
 
-class Lanes(tuple):
+class Lanes:
     """One int/Fraction scalar per numeric trial; see the module docstring.
+
+    Lane i is ``nums[i]/dens[i]``: an int when ``flags`` is None or
+    ``flags[i]`` is false (its denominator is then 1), else a Fraction.
+    ``dens`` is None when every denominator is 1; denominators are
+    positive, and a lane need not be in lowest terms until
+    :func:`normalize_scalar` or :func:`scalar_div` reduces it.
 
     Immutable.  ``+ - * **`` and negation act lane by lane with an int, a
     Fraction or another Lanes of the same length; a Poly is refused.
+    Indexing, iteration and ``repr`` read lanes as int/Fraction scalars;
+    ``==`` compares those with another Lanes or a tuple.
     """
 
-    __slots__ = ()
+    __slots__ = ("nums", "dens", "flags")
 
-    __add__, __radd__ = _lanewise(operator.add)
-    __sub__, __rsub__ = _lanewise(operator.sub)
-    __mul__, __rmul__ = _lanewise(operator.mul)
+    def __init__(self, values):
+        values = tuple(values)
+        kinds = set(map(type, values))
+        if not kinds <= _RATIONAL:
+            raise TypeError(f"a lane holds an int or a Fraction, not {kinds - _RATIONAL}")
+        if Fraction not in kinds:
+            self.nums, self.dens, self.flags = values, None, None
+            return
+        dens = tuple(v.denominator for v in values)
+        self.nums = tuple(v.numerator for v in values)
+        self.dens = None if dens.count(1) == len(dens) else dens
+        self.flags = tuple(type(v) is Fraction for v in values)
+
+    __add__, __radd__ = _lanewise(_sum(operator.add))
+    __sub__, __rsub__ = _lanewise(_sum(operator.sub))
+    __mul__, __rmul__ = _lanewise(_product)
 
     def __neg__(self):
-        return tuple.__new__(Lanes, map(operator.neg, self))
+        return _lanes(tuple(map(operator.neg, self.nums)), self.dens, self.flags)
 
     def __pow__(self, n):
         if type(n) is not int:
             return NotImplemented
-        return tuple.__new__(Lanes, map(pow, self, repeat(n)))
+        if n < 0:
+            raise ValueError("negative power of Lanes: an int lane has no inverse")
+        dens = self.dens
+        return _lanes(tuple(map(pow, self.nums, repeat(n))),
+                      None if dens is None else tuple(map(pow, dens, repeat(n))), self.flags)
 
     def __bool__(self):
-        return any(self)
+        return any(self.nums)
+
+    def __len__(self):
+        return len(self.nums)
+
+    def __getitem__(self, i):
+        flags = self.flags
+        if flags is None or not flags[i]:
+            return self.nums[i]
+        return Fraction(self.nums[i], 1 if self.dens is None else self.dens[i])
+
+    def __iter__(self):
+        if self.flags is None:
+            return iter(self.nums)
+        return map(self.__getitem__, range(len(self.nums)))
+
+    def __eq__(self, other):
+        if type(other) is Lanes or isinstance(other, tuple):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    __hash__ = None
 
     def __repr__(self):
         return f"Lanes({list(self)!r})"
@@ -338,7 +468,7 @@ def scalar_is_zero(s: Scalar) -> bool:
     if isinstance(s, Poly):
         return s.is_zero
     if type(s) is Lanes:
-        return not any(s)
+        return not any(s.nums)
     return s == 0
 
 
@@ -346,27 +476,42 @@ def scalar_div(s: Scalar, k) -> Scalar:
     """Exact division of a scalar by a nonzero rational, lane by lane for
     a Lanes dividend or divisor."""
     if type(s) is Lanes or type(k) is Lanes:
-        return tuple.__new__(Lanes, map(
-            scalar_div,
-            s if type(s) is Lanes else repeat(s),
-            k if type(k) is Lanes else repeat(k),
-        ))
+        return _lane_quotient(s, k)
     if isinstance(s, Poly):
         return s / k
     value = Fraction(s, k) if isinstance(k, int) else Fraction(s) / k
     return int(value) if value.denominator == 1 else value
 
 
+def _lane_quotient(s, k) -> Lanes:
+    """``scalar_div`` of each lane: reduced, and an int when integral."""
+    width = len(s) if type(s) is Lanes else len(k)
+    a = s if type(s) is Lanes else _broadcast(s, width)
+    b = k if type(k) is Lanes else _broadcast(k, width)
+    if a is None or b is None:
+        raise TypeError(f"cannot divide {type(s).__name__} by {type(k).__name__} in lanes")
+    if len(b.nums) != width:
+        raise ValueError(f"{width} lanes against {len(b.nums)}")
+    if not all(b.nums):
+        raise ZeroDivisionError("division by zero in a lane")
+    nums = a.nums if b.dens is None else tuple(map(operator.mul, a.nums, b.dens))
+    dens = b.nums if a.dens is None else tuple(map(operator.mul, a.dens, b.nums))
+    if min(dens, default=1) < 0:  # a negative divisor: its sign moves up
+        nums = [-x if d < 0 else x for x, d in zip(nums, dens)]
+        dens = tuple(map(abs, dens))
+    return _reduced(nums, dens)
+
+
 def normalize_scalar(s: Scalar) -> Scalar:
-    """Collapse integral Fractions to int, in every lane of a Lanes; leave
-    everything else alone."""
+    """Collapse integral Fractions to int, in every lane of a Lanes (which
+    reduces each lane); leave everything else alone."""
     # an exact type test: isinstance goes through ABCMeta for every int
     if type(s) is Fraction and s.denominator == 1:
         return int(s)
-    if type(s) is Lanes and Fraction in set(map(type, s)):
-        return tuple.__new__(Lanes, [
-            int(x) if type(x) is Fraction and x.denominator == 1 else x for x in s
-        ])
+    if type(s) is Lanes and s.flags is not None:
+        if s.dens is None:
+            return _lanes(s.nums, None, None)
+        return _reduced(s.nums, s.dens)
     return s
 
 

@@ -456,3 +456,69 @@ def test_randint_helper_reproduces_random_randint():
                 a, b = ranges[(seed + step) % 3]
                 assert identities._randint(ours, a, b) == theirs.randint(a, b)
             assert ours.getstate() == theirs.getstate()
+
+
+def test_choice_helper_reproduces_random_choice():
+    # _sample_vector_pair picks d0 by indexing with _randint: Random.choice
+    # is seq[_randbelow(len(seq))], so values and final state must agree
+    for seed in range(300):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for step in range(40):
+            seq = list(range(step % 4 + 1))
+            assert seq[identities._randint(ours, 0, len(seq) - 1)] == theirs.choice(seq)
+        assert ours.getstate() == theirs.getstate()
+
+
+def _describe_with_isinstance(params) -> dict:
+    """The isinstance dispatch _describe_instantiation replaced: its oracle."""
+    out = {}
+    for key, value in params.items():
+        if key == "constraint":
+            var, num, den = value
+            out["eliminated"] = f"{var} := ({num!r})/({den!r})"
+        elif isinstance(value, Poly):
+            out[key] = "symbolic"
+        elif isinstance(value, Fraction):
+            out[key] = str(value)
+        else:
+            out[key] = value
+    return out
+
+
+def test_describe_instantiation_matches_its_isinstance_oracle():
+    dicts = [REGISTRY[i].symbolic_params() for i in ALL_IDENTITIES
+             if REGISTRY[i].symbolic_params is not None]
+    for identity_id in ALL_IDENTITIES:
+        rng = random.Random(f"42:{identity_id}")
+        dicts.extend(REGISTRY[identity_id].sample(rng) for _ in range(200))
+    assert any("constraint" in params for params in dicts)
+    assert any(type(v) is Fraction for params in dicts for v in params.values())
+    for params in dicts:
+        ours, oracle = identities._describe_instantiation(params), _describe_with_isinstance(params)
+        # same keys in the same order, and values of the same type
+        assert [(k, type(v), v) for k, v in ours.items()] == \
+            [(k, type(v), v) for k, v in oracle.items()]
+
+
+def test_split_lane_checks_build_no_fraction(monkeypatch):
+    # the common-denominator lanes build a Fraction only when a lane is
+    # read; prop_split* read none, so a warm check builds none at all
+    built = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    for identity_id in ("prop_split", "prop_split1", "prop_split2"):
+        identity = REGISTRY[identity_id]
+        rng = random.Random(f"42:{identity_id}")
+        samples = [identity.sample(rng) for _ in range(200)]
+        params = {name: Lanes([p[name] for p in samples]) for name in samples[0]}
+        assert any(type(v) is Fraction and v.denominator > 1 for v in params["chip"])
+        identity.check(params)  # warm-up: module-level caches
+        with monkeypatch.context() as patch:
+            patch.setattr(Fraction, "__new__", counting)
+            residuals = identity.check(params)
+        assert built == [], identity_id
+        assert all(identities._is_zero(value) for value in residuals.values())

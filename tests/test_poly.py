@@ -1,5 +1,6 @@
 import operator
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -335,3 +336,80 @@ def test_lanes_refuse_what_a_lane_cannot_hold():
         lanes ** Fraction(1, 2)
     with pytest.raises(TypeError):
         lanes + 0.5
+    with pytest.raises(ValueError):
+        lanes ** -1  # an int lane would become a float
+    with pytest.raises(TypeError):
+        Lanes([1, 0.5])
+    with pytest.raises(TypeError):
+        scalar_div(Poly.var("x"), lanes)
+
+
+def assert_layout(lanes):
+    """Denominators positive, and 1 in every lane that reads as an int."""
+    dens = lanes.dens or (1,) * len(lanes)
+    flags = lanes.flags or (False,) * len(lanes)
+    assert len(lanes.nums) == len(dens) == len(flags)
+    assert all(d > 0 and (flag or d == 1) for d, flag in zip(dens, flags))
+
+
+BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": scalar_div}
+
+
+@given(st.data())
+def test_lane_chains_match_per_lane_chains(data):
+    # a chain of 3-6 steps on Lanes against the same chain run on each lane's
+    # scalar; the other operand of a step is its own Lanes (its own
+    # denominators) or one scalar, on either side, and divisors may be negative
+    width = data.draw(st.integers(1, 5))
+    of_width = st.lists(rationals, min_size=width, max_size=width)
+    values = data.draw(of_width)
+    lanes = Lanes(values)
+    for _ in range(data.draw(st.integers(3, 6))):
+        step = data.draw(st.sampled_from(("+", "-", "*", "/", "**", "normalize")))
+        if step == "normalize":
+            lanes, values = normalize_scalar(lanes), [normalize_scalar(v) for v in values]
+        elif step == "**":
+            n = data.draw(st.integers(0, 3))
+            lanes, values = lanes**n, [v**n for v in values]
+        else:
+            op = BINARY[step]
+            if data.draw(st.booleans()):
+                others = data.draw(of_width)
+                if step == "/":
+                    others = [o if o else -1 for o in others]
+                other = Lanes(others)
+            else:
+                other = data.draw(rationals)
+                if step == "/" and not other:
+                    other = Fraction(-3, 1)
+                others = [other] * width
+            if data.draw(st.booleans()) and (step != "/" or all(values)):
+                lanes, values = op(other, lanes), [op(o, v) for o, v in zip(others, values)]
+            else:
+                lanes, values = op(lanes, other), [op(v, o) for v, o in zip(values, others)]
+        assert_lanes(lanes, values)
+        assert_layout(lanes)
+        assert bool(lanes) is any(values)
+
+
+@given(lane_values, st.data())
+def test_normalize_scalar_reduces_every_lane(values, data):
+    others = data.draw(st.lists(rationals, min_size=len(values), max_size=len(values)))
+    # products and cross-multiplied sums leave lanes unreduced
+    lanes = Lanes(values) * Lanes(others) + Lanes(others) * Fraction(5, 3)
+    normal = normalize_scalar(lanes)
+    assert_lanes(normal, [normalize_scalar(x * y + y * Fraction(5, 3))
+                          for x, y in zip(values, others)])
+    dens = normal.dens or (1,) * len(normal)
+    assert all(d > 0 and gcd(n, d) == 1 for n, d in zip(normal.nums, dens))
+
+
+def test_lane_division_by_a_zero_lane_raises():
+    with pytest.raises(ZeroDivisionError):
+        scalar_div(Fraction(1, 2), 0)  # as one trial alone
+    dividend = Lanes([1, Fraction(1, 2), -3])
+    for divisor in (Lanes([2, 0, 3]), Lanes([Fraction(1, 2), Fraction(0), -1]), 0, Fraction(0)):
+        with pytest.raises(ZeroDivisionError):
+            scalar_div(dividend, divisor)
+    with pytest.raises(ZeroDivisionError):
+        scalar_div(5, Lanes([1, 0]))

@@ -83,7 +83,7 @@ def test_mutation_gate_patterns_occur_once():
     # rotting as the source changes
     gate = load_script("mutation_gate")
     counts = gate.pattern_counts(ROOT)
-    assert len(counts) == len(gate.MUTANTS) == 21
+    assert len(counts) == len(gate.MUTANTS) == 22
     assert counts == {name: 1 for name in counts}
 
 
@@ -108,3 +108,27 @@ def test_bench_child_env_gives_each_run_its_own_bytecode_cache(monkeypatch, tmp_
     assert done.stdout.split() == [str(tmp_path), "False"]
     assert not (module.parent / "__pycache__").exists()
     assert list(tmp_path.rglob("probe_module*.pyc"))
+
+
+def test_bench_audit_alternates_the_trees_and_keeps_each_run(monkeypatch):
+    # run_audit stubbed: each run reports which tree it ran on and when
+    bench = load_script("bench")
+    assert bench.AUDIT_RUNS == 3
+    calls = []
+    walls = {"base": [30, 10, 20], "change": [5, 9, 7]}
+
+    def fake_audit(tree):
+        calls.append(tree)
+        wall = walls[tree.name][sum(c == tree for c in calls) - 1]
+        return {"wall_ns": wall, "pairs": 4, "nonintegral": 0, "peak_rss_kib": 100 + wall}
+
+    monkeypatch.setattr(bench, "run_audit", fake_audit)
+    trees = {"base": Path("base"), "change": Path("change")}
+    record = bench.audit_record(trees)
+    assert [tree.name for tree in calls] == ["base", "change", "change", "base", "base", "change"]
+    assert record["box"] == {"n": "1..6", "max_rank": 12, "max_k": 12, "max_chi": 24}
+    assert record["base"]["runs"] == [
+        {"wall_ns": w, "pairs": 4, "nonintegral": 0, "peak_rss_kib": 100 + w} for w in (30, 10, 20)]
+    assert {k: v for k, v in record["base"].items() if k != "runs"} == {
+        "wall_ns": 20, "pairs": 4, "nonintegral": 0, "peak_rss_kib": 120}
+    assert (record["change"]["wall_ns"], record["change"]["peak_rss_kib"]) == (7, 107)
