@@ -18,10 +18,13 @@ trees time the same cached import in ``setup_s``.
 The record also holds ``AUDIT_RUNS`` runs per tree of the
 integrality-audit box (``AUDIT_BOX``: every n up to 6 with rank <= 12,
 |k| <= 12, |chi| <= 24), alternating which tree runs first as the
-workloads do, each in a child process of its own: its wall time in ns, the
-pairs found, how many rows the audit flagged nonintegral, and the child's
-peak RSS in KiB.  Each side keeps every run and the median of each field.
-It is a measurement, not a gate.
+workloads do, each in a child process of its own: its wall time in ns,
+that time scaled by the host-speed probe (``scaled_wall_ns``), the pairs
+found, how many rows the audit flagged nonintegral, and the child's peak
+RSS in KiB.  The child runs the probe before the first n and after each
+n, and scales each n's time by the mean of the probes on either side, as
+``perfbench/run.py`` scales a workload's units.  Each side keeps every run
+and the median of each field.  It is a measurement, not a gate.
 
 When the repository root holds an earlier record (the highest-numbered
 ``BENCH_<n>.json`` other than ``--out``), the new record gains a
@@ -57,19 +60,30 @@ MEDIANS = ("wall_ns", "raw_wall_ns", "setup_ns", "raw_setup_ns", "ops_per_s", "p
 # the integrality-audit box: (largest n, max_rank, max_k, max_chi), every n from 1
 AUDIT_BOX = (6, 12, 12, 24)
 AUDIT_RUNS = 3  # per tree: one unpaired run moved by 17% on untouched code
+# where the audit child imports the host-speed probe from: this checkout's,
+# whichever tree it measures
+HOSTSPEED_DIR = ROOT / "perfbench"
 _AUDIT_CHILD = """\
 import json, resource, sys, time
+import hostspeed
 from thetachi.pairs import enumerate_rows
 n_max, max_rank, max_k, max_chi = map(int, sys.argv[1:])
-pairs = nonintegral = 0
-start = time.perf_counter_ns()
+pairs = nonintegral = wall_ns = 0
+scaled_s = 0.0
+before = hostspeed.probe()
 for n in range(1, n_max + 1):
+    start = time.perf_counter_ns()
     rows, summary = enumerate_rows(n, max_rank, max_k, max_chi)
     pairs += len(rows)
     nonintegral += len(summary["nonintegral_rows"])
     del rows, summary
-wall_ns = time.perf_counter_ns() - start
-print(json.dumps({"wall_ns": wall_ns, "pairs": pairs, "nonintegral": nonintegral,
+    elapsed_ns = time.perf_counter_ns() - start
+    after = hostspeed.probe()
+    wall_ns += elapsed_ns
+    scaled_s += hostspeed.scaled(elapsed_ns / 1e9, (before + after) / 2)
+    before = after
+print(json.dumps({"wall_ns": wall_ns, "scaled_wall_ns": round(scaled_s * 1e9), "pairs": pairs,
+                  "nonintegral": nonintegral,
                   "peak_rss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
 """
 
@@ -134,7 +148,8 @@ def run_once(tree: Path, workload: str) -> dict:
 def run_audit(tree: Path, box: tuple = AUDIT_BOX) -> dict:
     """The audit ``box`` on ``tree``'s ``src/``, in a child process."""
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(tree / "src"), env.get("PYTHONPATH"))))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(tree / "src"), str(HOSTSPEED_DIR), env.get("PYTHONPATH"))))
     done = subprocess.run([sys.executable, "-c", _AUDIT_CHILD, *map(str, box)], cwd=tree,
                           env=env, capture_output=True, text=True, check=True)
     return json.loads(done.stdout)

@@ -3,8 +3,9 @@
 bitset or contraction kernel, table of basis images, partner-search
 branch, closed-form binomial sum, degenerate-branch label of a row,
 the dimension invariant d_v, the lane split of the numeric trials, the
-per-lane helper, the per-lane Fraction flags of the lanes, and the JSON
-renderer and verify report template listed in MUTANTS.
+per-lane helper, the per-lane Fraction flags of the lanes, the JSON
+renderer and verify report template, the bitset key of a class builder
+and the shortcut of class equality listed in MUTANTS.
 
 Copies the repository into a temporary directory and runs the Tier-1 suite
 there, under the Hypothesis profile "gate" (no shrinking), first unmutated
@@ -92,6 +93,10 @@ MUTANTS = (
      '"true" if self.passed else "false"', '"false" if self.passed else "true"'),
     ("JSON key separator", "src/thetachi/jsontext.py",
      '": "', '":"'),
+    ("two_form key wrong bit", "src/thetachi/abelian.py",
+     "((1 << i) | (1 << j)) << off", "((1 << i) | (2 << j)) << off"),
+    ("class equality shortcut on support", "src/thetachi/exterior.py",
+     "if self.terms == other.terms:", "if self.terms.keys() == other.terms.keys():"),
 )
 
 _FAILED = re.compile(r"^(?:FAILED|ERROR) (tests/[^:\s]+)")

@@ -29,9 +29,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .exterior import (
+    GENERATORS_PER_FACTOR,
     ExteriorClass,
     MorphismH1,
     Space,
+    SpaceMismatch,
     exp_even,
     integrate,
     integrate_product,
@@ -77,16 +79,19 @@ class Polarization:
 
 # -- named classes ----------------------------------------------------------
 
+# the key of the product of the four generators of the factor at offset 0
+_FACTOR_BITS = (1 << GENERATORS_PER_FACTOR) - 1
+
 
 def two_form(sp: Space, position: int, coeffs: dict) -> ExteriorClass:
     """Degree-two class on one factor from local-index coefficients."""
-    off = sp.factor_range(position).start
-    terms = {}
-    for (i, j), c in coeffs.items():
+    for i, j in coeffs:
         if not 0 <= i < j < 4:
             raise ValueError(f"bad local index pair {(i, j)}")
-        terms[(off + i, off + j)] = c
-    return ExteriorClass(sp, terms)
+    off = sp.offset(position)
+    return ExteriorClass._of(sp, {
+        ((1 << i) | (1 << j)) << off: c for (i, j), c in coeffs.items()
+    })
 
 
 def polarization_class(sp: Space, position: int, pol: Polarization) -> ExteriorClass:
@@ -99,22 +104,29 @@ def dual_polarization_class(sp: Space, position: int, pol: Polarization) -> Exte
 
 
 def point_class(sp: Space, position: int) -> ExteriorClass:
-    return ExteriorClass.monomial(sp, sp.factor_range(position))
+    return ExteriorClass._of(sp, {_FACTOR_BITS << sp.offset(position): 1})
 
 
 def poincare_class(sp: Space, first: int, second: int) -> ExteriorClass:
     """Sum over i of (first-factor generator i) ^ (second-factor generator i)."""
-    off1 = sp.factor_range(first).start
-    off2 = sp.factor_range(second).start
-    out = ExteriorClass.zero(sp)
-    for i in range(4):
-        out = out + ExteriorClass.monomial(sp, (off1 + i, off2 + i))
-    return out
+    if first == second:  # each product repeats a generator
+        return ExteriorClass.zero(sp)
+    off1, off2 = sp.offset(first), sp.offset(second)
+    return ExteriorClass._of(sp, {(1 << (off1 + i)) | (1 << (off2 + i)): 1 for i in range(4)})
 
 
 def mukai_class(sp: Space, position: int, rank: Scalar, c1: ExteriorClass, chi: Scalar) -> ExteriorClass:
     """rank + c1 + chi * (point class); c1 must already live on sp."""
-    return ExteriorClass.unit(sp, rank) + c1 + point_class(sp, position).scaled(chi)
+    if c1.space != sp:
+        raise SpaceMismatch("classes live on different spaces")
+    top = _FACTOR_BITS << sp.offset(position)
+    terms = {0: rank} if rank else {}
+    get = terms.get
+    for key, c in c1.terms.items():
+        terms[key] = get(key, 0) + c
+    if chi:
+        terms[top] = get(top, 0) + chi
+    return ExteriorClass._of(sp, terms)
 
 
 # -- morphisms ---------------------------------------------------------------
@@ -255,8 +267,8 @@ def _transform(c: ExteriorClass, name: str, source: Space, target: Space) -> Ext
     """
     if c.space != source:
         raise ValueError(f"{name} expects a class on the {source.kinds[0]} space")
-    for deg in c.degrees():
-        if deg % 2:
+    for key in c.terms:
+        if key.bit_count() & 1:
             raise ValueError("transform defined on even classes only")
     out: dict = {}
     get = out.get

@@ -88,6 +88,12 @@ class Space:
         lo = GENERATORS_PER_FACTOR * position
         return range(lo, lo + GENERATORS_PER_FACTOR)
 
+    def offset(self, position: int) -> int:
+        """Index of the first generator of the factor at ``position``."""
+        if not 0 <= position < len(self.kinds):
+            raise SpaceMismatch(f"no factor at position {position}")
+        return GENERATORS_PER_FACTOR * position
+
     def generator_names(self) -> tuple:
         """``<factor>.<stem>`` per generator.  A factor is named by its kind,
         numbered from 1 in order when the kind occurs more than once
@@ -183,7 +189,7 @@ class ExteriorClass:
 
     @staticmethod
     def zero(space: Space) -> "ExteriorClass":
-        return ExteriorClass(space)
+        return ExteriorClass._of(space, {})
 
     @staticmethod
     def unit(space: Space, coeff: Scalar = 1) -> "ExteriorClass":
@@ -193,14 +199,18 @@ class ExteriorClass:
     def generator(space: Space, index: int) -> "ExteriorClass":
         if not 0 <= index < space.ngens:
             raise IndexError(f"generator {index} outside space")
-        return ExteriorClass(space, {(index,): 1})
+        return ExteriorClass._of(space, {1 << index: 1})
 
     @staticmethod
     def monomial(space: Space, indices: Iterable[int], coeff: Scalar = 1) -> "ExteriorClass":
-        key = tuple(sorted(indices))
-        if len(set(key)) != len(key):
+        """The product of the generators ``indices`` in increasing order,
+        times ``coeff``; zero when an index repeats."""
+        indices = tuple(indices)
+        if len(set(indices)) != len(indices):
             return ExteriorClass.zero(space)
-        return ExteriorClass(space, {key: coeff})
+        if indices and (min(indices) < 0 or max(indices) >= space.ngens):
+            raise SpaceMismatch(f"monomial {tuple(sorted(indices))} outside space range")
+        return ExteriorClass._of(space, {_bits(indices): coeff})
 
     # -- linear structure ---------------------------------------------------
 
@@ -271,6 +281,10 @@ class ExteriorClass:
             return NotImplemented
         if self.space != other.space:
             return False
+        # equal coefficients are equal scalars; the converse needs the test
+        # below (a Lanes coefficient never compares equal to an int)
+        if self.terms == other.terms:
+            return True
         if self.terms.keys() != other.terms.keys():
             return False
         return all(
@@ -316,9 +330,7 @@ def integrate(c: ExteriorClass) -> Scalar:
 
 def _fiber_masks(space: Space, fiber_position: int) -> tuple:
     """(fiber, low): the bits of one factor's generators and of those below."""
-    if not 0 <= fiber_position < len(space.kinds):
-        raise SpaceMismatch(f"no factor at position {fiber_position}")
-    lo = space.factor_range(fiber_position).start
+    lo = space.offset(fiber_position)
     return ((1 << GENERATORS_PER_FACTOR) - 1) << lo, (1 << lo) - 1
 
 

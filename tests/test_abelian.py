@@ -22,23 +22,26 @@ from thetachi.abelian import (
     fm_transform_back,
     lambda_hat,
     make_phi,
+    mukai_class,
     mukai_pair,
     one_times_phi_hat,
     point_class,
     poincare_class,
     polarization_class,
     projection,
+    two_form,
 )
 from thetachi.exterior import (
     ExteriorClass,
     MorphismH1,
     Space,
+    SpaceMismatch,
     exp_even,
     fiber_integrate,
     integrate,
     wedge,
 )
-from thetachi.poly import Poly
+from thetachi.poly import Lanes, Poly
 
 
 def det4(rows):
@@ -309,3 +312,105 @@ def test_transform_table_matches_unfused_definition(transform, kernel_space, coe
     odd = c + ExteriorClass.monomial(source, data.draw(st.sampled_from(ODD_KEYS)))
     with pytest.raises(ValueError):
         transform(odd)
+
+
+# -- bitset class builders against the validating constructor ------------------
+
+STANDARD_SPACES = [getattr(abelian, name) for name in GENERATOR_NAMES if name != "SP_AHxA"]
+# per scalar kind, coefficients that mix with one another; zeros included
+BUILDER_COEFFS = {
+    "int": (0, 3, -1, 2),
+    "Fraction": (Fraction(0), Fraction(1, 2), Fraction(4, 2), Fraction(-3, 5)),
+    "Poly": (Poly(), Poly.var("x") + 1, Poly.const(2), -Poly.var("y")),
+    "Lanes": (Lanes((0, 0)), Lanes((2, 2)), Lanes((Fraction(1, 2), 3)), Lanes((Fraction(2, 1), 0))),
+}
+
+
+def assert_same_class(built, reference):
+    """Same space, the same terms in the same order, and each coefficient of
+    the same type and repr (a Lanes' repr shows each lane's type)."""
+    assert built.space == reference.space
+    assert list(built.terms) == list(reference.terms)
+    assert built.terms == reference.terms
+    for key, coeff in built.terms.items():
+        assert type(coeff) is type(reference.terms[key])
+        assert repr(coeff) == repr(reference.terms[key])
+
+
+def offset(position):
+    return 4 * position
+
+
+@pytest.mark.parametrize("kind", BUILDER_COEFFS)
+@pytest.mark.parametrize("sp", STANDARD_SPACES, ids=lambda sp: "x".join(sp.kinds))
+def test_builders_match_the_validating_constructor(sp, kind):
+    values = BUILDER_COEFFS[kind]
+    for position in range(len(sp.kinds)):
+        off = offset(position)
+        block = tuple(range(off, off + 4))
+        for a, b in itertools.product(values, repeat=2):
+            coeffs = {(2, 3): a, (0, 1): b, (1, 3): a}
+            assert_same_class(two_form(sp, position, coeffs), ExteriorClass(sp, {
+                (off + i, off + j): c for (i, j), c in coeffs.items()}))
+            pol = Polarization(a, b)
+            assert_same_class(polarization_class(sp, position, pol),
+                              ExteriorClass(sp, {(off, off + 1): a, (off + 2, off + 3): b}))
+            assert_same_class(dual_polarization_class(sp, position, pol),
+                              ExteriorClass(sp, {(off + 2, off + 3): a, (off, off + 1): b}))
+        assert_same_class(point_class(sp, position), ExteriorClass(sp, {block: 1}))
+        for second in range(len(sp.kinds)):
+            reference = ExteriorClass.zero(sp)
+            if second != position:
+                for i in range(4):
+                    pair = tuple(sorted((off + i, offset(second) + i)))
+                    reference = reference + ExteriorClass(sp, {pair: 1})
+            assert_same_class(poincare_class(sp, position, second), reference)
+        # the sum mukai_class replaces, on a c1 that also has degree-zero
+        # and top terms, so merged coefficients add up and may cancel
+        for rank, chi, c in itertools.product(values, repeat=3):
+            c1 = ExteriorClass(sp, {(): c, (off, off + 2): rank, block: c})
+            reference = (ExteriorClass(sp, {(): rank}) + c1
+                         + ExteriorClass(sp, {block: 1}).scaled(chi))
+            assert_same_class(mukai_class(sp, position, rank, c1, chi), reference)
+    for index in range(sp.ngens):
+        assert_same_class(ExteriorClass.generator(sp, index), ExteriorClass(sp, {(index,): 1}))
+    for size in (0, 1, 2, 3):
+        for indices in itertools.permutations(range(0, sp.ngens, 3), size):
+            for coeff in values:
+                assert_same_class(ExteriorClass.monomial(sp, indices, coeff),
+                                  ExteriorClass(sp, {tuple(sorted(indices)): coeff}))
+
+
+def test_builders_keep_their_errors():
+    pol = Polarization(1, 2)
+    for pair in ((1, 0), (2, 2), (0, 4), (-1, 1)):
+        with pytest.raises(ValueError, match="bad local index pair"):
+            two_form(SP_A, 0, {pair: 1})
+    h = polarization_class(SP_AxAH, 0, pol)
+    for sp in (SP_A, SP_AxAH):
+        for position in (-1, len(sp.kinds)):
+            for build in (
+                lambda: two_form(sp, position, {(0, 1): 1}),
+                lambda: polarization_class(sp, position, pol),
+                lambda: dual_polarization_class(sp, position, pol),
+                lambda: point_class(sp, position),
+                lambda: poincare_class(sp, 0, position),
+                lambda: poincare_class(sp, position, 0),
+                lambda: mukai_class(sp, position, 1, ExteriorClass.zero(sp), 1),
+            ):
+                with pytest.raises(SpaceMismatch):
+                    build()
+    with pytest.raises(SpaceMismatch):  # the validating constructor agrees
+        ExteriorClass(SP_A, {(4, 5): 1})
+    for index in (4, -1):
+        with pytest.raises(IndexError):
+            ExteriorClass.generator(SP_A, index)
+    with pytest.raises(SpaceMismatch):
+        mukai_class(SP_A, 0, 1, h, 1)
+    for indices in ((0, 4), (-1, 2)):
+        with pytest.raises(SpaceMismatch):
+            ExteriorClass.monomial(SP_A, indices)
+    # a repeated index gives zero, before any range check
+    for indices in ((1, 1), (2, 0, 2), (9, 9)):
+        zero = ExteriorClass.monomial(SP_A, indices, 5)
+        assert zero.is_zero and zero.space == SP_A

@@ -25,7 +25,7 @@ from thetachi.exterior import (
     pushforward,
     wedge,
 )
-from thetachi.poly import Poly
+from thetachi.poly import Lanes, Poly
 
 A = Space(("A",))
 AH = Space(("Ah",))
@@ -613,3 +613,21 @@ def test_coefficient_reads_no_colliding_key():
     assert c.coefficient((2, 0)) == c.coefficient((0, 2)) == 3
     with pytest.raises(ValueError):
         ExteriorClass(A, {(2, 0): 1})  # keys must be sorted, or they would collide
+
+
+def test_class_equality_shortcut_and_fallback():
+    a = ExteriorClass(A, {(0, 1): 2, (): Fraction(1, 3)})
+    assert a == ExteriorClass(A, {(0, 1): 2, (): Fraction(1, 3)})
+    # a Lanes coefficient never equals an int as a dict value, so the dicts
+    # differ and the per-term test decides
+    lanes = ExteriorClass(A, {(0, 1): Lanes((2, 2))})
+    assert lanes.terms != ExteriorClass(A, {(0, 1): 2}).terms
+    assert lanes == ExteriorClass(A, {(0, 1): 2})
+    assert lanes != ExteriorClass(A, {(0, 1): Lanes((2, 3))})
+    # same support, different coefficients
+    assert a != ExteriorClass(A, {(0, 1): 2, (): Fraction(2, 3)})
+    assert ExteriorClass(A, {(0, 1): 1, (2, 3): 2}) != ExteriorClass(A, {(0, 1): 2, (2, 3): 1})
+    assert ExteriorClass(A, {(0, 1): Poly.var("x")}) != ExteriorClass(A, {(0, 1): Poly.var("y")})
+    # different supports or spaces
+    assert a != ExteriorClass(A, {(0, 1): 2})
+    assert ExteriorClass.unit(A, 2) != ExteriorClass.unit(AH, 2)

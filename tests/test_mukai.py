@@ -1,9 +1,13 @@
 import dataclasses
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from thetachi import abelian
+from thetachi.abelian import SP_AH
+from thetachi.exterior import ExteriorClass
 from thetachi.mukai import (
     LatticeError,
     MukaiVector,
@@ -113,7 +117,7 @@ def test_fm_vector_examples():
 
 
 def test_fm_vector_engine_agreement_small_box():
-    for n in (1, 2):
+    for n in range(1, 5):
         for r in range(-3, 4):
             for k in range(-3, 4):
                 for chi in range(-3, 4):
@@ -121,6 +125,24 @@ def test_fm_vector_engine_agreement_small_box():
                     assert fm_vector(v) == fm_vector_via_engine(v)
                     back = MukaiVector(r, k, chi, n, "Ah")
                     assert fm_vector(back) == fm_vector_via_engine(back)
+
+
+@pytest.mark.parametrize("terms", [
+    # H_hat = f3^f4 + 2 f1^f2 for n = 2: H_hat's support, not a multiple
+    {(): 1, (2, 3): 1, (0, 1): 3},
+    # a non-integer multiple of H_hat
+    {(2, 3): Fraction(1, 2), (0, 1): 1},
+    # a Fraction rank
+    {(): Fraction(1, 2), (0, 1, 2, 3): 1},
+    # a Fraction Euler characteristic
+    {(): 1, (0, 1, 2, 3): Fraction(3, 2)},
+], ids=["not-a-multiple", "fraction-k", "fraction-rank", "fraction-chi"])
+def test_fm_vector_via_engine_refuses_images_off_the_lattice(monkeypatch, terms):
+    # the transform is looked up at call time, so a patched one is used
+    image = ExteriorClass(SP_AH, terms)
+    monkeypatch.setattr(abelian, "fm_transform", lambda c: image)
+    with pytest.raises(LatticeError):
+        fm_vector_via_engine(MukaiVector(1, 1, 1, 2))
 
 
 @given(st.integers(-10, 10), st.integers(-10, 10), st.integers(-10, 10),

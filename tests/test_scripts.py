@@ -75,7 +75,22 @@ def test_bench_audit_counts_pairs_in_a_child_process():
     expected = sum(len(enumerate_rows(n, 2, 1, 3)[0]) for n in (1, 2))
     assert (audit["pairs"], audit["nonintegral"]) == (expected, 0)
     assert expected > 0 and audit["wall_ns"] > 0 and audit["peak_rss_kib"] > 0
+    assert audit["scaled_wall_ns"] > 0
     assert all(type(value) is int for value in audit.values())
+
+
+def test_bench_audit_scales_each_n_by_the_probes_around_it(monkeypatch, tmp_path):
+    # a stand-in probe that reads half the nominal time on every call: the
+    # host runs at twice the nominal speed, so each n's time doubles
+    bench = load_script("bench")
+    (tmp_path / "hostspeed.py").write_text(
+        "NOMINAL_S = 0.014\n"
+        "def probe():\n    return 0.007\n"
+        "def scaled(seconds, probe_seconds):\n    return seconds * NOMINAL_S / probe_seconds\n",
+        encoding="utf-8")
+    monkeypatch.setattr(bench, "HOSTSPEED_DIR", tmp_path)
+    audit = bench.run_audit(ROOT, (3, 1, 1, 2))
+    assert abs(audit["scaled_wall_ns"] - 2 * audit["wall_ns"]) <= 3  # one rounding per n
 
 
 def test_mutation_gate_patterns_occur_once():
@@ -83,7 +98,7 @@ def test_mutation_gate_patterns_occur_once():
     # rotting as the source changes
     gate = load_script("mutation_gate")
     counts = gate.pattern_counts(ROOT)
-    assert len(counts) == len(gate.MUTANTS) == 22
+    assert len(counts) == len(gate.MUTANTS) == 24
     assert counts == {name: 1 for name in counts}
 
 
@@ -120,7 +135,8 @@ def test_bench_audit_alternates_the_trees_and_keeps_each_run(monkeypatch):
     def fake_audit(tree):
         calls.append(tree)
         wall = walls[tree.name][sum(c == tree for c in calls) - 1]
-        return {"wall_ns": wall, "pairs": 4, "nonintegral": 0, "peak_rss_kib": 100 + wall}
+        return {"wall_ns": wall, "scaled_wall_ns": 3 * wall, "pairs": 4, "nonintegral": 0,
+                "peak_rss_kib": 100 + wall}
 
     monkeypatch.setattr(bench, "run_audit", fake_audit)
     trees = {"base": Path("base"), "change": Path("change")}
@@ -128,7 +144,9 @@ def test_bench_audit_alternates_the_trees_and_keeps_each_run(monkeypatch):
     assert [tree.name for tree in calls] == ["base", "change", "change", "base", "base", "change"]
     assert record["box"] == {"n": "1..6", "max_rank": 12, "max_k": 12, "max_chi": 24}
     assert record["base"]["runs"] == [
-        {"wall_ns": w, "pairs": 4, "nonintegral": 0, "peak_rss_kib": 100 + w} for w in (30, 10, 20)]
+        {"wall_ns": w, "scaled_wall_ns": 3 * w, "pairs": 4, "nonintegral": 0,
+         "peak_rss_kib": 100 + w} for w in (30, 10, 20)]
     assert {k: v for k, v in record["base"].items() if k != "runs"} == {
-        "wall_ns": 20, "pairs": 4, "nonintegral": 0, "peak_rss_kib": 120}
-    assert (record["change"]["wall_ns"], record["change"]["peak_rss_kib"]) == (7, 107)
+        "wall_ns": 20, "scaled_wall_ns": 60, "pairs": 4, "nonintegral": 0, "peak_rss_kib": 120}
+    assert (record["change"]["wall_ns"], record["change"]["scaled_wall_ns"],
+            record["change"]["peak_rss_kib"]) == (7, 21, 107)
