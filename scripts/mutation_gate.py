@@ -4,8 +4,9 @@ bitset or contraction kernel, table of basis images, partner-search
 branch, closed-form binomial sum, degenerate-branch label of a row,
 the dimension invariant d_v, the lane split of the numeric trials, the
 per-lane helper, the per-lane Fraction flags of the lanes, the JSON
-renderer and verify report template, the bitset key of a class builder
-and the shortcut of class equality listed in MUTANTS.
+renderer and verify report template, the bitset key of a class builder,
+the shortcut of class equality and the Euler value of dw0_chern listed
+in MUTANTS.
 
 Copies the repository into a temporary directory and runs the Tier-1 suite
 there, under the Hypothesis profile "gate" (no shrinking), first unmutated
@@ -97,6 +98,8 @@ MUTANTS = (
      "((1 << i) | (1 << j)) << off", "((1 << i) | (2 << j)) << off"),
     ("class equality shortcut on support", "src/thetachi/exterior.py",
      "if self.terms == other.terms:", "if self.terms.keys() == other.terms.keys():"),
+    ("dw0 euler_value drops the d_w term", "src/thetachi/identities.py",
+     "chip * chip * d_v + chi * chi * d_w", "chip * chip * d_v"),
 )
 
 _FAILED = re.compile(r"^(?:FAILED|ERROR) (tests/[^:\s]+)")

@@ -33,7 +33,6 @@ from .mukai import (
     NSClass,
     check_assumptions,
     c1_tensor,
-    dv,
     euler_chi_tensor,
     fm_vector,
     fm_vector_via_engine,

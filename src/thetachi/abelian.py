@@ -136,7 +136,7 @@ def projection(source: Space, positions: tuple, target: Space) -> MorphismH1:
     """Pullback along the projection of a product onto chosen factors."""
     rows = []
     for t_pos in range(len(target.kinds)):
-        s_off = source.factor_range(positions[t_pos]).start
+        s_off = source.offset(positions[t_pos])
         for i in range(4):
             rows.append([(s_off + i, 1)])
     return MorphismH1(source, target, rows)
@@ -144,8 +144,8 @@ def projection(source: Space, positions: tuple, target: Space) -> MorphismH1:
 
 def addition(source: Space, pos1: int, pos2: int, target: Space, scale: Scalar = 1) -> MorphismH1:
     """Pullback of (a, b) -> a + scale*b between matching factors."""
-    off1 = source.factor_range(pos1).start
-    off2 = source.factor_range(pos2).start
+    off1 = source.offset(pos1)
+    off2 = source.offset(pos2)
     rows = [[(off1 + i, 1), (off2 + i, scale)] for i in range(4)]
     return MorphismH1(source, target, rows)
 
@@ -188,7 +188,7 @@ def factorwise(source: Space, target: Space, assignments) -> MorphismH1:
     rows = []
     for t_pos in range(len(target.kinds)):
         s_pos, local = assignments[t_pos]
-        s_off = source.factor_range(s_pos).start
+        s_off = source.offset(s_pos)
         if local is None:
             for i in range(4):
                 rows.append([(s_off + i, 1)])

@@ -84,10 +84,6 @@ class Space:
     def ngens(self) -> int:
         return GENERATORS_PER_FACTOR * len(self.kinds)
 
-    def factor_range(self, position: int) -> range:
-        lo = GENERATORS_PER_FACTOR * position
-        return range(lo, lo + GENERATORS_PER_FACTOR)
-
     def offset(self, position: int) -> int:
         """Index of the first generator of the factor at ``position``."""
         if not 0 <= position < len(self.kinds):

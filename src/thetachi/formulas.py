@@ -8,16 +8,17 @@ the same sums.  One int kernel, ``row_forms``, evaluates all three from r,
 chi and d of both vectors and their one binomial: per form it decides the
 domain by tests, without raising, and returns the value, the branch and
 the degenerate-fiber count it was checked against.  ``pairs`` keeps those
-entries per row; the theta evaluators and ``closed_forms`` wrap the same
-entries into ``ChiResult``s and raise ``FormulaError`` where a form is
-undefined.  Every value is an int except chi_hilbert's, which carries
-chi(D)/n; nothing is ever rounded.  The binomial coefficient is the product-formula
-polynomial in its top argument, so negative (or symbolic) tops are fine;
-this is the extension that matches the Riemann-Roch polynomials the
-closed forms abbreviate.  Integer tops are evaluated by ``math.comb``
-(with the reflection formula for negative tops), so a large top with a
-large bottom index stays fast; ``binom_past_digit_limit`` tells from the
-arguments alone when a binomial would be too long to print.
+entries per row and renders them through ``form_results``; the theta
+evaluators wrap the same entries into ``ChiResult``s and raise
+``FormulaError`` where a form is undefined.  Every value is an int except
+chi_hilbert's, which carries chi(D)/n; nothing is ever rounded.  The
+binomial coefficient is the product-formula polynomial in its top
+argument, so negative (or symbolic) tops are fine; this is the extension
+that matches the Riemann-Roch polynomials the closed forms abbreviate.
+Integer tops are evaluated by ``math.comb`` (with the reflection formula
+for negative tops), so a large top with a large bottom index stays fast;
+``binom_past_digit_limit`` tells from the arguments alone when a binomial
+would be too long to print.
 """
 
 from __future__ import annotations
@@ -245,17 +246,6 @@ def chi_arbitrary_det(v: MukaiVector, w: MukaiVector) -> ChiResult:
     both branches are evaluated and must agree where both are defined.
     """
     return _evaluate(2, v, w)
-
-
-def closed_forms(v: MukaiVector, w: MukaiVector) -> tuple:
-    """(chi_fixed_det, chi_fixed_fm_det, chi_arbitrary_det) of (v, w), on
-    one orthogonality test and one ``row_forms``; an entry is None where
-    its evaluator raises FormulaError."""
-    try:
-        _require_orthogonal(v, w)
-    except FormulaError:
-        return None, None, None
-    return form_results(row_forms(v.r, v.chi, v.d, w.r, w.chi, w.d), _pair_inputs(v, w))
 
 
 def chi_albanese_fiber(dv_: int, dw_: int) -> ChiResult:

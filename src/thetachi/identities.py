@@ -26,7 +26,7 @@ once, and each residual is split back lane by lane into one report per
 trial, equal to what ``run_identity`` reports for that trial alone.  The
 parts that must stay exact per trial go through ``_per_lane``, which runs
 them lane by lane: the integral ``MukaiVector``s and closed forms of
-``assembly_*`` and the d_w = 0 branch of ``dw0_chern``.
+``assembly_*``.
 
 Registry keys (sec4_table, ..., assembly_three) are the stable interface
 tokens used by the command-line ``verify --only`` filter.
@@ -40,6 +40,7 @@ from fractions import Fraction
 from functools import partial
 
 from . import abelian as ab
+from . import formulas
 from .abelian import (
     C1_P,
     M_AxA,
@@ -76,8 +77,6 @@ from .exterior import (
     pushforward,
     wedge,
 )
-# the three theorem evaluators are looked up by name in _assembly_residual
-from .formulas import chi_albanese_fiber, chi_arbitrary_det, chi_fixed_det, chi_fixed_fm_det  # noqa: F401
 from .jsontext import quote
 from .mukai import MukaiVector
 from .poly import Lanes, Poly, eliminate_linear, scalar_div, scalar_is_zero
@@ -524,9 +523,8 @@ def _check_dw0_chern(params) -> dict:
     """Chern class of the pulled-back theta bundle on the isogeny cover.
 
     c1 = -(chi' lam + chi lam'), and chi(A, c1) = chi'^2 d_v + chi^2 d_w
-    under orthogonality; with d_w = 0 this gives the finite-cover count
-    chi'^2 d_v, i.e. the quotient value d_v, checked whenever the
-    parameters lie on that locus.
+    under orthogonality.  The numeric draws lie on the d_w = 0 locus, where
+    this is the finite-cover count chi'^2 d_v, i.e. the quotient value d_v.
     """
     pol = Polarization(params["d"], params["e"])
     r, chi = params["r"], params["chi"]
@@ -540,20 +538,11 @@ def _check_dw0_chern(params) -> dict:
     expected = -(lam.scaled(chip) + lamp.scaled(chi))
     d_v = _half_square(lam) - r * chi
     d_w = _half_square(lamp) - rp * chip
-    chi_of_c1 = _half_square(c1)
 
     return {
         "chern_class": c1 - expected,
-        "euler_value": chi_of_c1 - (chip * chip * d_v + chi * chi * d_w),
-        "quotient_value": _per_lane(_quotient_value, chi_of_c1, chip, d_v, d_w),
+        "euler_value": _half_square(c1) - (chip * chip * d_v + chi * chi * d_w),
     }
-
-
-def _quotient_value(chi_of_c1, chip, d_v, d_w):
-    """chi(A, c1)/chi'^2 - d_v where d_w = 0 and chi' != 0; 0 (unreported) off it."""
-    if not scalar_is_zero(d_w) or scalar_is_zero(chip):
-        return 0
-    return Fraction(chi_of_c1, chip * chip) - d_v
 
 
 def _check_fm_isometry(params) -> dict:
@@ -577,7 +566,7 @@ def _check_assembly(identity_id, bundle_chi, theorem, base_is_dw, params) -> dic
     """Theorem-level assembly: Albanese value x bundle chi / d^4.
 
     d is d_v, or d_w when ``base_is_dw``.  ``theorem`` names the closed-form
-    evaluator, looked up in this module when the check runs.
+    evaluator, looked up in ``formulas`` when the check runs.
     """
     d0, e0, k, kp = params["d0"], params["e0"], params["k"], params["kp"]
     lamp = _lambda_on(SP_A, Polarization(d0 * kp, e0 * kp))
@@ -592,8 +581,8 @@ def _assembly_residual(theorem, base_is_dw, chi_bundle, r, k, chi, rp, kp, chip,
     """One trial, from integral v = (r, kH, chi) and w = (r', k'H, chi')."""
     v, w = MukaiVector(r, k, chi, n), MukaiVector(rp, kp, chip, n)
     base, other = (w.d, v.d) if base_is_dw else (v.d, w.d)
-    assembled = Fraction(chi_albanese_fiber(base, other).value) * chi_bundle / base**4
-    return assembled - globals()[theorem](v, w).value
+    assembled = Fraction(formulas.chi_albanese_fiber(base, other).value) * chi_bundle / base**4
+    return assembled - getattr(formulas, theorem)(v, w).value
 
 
 # -- samplers ------------------------------------------------------------------

@@ -75,23 +75,11 @@ class MukaiVector:
         # on that vector several times slower.
         object.__setattr__(self, "d", self.n * self.k * self.k - self.r * self.chi)
 
-    @property
-    def c1(self) -> NSClass:
-        return NSClass(self.k, self.n)
-
     def dual(self) -> "MukaiVector":
         return MukaiVector(self.r, -self.k, self.chi, self.n, self.side)
 
     def text(self) -> str:
         return f"{self.r},{self.k},{self.chi}"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "r": str(self.r),
-            "k": str(self.k),
-            "chi": str(self.chi),
-            "n": str(self.n),
-        }
 
 
 def parse_vector(text: str, n: int) -> MukaiVector:
@@ -113,11 +101,6 @@ def _check_compatible(x: MukaiVector, y: MukaiVector):
 def mukai_pairing(x: MukaiVector, y: MukaiVector) -> int:
     _check_compatible(x, y)
     return 2 * x.n * x.k * y.k - x.r * y.chi - x.chi * y.r
-
-
-def dv(v: MukaiVector) -> int:
-    """Half the self-pairing; always an integer here."""
-    return v.d
 
 
 def euler_chi_tensor(v: MukaiVector, w: MukaiVector) -> int:

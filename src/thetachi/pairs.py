@@ -17,9 +17,8 @@ any row is built, and a pair whose values provably have more digits than
 A row is lean: d_v, d_w, the ``formulas.row_forms`` entries of the three
 theta Euler characteristics (value or None, and branch) and a flags tuple
 shared by every row with the same flags.  Its ``ChiResult``s are built
-only when read, for the JSON output and the tests.  Values become text
-only in ``rows_to_csv``, which makes each vector's text once, and
-``rows_to_json``, which renders the rows' ``to_json_dict`` payload through
+only for the JSON output.  Values become text only in ``rows_to_csv``,
+which makes each vector's text once, and ``rows_to_json``, which renders the rows' ``to_json_dict`` payload through
 ``jsontext.dumps``, the bytes of ``json.dumps`` with ``indent=2``.
 Output is deterministic: rows come out in the lexicographic order of their
 integer key, and every number is rendered as an exact decimal string.
@@ -49,11 +48,7 @@ class DigitLimitError(ValueError):
 
 class PairRow:
     """One orthogonal pair: its vectors, d_v, d_w, the ``formulas.row_forms``
-    entries of its three closed forms and its flags.
-
-    ``chi_main``, ``chi_two`` and ``chi_three`` are the ChiResults of those
-    entries, None where undefined; they are built on each access.
-    """
+    entries of its three closed forms and its flags."""
 
     __slots__ = ("v", "w", "d_v", "d_w", "forms", "flags")
 
@@ -65,14 +60,6 @@ class PairRow:
         self.d_w = d_w
         self.forms = forms
         self.flags = flags
-
-    def results(self) -> tuple:
-        """(chi_main, chi_two, chi_three) as ChiResults, None where undefined."""
-        return form_results(self.forms, {"v": self.v.text(), "w": self.w.text(), "n": self.v.n})
-
-    chi_main = property(lambda self: self.results()[0])
-    chi_two = property(lambda self: self.results()[1])
-    chi_three = property(lambda self: self.results()[2])
 
     def to_json_dict(self) -> dict:
         v_text, w_text = self.v.text(), self.w.text()

@@ -250,10 +250,6 @@ class Poly:
             return (self - other).is_zero
         return NotImplemented
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     __hash__ = None
 
     def coeffs_by_power(self, name: str) -> dict:

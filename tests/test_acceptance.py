@@ -33,7 +33,6 @@ from thetachi.formulas import (
 from thetachi.identities import run_suite, suite_passed
 from thetachi.mukai import (
     MukaiVector,
-    dv,
     fm_vector,
     fm_vector_via_engine,
     mukai_pairing,
@@ -86,7 +85,7 @@ def test_ac3_degenerate_branches():
         and main_result.cross_check == {"r^2": 4}
         and two_result.value == 1
         and two_result.cross_check == {"chi^2": 1}
-        and three_result.value == dv(dv2) == 2
+        and three_result.value == dv2.d == 2
     )
     report(
         "AC-3 degenerate branches (r^2, chi^2, d_v)",
@@ -131,7 +130,7 @@ def test_ac6_fm_oracle_agreement():
         n = rng.randint(1, 4)
         v = MukaiVector(rng.randint(-10, 10), rng.randint(-10, 10), rng.randint(-10, 10), n)
         w = MukaiVector(rng.randint(-10, 10), rng.randint(-10, 10), rng.randint(-10, 10), n)
-        assert dv(fm_vector(v)) == dv(v)
+        assert fm_vector(v).d == v.d
         assert mukai_pairing(fm_vector(v), fm_vector(w)) == mukai_pairing(v, w)
     report("AC-6 transform closed form vs engine", True, "37044 vectors + 500 random pairs")
 

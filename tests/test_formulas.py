@@ -20,10 +20,11 @@ from thetachi.formulas import (
     chi_hilbert,
     chi_k3_reference,
     chi_kummer,
-    closed_forms,
     etale_cover_residual,
+    form_results,
+    row_forms,
 )
-from thetachi.mukai import MukaiVector, c1_tensor, dv, euler_chi_tensor, fm_vector
+from thetachi.mukai import MukaiVector, c1_tensor, euler_chi_tensor, fm_vector
 from thetachi.pairs import enumerate_rows
 from thetachi.poly import Poly
 
@@ -83,7 +84,7 @@ def test_chi_fixed_det_errors():
         chi_fixed_det(V1, MukaiVector(2, 4, 3, 1))  # not orthogonal
     iso_v = MukaiVector(1, 1, 1, 1)
     iso_w = MukaiVector(1, -1, 1, 1)
-    assert dv(iso_v) == dv(iso_w) == 0
+    assert iso_v.d == iso_w.d == 0
     with pytest.raises(FormulaError):
         chi_fixed_det(iso_v, iso_w)  # d_v + d_w = 0
     neg = MukaiVector(1, 0, 5, 1)  # d_v = -5
@@ -228,7 +229,7 @@ def test_degenerate_branch_counts_on_constructed_instances():
                         if numer % v.r:
                             continue
                         w = MukaiVector(rw, kw, numer // v.r, n)
-                        if dv(w) <= 0:
+                        if w.d <= 0:
                             continue
                         assert chi_fixed_det(v, w).value == v.r**2
                         assert chi_fixed_fm_det(v, w).value == v.chi**2
@@ -304,7 +305,7 @@ def reference_closed_forms(v, w) -> tuple:
     """(main, two, three) by the rational expressions the binomial sums
     replaced: (1/2) c1^2 * binom(d, d_v)/d and d_v^2 * binom(d, d_v)/d, the
     degenerate d_w = 0 value d_v of theorem three, None where undefined."""
-    dv_, dw_ = dv(v), dv(w)
+    dv_, dw_ = v.d, w.d
     total = dv_ + dw_
     main = two = three = None
     if dv_ >= 0 and dw_ >= 0 and total > 0:
@@ -329,9 +330,10 @@ _EVALUATORS = (("main", chi_fixed_det), ("two", chi_fixed_fm_det), ("three", chi
 
 
 def check_against_reference(v, w) -> set:
-    """Assert the int evaluators and closed_forms equal the reference on
-    (v, w); return the "theorem:branch" outcomes reached, "undef" for None."""
-    rows = closed_forms(v, w)
+    """Assert the int evaluators and the row kernel's entries equal the
+    reference on (v, w); return the "theorem:branch" outcomes reached,
+    "undef" for None."""
+    rows = form_results(row_forms(v.r, v.chi, v.d, w.r, w.chi, w.d), {})
     reached = set()
     for (tag, evaluator), row, expected in zip(_EVALUATORS, rows, reference_closed_forms(v, w)):
         result = _evaluate_or_none(evaluator, v, w)
@@ -413,8 +415,8 @@ def test_closed_forms_build_one_binomial_per_row(monkeypatch):
     generic = 0
     for row in rows:
         calls.clear()
-        values = closed_forms(row.v, row.w)
-        assert values == (row.chi_main, row.chi_two, row.chi_three)
+        v, w = row.v, row.w
+        assert row_forms(v.r, v.chi, v.d, w.r, w.chi, w.d) == row.forms
         if row.d_v >= 1 and row.d_w >= 1:
             generic += 1
             assert calls == [(row.d_v + row.d_w - 1, row.d_v - 1)]

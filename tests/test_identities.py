@@ -365,8 +365,8 @@ def test_per_lane_applies_to_each_lane_and_shares_scalars():
 
 def test_dw0_chern_lanes_mixed_on_and_off_the_quotient_locus():
     # every third trial stays on the d_w = 0 locus; the next leaves it but
-    # stays orthogonal (a34 + 1, chi re-solved), so quotient_value is absent
-    # there and the identity holds; the third moves chi off orthogonality
+    # stays orthogonal (a34 + 1, chi re-solved), so the identity holds
+    # there too; the third moves chi off orthogonality
     rng = random.Random("mixed:dw0_chern")
     samples = [REGISTRY["dw0_chern"].sample(rng) for _ in range(15)]
     for trial, sample in enumerate(samples):
@@ -502,7 +502,9 @@ def test_describe_instantiation_matches_its_isinstance_oracle():
 
 def test_split_lane_checks_build_no_fraction(monkeypatch):
     # the common-denominator lanes build a Fraction only when a lane is
-    # read; prop_split* read none, so a warm check builds none at all
+    # read; prop_split* and dw0_chern read none, so a warm check builds none
+    # at all.  Each draw solves one parameter as a Fraction: chi' for
+    # prop_split*, chi for the d_w = 0 draw of dw0_chern
     built = []
     original = Fraction.__new__
 
@@ -510,12 +512,13 @@ def test_split_lane_checks_build_no_fraction(monkeypatch):
         built.append(args)
         return original(cls, *args, **kwargs)
 
-    for identity_id in ("prop_split", "prop_split1", "prop_split2"):
+    for identity_id, solved in (("prop_split", "chip"), ("prop_split1", "chip"),
+                                ("prop_split2", "chip"), ("dw0_chern", "chi")):
         identity = REGISTRY[identity_id]
         rng = random.Random(f"42:{identity_id}")
         samples = [identity.sample(rng) for _ in range(200)]
         params = {name: Lanes([p[name] for p in samples]) for name in samples[0]}
-        assert any(type(v) is Fraction and v.denominator > 1 for v in params["chip"])
+        assert any(type(v) is Fraction and v.denominator > 1 for v in params[solved])
         identity.check(params)  # warm-up: module-level caches
         with monkeypatch.context() as patch:
             patch.setattr(Fraction, "__new__", counting)

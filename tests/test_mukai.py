@@ -14,7 +14,6 @@ from thetachi.mukai import (
     NSClass,
     c1_tensor,
     check_assumptions,
-    dv,
     euler_chi_tensor,
     fm_vector,
     fm_vector_via_engine,
@@ -43,7 +42,7 @@ def test_pairing_examples():
     assert mukai_pairing(MukaiVector(0, 1, 4, 1), MukaiVector(0, 1, -2, 1)) == 2
     # isotropic example: (2, H, 1) at n = 2
     v = MukaiVector(2, 1, 1, 2)
-    assert mukai_pairing(v, v) == 0 and dv(v) == 0
+    assert mukai_pairing(v, v) == 0 and v.d == 0
 
 
 def test_pairing_requires_matching_lattices():
@@ -54,10 +53,10 @@ def test_pairing_requires_matching_lattices():
 
 
 def test_dv_examples():
-    assert dv(MukaiVector(1, 0, -4, 7)) == 4
-    assert dv(MukaiVector(1, 0, -1, 1)) == 1
+    assert MukaiVector(1, 0, -4, 7).d == 4
+    assert MukaiVector(1, 0, -1, 1).d == 1
     for k in range(-3, 4):
-        assert dv(MukaiVector(2, k, 2, 1)) == k * k - 4
+        assert MukaiVector(2, k, 2, 1).d == k * k - 4
 
 
 @given(st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50),
@@ -67,11 +66,11 @@ def test_d_is_half_the_self_pairing(r, k, chi, n, side):
     v = MukaiVector(r, k, chi, n, side)
     pairing = mukai_pairing(v, v)
     assert pairing % 2 == 0
-    assert v.d == pairing // 2 == dv(v)
+    assert v.d == pairing // 2
     # d is not a field: equality, hash and repr ignore it, replace recomputes it
     fresh = MukaiVector(r, k, chi, n, side)
     assert v == fresh and hash(v) == hash(fresh) and repr(v) == repr(fresh)
-    assert "d" not in {f.name for f in dataclasses.fields(v)} | set(v.to_json_dict())
+    assert "d" not in {f.name for f in dataclasses.fields(v)}
     assert dataclasses.replace(v, chi=chi + 1).d == v.d - r
 
 
@@ -150,7 +149,7 @@ def test_fm_vector_via_engine_refuses_images_off_the_lattice(monkeypatch, terms)
 def test_fm_vector_is_an_isometry(r, k, chi, n):
     v = MukaiVector(r, k, chi, n)
     w = MukaiVector(k, chi if chi else 1, r, n)
-    assert dv(fm_vector(v)) == dv(v)
+    assert fm_vector(v).d == v.d
     assert mukai_pairing(fm_vector(v), fm_vector(w)) == mukai_pairing(v, w)
 
 
@@ -185,7 +184,7 @@ def test_text_and_json_round_trip():
     v = parse_vector(" 2, -3 , 5", 4)
     assert v == MukaiVector(2, -3, 5, 4)
     assert v.text() == "2,-3,5"
-    assert v.to_json_dict() == {"r": "2", "k": "-3", "chi": "5", "n": "4"}
+    assert (v.r, v.k, v.chi, v.n, v.side) == (2, -3, 5, 4, "A")
     with pytest.raises(ValueError):
         parse_vector("1,2", 1)
     with pytest.raises(ValueError):
@@ -197,5 +196,5 @@ def test_text_and_json_round_trip():
 def test_hilbert_scheme_convention():
     # Pic0 x Hilb^n carries v = (1, 0, -n): d_v = n for every ambient lattice
     for n_points in (1, 2, 3, 7):
-        assert dv(MukaiVector(1, 0, -n_points, 1)) == n_points
-        assert dv(MukaiVector(1, 0, -n_points, 3)) == n_points
+        assert MukaiVector(1, 0, -n_points, 1).d == n_points
+        assert MukaiVector(1, 0, -n_points, 3).d == n_points

@@ -5,7 +5,13 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from thetachi import pairs
-from thetachi.formulas import FormulaError, chi_arbitrary_det, chi_fixed_det, chi_fixed_fm_det
+from thetachi.formulas import (
+    FormulaError,
+    chi_arbitrary_det,
+    chi_fixed_det,
+    chi_fixed_fm_det,
+    form_results,
+)
 from thetachi.mukai import MukaiVector, euler_chi_tensor, h2_vanishing_direction
 from thetachi.pairs import (
     admissible_vectors,
@@ -86,7 +92,7 @@ def test_rows_are_recomputable_and_sorted():
         row for row in rows
         if row.v == MukaiVector(1, 0, -1, 1) and row.w == MukaiVector(2, 3, 2, 1)
     )
-    assert target.chi_main.value == chi_fixed_det(target.v, target.w).value == 9
+    assert target.forms[0][0] == chi_fixed_det(target.v, target.w).value == 9
     # the swapped ordered pair is present as well
     assert any(
         row.v == MukaiVector(2, 3, 2, 1) and row.w == MukaiVector(1, 0, -1, 1)
@@ -97,7 +103,7 @@ def test_rows_are_recomputable_and_sorted():
 def test_isotropic_pair_row_flags_undefined_values():
     # d_v = d_w = 0: the quotient formulas are outside their domain
     row = build_row(MukaiVector(1, 1, 1, 1), MukaiVector(1, -1, 1, 1))
-    assert row.chi_main is None and row.chi_two is None
+    assert row.forms[0][0] is None and row.forms[1][0] is None
     assert "main_undef" in row.flags and "two_undef" in row.flags
     summary = {"pairs": "1", "vectors": "2", "nonintegral_rows": []}
     fields = rows_to_csv([row], summary).splitlines()[1].split(",")
@@ -110,14 +116,14 @@ def test_negative_invariant_row_flags():
     # d_v = -5 with an orthogonal positive partner: flagged, not fabricated
     row = build_row(MukaiVector(1, 0, 5, 1), MukaiVector(1, 1, -5, 1))
     assert "dv_neg" in row.flags
-    assert row.chi_main is None and "main_undef" in row.flags
+    assert row.forms[0][0] is None and "main_undef" in row.flags
 
 
 def test_special_branch_rows_flagged():
     row = build_row(MukaiVector(2, 1, 1, 2), MukaiVector(2, 1, -3, 2))
     assert "main_special_dv0" in row.flags
     assert "two_special_dv0" in row.flags
-    assert row.chi_main.value == 4 and row.chi_two.value == 1
+    assert row.forms[0][0] == 4 and row.forms[1][0] == 1
 
 
 def test_csv_and_json_render_exact_strings():
@@ -180,8 +186,9 @@ def test_rows_match_the_public_evaluators():
         expected_json = {
             "n": str(v.n), "v": v.text(), "w": w.text(), "d_v": str(v.d), "d_w": str(w.d),
         }
-        for (name, tag, _), result in zip(_EVALUATORS, results):
-            got = getattr(row, name)
+        inputs = {"v": v.text(), "w": w.text(), "n": v.n}
+        for (name, tag, _), got, result in zip(_EVALUATORS, form_results(row.forms, inputs),
+                                               results):
             if result is None:
                 assert got is None
                 reached.add(f"{tag}:undef")
