@@ -5,8 +5,8 @@ branch, closed-form binomial sum, degenerate-branch label of a row,
 the dimension invariant d_v, the lane split of the numeric trials, the
 per-lane helper, the per-lane Fraction flags of the lanes, the JSON
 renderer and verify report template, the bitset key of a class builder,
-the shortcut of class equality and the Euler value of dw0_chern listed
-in MUTANTS.
+the identity block of a product of per-factor maps, the shortcut of class
+equality and the Euler value of dw0_chern listed in MUTANTS.
 
 Copies the repository into a temporary directory and runs the Tier-1 suite
 there, under the Hypothesis profile "gate" (no shrinking), first unmutated
@@ -96,6 +96,8 @@ MUTANTS = (
      '": "', '":"'),
     ("two_form key wrong bit", "src/thetachi/abelian.py",
      "((1 << i) | (1 << j)) << off", "((1 << i) | (2 << j)) << off"),
+    ("factorwise identity block reversed", "src/thetachi/abelian.py",
+     "rows.append([(s_off + i, 1)])", "rows.append([(s_off + 3 - i, 1)])"),
     ("class equality shortcut on support", "src/thetachi/exterior.py",
      "if self.terms == other.terms:", "if self.terms.keys() == other.terms.keys():"),
     ("dw0 euler_value drops the d_w term", "src/thetachi/identities.py",

@@ -72,10 +72,6 @@ class Polarization:
     def chi(self) -> Scalar:
         return self.d * self.e
 
-    @property
-    def degenerate(self) -> bool:
-        return scalar_is_zero(self.d * self.e)
-
 
 # -- named classes ----------------------------------------------------------
 
@@ -134,12 +130,7 @@ def mukai_class(sp: Space, position: int, rank: Scalar, c1: ExteriorClass, chi: 
 
 def projection(source: Space, positions: tuple, target: Space) -> MorphismH1:
     """Pullback along the projection of a product onto chosen factors."""
-    rows = []
-    for t_pos in range(len(target.kinds)):
-        s_off = source.offset(positions[t_pos])
-        for i in range(4):
-            rows.append([(s_off + i, 1)])
-    return MorphismH1(source, target, rows)
+    return factorwise(source, target, [(p, None) for p in positions])
 
 
 def addition(source: Space, pos1: int, pos2: int, target: Space, scale: Scalar = 1) -> MorphismH1:
@@ -169,7 +160,7 @@ def make_phi(pol: Polarization, direction: str) -> MorphismH1:
     (contraction with the dual generator).  Composing the two directions
     gives multiplication by -chi(lambda) on degree one.
     """
-    if pol.degenerate:
+    if scalar_is_zero(pol.chi):
         raise ValueError("degenerate polarization: d*e = 0")
     if direction == "A->Ah":
         return MorphismH1(SP_A, SP_AH, _phi_rows(pol))

@@ -46,14 +46,11 @@ of the morphism's immutable rows, so it never changes a result.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable
 
-from .poly import Lanes, Poly, Scalar, normalize_scalar, scalar_div, scalar_is_zero
+from .poly import Scalar, normalize_scalar, scalar_div, scalar_is_zero
 
 GENERATORS_PER_FACTOR = 4
-# what __add__ and __sub__ take as a multiple of the unit class
-_SCALARS = (int, Fraction, Poly, Lanes)
 
 
 class SpaceMismatch(ValueError):
@@ -215,37 +212,22 @@ class ExteriorClass:
             raise SpaceMismatch("classes live on different spaces")
 
     def __add__(self, other):
-        if isinstance(other, _SCALARS):
-            other = ExteriorClass.unit(self.space, other)
         self._check(other)
         terms = dict(self.terms)
         for key, coeff in other.terms.items():
             terms[key] = terms.get(key, 0) + coeff
         return ExteriorClass._of(self.space, terms)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return ExteriorClass._of(self.space, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, _SCALARS):
-            other = ExteriorClass.unit(self.space, other)
         return self + (-other)
 
     def scaled(self, scalar: Scalar) -> "ExteriorClass":
         if scalar_is_zero(scalar):
             return ExteriorClass.zero(self.space)
         return ExteriorClass._of(self.space, {k: c * scalar for k, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, ExteriorClass):
-            return wedge(self, other)
-        return self.scaled(other)
-
-    def __rmul__(self, other):
-        # scalars commute past classes
-        return self.scaled(other)
 
     def __truediv__(self, k):
         return ExteriorClass._of(

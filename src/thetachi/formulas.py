@@ -12,10 +12,10 @@ entries per row and renders them through ``form_results``; the theta
 evaluators wrap the same entries into ``ChiResult``s and raise
 ``FormulaError`` where a form is undefined.  Every value is an int except
 chi_hilbert's, which carries chi(D)/n; nothing is ever rounded.  The
-binomial coefficient is the product-formula polynomial in its top
-argument, so negative (or symbolic) tops are fine; this is the extension
-that matches the Riemann-Roch polynomials the closed forms abbreviate.
-Integer tops are evaluated by ``math.comb`` (with the reflection formula
+binomial coefficient takes an int top of either sign: it is the
+product-formula polynomial in its top argument evaluated there, the
+extension that matches the Riemann-Roch polynomials the closed forms
+abbreviate.  It is computed by ``math.comb`` (with the reflection formula
 for negative tops), so a large top with a large bottom index stays fast;
 ``binom_past_digit_limit`` tells from the arguments alone when a binomial
 would be too long to print.
@@ -29,27 +29,21 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .mukai import MukaiVector, euler_chi_tensor
-from .poly import scalar_div
 
 
 class FormulaError(ValueError):
     """Precondition failure of a formula evaluator."""
 
 
-def binom(a, b: int):
-    """a(a-1)...(a-b+1)/b! for integer b >= 0; polynomial in a.
+def binom(a: int, b: int) -> int:
+    """a(a-1)...(a-b+1)/b! for int a and int b >= 0.
 
-    Accepts int, Fraction or Poly tops; returns an int when exact.  Int tops
-    use math.comb, through binom(a, b) = (-1)^b binom(b-a-1, b) for a < 0.
+    Uses math.comb, through binom(a, b) = (-1)^b binom(b-a-1, b) for a < 0;
+    any other top raises TypeError.
     """
     if b < 0:
         raise FormulaError(f"binomial lower index must be nonnegative, got {b}")
-    if isinstance(a, int):
-        return math.comb(a, b) if a >= 0 else (-1) ** b * math.comb(b - a - 1, b)
-    prod = 1
-    for i in range(b):
-        prod = prod * (a - i)
-    return scalar_div(prod, math.factorial(b))
+    return math.comb(a, b) if a >= 0 else (-1) ** b * math.comb(b - a - 1, b)
 
 
 def binom_past_digit_limit(top: int, k: int) -> bool:
@@ -91,11 +85,6 @@ class ChiResult:
         if self.cross_check:
             out["cross_check"] = {k: str(v) for k, v in self.cross_check.items()}
         return out
-
-    def __eq__(self, other):
-        if isinstance(other, ChiResult):
-            return self.value == other.value and self.formula_id == other.formula_id
-        return self.value == other
 
 
 def _require_orthogonal(v: MukaiVector, w: MukaiVector):

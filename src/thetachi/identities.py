@@ -623,11 +623,10 @@ def _sample_vector_pair(rng, need_dw_positive: bool, need_k_nonzero: bool = Fals
         numer = -(rp * chi + 2 * n * k * kp)
         if numer % r != 0:
             continue
+        # v = (r, k, chi), w = (rp, kp, chip): r divides numer, so r chip =
+        # numer and chi(v (x) w) = rp chi + 2n k kp + r chip is 0 exactly;
+        # d of each in ints, as MukaiVector.d gives it
         chip = numer // r
-        # chi(v (x) w) and d of v = (r, k, chi), w = (rp, kp, chip) in ints,
-        # as mukai.euler_chi_tensor and MukaiVector.d give them
-        if rp * chi + 2 * n * k * kp + r * chip != 0:
-            continue
         d_v, d_w = n * k * k - r * chi, n * kp * kp - rp * chip
         if d_v < 1 or d_w < 0 or (need_dw_positive and d_w < 1):
             continue

@@ -291,8 +291,8 @@ class Poly:
 
 # -- lanes -----------------------------------------------------------------
 
-# the lane scalars: bool is an int, and a sign flag may be one
-_RATIONAL = frozenset((int, bool, Fraction))
+# the lane scalars
+_RATIONAL = frozenset((int, Fraction))
 
 
 def _lanes(nums: tuple, dens, flags) -> "Lanes":
@@ -307,7 +307,7 @@ def _lanes(nums: tuple, dens, flags) -> "Lanes":
 def _broadcast(value, width: int):
     """``value`` in each of ``width`` lanes, or None if a lane cannot hold it."""
     kind = type(value)
-    if kind is int or kind is bool:
+    if kind is int:
         return _lanes((value,) * width, None, None)
     if kind is Fraction:
         den = value.denominator

@@ -17,7 +17,7 @@ from thetachi.identities import (
     suite_passed,
 )
 from thetachi.formulas import FormulaError
-from thetachi.mukai import MukaiVector
+from thetachi.mukai import MukaiVector, euler_chi_tensor
 from thetachi.poly import Lanes, Poly
 
 EXPECTED_IDS = {
@@ -193,6 +193,19 @@ def test_numeric_samplers_satisfy_side_conditions():
             split2["rp"] * split2["chi"] + lam_dot + split2["r"] * split2["chip"]
             == 0
         )
+    # the assembly draws, checked by mukai's pairing and d_v
+    for identity_id in ("assembly_main", "assembly_two", "assembly_three"):
+        for _ in range(200):
+            params = REGISTRY[identity_id].sample(rng)
+            n = params["n"]
+            v = MukaiVector(params["r"], params["k"], params["chi"], n)
+            w = MukaiVector(params["rp"], params["kp"], params["chip"], n)
+            assert euler_chi_tensor(v, w) == 0
+            assert v.d >= 1
+            assert w.d >= (1 if identity_id == "assembly_three" else 0)
+            if identity_id == "assembly_two":
+                assert params["k"] != 0
+            assert params["d0"] * params["e0"] == n
 
 
 def test_instantiation_values_are_reportable():
