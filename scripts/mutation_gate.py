@@ -2,11 +2,12 @@
 """Mutation gate: the test suite must catch drift in each sign convention,
 bitset or contraction kernel, table of basis images, partner-search
 branch, closed-form binomial sum, degenerate-branch label of a row,
-the dimension invariant d_v, the lane split of the numeric trials, the
-per-lane helper, the per-lane Fraction flags of the lanes, the JSON
-renderer and verify report template, the bitset key of a class builder,
-the identity block of a product of per-factor maps, the shortcut of class
-equality and the Euler value of dw0_chern listed in MUTANTS.
+the dimension invariant d_v, the column draw and lane split of the
+numeric trials, the per-lane helper, the per-lane Fraction flags of the
+lanes, the JSON renderer, the verify report and trial templates, the
+bitset key of a class builder, the identity block of a product of
+per-factor maps, the shortcut of class equality and the Euler value of
+dw0_chern listed in MUTANTS.
 
 Copies the repository into a temporary directory and runs the Tier-1 suite
 there, under the Hypothesis profile "gate" (no shrinking), first unmutated
@@ -102,6 +103,11 @@ MUTANTS = (
      "if self.terms == other.terms:", "if self.terms.keys() == other.terms.keys():"),
     ("dw0 euler_value drops the d_w term", "src/thetachi/identities.py",
      "chip * chip * d_v + chi * chi * d_w", "chip * chip * d_v"),
+    ("column walk keeps a NONZERO zero", "src/thetachi/identities.py",
+     "while nonzero and not value:", "while False:"),
+    ("trial template index off by one", "src/thetachi/identities.py",
+     "rows = zip(*[columns[key] for key in keys], range(trials))",
+     "rows = zip(*[columns[key] for key in keys], range(1, trials + 1))"),
 )
 
 _FAILED = re.compile(r"^(?:FAILED|ERROR) (tests/[^:\s]+)")

@@ -20,13 +20,24 @@ numeric draws are bespoke, because they need a condition the symbolic
 proof does not impose: the d_w = 0 quotient locus of ``dw0_chern`` and the
 integral Mukai pairs of the ``assembly_*`` checks.
 
-``run_suite`` runs all numeric trials of every identity as one lane pass:
-the trials' draws are zipped into ``Lanes`` parameters, the check runs
-once, and each residual is split back lane by lane into one report per
-trial, equal to what ``run_identity`` reports for that trial alone.  The
-parts that must stay exact per trial go through ``_per_lane``, which runs
-them lane by lane: the integral ``MukaiVector``s and closed forms of
-``assembly_*``.
+The numeric trials of an identity are columns from the draw to the
+output:
+
+* ``Identity.sample(rng, trials)`` returns ``{name: column}``.  A
+  ``ParamSpec`` or ``dw0_chern`` draw takes its values from ``_draws``,
+  which reads a whole block of Mersenne Twister words per ``getrandbits``
+  call and gives exactly the values of successive ``_randint(rng, -9, 9)``
+  calls; the Mukai pairs of ``assembly_*`` keep one ``_randint`` per draw.
+* Each column becomes one ``Lanes`` parameter and the check runs once.
+  The parts that must stay exact per trial go through ``_per_lane``, which
+  runs them lane by lane: the integral ``MukaiVector``s and closed forms of
+  ``assembly_*``.
+* A residual that is zero in every lane is zero in each.  ``verify``
+  (``report_blocks``) renders each trial whose residuals are all zero from
+  one template per identity; any other trial's residual is split out of
+  its lane and reported as ``run_identity`` reports that trial alone.
+  ``run_suite`` builds every trial's ``IdentityReport`` instead: it is the
+  API and the template's test oracle.
 
 Registry keys (sec4_table, ..., assembly_three) are the stable interface
 tokens used by the command-line ``verify --only`` filter.
@@ -35,9 +46,11 @@ tokens used by the command-line ``verify --only`` filter.
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import chain, repeat
 
 from . import abelian as ab
 from . import formulas
@@ -196,6 +209,33 @@ def _rand_nonzero(rng) -> int:
             return value
 
 
+# _randint(rng, -9, 9) is getrandbits(5): the top five bits of one 32-bit
+# Mersenne Twister word, drawn again while they read 19 or more.
+# getrandbits(32 m) packs the next m words little-endian, so byte 4j + 3 is
+# the top byte of word j and its top five bits are that word's draw.
+# _DIGIT maps a top byte to its draw minus 9, as a signed byte; the top
+# bytes of rejected words are deleted.
+_DIGIT = bytes(((byte >> 3) - 9) & 0xFF for byte in range(256))
+_REJECTED = bytes(range(19 << 3, 256))
+_REFILL_WORDS = 256
+
+
+def _draws(rng, words: int):
+    """The values of successive ``_randint(rng, -9, 9)`` calls on ``rng``.
+
+    One ``getrandbits`` call serves the first ``words`` words, and one more
+    each further block of ``_REFILL_WORDS``, so the stream never runs dry;
+    block by block gives the same words as one larger draw.  Words drawn
+    past the last value used are lost: each identity's generator is
+    discarded after its draws.
+    """
+    def block(count):
+        top = rng.getrandbits(32 * count).to_bytes(4 * count, "little")[3::4]
+        return array("b", top.translate(_DIGIT, _REJECTED))
+
+    return chain(block(words), chain.from_iterable(map(block, repeat(_REFILL_WORDS))))
+
+
 def _orthogonality_constraint(p):
     """chi' := -(r' chi + lambda.lambda')/r, as (numerator, denominator).
 
@@ -233,16 +273,26 @@ class ParamSpec:
                 out["constraint"] = (name, *_orthogonality_constraint(out))
         return out
 
-    def sample(self, rng) -> dict:
-        out = {}
+    def sample(self, rng, trials: int) -> dict:
+        """``{name: column}`` of ``trials`` draws.  Trial by trial, each name
+        in spec order takes the next value of ``_draws``, a NONZERO name the
+        next nonzero one; the SOLVED name is an exact Fraction per trial."""
+        drawn = [(name, kind == NONZERO) for name, kind in self.params if kind != SOLVED]
+        columns = {name: [] for name, _ in drawn}
+        slots = [(columns[name].append, nonzero) for name, nonzero in drawn]
+        # a slot keeps a word's value with odds 19/32, or 18/32 if NONZERO
+        take = _draws(rng, 16 * len(slots) * trials // 9).__next__
+        for _ in range(trials):
+            for append, nonzero in slots:
+                value = take()
+                while nonzero and not value:
+                    value = take()
+                append(value)
         for name, kind in self.params:
-            if kind == FREE:
-                out[name] = _randint(rng, -9, 9)
-            elif kind == NONZERO:
-                out[name] = _rand_nonzero(rng)
-            else:
-                out[name] = Fraction(*_orthogonality_constraint(out))
-        return out
+            if kind == SOLVED:
+                lanes = {key: Lanes(column) for key, column in columns.items()}
+                columns[name] = list(map(Fraction, *_orthogonality_constraint(lanes)))
+        return columns
 
 
 _DE = (("d", NONZERO), ("e", NONZERO))
@@ -588,53 +638,63 @@ def _assembly_residual(theorem, base_is_dw, chi_bundle, r, k, chi, rp, kp, chip,
 # -- samplers ------------------------------------------------------------------
 
 
-def _sample_dw0(rng):
-    """Orthogonal draw on the quotient locus: diagonal lambda' with d_w = 0
-    and chi' != 0."""
-    while True:
-        rp, chip, a12 = _rand_nonzero(rng), _rand_nonzero(rng), _rand_nonzero(rng)
-        if (rp * chip) % a12 == 0 and -9 <= (rp * chip) // a12 <= 9:
-            break
-    params = {"d": _rand_nonzero(rng), "e": _rand_nonzero(rng),
-              "a12": a12, "a13": 0, "a14": 0, "a23": 0, "a24": 0,
-              "a34": rp * chip // a12,  # d_w = a12 a34 - r' chi' = 0
-              "r": _rand_nonzero(rng), "rp": rp, "chip": chip}
-    # orthogonality fixes chi once r is drawn; solve exactly
-    lam_dot = params["d"] * params["a34"] + params["e"] * params["a12"]
-    params["chi"] = Fraction(-(lam_dot + params["r"] * chip), rp)
-    return params
+def _sample_dw0(rng, trials: int) -> dict:
+    """Orthogonal draws on the quotient locus: diagonal lambda' with d_w = 0
+    and chi' != 0, from the nonzero values of ``_draws``."""
+    # about 13.4 nonzero values per trial, one in 18/32 words
+    take = filter(None, _draws(rng, 24 * trials)).__next__
+    columns = {"d": [], "e": [], "a12": [], "a13": [0] * trials, "a14": [0] * trials,
+               "a23": [0] * trials, "a24": [0] * trials, "a34": [], "r": [], "rp": [],
+               "chip": [], "chi": []}
+    appends = [columns[name].append for name in ("d", "e", "a12", "a34", "r", "rp", "chip", "chi")]
+    for _ in range(trials):
+        while True:
+            rp, chip, a12 = take(), take(), take()
+            if (rp * chip) % a12 == 0 and -9 <= (rp * chip) // a12 <= 9:
+                break
+        d, e, r = take(), take(), take()
+        a34 = rp * chip // a12  # d_w = a12 a34 - r' chi' = 0
+        # orthogonality fixes chi once r is drawn; solve exactly
+        chi = Fraction(-(d * a34 + e * a12 + r * chip), rp)
+        for append, value in zip(appends, (d, e, a12, a34, r, rp, chip, chi)):
+            append(value)
+    return columns
 
 
-def _sample_vector_pair(rng, need_dw_positive: bool, need_k_nonzero: bool = False):
+def _sample_vector_pair(rng, trials: int, need_dw_positive: bool,
+                        need_k_nonzero: bool = False) -> dict:
     """Integer orthogonal Mukai vectors with d_v >= 1 (and d_w if asked)."""
-    while True:
-        n = _randint(rng, 1, 4)
-        divisors = [t for t in range(1, n + 1) if n % t == 0]
-        # the draw of rng.choice(divisors), which is seq[_randbelow(len(seq))]
-        d0 = divisors[_randint(rng, 0, len(divisors) - 1)]
-        e0 = n // d0
-        r = _rand_nonzero(rng)
-        k = _randint(rng, -3, 3)
-        if need_k_nonzero and k == 0:
-            continue
-        chi = _randint(rng, -9, 9)
-        rp = _randint(rng, -9, 9)
-        kp = _randint(rng, -3, 3)
-        numer = -(rp * chi + 2 * n * k * kp)
-        if numer % r != 0:
-            continue
-        # v = (r, k, chi), w = (rp, kp, chip): r divides numer, so r chip =
-        # numer and chi(v (x) w) = rp chi + 2n k kp + r chip is 0 exactly;
-        # d of each in ints, as MukaiVector.d gives it
-        chip = numer // r
-        d_v, d_w = n * k * k - r * chi, n * kp * kp - rp * chip
-        if d_v < 1 or d_w < 0 or (need_dw_positive and d_w < 1):
-            continue
-        return {
-            "n": n, "d0": d0, "e0": e0,
-            "r": r, "k": k, "chi": chi,
-            "rp": rp, "kp": kp, "chip": chip,
-        }
+    names = ("n", "d0", "e0", "r", "k", "chi", "rp", "kp", "chip")
+    columns = {name: [] for name in names}
+    appends = [columns[name].append for name in names]
+    for _ in range(trials):
+        while True:
+            n = _randint(rng, 1, 4)
+            divisors = [t for t in range(1, n + 1) if n % t == 0]
+            # the draw of rng.choice(divisors), which is seq[_randbelow(len(seq))]
+            d0 = divisors[_randint(rng, 0, len(divisors) - 1)]
+            e0 = n // d0
+            r = _rand_nonzero(rng)
+            k = _randint(rng, -3, 3)
+            if need_k_nonzero and k == 0:
+                continue
+            chi = _randint(rng, -9, 9)
+            rp = _randint(rng, -9, 9)
+            kp = _randint(rng, -3, 3)
+            numer = -(rp * chi + 2 * n * k * kp)
+            if numer % r != 0:
+                continue
+            # v = (r, k, chi), w = (rp, kp, chip): r divides numer, so r chip =
+            # numer and chi(v (x) w) = rp chi + 2n k kp + r chip is 0 exactly;
+            # d of each in ints, as MukaiVector.d gives it
+            chip = numer // r
+            d_v, d_w = n * k * k - r * chi, n * kp * kp - rp * chip
+            if d_v < 1 or d_w < 0 or (need_dw_positive and d_w < 1):
+                continue
+            break
+        for append, value in zip(appends, (n, d0, e0, r, k, chi, rp, kp, chip)):
+            append(value)
+    return columns
 
 
 # -- registry -------------------------------------------------------------------
@@ -756,22 +816,72 @@ def _lane(value, i: int):
     return value[i] if type(value) is Lanes else value
 
 
-def _run_lanes(identity: Identity, samples: list) -> list:
-    """Numeric reports of ``samples``, in order, from one check on Lanes.
-
-    A residual that is zero in every lane is zero in each and is skipped;
-    the rest are split lane by lane and judged as ``run_identity`` judges
-    one trial.
-    """
-    params = {name: Lanes([p[name] for p in samples]) for name in samples[0]}
-    live = {label: value for label, value in identity.check(params).items()
+def _check_columns(identity: Identity, columns: dict) -> dict:
+    """The residuals of one check on the Lanes of ``columns`` that are not
+    zero in every lane.  A residual that is zero in every lane is zero in
+    each, so an empty result means that every trial passes."""
+    params = {name: Lanes(column) for name, column in columns.items()}
+    return {label: value for label, value in identity.check(params).items()
             if not _is_zero(value)}
-    reports = []
-    for trial, sample in enumerate(samples):
-        lanes = {label: _lane(value, trial) for label, value in live.items()}
-        reports.append(_report(identity.identity_id, "numeric", sample,
-                               _first_nonzero(lanes, None), trial))
-    return reports
+
+
+def _trial_residual(live: dict, trial: int) -> str:
+    """The residual text of one trial, judged as ``run_identity`` judges
+    that trial alone."""
+    return _first_nonzero({label: _lane(value, trial) for label, value in live.items()}, None)
+
+
+def _run_columns(identity: Identity, columns: dict, trials: int) -> list:
+    """Numeric reports of the ``trials`` trials in ``columns``, in order,
+    from one check on Lanes."""
+    live = _check_columns(identity, columns)
+    return [
+        _report(identity.identity_id, "numeric",
+                {name: column[trial] for name, column in columns.items()},
+                _trial_residual(live, trial), trial)
+        for trial in range(trials)
+    ]
+
+
+def _trial_template(identity_id: str, keys: list) -> str:
+    """``IdentityReport.to_json_text`` of a passing numeric trial as one
+    %-format: its values in the order of the sorted ``keys``, then its
+    trial index.  A column value is an int or a Fraction, whose text needs
+    no JSON escape."""
+    def literal(text):
+        return quote(text).replace("%", "%%")
+
+    instantiation = "{\n      " + ",\n      ".join(
+        [f'{literal(key)}: "%s"' for key in keys]
+    ) + "\n    }" if keys else "{}"
+    return (f'  {{\n    "identity": {literal(identity_id)},\n'
+            f'    "mode": "numeric",\n'
+            f'    "instantiation": {instantiation},\n'
+            f'    "residual": "0",\n'
+            f'    "pass": true,\n    "trial": "%s"\n  }}')
+
+
+def _render_columns(identity: Identity, columns: dict, trials: int) -> tuple:
+    """``(texts, passed)``: the ``to_json_text`` of each of the reports of
+    ``_run_columns``, and how many pass.  A passing trial is rendered from
+    the identity's template; only a trial with a nonzero residual builds
+    its ``IdentityReport``."""
+    live = _check_columns(identity, columns)
+    keys = sorted(columns)
+    template = _trial_template(identity.identity_id, keys)
+    rows = zip(*[columns[key] for key in keys], range(trials))
+    if not live:
+        return [template % row for row in rows], trials
+    texts, passed = [], 0
+    for trial, row in enumerate(rows):
+        residual = _trial_residual(live, trial)
+        if residual == "0":
+            texts.append(template % row)
+            passed += 1
+        else:
+            texts.append(_report(identity.identity_id, "numeric", dict(zip(keys, row)),
+                                 residual, trial).to_json_text())
+    return texts, passed
 
 
 def _report(identity_id, mode, params, residual: str, trial) -> IdentityReport:
@@ -800,37 +910,62 @@ def run_identity(identity_id: str, params: dict | None = None,
                    _first_nonzero(identity.check(params), params.get("constraint")), trial)
 
 
+def _selected(trials: int, only) -> list:
+    """The ids to run, sorted and each once; raises on bad arguments."""
+    if trials < 0:
+        raise ValueError("trials must be nonnegative")
+    selected = sorted(set(ALL_IDENTITIES if only is None else only))
+    for identity_id in selected:
+        if identity_id not in REGISTRY:
+            raise UnknownIdentity(identity_id)
+    return selected
+
+
+def _draw(identity: Identity, seed: int, trials: int) -> dict:
+    """The columns of the identity's numeric trials, from its own seeded
+    generator."""
+    return identity.sample(random.Random(f"{seed}:{identity.identity_id}"), trials)
+
+
 def run_suite(seed: int, trials: int, only=None) -> list:
     """Run every selected identity symbolically once and numerically `trials` times.
 
     Deterministic for a fixed seed: each identity draws from its own
-    seeded generator, and reports are sorted before returning.  All draws
-    of an identity are made first, in trial order, then checked in one
-    lane pass.
+    seeded generator.  Reports are sorted by identity, symbolic first, then
+    by trial; an id repeated in ``only`` runs once.  All draws of an
+    identity are made first, as columns, then checked in one lane pass.
     """
-    if trials < 0:
-        raise ValueError("trials must be nonnegative")
-    selected = ALL_IDENTITIES if only is None else tuple(only)
-    for identity_id in selected:
-        if identity_id not in REGISTRY:
-            raise UnknownIdentity(identity_id)
     reports = []
-    for identity_id in selected:
+    for identity_id in _selected(trials, only):
         identity = REGISTRY[identity_id]
         if identity.symbolic_params is not None:
             reports.append(run_identity(identity_id, None, "symbolic"))
-        rng = random.Random(f"{seed}:{identity_id}")
-        samples = [identity.sample(rng) for _ in range(trials)]
-        if samples:
-            reports.extend(_run_lanes(identity, samples))
-    reports.sort(
-        key=lambda rep: (
-            rep.identity_id,
-            0 if rep.mode == "symbolic" else 1,
-            rep.trial if rep.trial is not None else -1,
-        )
-    )
+        if trials:
+            reports.extend(_run_columns(identity, _draw(identity, seed, trials), trials))
     return reports
+
+
+def _report_block(seed: int, trials: int, identity_id: str) -> tuple:
+    identity = REGISTRY[identity_id]
+    texts, passed = [], 0
+    if identity.symbolic_params is not None:
+        report = run_identity(identity_id, None, "symbolic")
+        texts.append(report.to_json_text())
+        passed += report.passed
+    if trials:
+        trial_texts, trial_passed = _render_columns(
+            identity, _draw(identity, seed, trials), trials)
+        texts += trial_texts
+        passed += trial_passed
+    return texts, passed
+
+
+def report_blocks(seed: int, trials: int, only=None):
+    """The reports of ``run_suite(seed, trials, only)`` as text, one block
+    per identity: an iterator of ``(texts, passed)``, the
+    ``to_json_text`` of each report and how many pass.  The arguments are
+    checked at once, and each identity runs when its block is reached."""
+    return map(partial(_report_block, seed, trials), _selected(trials, only))
 
 
 def suite_passed(reports) -> bool:

@@ -339,7 +339,7 @@ def test_enumerate_box_cap_refuses_fast(tmp_path, capsys, rank, k, chi):
                                          (str(MAX_TRIALS + 1), 2), ("10000000", 2)])
 def test_verify_trials_cap(capsys, monkeypatch, trials, code):
     seen = []
-    monkeypatch.setattr(cli, "run_suite", lambda seed, n, only: seen.append(n) or [])
+    monkeypatch.setattr(cli, "report_blocks", lambda seed, n, only: seen.append(n) or [])
     assert main(["verify", "--only", "llp", "--trials", trials]) == code
     captured = capsys.readouterr()
     if code == 0:
@@ -381,6 +381,15 @@ def test_verify_failure_exit_code(capsys, phi_hat_minus):
         code, out, err = run_cli(capsys, "verify", "--only", "fmtl", "--trials", "1")
     assert code == 1
     assert not any(rep["pass"] for rep in json.loads(out))
+
+
+def test_verify_repeated_id_runs_once(capsys):
+    # a repeated --only id is one identity: the same reports, once each
+    code1, out1, err1 = run_cli(capsys, "verify", "--only", "llp", "llp", "--trials", "1")
+    code2, out2, err2 = run_cli(capsys, "verify", "--only", "llp", "--trials", "1")
+    assert code1 == code2 == 0
+    assert out1 == out2 and err1 == err2
+    assert len(json.loads(out1)) == 2
 
 
 def test_verify_unknown_identity_exits_2(capsys):

@@ -28,6 +28,17 @@ EXPECTED_IDS = {
 }
 
 
+def rows(columns) -> list:
+    """The per-trial dicts of a column draw."""
+    names = list(columns)
+    return [dict(zip(names, values)) for values in zip(*columns.values())]
+
+
+def columns_of(samples) -> dict:
+    """The columns of per-trial dicts that share their keys."""
+    return {name: [sample[name] for sample in samples] for name in samples[0]}
+
+
 def test_registry_contents():
     assert set(ALL_IDENTITIES) == EXPECTED_IDS
 
@@ -63,6 +74,16 @@ def test_reports_sorted():
 
 def test_empty_subset():
     assert run_suite(seed=1, trials=3, only=()) == []
+
+
+def test_repeated_ids_run_once():
+    once = run_suite(seed=4, trials=2, only=("llp", "assembly_main"))
+    assert run_suite(seed=4, trials=2, only=("assembly_main", "llp", "llp", "assembly_main")) \
+        == once
+    assert len(once) == 5
+    texts = [text for block, _ in identities.report_blocks(4, 2, ("llp", "llp"))
+             for text in block]
+    assert texts == [rep.to_json_text() for rep in once[2:]]
 
 
 def test_unknown_identity():
@@ -118,7 +139,7 @@ def test_assembly_needs_numeric_mode():
     with pytest.raises(SideCondition):
         run_identity("assembly_main", None, "symbolic")
     rng = random.Random(5)
-    params = REGISTRY["assembly_main"].sample(rng)
+    [params] = rows(REGISTRY["assembly_main"].sample(rng, 1))
     report = run_identity("assembly_main", params, "numeric", trial=0)
     assert report.passed and report.trial == 0
 
@@ -180,14 +201,14 @@ def test_symbolic_proof_needs_the_elimination(identity_id, label):
 
 def test_numeric_samplers_satisfy_side_conditions():
     rng = random.Random(123)
-    for _ in range(25):
-        params = REGISTRY["prop_split"].sample(rng)
+    for params, on_locus, split2 in zip(rows(REGISTRY["prop_split"].sample(rng, 25)),
+                                        rows(REGISTRY["dw0_chern"].sample(rng, 25)),
+                                        rows(REGISTRY["prop_split2"].sample(rng, 25))):
         lam_dot = params["d"] * params["a34"] + params["e"] * params["a12"]
         assert params["rp"] * params["chi"] + lam_dot + params["r"] * params["chip"] == 0
-        params = REGISTRY["dw0_chern"].sample(rng)
+        params = on_locus
         assert params["a12"] * params["a34"] - params["rp"] * params["chip"] == 0
         assert params["chip"] != 0
-        split2 = REGISTRY["prop_split2"].sample(rng)
         lam_dot = split2["d"] * split2["a34"] + split2["e"] * split2["a12"]
         assert (
             split2["rp"] * split2["chi"] + lam_dot + split2["r"] * split2["chip"]
@@ -195,8 +216,7 @@ def test_numeric_samplers_satisfy_side_conditions():
         )
     # the assembly draws, checked by mukai's pairing and d_v
     for identity_id in ("assembly_main", "assembly_two", "assembly_three"):
-        for _ in range(200):
-            params = REGISTRY[identity_id].sample(rng)
+        for params in rows(REGISTRY[identity_id].sample(rng, 200)):
             n = params["n"]
             v = MukaiVector(params["r"], params["k"], params["chi"], n)
             w = MukaiVector(params["rp"], params["kp"], params["chip"], n)
@@ -272,8 +292,7 @@ def test_samplers_match_symbolic_params():
             continue
         symbolic = identity.symbolic_params()
         orthogonal = symbolic.pop("constraint", None) is not None
-        for _ in range(20):
-            params = identity.sample(rng)
+        for params in rows(identity.sample(rng, 20)):
             assert params.keys() == symbolic.keys(), identity_id
             if orthogonal:
                 lam_dot = params["d"] * params["a34"] + params["e"] * params["a12"]
@@ -312,10 +331,11 @@ def test_every_identity_checks_all_trials_in_one_lane_pass(monkeypatch):
 
 
 def per_trial_reports(identity_id, seed, trials) -> list:
-    """The numeric reports of run_suite, one run_identity per trial."""
+    """The numeric reports of run_suite, one run_identity per trial of the
+    per-trial draw."""
     rng = random.Random(f"{seed}:{identity_id}")
     return [
-        run_identity(identity_id, REGISTRY[identity_id].sample(rng), "numeric", trial)
+        run_identity(identity_id, oracle_trial(identity_id, rng), "numeric", trial)
         for trial in range(trials)
     ]
 
@@ -328,17 +348,35 @@ def lane_reports(identity_id, seed, trials) -> list:
     return [rep for rep in run_suite(seed, trials, only=(identity_id,)) if rep.mode == "numeric"]
 
 
+def assert_rendered_as(identity_id, columns, reports):
+    """The template path renders ``columns`` as the texts of ``reports``,
+    and counts their passes."""
+    texts, passed = identities._render_columns(REGISTRY[identity_id], columns, len(reports))
+    assert texts == [rep.to_json_text() for rep in reports]
+    assert passed == sum(rep.passed for rep in reports)
+
+
+def assert_block_is_run_suite(identity_id, seed, trials):
+    """verify's text of one identity is run_suite's reports, rendered."""
+    [(texts, passed)] = identities.report_blocks(seed, trials, (identity_id,))
+    reports = run_suite(seed, trials, (identity_id,))
+    assert texts == [rep.to_json_text() for rep in reports]
+    assert passed == sum(rep.passed for rep in reports)
+
+
 @pytest.mark.parametrize("identity_id", sorted(EXPECTED_IDS))
 def test_lane_pass_equals_per_trial_runs(identity_id, phi_hat_minus):
     for seed in (1, 2, 3):
         assert report_json(lane_reports(identity_id, seed, 5)) == report_json(
             per_trial_reports(identity_id, seed, 5))
+        assert_block_is_run_suite(identity_id, seed, 5)
     # with the dual-side sign corrupted some residuals are nonzero, in some
     # trials only: their texts must come out of the right lane
     with phi_hat_minus():
         for seed in (1, 2, 3):
             assert report_json(lane_reports(identity_id, seed, 5)) == report_json(
                 per_trial_reports(identity_id, seed, 5))
+            assert_block_is_run_suite(identity_id, seed, 5)
 
 
 def test_lane_pass_splits_failures_by_trial(phi_hat_minus):
@@ -355,14 +393,15 @@ def test_lane_pass_keeps_each_lane_type_off_the_locus():
     residuals = []
     for identity_id in ("prop_split", "prop_split1", "prop_split2"):
         rng = random.Random(f"off:{identity_id}")
-        samples = [REGISTRY[identity_id].sample(rng) for _ in range(12)]
+        samples = rows(REGISTRY[identity_id].sample(rng, 12))
         for trial, sample in enumerate(samples):
             if trial % 2 == 0:
                 sample["chip"] += 1 if trial % 4 else Fraction(1, 2)
-        laned = identities._run_lanes(REGISTRY[identity_id], samples)
+        laned = identities._run_columns(REGISTRY[identity_id], columns_of(samples), 12)
         single = [run_identity(identity_id, sample, "numeric", trial)
                   for trial, sample in enumerate(samples)]
         assert report_json(laned) == report_json(single)
+        assert_rendered_as(identity_id, columns_of(samples), single)
         assert all(rep.passed for rep in laned[1::2])
         assert sum(not rep.passed for rep in laned[::2]) >= 3
         residuals += [rep.residual for rep in laned]
@@ -381,7 +420,7 @@ def test_dw0_chern_lanes_mixed_on_and_off_the_quotient_locus():
     # stays orthogonal (a34 + 1, chi re-solved), so the identity holds
     # there too; the third moves chi off orthogonality
     rng = random.Random("mixed:dw0_chern")
-    samples = [REGISTRY["dw0_chern"].sample(rng) for _ in range(15)]
+    samples = rows(REGISTRY["dw0_chern"].sample(rng, 15))
     for trial, sample in enumerate(samples):
         if trial % 3 == 1:
             sample["a34"] += 1
@@ -389,10 +428,11 @@ def test_dw0_chern_lanes_mixed_on_and_off_the_quotient_locus():
             sample["chi"] = Fraction(-(lam_dot + sample["r"] * sample["chip"]), sample["rp"])
         elif trial % 3 == 2:
             sample["chi"] += 1
-    laned = identities._run_lanes(REGISTRY["dw0_chern"], samples)
+    laned = identities._run_columns(REGISTRY["dw0_chern"], columns_of(samples), 15)
     single = [run_identity("dw0_chern", sample, "numeric", trial)
               for trial, sample in enumerate(samples)]
     assert report_json(laned) == report_json(single)
+    assert_rendered_as("dw0_chern", columns_of(samples), single)
     assert all(rep.passed for rep in laned[0::3] + laned[1::3])
     assert not any(rep.passed for rep in laned[2::3])
     assert all(rep.residual.startswith("euler_value: ") for rep in laned[2::3])
@@ -406,7 +446,7 @@ def test_assembly_lanes_mixed_with_failing_trials(identity_id):
     # chi' along orthogonality, (chi - r t, chi' + r' t), where d_v and d_w
     # stay in the sampler's range, and keep passing.
     rng = random.Random(f"mixed:{identity_id}")
-    samples = [REGISTRY[identity_id].sample(rng) for _ in range(12)]
+    samples = rows(REGISTRY[identity_id].sample(rng, 12))
     moved = 0
     for trial, sample in enumerate(samples):
         if trial % 2 == 0:
@@ -421,10 +461,11 @@ def test_assembly_lanes_mixed_with_failing_trials(identity_id):
                 moved += 1
                 break
     assert moved >= 2
-    laned = identities._run_lanes(REGISTRY[identity_id], samples)
+    laned = identities._run_columns(REGISTRY[identity_id], columns_of(samples), 12)
     single = [run_identity(identity_id, sample, "numeric", trial)
               for trial, sample in enumerate(samples)]
     assert report_json(laned) == report_json(single)
+    assert_rendered_as(identity_id, columns_of(samples), single)
     assert all(rep.passed for rep in laned[1::2])
     assert sum(not rep.passed for rep in laned[::2]) >= 4
     assert any(not rep.residual.endswith(", 1)") for rep in laned[::2] if not rep.passed)
@@ -434,12 +475,14 @@ def test_assembly_lane_refuses_a_pair_the_closed_form_refuses():
     # chi' moved alone breaks orthogonality; the closed form raises in that
     # lane just as in a run of that trial alone
     rng = random.Random("mixed:refused")
-    samples = [REGISTRY["assembly_main"].sample(rng) for _ in range(4)]
+    samples = rows(REGISTRY["assembly_main"].sample(rng, 4))
     samples[2]["chip"] += 1
     with pytest.raises(FormulaError, match="not orthogonal"):
         run_identity("assembly_main", samples[2], "numeric", 2)
     with pytest.raises(FormulaError, match="not orthogonal"):
-        identities._run_lanes(REGISTRY["assembly_main"], samples)
+        identities._run_columns(REGISTRY["assembly_main"], columns_of(samples), 4)
+    with pytest.raises(FormulaError, match="not orthogonal"):
+        identities._render_columns(REGISTRY["assembly_main"], columns_of(samples), 4)
 
 
 @pytest.mark.parametrize("found", [1, -1])
@@ -482,6 +525,113 @@ def test_choice_helper_reproduces_random_choice():
         assert ours.getstate() == theirs.getstate()
 
 
+# -- the column draws against the per-trial draws ---------------------------
+
+# (need_dw_positive, need_k_nonzero) of each integral Mukai-pair draw
+PAIR_NEEDS = {
+    "assembly_main": (False, False),
+    "assembly_two": (False, True),
+    "assembly_three": (True, False),
+}
+
+
+def _oracle_nonzero(rng) -> int:
+    while True:
+        value = rng.randint(-9, 9)
+        if value:
+            return value
+
+
+def oracle_trial(identity_id, rng) -> dict:
+    """One trial's parameters as the per-trial samplers drew them, with
+    ``Random.randint`` and ``Random.choice``: the column draws' oracle."""
+    if identity_id == "dw0_chern":
+        while True:
+            rp, chip, a12 = _oracle_nonzero(rng), _oracle_nonzero(rng), _oracle_nonzero(rng)
+            if (rp * chip) % a12 == 0 and -9 <= (rp * chip) // a12 <= 9:
+                break
+        params = {"d": _oracle_nonzero(rng), "e": _oracle_nonzero(rng),
+                  "a12": a12, "a13": 0, "a14": 0, "a23": 0, "a24": 0,
+                  "a34": rp * chip // a12, "r": _oracle_nonzero(rng), "rp": rp, "chip": chip}
+        lam_dot = params["d"] * params["a34"] + params["e"] * params["a12"]
+        params["chi"] = Fraction(-(lam_dot + params["r"] * chip), rp)
+        return params
+    if identity_id in PAIR_NEEDS:
+        need_dw_positive, need_k_nonzero = PAIR_NEEDS[identity_id]
+        while True:
+            n = rng.randint(1, 4)
+            d0 = rng.choice([t for t in range(1, n + 1) if n % t == 0])
+            r = _oracle_nonzero(rng)
+            k = rng.randint(-3, 3)
+            if need_k_nonzero and k == 0:
+                continue
+            chi, rp, kp = rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(-3, 3)
+            numer = -(rp * chi + 2 * n * k * kp)
+            if numer % r != 0:
+                continue
+            chip = numer // r
+            d_v, d_w = n * k * k - r * chi, n * kp * kp - rp * chip
+            if d_v < 1 or d_w < 0 or (need_dw_positive and d_w < 1):
+                continue
+            return {"n": n, "d0": d0, "e0": n // d0, "r": r, "k": k, "chi": chi,
+                    "rp": rp, "kp": kp, "chip": chip}
+    spec = REGISTRY[identity_id].sample.__self__
+    assert isinstance(spec, identities.ParamSpec)
+    out = {}
+    for name, kind in spec.params:
+        if kind == identities.FREE:
+            out[name] = rng.randint(-9, 9)
+        elif kind == identities.NONZERO:
+            out[name] = _oracle_nonzero(rng)
+        else:
+            out[name] = Fraction(-(out["rp"] * out["chi"] + out["d"] * out["a34"]
+                                   + out["e"] * out["a12"]), out["r"])
+    return out
+
+
+def typed(columns) -> dict:
+    """Columns with each value's type, so that Fraction(n, 1) != n."""
+    return {name: [(type(v), v) for v in column] for name, column in columns.items()}
+
+
+def assert_columns_match_oracle(identity_id, seed, trials):
+    key = f"{seed}:{identity_id}"
+    oracle_rng = random.Random(key)
+    oracle = columns_of([oracle_trial(identity_id, oracle_rng) for _ in range(trials)])
+    drawn = REGISTRY[identity_id].sample(random.Random(key), trials)
+    assert typed(drawn) == typed(oracle), (identity_id, seed, trials)
+
+
+@pytest.mark.parametrize("identity_id", sorted(EXPECTED_IDS))
+def test_column_draws_match_per_trial_draws(identity_id):
+    # one getrandbits call per block of words and a walk over the spec
+    # (ParamSpec, dw0_chern), or _randint per draw (the Mukai pairs), give
+    # the values and types that one sampler call per trial gave
+    for seed in range(40):
+        for trials in (1, 3, 200):
+            assert_columns_match_oracle(identity_id, seed, trials)
+
+
+@pytest.mark.parametrize("identity_id", sorted(EXPECTED_IDS))
+def test_column_draws_match_per_trial_draws_at_the_trial_cap(identity_id):
+    # MAX_TRIALS trials run past the first block of words into the refills
+    from thetachi.cli import MAX_TRIALS
+
+    for seed in (0, 1, 42):
+        assert_columns_match_oracle(identity_id, seed, MAX_TRIALS)
+
+
+def test_draw_stream_refills_block_by_block():
+    # a first block of one word runs dry at once; every later value comes
+    # from a refill, and each is the value of one _randint(rng, -9, 9)
+    for seed in range(20):
+        stream = identities._draws(random.Random(seed), 1)
+        rng = random.Random(seed)
+        count = 3 * identities._REFILL_WORDS
+        assert [next(stream) for _ in range(count)] == [
+            identities._randint(rng, -9, 9) for _ in range(count)]
+
+
 def _describe_with_isinstance(params) -> dict:
     """The isinstance dispatch _describe_instantiation replaced: its oracle."""
     out = {}
@@ -503,7 +653,7 @@ def test_describe_instantiation_matches_its_isinstance_oracle():
              if REGISTRY[i].symbolic_params is not None]
     for identity_id in ALL_IDENTITIES:
         rng = random.Random(f"42:{identity_id}")
-        dicts.extend(REGISTRY[identity_id].sample(rng) for _ in range(200))
+        dicts.extend(rows(REGISTRY[identity_id].sample(rng, 200)))
     assert any("constraint" in params for params in dicts)
     assert any(type(v) is Fraction for params in dicts for v in params.values())
     for params in dicts:
@@ -529,8 +679,7 @@ def test_split_lane_checks_build_no_fraction(monkeypatch):
                                 ("prop_split2", "chip"), ("dw0_chern", "chi")):
         identity = REGISTRY[identity_id]
         rng = random.Random(f"42:{identity_id}")
-        samples = [identity.sample(rng) for _ in range(200)]
-        params = {name: Lanes([p[name] for p in samples]) for name in samples[0]}
+        params = {name: Lanes(column) for name, column in identity.sample(rng, 200).items()}
         assert any(type(v) is Fraction and v.denominator > 1 for v in params[solved])
         identity.check(params)  # warm-up: module-level caches
         with monkeypatch.context() as patch:

@@ -7,6 +7,7 @@ rendered by it before, and must stay byte-identical.
 import contextlib
 import io
 import json
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thetachi import cli
+from thetachi import cli, identities
 from thetachi.identities import IdentityReport
 from thetachi.jsontext import dumps
 
@@ -66,9 +67,15 @@ def test_dumps_refuses_numbers_and_other_types(value):
 
 
 def verify_stdout(reports) -> str:
-    """stdout of ``verify`` when its suite returns ``reports``."""
+    """stdout of ``verify`` when its suite gives ``reports``, rendered by
+    ``to_json_text`` in blocks of two after an empty block."""
+    blocks = [([], 0)] + [
+        ([report.to_json_text() for report in reports[i:i + 2]],
+         sum(report.passed for report in reports[i:i + 2]))
+        for i in range(0, len(reports), 2)
+    ]
     out = io.StringIO()
-    with mock.patch.object(cli, "run_suite", lambda *args: reports), \
+    with mock.patch.object(cli, "report_blocks", lambda *args: blocks), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         cli.main(["verify", "--trials", "1"])
     return out.getvalue()
@@ -104,6 +111,38 @@ def test_verify_report_template_fixed_shapes():
         for report in drawn:
             assert report.to_json_text() == "  " + json.dumps(
                 report.to_json_dict(), indent=2).replace("\n", "\n  ")
+
+
+def as_report_item(report) -> str:
+    """``json.dumps`` of the report as an item of a top-level list."""
+    return "  " + json.dumps(report.to_json_dict(), indent=2).replace("\n", "\n  ")
+
+
+@given(identity_id=texts,
+       instantiation=st.dictionaries(
+           texts, st.one_of(st.integers(-10**30, 10**30), st.fractions()), max_size=5),
+       trial=st.integers(0, 10**6))
+def test_trial_template_matches_the_report_text(identity_id, instantiation, trial):
+    keys = sorted(instantiation)
+    template = identities._trial_template(identity_id, keys)
+    text = template % (*[instantiation[key] for key in keys], trial)
+    report = IdentityReport(identity_id, "numeric", instantiation, "0", True, trial)
+    assert text == report.to_json_text()
+    assert text == as_report_item(report)
+
+
+def test_rendered_trials_match_json_dumps_when_some_fail():
+    # odd trials leave orthogonality, so their reports take the failing path
+    identity = identities.REGISTRY["prop_split2"]
+    columns = identity.sample(random.Random(3), 6)
+    columns["chip"] = [chip + trial % 2 for trial, chip in enumerate(columns["chip"])]
+    reports = identities._run_columns(identity, columns, 6)
+    texts, passed = identities._render_columns(identity, columns, 6)
+    assert [report.passed for report in reports] == [True, False] * 3
+    assert passed == 3
+    assert texts == [report.to_json_text() for report in reports]
+    assert texts == [as_report_item(report) for report in reports]
+    assert '"pass": false' in texts[1] and '"trial": "5"' in texts[5]
 
 
 def test_verify_with_no_reports_prints_an_empty_list(capsys):
