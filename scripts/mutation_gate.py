@@ -4,10 +4,10 @@ bitset or contraction kernel, table of basis images, partner-search
 branch, closed-form binomial sum, degenerate-branch label of a row,
 the dimension invariant d_v, the column draw and lane split of the
 numeric trials, the per-lane helper, the per-lane Fraction flags of the
-lanes, the JSON renderer, the verify report and trial templates, the
-bitset key of a class builder, the identity block of a product of
-per-factor maps, the shortcut of class equality and the Euler value of
-dw0_chern listed in MUTANTS.
+lanes, the JSON renderer's key separator and booleans, the verify trial
+template, the bitset key of a class builder, the identity block of a
+product of per-factor maps, the shortcut of class equality and the Euler
+value of dw0_chern listed in MUTANTS.
 
 Copies the repository into a temporary directory and runs the Tier-1 suite
 there, under the Hypothesis profile "gate" (no shrinking), first unmutated
@@ -91,8 +91,9 @@ MUTANTS = (
      "fn(*(a[i - 1] if type(a) is Lanes else a for a in args))"),
     ("lane flags keep the left operand's", "src/thetachi/poly.py",
      "return tuple(map(operator.or_, f, g))", "return f"),
-    ("report template pass swapped", "src/thetachi/identities.py",
-     '"true" if self.passed else "false"', '"false" if self.passed else "true"'),
+    ("JSON true and false swapped", "src/thetachi/jsontext.py",
+     'if value is True:\n        return "true"\n    if value is False:\n        return "false"',
+     'if value is True:\n        return "false"\n    if value is False:\n        return "true"'),
     ("JSON key separator", "src/thetachi/jsontext.py",
      '": "', '":"'),
     ("two_form key wrong bit", "src/thetachi/abelian.py",
@@ -106,8 +107,8 @@ MUTANTS = (
     ("column walk keeps a NONZERO zero", "src/thetachi/identities.py",
      "while nonzero and not value:", "while False:"),
     ("trial template index off by one", "src/thetachi/identities.py",
-     "rows = zip(*[columns[key] for key in keys], range(trials))",
-     "rows = zip(*[columns[key] for key in keys], range(1, trials + 1))"),
+     "rows = zip(*[columns[key] for key in keys], range(len(residuals)))",
+     "rows = zip(*[columns[key] for key in keys], range(1, len(residuals) + 1))"),
 )
 
 _FAILED = re.compile(r"^(?:FAILED|ERROR) (tests/[^:\s]+)")

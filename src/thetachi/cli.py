@@ -29,12 +29,7 @@ from .formulas import (
     chi_kummer,
     etale_cover_residual,
 )
-from .identities import (
-    ALL_IDENTITIES,
-    SideCondition,
-    UnknownIdentity,
-    report_blocks,
-)
+from .identities import ALL_IDENTITIES, report_blocks
 from .jsontext import dumps
 from .mukai import check_assumptions, euler_chi_tensor, parse_vector
 from .pairs import DigitLimitError, enumerate_rows, rows_to_csv, rows_to_json
@@ -197,9 +192,10 @@ def cmd_verify(args) -> int:
             return _fail_usage(f"unknown identities: {', '.join(unknown)}")
     if args.trials > MAX_TRIALS:
         return _fail_usage(f"--trials must be at most {MAX_TRIALS}, got {args.trials}")
+    # the ids are checked above, so only a negative --trials can raise here
     try:
         blocks = report_blocks(args.seed, args.trials, only)
-    except (UnknownIdentity, SideCondition, ValueError) as exc:
+    except ValueError as exc:
         return _fail_usage(str(exc))
     # stdout carries the pure JSON array, written one identity at a time;
     # the human summary goes to stderr
@@ -275,10 +271,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.set_defaults(func=cmd_enumerate)
 
     p_verify = sub.add_parser("verify", help="run the identity suite")
-    p_verify.add_argument("--all", action="store_true",
-                          help="run every registered identity (default)")
-    p_verify.add_argument("--only", nargs="+", metavar="ID",
-                          help=f"subset of: {', '.join(ALL_IDENTITIES)}")
+    scope = p_verify.add_mutually_exclusive_group()
+    scope.add_argument("--all", action="store_true",
+                       help="run every registered identity (default)")
+    scope.add_argument("--only", nargs="+", metavar="ID",
+                       help=f"subset of: {', '.join(ALL_IDENTITIES)}")
     p_verify.add_argument("--seed", type=int, default=42)
     p_verify.add_argument("--trials", type=int, default=200)
     p_verify.set_defaults(func=cmd_verify)

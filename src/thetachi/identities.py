@@ -32,12 +32,16 @@ output:
   The parts that must stay exact per trial go through ``_per_lane``, which
   runs them lane by lane: the integral ``MukaiVector``s and closed forms of
   ``assembly_*``.
-* A residual that is zero in every lane is zero in each.  ``verify``
-  (``report_blocks``) renders each trial whose residuals are all zero from
-  one template per identity; any other trial's residual is split out of
-  its lane and reported as ``run_identity`` reports that trial alone.
-  ``run_suite`` builds every trial's ``IdentityReport`` instead: it is the
-  API and the template's test oracle.
+* A residual that is zero in every lane is zero in each; any other
+  residual is split into its lanes (``_residuals``), so each trial's
+  residual text is the one ``run_identity`` reports for that trial alone.
+
+One run per identity gives its symbolic report, its columns and each
+trial's residual text, and two renderings read it.  ``run_suite`` builds
+every ``IdentityReport``: it is the API and the test oracle.  ``verify``
+(``report_blocks``) writes text: a passing trial from one template per
+identity, any other report through ``IdentityReport.to_json_text``, which
+is ``jsontext.dumps`` of its ``to_json_dict``.
 
 Registry keys (sec4_table, ..., assembly_three) are the stable interface
 tokens used by the command-line ``verify --only`` filter.
@@ -90,7 +94,7 @@ from .exterior import (
     pushforward,
     wedge,
 )
-from .jsontext import quote
+from .jsontext import dumps, quote
 from .mukai import MukaiVector
 from .poly import Lanes, Poly, eliminate_linear, scalar_div, scalar_is_zero
 
@@ -126,18 +130,9 @@ class IdentityReport:
 
     def to_json_text(self) -> str:
         """``to_json_dict()`` as ``json.dumps`` renders it, with ``indent=2``,
-        as an item of a top-level list: one template of the report's shape,
-        with ``to_json_dict`` as its test oracle."""
-        items = sorted(self.instantiation.items())
-        instantiation = "{\n      " + ",\n      ".join(
-            [f"{quote(key)}: {quote(str(value))}" for key, value in items]
-        ) + "\n    }" if items else "{}"
-        trial = "" if self.trial is None else ',\n    "trial": ' + quote(str(self.trial))
-        return (f'  {{\n    "identity": {quote(self.identity_id)},\n'
-                f'    "mode": {quote(self.mode)},\n'
-                f'    "instantiation": {instantiation},\n'
-                f'    "residual": {quote(self.residual)},\n'
-                f'    "pass": {"true" if self.passed else "false"}{trial}\n  }}')
+        as an item of a top-level list.  Indenting every line is exact: a
+        string's newlines are escaped, so each newline is the layout's."""
+        return "  " + dumps(self.to_json_dict()).replace("\n", "\n  ")
 
 
 # -- shared builders ----------------------------------------------------------
@@ -816,31 +811,18 @@ def _lane(value, i: int):
     return value[i] if type(value) is Lanes else value
 
 
-def _check_columns(identity: Identity, columns: dict) -> dict:
-    """The residuals of one check on the Lanes of ``columns`` that are not
-    zero in every lane.  A residual that is zero in every lane is zero in
-    each, so an empty result means that every trial passes."""
+def _residuals(identity: Identity, columns: dict, trials: int) -> list:
+    """The residual text of each of the ``trials`` trials in ``columns``,
+    as ``run_identity`` judges that trial alone, from one check on their
+    Lanes.  A residual that is zero in every lane is zero in each, so it
+    is dropped before any lane is split out."""
     params = {name: Lanes(column) for name, column in columns.items()}
-    return {label: value for label, value in identity.check(params).items()
+    live = {label: value for label, value in identity.check(params).items()
             if not _is_zero(value)}
-
-
-def _trial_residual(live: dict, trial: int) -> str:
-    """The residual text of one trial, judged as ``run_identity`` judges
-    that trial alone."""
-    return _first_nonzero({label: _lane(value, trial) for label, value in live.items()}, None)
-
-
-def _run_columns(identity: Identity, columns: dict, trials: int) -> list:
-    """Numeric reports of the ``trials`` trials in ``columns``, in order,
-    from one check on Lanes."""
-    live = _check_columns(identity, columns)
-    return [
-        _report(identity.identity_id, "numeric",
-                {name: column[trial] for name, column in columns.items()},
-                _trial_residual(live, trial), trial)
-        for trial in range(trials)
-    ]
+    if not live:
+        return ["0"] * trials
+    return [_first_nonzero({label: _lane(value, trial) for label, value in live.items()}, None)
+            for trial in range(trials)]
 
 
 def _trial_template(identity_id: str, keys: list) -> str:
@@ -859,29 +841,6 @@ def _trial_template(identity_id: str, keys: list) -> str:
             f'    "instantiation": {instantiation},\n'
             f'    "residual": "0",\n'
             f'    "pass": true,\n    "trial": "%s"\n  }}')
-
-
-def _render_columns(identity: Identity, columns: dict, trials: int) -> tuple:
-    """``(texts, passed)``: the ``to_json_text`` of each of the reports of
-    ``_run_columns``, and how many pass.  A passing trial is rendered from
-    the identity's template; only a trial with a nonzero residual builds
-    its ``IdentityReport``."""
-    live = _check_columns(identity, columns)
-    keys = sorted(columns)
-    template = _trial_template(identity.identity_id, keys)
-    rows = zip(*[columns[key] for key in keys], range(trials))
-    if not live:
-        return [template % row for row in rows], trials
-    texts, passed = [], 0
-    for trial, row in enumerate(rows):
-        residual = _trial_residual(live, trial)
-        if residual == "0":
-            texts.append(template % row)
-            passed += 1
-        else:
-            texts.append(_report(identity.identity_id, "numeric", dict(zip(keys, row)),
-                                 residual, trial).to_json_text())
-    return texts, passed
 
 
 def _report(identity_id, mode, params, residual: str, trial) -> IdentityReport:
@@ -921,10 +880,36 @@ def _selected(trials: int, only) -> list:
     return selected
 
 
-def _draw(identity: Identity, seed: int, trials: int) -> dict:
-    """The columns of the identity's numeric trials, from its own seeded
-    generator."""
-    return identity.sample(random.Random(f"{seed}:{identity.identity_id}"), trials)
+def _run(seed: int, trials: int, identity_id: str) -> tuple:
+    """One identity's run, ``(identity_id, symbolic, columns, residuals)``:
+    its symbolic report as a list of none or one, the columns of its
+    ``trials`` numeric trials, drawn from its own seeded generator, and
+    each trial's residual text."""
+    identity = REGISTRY[identity_id]
+    symbolic = ([] if identity.symbolic_params is None
+                else [run_identity(identity_id, None, "symbolic")])
+    if not trials:
+        return identity_id, symbolic, {}, []
+    columns = identity.sample(random.Random(f"{seed}:{identity_id}"), trials)
+    return identity_id, symbolic, columns, _residuals(identity, columns, trials)
+
+
+def _runs(seed: int, trials: int, only):
+    """The run of each selected identity, made when it is reached; the
+    arguments are checked at once."""
+    return map(partial(_run, seed, trials), _selected(trials, only))
+
+
+def _trial_report(identity_id: str, columns: dict, trial: int, residual: str) -> IdentityReport:
+    return _report(identity_id, "numeric",
+                   {name: column[trial] for name, column in columns.items()}, residual, trial)
+
+
+def _run_reports(run: tuple) -> list:
+    """The ``IdentityReport``s of one run: symbolic first, then by trial."""
+    identity_id, symbolic, columns, residuals = run
+    return symbolic + [_trial_report(identity_id, columns, trial, residual)
+                       for trial, residual in enumerate(residuals)]
 
 
 def run_suite(seed: int, trials: int, only=None) -> list:
@@ -935,29 +920,23 @@ def run_suite(seed: int, trials: int, only=None) -> list:
     by trial; an id repeated in ``only`` runs once.  All draws of an
     identity are made first, as columns, then checked in one lane pass.
     """
-    reports = []
-    for identity_id in _selected(trials, only):
-        identity = REGISTRY[identity_id]
-        if identity.symbolic_params is not None:
-            reports.append(run_identity(identity_id, None, "symbolic"))
-        if trials:
-            reports.extend(_run_columns(identity, _draw(identity, seed, trials), trials))
-    return reports
+    return [report for run in _runs(seed, trials, only) for report in _run_reports(run)]
 
 
-def _report_block(seed: int, trials: int, identity_id: str) -> tuple:
-    identity = REGISTRY[identity_id]
-    texts, passed = [], 0
-    if identity.symbolic_params is not None:
-        report = run_identity(identity_id, None, "symbolic")
-        texts.append(report.to_json_text())
-        passed += report.passed
-    if trials:
-        trial_texts, trial_passed = _render_columns(
-            identity, _draw(identity, seed, trials), trials)
-        texts += trial_texts
-        passed += trial_passed
-    return texts, passed
+def _report_block(run: tuple) -> tuple:
+    """``(texts, passed)`` of one run: the ``to_json_text`` of each of its
+    reports and how many pass.  A passing trial is rendered from the
+    identity's template; only a trial with a nonzero residual builds its
+    ``IdentityReport``."""
+    identity_id, symbolic, columns, residuals = run
+    keys = sorted(columns)
+    template = _trial_template(identity_id, keys)
+    rows = zip(*[columns[key] for key in keys], range(len(residuals)))
+    texts = [report.to_json_text() for report in symbolic]
+    texts += [template % row if residual == "0"
+              else _trial_report(identity_id, columns, row[-1], residual).to_json_text()
+              for row, residual in zip(rows, residuals)]
+    return texts, sum(report.passed for report in symbolic) + residuals.count("0")
 
 
 def report_blocks(seed: int, trials: int, only=None):
@@ -965,7 +944,7 @@ def report_blocks(seed: int, trials: int, only=None):
     per identity: an iterator of ``(texts, passed)``, the
     ``to_json_text`` of each report and how many pass.  The arguments are
     checked at once, and each identity runs when its block is reached."""
-    return map(partial(_report_block, seed, trials), _selected(trials, only))
+    return map(_report_block, _runs(seed, trials, only))
 
 
 def suite_passed(reports) -> bool:

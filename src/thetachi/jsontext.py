@@ -1,6 +1,10 @@
 """Indented JSON text: the bytes that ``json.dumps`` writes with ``indent=2``.
 
-Every JSON output of the CLI goes through this module.  With ``indent``
+Every JSON output of the CLI comes from this module.  ``eval``, ``kummer``
+and ``enumerate --format json`` render their payloads with ``dumps``.
+``verify`` renders each report with ``dumps``, except a passing numeric
+trial, which fills a per-identity template built with ``quote`` (see
+``identities``).  With ``indent``
 set, ``json.dumps`` leaves its C encoder for the pure-Python one; a
 renderer for the few types of the output contract gives the same text in
 about half the time.  Strings are escaped by ``json.encoder``'s own

@@ -17,7 +17,7 @@ A :class:`Poly` stores a dict from monomials to nonzero coefficients.
   :meth:`Poly.var` assigns a variable its field the first time it sees the
   name, from a module-wide name -> index table that only grows.  The order
   of registration fixes only the packing, never a printed result:
-  ``coeffs_by_power``, ``subs`` and ``__repr__`` decode the fields by name.
+  ``coeffs_by_power`` and ``__repr__`` read the fields by name.
 * Guard bits: the top bit of every field stays clear, so exponents are
   below 2**15.  Each field of a sum of two such monomials is below 2**16
   and cannot carry into its neighbour; a multiplication whose product
@@ -217,11 +217,6 @@ class Poly:
         return result
 
     def __truediv__(self, other):
-        if isinstance(other, Poly):
-            const = other.constant_value()
-            if const is None:
-                raise TypeError("polynomial division only by constants")
-            other = const
         if type(other) is not int:
             other = normalize_scalar(Fraction(other))
         return Poly._of({m: scalar_div(c, other) for m, c in self.terms.items()})
@@ -234,14 +229,6 @@ class Poly:
 
     def __bool__(self):
         return bool(self.terms)
-
-    def constant_value(self):
-        """The constant value if this polynomial has no variables, else None."""
-        if not self.terms:
-            return 0
-        if len(self.terms) == 1 and _ONE in self.terms:
-            return self.terms[_ONE]
-        return None
 
     def __eq__(self, other):
         if isinstance(other, Poly):
@@ -263,19 +250,6 @@ class Poly:
             power = (mono >> shift) & _FIELD_MASK
             out.setdefault(power, {})[mono - (power << shift)] = coeff
         return {p: Poly._of(t) for p, t in out.items()}
-
-    def subs(self, assignment: dict):
-        """Substitute scalars or polynomials for variables; exact."""
-        result: Scalar = Poly()
-        for mono, coeff in self.terms.items():
-            term: Scalar = Poly.const(coeff)
-            for var, exp in _decode(mono):
-                factor = assignment.get(var)
-                if factor is None:
-                    factor = Poly.var(var)
-                term = term * (Poly._coerce(factor) ** exp)
-            result = result + term
-        return result
 
     def __repr__(self):
         if not self.terms:

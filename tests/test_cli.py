@@ -471,6 +471,14 @@ def test_usage_error_missing_subcommand(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [("--all", "--only", "llp"), ("--only", "llp", "--all")])
+def test_verify_all_and_only_together_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, "verify", *argv, "--trials", "0")
+    assert code == 2
+    assert out == ""
+    assert "not allowed with argument" in err
+
+
 def test_verify_negative_trials_exits_2(capsys):
     code, _, err = run_cli(capsys, "verify", "--only", "llp", "--trials", "-1")
     assert code == 2

@@ -33,8 +33,6 @@ def test_poly_error_paths():
         x ** -1
     with pytest.raises(TypeError):
         x / (x + 1)
-    # dividing by a constant polynomial is allowed
-    assert (2 * x) / Poly.const(2) == x
 
 
 def test_space_construction_errors():

@@ -348,10 +348,20 @@ def lane_reports(identity_id, seed, trials) -> list:
     return [rep for rep in run_suite(seed, trials, only=(identity_id,)) if rep.mode == "numeric"]
 
 
+def column_run(identity_id, columns, trials) -> tuple:
+    """The run of hand-edited ``columns``, without a symbolic report."""
+    return identity_id, [], columns, identities._residuals(REGISTRY[identity_id], columns, trials)
+
+
+def column_reports(identity_id, columns, trials) -> list:
+    """run_suite's numeric reports of hand-edited ``columns``."""
+    return identities._run_reports(column_run(identity_id, columns, trials))
+
+
 def assert_rendered_as(identity_id, columns, reports):
-    """The template path renders ``columns`` as the texts of ``reports``,
-    and counts their passes."""
-    texts, passed = identities._render_columns(REGISTRY[identity_id], columns, len(reports))
+    """verify's text of ``columns`` is the text of ``reports``, and counts
+    their passes."""
+    texts, passed = identities._report_block(column_run(identity_id, columns, len(reports)))
     assert texts == [rep.to_json_text() for rep in reports]
     assert passed == sum(rep.passed for rep in reports)
 
@@ -397,7 +407,7 @@ def test_lane_pass_keeps_each_lane_type_off_the_locus():
         for trial, sample in enumerate(samples):
             if trial % 2 == 0:
                 sample["chip"] += 1 if trial % 4 else Fraction(1, 2)
-        laned = identities._run_columns(REGISTRY[identity_id], columns_of(samples), 12)
+        laned = column_reports(identity_id, columns_of(samples), 12)
         single = [run_identity(identity_id, sample, "numeric", trial)
                   for trial, sample in enumerate(samples)]
         assert report_json(laned) == report_json(single)
@@ -428,7 +438,7 @@ def test_dw0_chern_lanes_mixed_on_and_off_the_quotient_locus():
             sample["chi"] = Fraction(-(lam_dot + sample["r"] * sample["chip"]), sample["rp"])
         elif trial % 3 == 2:
             sample["chi"] += 1
-    laned = identities._run_columns(REGISTRY["dw0_chern"], columns_of(samples), 15)
+    laned = column_reports("dw0_chern", columns_of(samples), 15)
     single = [run_identity("dw0_chern", sample, "numeric", trial)
               for trial, sample in enumerate(samples)]
     assert report_json(laned) == report_json(single)
@@ -461,7 +471,7 @@ def test_assembly_lanes_mixed_with_failing_trials(identity_id):
                 moved += 1
                 break
     assert moved >= 2
-    laned = identities._run_columns(REGISTRY[identity_id], columns_of(samples), 12)
+    laned = column_reports(identity_id, columns_of(samples), 12)
     single = [run_identity(identity_id, sample, "numeric", trial)
               for trial, sample in enumerate(samples)]
     assert report_json(laned) == report_json(single)
@@ -471,18 +481,20 @@ def test_assembly_lanes_mixed_with_failing_trials(identity_id):
     assert any(not rep.residual.endswith(", 1)") for rep in laned[::2] if not rep.passed)
 
 
-def test_assembly_lane_refuses_a_pair_the_closed_form_refuses():
+def test_assembly_lane_refuses_a_pair_the_closed_form_refuses(monkeypatch):
     # chi' moved alone breaks orthogonality; the closed form raises in that
-    # lane just as in a run of that trial alone
+    # lane just as in a run of that trial alone, in both renderings
     rng = random.Random("mixed:refused")
     samples = rows(REGISTRY["assembly_main"].sample(rng, 4))
     samples[2]["chip"] += 1
     with pytest.raises(FormulaError, match="not orthogonal"):
         run_identity("assembly_main", samples[2], "numeric", 2)
+    monkeypatch.setitem(REGISTRY, "assembly_main", dataclasses.replace(
+        REGISTRY["assembly_main"], sample=lambda rng, trials: columns_of(samples)))
     with pytest.raises(FormulaError, match="not orthogonal"):
-        identities._run_columns(REGISTRY["assembly_main"], columns_of(samples), 4)
+        run_suite(0, 4, ("assembly_main",))
     with pytest.raises(FormulaError, match="not orthogonal"):
-        identities._render_columns(REGISTRY["assembly_main"], columns_of(samples), 4)
+        list(identities.report_blocks(0, 4, ("assembly_main",)))
 
 
 @pytest.mark.parametrize("found", [1, -1])

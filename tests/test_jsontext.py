@@ -136,12 +136,18 @@ def test_rendered_trials_match_json_dumps_when_some_fail():
     identity = identities.REGISTRY["prop_split2"]
     columns = identity.sample(random.Random(3), 6)
     columns["chip"] = [chip + trial % 2 for trial, chip in enumerate(columns["chip"])]
-    reports = identities._run_columns(identity, columns, 6)
-    texts, passed = identities._render_columns(identity, columns, 6)
+    run = ("prop_split2", [], columns, identities._residuals(identity, columns, 6))
+    reports = identities._run_reports(run)
+    texts, passed = identities._report_block(run)
     assert [report.passed for report in reports] == [True, False] * 3
     assert passed == 3
     assert texts == [report.to_json_text() for report in reports]
     assert texts == [as_report_item(report) for report in reports]
+    # a run of each trial alone shares no lane code with the column run
+    single = [identities.run_identity(
+        "prop_split2", {name: column[trial] for name, column in columns.items()},
+        "numeric", trial) for trial in range(6)]
+    assert texts == [as_report_item(report) for report in single]
     assert '"pass": false' in texts[1] and '"trial": "5"' in texts[5]
 
 
