@@ -6,8 +6,9 @@ the dimension invariant d_v, the column draw and lane split of the
 numeric trials, the per-lane helper, the per-lane Fraction flags of the
 lanes, the JSON renderer's key separator and booleans, the verify trial
 template, the bitset key of a class builder, the identity block of a
-product of per-factor maps, the shortcut of class equality and the Euler
-value of dw0_chern listed in MUTANTS.
+product of per-factor maps, the shortcut of class equality, the Euler
+value of dw0_chern and the reflection of a negative binomial top in the
+digit-limit bound listed in MUTANTS.
 
 Copies the repository into a temporary directory and runs the Tier-1 suite
 there, under the Hypothesis profile "gate" (no shrinking), first unmutated
@@ -77,6 +78,8 @@ MUTANTS = (
      "image = images.get(key)\n", "image = images.get(key & -key)\n"),
     ("transform table drops coefficient", "src/thetachi/abelian.py",
      "get(image_key, 0) + coeff * a", "get(image_key, 0) + a"),
+    ("negative Kummer top not reflected", "src/thetachi/formulas.py",
+     "top = k - top - 1", "pass"),
     ("closed-form binomials swapped", "src/thetachi/formulas.py",
      "value = special_v * binom_w + special_w * binom_v",
      "value = special_v * binom_v + special_w * binom_w"),

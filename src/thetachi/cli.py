@@ -8,13 +8,17 @@ Subcommands:
 * ``kummer``    - Kummer / Hilbert-scheme values and their consistency.
 
 Exit status: 0 on success (all identities pass for ``verify``), 1 on a
-verification failure, 2 on usage or input errors.  Every number in every
-output is an exact decimal string; no floating point appears anywhere.
+verification failure, 2 on usage or input errors, 141 (128 + SIGPIPE, the
+status a shell reports for a writer killed by SIGPIPE) when stdout is
+closed before the output is written.  Every number in every output is an
+exact decimal string; no floating point appears anywhere.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
+import signal
 import sys
 
 from .formulas import (
@@ -31,12 +35,13 @@ from .formulas import (
 )
 from .identities import ALL_IDENTITIES, report_blocks
 from .jsontext import dumps
-from .mukai import check_assumptions, euler_chi_tensor, parse_vector
+from .mukai import euler_chi_tensor, h2_vanishing_direction, is_positive, is_primitive, parse_vector
 from .pairs import DigitLimitError, enumerate_rows, rows_to_csv, rows_to_json
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
+EXIT_BROKEN_PIPE = 128 + signal.SIGPIPE
 
 # Size caps, refused with exit 2 before any work.  The box volume
 # (max_rank+1)(2 max_k+1)(2 max_chi+1) bounds the vector scan and the
@@ -146,8 +151,12 @@ def cmd_eval(args) -> int:
             for name, result in results.items()
         },
         "admissibility": {
-            "v": check_assumptions(v, w).to_json_dict(),
-            "w": check_assumptions(w, v).to_json_dict(),
+            name: {
+                "primitive": is_primitive(x),
+                "positive": is_positive(x),
+                "h2_vanishing_direction": str(h2_vanishing_direction(x, y)),
+            }
+            for name, x, y in (("v", v, w), ("w", w, v))
         },
         "conventions": CONVENTIONS,
     })
@@ -218,10 +227,8 @@ def cmd_kummer(args) -> int:
     if args.n < 1:
         return _fail_usage("n must be at least 1")
     kc = KummerClass(args.chiD, args.r, args.n)
-    # the Kummer value prints n times this binomial; a negative top reflects
-    # as binom(a, k) = (-1)^k binom(k - a - 1, k)
-    top, k = kc.top, args.n - 1
-    if binom_past_digit_limit(top if top >= 0 else k - top - 1, k):
+    # the Kummer value prints n times this binomial
+    if binom_past_digit_limit(kc.top, args.n - 1):
         return _refuse_digits(_PRINT_REFUSAL)
     kummer = chi_kummer(kc)
     hilbert = chi_hilbert(args.n, args.chiD, args.r)
@@ -253,8 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate the formulas for one pair")
     p_eval.add_argument("--n", type=int, required=True, help="H^2 = 2n")
-    p_eval.add_argument("--v", required=True, help="vector as r,k,chi")
-    p_eval.add_argument("--w", required=True, help="vector as r,k,chi")
+    p_eval.add_argument("--v", required=True,
+                        help="vector as r,k,chi; write a negative rank as --v=-1,0,1")
+    p_eval.add_argument("--w", required=True,
+                        help="vector as r,k,chi; write a negative rank as --w=-1,0,1")
     p_eval.add_argument("--theorem", choices=("main", "two", "three", "all"),
                         default="all")
     p_eval.add_argument("--verbose", action="store_true",
@@ -296,7 +305,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits with 2 on usage errors; normalize other codes
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``); point fd 1 at the null
+        # device so the flush at interpreter exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -47,14 +47,18 @@ def binom(a: int, b: int) -> int:
 
 
 def binom_past_digit_limit(top: int, k: int) -> bool:
-    """Whether binom(top, k), 0 <= k, 0 <= top, has provably too many digits
-    to print, decided before ``math.comb`` spends the time to build it.
+    """Whether binom(top, k), int top and 0 <= k, has provably too many
+    digits to print, decided before ``math.comb`` spends the time to build it.
 
-    binom(m, j) >= (m/j)^j with j = min(k, m - k) gives at least
-    j * floor(log2(m // j)) bits, from integer arithmetic only.  A value of
-    b bits with 3 * b > 10 * limit has more than ``limit`` decimal digits,
-    since log10(2) > 3/10.  A limit of 0 means no limit.
+    A negative top is reflected as ``binom`` reflects it: binom(top, k) has
+    the digits of binom(k - top - 1, k).  Then binom(m, j) >= (m/j)^j with
+    j = min(k, m - k) gives at least j * floor(log2(m // j)) bits, from
+    integer arithmetic only.  A value of b bits with 3 * b > 10 * limit has
+    more than ``limit`` decimal digits, since log10(2) > 3/10.  A limit of 0
+    means no limit.
     """
+    if top < 0:
+        top = k - top - 1
     limit = sys.get_int_max_str_digits()
     j = min(k, top - k)
     return limit > 0 and j > 0 and 3 * j * ((top // j).bit_length() - 1) > 10 * limit
@@ -276,9 +280,8 @@ def chi_kummer(kc: KummerClass) -> ChiResult:
 
 def chi_hilbert(n: int, chiD: int, r: int) -> ChiResult:
     """(chi(D)/n) * binom(chi(D) - (r^2 - 1) n - 1, n - 1) on the Hilbert scheme."""
-    if n < 1:
-        raise FormulaError("n must be at least 1")
-    value = Fraction(chiD, n) * binom(chiD - (r**2 - 1) * n - 1, n - 1)
+    top = KummerClass(chiD, r, n).top  # refuses n < 1 before chi(D)/n is formed
+    value = Fraction(chiD, n) * binom(top, n - 1)
     return ChiResult("chi_hilbert", value, {"n": n, "chiD": chiD, "r": r})
 
 

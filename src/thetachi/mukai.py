@@ -166,29 +166,6 @@ def fm_vector_via_engine(v: MukaiVector) -> MukaiVector:
     return MukaiVector(r_hat, k_hat, chi_hat, v.n, other)
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    """Primitivity and positivity of a vector, plus the pairing sign with w.
-
-    ``h2_vanishing_direction`` is the sign of c1(v (x) w) . H, the quantity
-    whose positivity guarantees vanishing of the top cohomology of the
-    tensor product; None when no second vector was supplied.
-    """
-
-    primitive: bool
-    positive: bool
-    h2_vanishing_direction: int | None = None
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "primitive": self.primitive,
-            "positive": self.positive,
-        }
-        if self.h2_vanishing_direction is not None:
-            out["h2_vanishing_direction"] = str(self.h2_vanishing_direction)
-        return out
-
-
 def is_primitive(v: MukaiVector) -> bool:
     return gcd(gcd(abs(v.r), abs(v.k)), abs(v.chi)) == 1
 
@@ -203,11 +180,8 @@ def is_positive(v: MukaiVector) -> bool:
 
 
 def h2_vanishing_direction(v: MukaiVector, w: MukaiVector) -> int:
-    """Sign of c1(v (x) w) . H; see AdmissibilityReport."""
+    """Sign of c1(v (x) w) . H, the quantity whose positivity guarantees
+    vanishing of the top cohomology of the tensor product."""
     dot = 2 * v.n * (v.r * w.k + w.r * v.k)
     return (dot > 0) - (dot < 0)
 
-
-def check_assumptions(v: MukaiVector, w: MukaiVector | None = None) -> AdmissibilityReport:
-    direction = None if w is None else h2_vanishing_direction(v, w)
-    return AdmissibilityReport(is_primitive(v), is_positive(v), direction)

@@ -18,8 +18,9 @@ A row is lean: d_v, d_w, the ``formulas.row_forms`` entries of the three
 theta Euler characteristics (value or None, and branch) and a flags tuple
 shared by every row with the same flags.  Its ``ChiResult``s are built
 only for the JSON output.  Values become text only in ``rows_to_csv``,
-which makes each vector's text once, and ``rows_to_json``, which renders the rows' ``to_json_dict`` payload through
-``jsontext.dumps``, the bytes of ``json.dumps`` with ``indent=2``.
+which makes each vector's text once, and ``rows_to_json``, which renders
+the rows' ``to_json_dict`` payload through ``jsontext.dumps``, the bytes
+of ``json.dumps`` with ``indent=2``.
 Output is deterministic: rows come out in the lexicographic order of their
 integer key, and every number is rendered as an exact decimal string.
 """

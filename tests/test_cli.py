@@ -55,6 +55,17 @@ def test_eval_malformed_vector_exits_2(capsys):
     assert "r,k,chi" in err
 
 
+def test_eval_negative_rank_vector_given_with_equals(capsys):
+    # argparse reads "-1,0,1" after a space as an option; "--w=-1,0,1" is a value
+    code, out, err = run_cli(capsys, "eval", "--n", "1", "--v", "1,0,1", "--w", "-1,0,1")
+    assert (code, out) == (2, "")
+    assert "expected one argument" in err
+    code, out, _ = run_cli(capsys, "eval", "--n", "1", "--v", "1,0,1", "--w=-1,0,1")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["v"], payload["w"], payload["orthogonal"]) == ("1,0,1", "-1,0,1", True)
+
+
 @pytest.mark.parametrize("argv", [
     ("eval", "--n", "20000", "--v", "1,0,-40000", "--w", "0,1,0"),
     ("kummer", "--n", "20000", "--chiD", "20000", "--r", "0"),
@@ -503,6 +514,22 @@ def test_console_script_entry_point():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["results"]["main"]["value"] == "9"
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    # the reader keeps 100 bytes of about a megabyte of reports and closes
+    # the pipe, as ``| head -c 100`` does; the writer stops with the status
+    # of a process killed by SIGPIPE and prints nothing to stderr
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "thetachi.cli", "verify", "--all", "--trials", "200"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 141
+    assert "Traceback" not in err
+    assert err == ""
 
 
 def test_no_floats_in_interfaces(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from thetachi.formulas import (
     KummerClass,
     beauville_bogomolov,
     binom,
+    binom_past_digit_limit,
     chi_albanese_fiber,
     chi_arbitrary_det,
     chi_fixed_det,
@@ -37,6 +39,24 @@ def test_binom_values():
     assert binom(-9, 4) == 495
     with pytest.raises(FormulaError):
         binom(3, -1)
+
+
+def test_binom_past_digit_limit_reflects_a_negative_top():
+    # binom(a, k) = (-1)^k binom(k - a - 1, k) for a < 0, so both have the
+    # same digits; the process-wide limit is read, never changed
+    limit = sys.get_int_max_str_digits()
+    for a in range(-12, 0):
+        for k in range(0, 9):
+            assert binom_past_digit_limit(a, k) == binom_past_digit_limit(k - a - 1, k)
+    # binom(3j, j) is bounded below by 2^j, refused once 3 j > 10 limit
+    edge = 10 * limit // 3 + 1
+    for k, refused in ((edge - 1, False), (edge, True)):
+        for a in (-2 * k - 1, -2 * k - 2, -5 * k):
+            assert binom_past_digit_limit(a, k) == binom_past_digit_limit(k - a - 1, k)
+        assert binom_past_digit_limit(-2 * k - 1, k) is refused
+        assert binom_past_digit_limit(-5 * k, k)
+    assert abs(binom(-2 * edge - 1, edge)) >= 10**limit
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_binom_refuses_non_int_tops():
@@ -135,6 +155,9 @@ def test_chi_hilbert_values():
         assert chi_hilbert(1, chiD, 3).value == chiD
     assert chi_hilbert(2, 4, 0).value == 10
     assert chi_hilbert(2, 3, 0).value == 6  # (3/2) * binom(4, 1)
+    for n in (0, -2):
+        with pytest.raises(FormulaError, match="^n must be at least 1$"):
+            chi_hilbert(n, 3, 0)
 
 
 def test_etale_cover_consistency():

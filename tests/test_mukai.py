@@ -13,10 +13,10 @@ from thetachi.mukai import (
     MukaiVector,
     NSClass,
     c1_tensor,
-    check_assumptions,
     euler_chi_tensor,
     fm_vector,
     fm_vector_via_engine,
+    h2_vanishing_direction,
     is_positive,
     is_primitive,
     mukai_pairing,
@@ -154,13 +154,13 @@ def test_fm_vector_is_an_isometry(r, k, chi, n):
 
 
 def test_admissibility_examples():
-    rep = check_assumptions(MukaiVector(2, 3, 2, 1))
-    assert rep.primitive and rep.positive
-    assert not check_assumptions(MukaiVector(2, 2, 2, 1)).primitive
+    v23 = MukaiVector(2, 3, 2, 1)
+    assert is_primitive(v23) and is_positive(v23)
+    assert not is_primitive(MukaiVector(2, 2, 2, 1))
     # rank zero, k > 0, chi != 0, pairing 2 not in {0, 4}: positive
     v = MukaiVector(0, 1, 3, 1)
     assert mukai_pairing(v, v) == 2
-    assert check_assumptions(v).positive
+    assert is_positive(v)
     # rank zero with pairing 4 fails the positivity clause
     v4 = MukaiVector(0, 1, 3, 2)
     assert mukai_pairing(v4, v4) == 4
@@ -175,9 +175,9 @@ def test_admissibility_examples():
 def test_h2_direction_sign():
     v = MukaiVector(1, 0, -1, 1)
     w = MukaiVector(2, 3, 2, 1)
-    assert check_assumptions(v, w).h2_vanishing_direction == 1
-    assert check_assumptions(v, MukaiVector(2, -3, 2, 1)).h2_vanishing_direction == -1
-    assert check_assumptions(v, MukaiVector(2, 0, 2, 1)).h2_vanishing_direction == 0
+    assert h2_vanishing_direction(v, w) == 1
+    assert h2_vanishing_direction(v, MukaiVector(2, -3, 2, 1)) == -1
+    assert h2_vanishing_direction(v, MukaiVector(2, 0, 2, 1)) == 0
 
 
 def test_text_and_json_round_trip():
