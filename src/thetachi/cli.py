@@ -10,8 +10,9 @@ Subcommands:
 Exit status: 0 on success (all identities pass for ``verify``), 1 on a
 verification failure, 2 on usage or input errors, 141 (128 + SIGPIPE, the
 status a shell reports for a writer killed by SIGPIPE) when stdout is
-closed before the output is written.  Every number in every output is an
-exact decimal string; no floating point appears anywhere.
+closed before the output is written.  A closed stderr loses the messages
+but changes neither stdout nor the exit status.  Every number in every
+output is an exact decimal string; no floating point appears anywhere.
 """
 
 from __future__ import annotations
@@ -59,43 +60,50 @@ CONVENTIONS = {
 }
 
 
-def _fail_usage(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
+class UsageError(Exception):
+    """Input a command refuses: ``main`` writes ``error: <message>`` and returns 2."""
+
+
+def _write_stderr(text: str) -> None:
+    """Print ``text`` to stderr, or drop it when stderr is closed: ``sys.stderr``
+    is None (fd 2 was closed at startup) or the write raises OSError."""
+    if sys.stderr is not None:
+        try:
+            print(text, file=sys.stderr)
+        except OSError:
+            pass
 
 
 _PRINT_REFUSAL = "a value has {} and cannot be printed"
 _WRITE_REFUSAL = "a value has {} and cannot be written"
 
 
-def _refuse_digits(refusal: str) -> int:
-    return _fail_usage(refusal.format(f"more than {sys.get_int_max_str_digits()} decimal digits"))
+def _too_long(refusal: str) -> UsageError:
+    """``refusal``, with ``{}`` standing for the digit count, for a value past
+    the process-wide ``sys.get_int_max_str_digits()``."""
+    return UsageError(refusal.format(f"more than {sys.get_int_max_str_digits()} decimal digits"))
 
 
-def _format(build, refusal: str):
-    """The text that ``build()`` returns, or None after refusing it.
+def _format(build, refusal: str) -> str:
+    """The text that ``build()`` returns.
 
-    ``str()`` of an int with more than ``sys.get_int_max_str_digits()``
-    digits raises ValueError.  The limit is process-wide, so a command
-    reports it as a usage error, ``refusal`` with ``{}`` standing for the
-    digit count, rather than raising it; the caller then exits 2.
-    ``build`` only formats values that are already computed, so no other
-    ValueError can arise.
+    ``str()`` of an int past the digit limit raises ValueError, which is
+    refused as ``_too_long(refusal)``.  ``build`` only formats values that
+    are already computed, so no other ValueError can arise.
     """
     try:
         return build()
     except ValueError:
-        _refuse_digits(refusal)
-        return None
+        raise _too_long(refusal) from None
 
 
 def _emit(build) -> int:
     """Print the JSON of the payload that ``build()`` returns."""
-    text = _format(lambda: dumps(build()), _PRINT_REFUSAL)
-    if text is None:
-        return EXIT_USAGE
-    print(text)
+    print(_format(lambda: dumps(build()), _PRINT_REFUSAL))
     return EXIT_OK
+
+
+EVALUATORS = {"main": chi_fixed_det, "two": chi_fixed_fm_det, "three": chi_arbitrary_det}
 
 
 def cmd_eval(args) -> int:
@@ -103,14 +111,13 @@ def cmd_eval(args) -> int:
         v = parse_vector(args.v, args.n)
         w = parse_vector(args.w, args.n)
     except ValueError as exc:
-        return _fail_usage(str(exc))
+        raise UsageError(str(exc)) from None
     chi_vw = euler_chi_tensor(v, w)
     if chi_vw != 0:
-        message = _format(
+        raise UsageError(_format(
             lambda: f"vectors are not orthogonal: chi(v (x) w) = {chi_vw} (must be 0)",
             "vectors are not orthogonal: chi(v (x) w) has {} (must be 0)",
-        )
-        return EXIT_USAGE if message is None else _fail_usage(message)
+        ))
     d_v, d_w = v.d, w.d
     # for d_v, d_w >= 1 every value printed is at least binom(d-1, min-1);
     # past the digit limit nothing is evaluated and _emit's refusal is given
@@ -118,27 +125,20 @@ def cmd_eval(args) -> int:
         d_v + d_w - 1, min(d_v, d_w) - 1
     )
     results = {}
-    wanted = ("main", "two", "three") if args.theorem == "all" else (args.theorem,)
-    evaluators = {
-        "main": chi_fixed_det,
-        "two": chi_fixed_fm_det,
-        "three": chi_arbitrary_det,
-    }
-    failures = []
-    for name in () if oversized else wanted:
+    for name, evaluate in () if oversized else EVALUATORS.items():
+        if args.theorem not in (name, "all"):
+            continue
         try:
-            results[name] = evaluators[name](v, w)
+            results[name] = evaluate(v, w)
         except FormulaError as exc:
+            if args.theorem != "all":
+                raise UsageError(str(exc)) from None
             results[name] = {"error": str(exc)}
-            failures.append(name)
-    if failures and args.theorem != "all":
-        return _fail_usage(results[failures[0]]["error"])
     if args.verbose:
-        print("conventions in use:", file=sys.stderr)
-        for key, value in CONVENTIONS.items():
-            print(f"  {key}: {value}", file=sys.stderr)
+        _write_stderr("conventions in use:\n" + "\n".join(
+            f"  {key}: {value}" for key, value in CONVENTIONS.items()))
     if oversized:
-        return _refuse_digits(_PRINT_REFUSAL)
+        raise _too_long(_PRINT_REFUSAL)
     return _emit(lambda: {
         "n": str(args.n),
         "v": v.text(),
@@ -147,7 +147,7 @@ def cmd_eval(args) -> int:
         "d_w": str(d_w),
         "orthogonal": True,
         "results": {
-            name: result if name in failures else result.to_json_dict()
+            name: result if isinstance(result, dict) else result.to_json_dict()
             for name, result in results.items()
         },
         "admissibility": {
@@ -164,28 +164,26 @@ def cmd_eval(args) -> int:
 
 def cmd_enumerate(args) -> int:
     if args.n < 1:
-        return _fail_usage("n must be at least 1")
+        raise UsageError("n must be at least 1")
     if min(args.max_rank, args.max_k, args.max_chi) < 0:
-        return _fail_usage("--max-rank, --max-k and --max-chi must be nonnegative")
+        raise UsageError("--max-rank, --max-k and --max-chi must be nonnegative")
     volume = (args.max_rank + 1) * (2 * args.max_k + 1) * (2 * args.max_chi + 1)
     if volume > MAX_BOX_VOLUME:
-        return _fail_usage(
+        raise UsageError(
             f"the box has {volume} cells, (max-rank+1)(2 max-k+1)(2 max-chi+1); "
             f"at most {MAX_BOX_VOLUME} are allowed"
         )
     try:
         rows, summary = enumerate_rows(args.n, args.max_rank, args.max_k, args.max_chi)
     except DigitLimitError:
-        return _refuse_digits(_WRITE_REFUSAL)
+        raise _too_long(_WRITE_REFUSAL) from None
     to_text = rows_to_csv if args.format == "csv" else rows_to_json
     text = _format(lambda: to_text(rows, summary), _WRITE_REFUSAL)
-    if text is None:
-        return EXIT_USAGE
     try:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
     except OSError as exc:
-        return _fail_usage(f"cannot write {args.out}: {exc}")
+        raise UsageError(f"cannot write {args.out}: {exc}") from None
     print(
         f"wrote {summary['pairs']} pairs ({summary['vectors']} vectors) to {args.out}; "
         f"nonintegral: {len(summary['nonintegral_rows'])}"
@@ -194,18 +192,16 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    only = args.only if args.only else None
-    if only:
-        unknown = [name for name in only if name not in ALL_IDENTITIES]
-        if unknown:
-            return _fail_usage(f"unknown identities: {', '.join(unknown)}")
+    unknown = [name for name in args.only or () if name not in ALL_IDENTITIES]
+    if unknown:
+        raise UsageError(f"unknown identities: {', '.join(unknown)}")
     if args.trials > MAX_TRIALS:
-        return _fail_usage(f"--trials must be at most {MAX_TRIALS}, got {args.trials}")
+        raise UsageError(f"--trials must be at most {MAX_TRIALS}, got {args.trials}")
     # the ids are checked above, so only a negative --trials can raise here
     try:
-        blocks = report_blocks(args.seed, args.trials, only)
+        blocks = report_blocks(args.seed, args.trials, args.only)
     except ValueError as exc:
-        return _fail_usage(str(exc))
+        raise UsageError(str(exc)) from None
     # stdout carries the pure JSON array, written one identity at a time;
     # the human summary goes to stderr
     write = sys.stdout.write
@@ -219,17 +215,18 @@ def cmd_verify(args) -> int:
         reports += len(texts)
         passed += block_passed
     write("\n]\n" if reports else "]\n")
-    print(f"identities: {passed}/{reports} passed", file=sys.stderr)
+    _write_stderr(f"identities: {passed}/{reports} passed")
     return EXIT_OK if passed == reports else EXIT_VERIFY_FAIL
 
 
 def cmd_kummer(args) -> int:
-    if args.n < 1:
-        return _fail_usage("n must be at least 1")
-    kc = KummerClass(args.chiD, args.r, args.n)
+    try:
+        kc = KummerClass(args.chiD, args.r, args.n)
+    except FormulaError as exc:
+        raise UsageError(str(exc)) from None
     # the Kummer value prints n times this binomial
     if binom_past_digit_limit(kc.top, args.n - 1):
-        return _refuse_digits(_PRINT_REFUSAL)
+        raise _too_long(_PRINT_REFUSAL)
     kummer = chi_kummer(kc)
     hilbert = chi_hilbert(args.n, args.chiD, args.r)
     residual = etale_cover_residual(args.n, args.chiD, args.r)
@@ -264,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="vector as r,k,chi; write a negative rank as --v=-1,0,1")
     p_eval.add_argument("--w", required=True,
                         help="vector as r,k,chi; write a negative rank as --w=-1,0,1")
-    p_eval.add_argument("--theorem", choices=("main", "two", "three", "all"),
+    p_eval.add_argument("--theorem", choices=(*EVALUATORS, "all"),
                         default="all")
     p_eval.add_argument("--verbose", action="store_true",
                         help="print the convention banner to stderr")
@@ -309,6 +306,9 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe surfaces here, not at exit
         return code
+    except UsageError as exc:
+        _write_stderr(f"error: {exc}")
+        return EXIT_USAGE
     except BrokenPipeError:
         # the reader closed stdout (``| head``); point fd 1 at the null
         # device so the flush at interpreter exit cannot raise again

@@ -292,19 +292,11 @@ def etale_cover_residual(n: int, chiD: int, r: int) -> Fraction:
     return hil - Fraction(chiD, n * n) * kum
 
 
-def chi_k3_reference(dv_: int, dw_: int) -> ChiResult:
-    """K3-surface comparison value binom(d_v + d_w + 2, d_v + 1)."""
-    if dv_ < -1:
-        raise FormulaError("d_v + 1 must be nonnegative for the K3 value")
-    value = binom(dv_ + dw_ + 2, dv_ + 1)
-    return ChiResult("chi_k3_reference", value, {"d_v": dv_, "d_w": dw_})
-
-
 def beauville_bogomolov(kc: KummerClass) -> int:
     """B(c1(D_(n) (x) E^r)) = 2 chi(D) - 2 n r^2 on the Kummer fiber.
 
     Restricted to n >= 3, where the second cohomology decomposition
-    holds literally; n = 2 routes through chi_albanese_fiber instead.
+    holds literally; ``kummer`` prints no ``bb_cross_value`` for n < 3.
     """
     if kc.n < 3:
         raise FormulaError("Beauville-Bogomolov bookkeeping needs n >= 3")

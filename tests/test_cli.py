@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -530,6 +531,34 @@ def test_closed_stdout_exits_141_without_traceback():
     assert proc.returncode == 141
     assert "Traceback" not in err
     assert err == ""
+
+
+
+def run_child(argv, **kwargs):
+    """``thetachi <argv>`` in a child process, stdout captured as bytes."""
+    return subprocess.run([sys.executable, "-m", "thetachi.cli", *argv],
+                          stdout=subprocess.PIPE, timeout=120, **kwargs)
+
+
+@pytest.mark.parametrize("argv,code", [
+    (("verify", "--only", "llp", "--trials", "1"), 0),  # the summary line is lost
+    (("eval", "--n", "1", "--v", "1,0,-1", "--w", "2,4,3"), 2),  # not orthogonal
+    (("eval", "--n", "1", "--v", "1,0,-1", "--w", "2,3,2", "--verbose"), 0),  # the banner
+    (("kummer", "--n", "0", "--chiD", "1", "--r", "0"), 2),
+], ids=["verify", "eval-refused", "eval-verbose", "kummer-refused"])
+@pytest.mark.parametrize("fd2", ["closed", "read-only"])
+def test_closed_stderr_keeps_stdout_and_exit_status(argv, code, fd2):
+    # a closed stderr loses the messages and changes nothing else
+    opened = run_child(argv, stderr=subprocess.PIPE)
+    if fd2 == "closed":
+        # CPython sets sys.stderr to None, and print(file=None) writes to stdout
+        closed = run_child(argv, preexec_fn=lambda: os.close(2))
+    else:
+        # every write to stderr raises OSError
+        with open(os.devnull, "rb") as read_only:
+            closed = run_child(argv, stderr=read_only)
+    assert opened.returncode == closed.returncode == code
+    assert closed.stdout == opened.stdout
 
 
 def test_no_floats_in_interfaces(tmp_path, capsys):

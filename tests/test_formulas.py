@@ -20,7 +20,6 @@ from thetachi.formulas import (
     chi_fixed_fm_det,
     chi_from_bb,
     chi_hilbert,
-    chi_k3_reference,
     chi_kummer,
     etale_cover_residual,
     form_results,
@@ -174,12 +173,6 @@ def test_kummer_albanese_crosswalk():
                 kum = chi_kummer(KummerClass(chiD, r, n)).value
                 alb = chi_albanese_fiber(n, chiD - r * r * n).value
                 assert kum == alb
-
-
-def test_chi_k3_reference_values():
-    assert chi_k3_reference(0, 3).value == 5
-    assert chi_k3_reference(1, 1).value == 6
-    assert chi_k3_reference(2, 5).value == chi_k3_reference(5, 2).value
 
 
 def test_chi_arbitrary_det_branches():
