@@ -7,9 +7,10 @@ numeric trials, the per-lane helper, the per-lane Fraction flags of the
 lanes, the JSON renderer's key separator and booleans, the verify trial
 template, the bitset key of a class builder, the identity block of a
 product of per-factor maps, the shortcut of class equality, the Euler
-value of dw0_chern, the reflection of a negative binomial top in the
-digit-limit bound, and the CLI's closed-stderr guard and usage-error exit
-status listed in MUTANTS.
+value of dw0_chern, the order of the Mukai classes the identity checks
+share, the reflection of a negative binomial top in the digit-limit
+bound, the Beauville-Bogomolov top comparison, and the CLI's
+closed-stderr guard and usage-error exit status listed in MUTANTS.
 
 Copies the repository into a temporary directory and runs the Tier-1 suite
 there, under the Hypothesis profile "gate" (no shrinking), first unmutated
@@ -113,6 +114,10 @@ MUTANTS = (
     ("trial template index off by one", "src/thetachi/identities.py",
      "rows = zip(*[columns[key] for key in keys], range(len(residuals)))",
      "rows = zip(*[columns[key] for key in keys], range(1, len(residuals) + 1))"),
+    ("Mukai pair builder swaps v and w", "src/thetachi/identities.py",
+     "return v_cls, w_cls, d_v, d_w", "return w_cls, v_cls, d_v, d_w"),
+    ("Beauville-Bogomolov top off by one", "src/thetachi/formulas.py",
+     "top = b // 2 + kc.n - 1\n", "top = b // 2 + kc.n\n"),
     ("stderr writer None guard removed", "src/thetachi/cli.py",
      "if sys.stderr is not None:", "if True:"),
     ("usage error exits 1", "src/thetachi/cli.py",

@@ -228,9 +228,9 @@ def cmd_kummer(args) -> int:
     if binom_past_digit_limit(kc.top, args.n - 1):
         raise _too_long(_PRINT_REFUSAL)
     kummer = chi_kummer(kc)
-    hilbert = chi_hilbert(args.n, args.chiD, args.r)
-    residual = etale_cover_residual(args.n, args.chiD, args.r)
-    bb = chi_from_bb(kc) if args.n >= 3 else None
+    hilbert = chi_hilbert(kc)
+    residual = etale_cover_residual(kc, hilbert, kummer)
+    bb = chi_from_bb(kc, kummer) if args.n >= 3 else None
 
     def payload():
         out = {

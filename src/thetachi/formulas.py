@@ -197,8 +197,9 @@ def _form_result(formula_id: str, entry: tuple, inputs: dict) -> ChiResult:
     return ChiResult(formula_id, value, inputs, branch, cross)
 
 
-def form_results(forms: tuple, inputs: dict) -> tuple:
-    """The ChiResults of the entries of ``row_forms``, None where undefined."""
+def form_results(forms: tuple, v: MukaiVector, w: MukaiVector) -> tuple:
+    """The ChiResults of the entries of ``row_forms`` of (v, w), None where undefined."""
+    inputs = _pair_inputs(v, w)
     return tuple(None if entry[0] is None else _form_result(formula_id, entry, inputs)
                  for formula_id, entry in zip(_FORM_IDS, forms))
 
@@ -278,18 +279,18 @@ def chi_kummer(kc: KummerClass) -> ChiResult:
     )
 
 
-def chi_hilbert(n: int, chiD: int, r: int) -> ChiResult:
+def chi_hilbert(kc: KummerClass) -> ChiResult:
     """(chi(D)/n) * binom(chi(D) - (r^2 - 1) n - 1, n - 1) on the Hilbert scheme."""
-    top = KummerClass(chiD, r, n).top  # refuses n < 1 before chi(D)/n is formed
-    value = Fraction(chiD, n) * binom(top, n - 1)
-    return ChiResult("chi_hilbert", value, {"n": n, "chiD": chiD, "r": r})
+    value = Fraction(kc.chiD, kc.n) * binom(kc.top, kc.n - 1)
+    return ChiResult("chi_hilbert", value, {"n": kc.n, "chiD": kc.chiD, "r": kc.r})
 
 
-def etale_cover_residual(n: int, chiD: int, r: int) -> Fraction:
-    """chi_hilbert - (chiD/n^2) chi_kummer; zero by the etale-cover identity."""
-    hil = chi_hilbert(n, chiD, r).value
-    kum = chi_kummer(KummerClass(chiD, r, n)).value
-    return hil - Fraction(chiD, n * n) * kum
+def etale_cover_residual(kc: KummerClass, hilbert: ChiResult, kummer: ChiResult) -> Fraction:
+    """chi_hilbert - (chiD/n^2) chi_kummer from the two results of ``kc``;
+    zero by the etale-cover identity.  Both results build binom(top, n - 1)
+    of the one ``KummerClass.top``, so the residual checks the rational
+    weights chi(D)/n and n, not a second route to the binomial."""
+    return hilbert.value - Fraction(kc.chiD, kc.n * kc.n) * kummer.value
 
 
 def beauville_bogomolov(kc: KummerClass) -> int:
@@ -303,18 +304,22 @@ def beauville_bogomolov(kc: KummerClass) -> int:
     return 2 * kc.chiD - 2 * kc.n * kc.r**2
 
 
-def chi_from_bb(kc: KummerClass) -> ChiResult:
-    """n * binom(B/2 + n - 1, n - 1); must equal chi_kummer."""
+def chi_from_bb(kc: KummerClass, kummer: ChiResult) -> ChiResult:
+    """n * binom(B/2 + n - 1, n - 1), given ``kummer`` = ``chi_kummer(kc)``.
+
+    Refused unless B/2 + n - 1 is ``kc.top``; then the value is the Kummer
+    value, reported with B as its cross-check, and no binomial is built
+    again.  Comparing the tops is no weaker than comparing the values:
+    equal tops give equal binomials, while distinct tops can too
+    (binom(2, 2) = binom(-1, 2) = 1).
+    """
     b = beauville_bogomolov(kc)
-    value = kc.n * binom(b // 2 + kc.n - 1, kc.n - 1)
-    result = ChiResult(
-        "chi_from_bb", value, {"n": kc.n, "chiD": kc.chiD, "r": kc.r}, "generic",
+    top = b // 2 + kc.n - 1
+    if top != kc.top:
+        raise FormulaError(
+            f"Beauville-Bogomolov top {top} disagrees with the Kummer top {kc.top}"
+        )
+    return ChiResult(
+        "chi_from_bb", kummer.value, {"n": kc.n, "chiD": kc.chiD, "r": kc.r}, "generic",
         {"B": b},
     )
-    expected = chi_kummer(kc).value
-    if result.value != expected:
-        raise FormulaError(
-            f"Beauville-Bogomolov evaluation {result.value} disagrees with "
-            f"the Kummer value {expected}"
-        )
-    return result

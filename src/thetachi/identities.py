@@ -78,7 +78,6 @@ from .abelian import (
     factorwise,
     fm_transform,
     hat_of,
-    lambda_hat,
     make_phi,
     mukai_class,
     mukai_pair,
@@ -148,8 +147,10 @@ def _alpha_class(coeffs: dict, prefix: str = "a") -> ExteriorClass:
     return two_form(SP_A, 0, {pair: coeffs[prefix + key] for key, pair in _PAIRS.items()})
 
 
-def _lambda_on(sp, pol: Polarization) -> ExteriorClass:
-    return polarization_class(sp, 0, pol)
+def _polarization(d, e) -> tuple:
+    """The polarization (d, e) and its class lambda = d f1^f2 + e f3^f4 on A."""
+    pol = Polarization(d, e)
+    return pol, polarization_class(SP_A, 0, pol)
 
 
 # c1(P)^2/2 on AxAh, whose pushforward against p1*alpha defines alpha-hat
@@ -310,14 +311,22 @@ _ISOMETRY_SPEC = ParamSpec(tuple(
 
 
 # -- bundle builders, shared by prop_split* and assembly_* -----------------------
-# Each takes v = (r, lambda(pol), chi) and w = (r', lam', chi').
+# v = (r, lambda, chi) and w = (r', lambda', chi') with lambda the class of
+# the polarization pol.  ``_vector_pair`` builds the Mukai classes of v and w
+# once per check; each builder takes (pol, lambda, r, chi, v class, w class).
 
 
-def _translation_bundle_c1(pol, r, chi, rp, lamp, chip) -> ExteriorClass:
+def _vector_pair(r, lam, chi, rp, lamp, chip) -> tuple:
+    """(v class, w class, d_v, d_w) of v = (r, lam, chi) and w = (r', lam', chi') on A."""
+    (v_cls, d_v), (w_cls, d_w) = [
+        (mukai_class(SP_A, 0, rank, c1, euler), _half_square(c1) - rank * euler)
+        for rank, c1, euler in ((r, lam, chi), (rp, lamp, chip))
+    ]
+    return v_cls, w_cls, d_v, d_w
+
+
+def _translation_bundle_c1(pol, lam, r, chi, v_cls, w_cls) -> ExteriorClass:
     """c1 on A: -p2![m_r*v . m*exp(-lam) . p1*(exp(lam) w)]_(3)."""
-    lam = _lambda_on(SP_A, pol)
-    v_cls = mukai_class(SP_A, 0, r, lam, chi)
-    w_cls = mukai_class(SP_A, 0, rp, lamp, chip)
     mr = addition(SP_AxA, 0, 1, SP_A, r)
     return -pushforward(
         wedge(mr.pullback(v_cls), M_AxA.pullback(exp_even(-lam))),
@@ -327,10 +336,8 @@ def _translation_bundle_c1(pol, r, chi, rp, lamp, chip) -> ExteriorClass:
     )
 
 
-def _dual_bundle_c1(pol, r, chi, rp, lamp, chip) -> ExteriorClass:
+def _dual_bundle_c1(pol, lam, r, chi, v_cls, w_cls) -> ExteriorClass:
     """c1 on Ah: -p2![f*v . p1*w . exp(chi c1(P))]_(3)."""
-    v_cls = mukai_class(SP_A, 0, r, _lambda_on(SP_A, pol), chi)
-    w_cls = mukai_class(SP_A, 0, rp, lamp, chip)
     return -pushforward(
         wedge(f_map(pol).pullback(v_cls), P1_AxAH.pullback(w_cls)),
         exp_even(C1_P.scaled(chi)),
@@ -339,10 +346,8 @@ def _dual_bundle_c1(pol, r, chi, rp, lamp, chip) -> ExteriorClass:
     )
 
 
-def _two_parameter_bundle_chi(pol, r, chi, rp, lamp, chip):
+def _two_parameter_bundle_chi(pol, lam, r, chi, v_cls, w_cls):
     """chi = c1^4/24 on AxAh, c1 = -p23![m12*v . p13*exp(c1(P)) . p1*w]_(3)."""
-    v_cls = mukai_class(SP_A, 0, r, _lambda_on(SP_A, pol), chi)
-    w_cls = mukai_class(SP_A, 0, rp, lamp, chip)
     # the kernel and p1*w are small; m12*v is pushed against their product
     kernel_w = wedge(_P13_KERNEL, _P1_AxAxAH.pullback(w_cls))
     c1 = -pushforward(_M12.pullback(v_cls), kernel_w, 0, 6)
@@ -358,9 +363,8 @@ def _two_parameter_bundle_chi(pol, r, chi, rp, lamp, chip):
 
 def _check_sec4_table(params) -> dict:
     """Six pushforwards over the first factor of AxA for m and m_r."""
-    pol = Polarization(params["d"], params["e"])
+    _, lam = _polarization(params["d"], params["e"])
     r = params["r"]
-    lam = _lambda_on(SP_A, pol)
     alpha = _alpha_class(params)
     mr = addition(SP_AxA, 0, 1, SP_A, r)
     m_lam, m_omega = M_AxA.pullback(lam), M_AxA.pullback(OMEGA)
@@ -383,9 +387,8 @@ def _check_sec4_table(params) -> dict:
 
 def _check_sec4_lemma(params) -> dict:
     """p2!(mr*lam . m*lam . p1*alpha) = (r-1)^2 (∫alpha lam) lam + r lam^2 alpha."""
-    pol = Polarization(params["d"], params["e"])
+    _, lam = _polarization(params["d"], params["e"])
     r = params["r"]
-    lam = _lambda_on(SP_A, pol)
     alpha = _alpha_class(params)
     mr = addition(SP_AxA, 0, 1, SP_A, r)
 
@@ -400,9 +403,8 @@ def _check_sec4_lemma(params) -> dict:
 
 def _check_mstar(params) -> dict:
     """Addition pullback of lambda splits as p1 + p2 + Poincare pullback."""
-    pol = Polarization(params["d"], params["e"])
+    pol, lam = _polarization(params["d"], params["e"])
     r = params["r"]
-    lam = _lambda_on(SP_A, pol)
     mr = addition(SP_AxA, 0, 1, SP_A, r)
     p1_lam, p2_lam = P1_AxA.pullback(lam), P2_AxA.pullback(lam)
     poincare_pulled = one_times_phi(pol).pullback(C1_P)
@@ -415,8 +417,7 @@ def _check_mstar(params) -> dict:
 
 def _check_fmp(params) -> dict:
     """Phi* of the half-square Poincare pushforward of alpha."""
-    pol = Polarization(params["d"], params["e"])
-    lam = _lambda_on(SP_A, pol)
+    pol, lam = _polarization(params["d"], params["e"])
     alpha = _alpha_class(params)
     pushed = pushforward(P1_AxAH.pullback(alpha), _CP_HALF_SQUARE, 0)
     left = make_phi(pol, "A->Ah").pullback(pushed)
@@ -427,7 +428,7 @@ def _check_fmp(params) -> dict:
 
 def _check_phis(params) -> dict:
     """Both composites of the polarization morphisms are multiplication by -de."""
-    pol = Polarization(params["d"], params["e"])
+    pol, _ = _polarization(params["d"], params["e"])
     phi = make_phi(pol, "A->Ah")
     phi_hat = make_phi(pol, "Ah->A")
     chi = pol.chi
@@ -450,32 +451,31 @@ def _check_prop_split(params) -> dict:
     feeds the Euler characteristics, so downstream values are insensitive
     to it.
     """
-    pol = Polarization(params["d"], params["e"])
+    pol, lam = _polarization(params["d"], params["e"])
     r, chi, rp = params["r"], params["chi"], params["rp"]
-    lam = _lambda_on(SP_A, pol)
     lamp = _alpha_class(params)  # general two-form as c1 of the partner
-    c1_bundle = _translation_bundle_c1(pol, r, chi, rp, lamp, params["chip"])
-    d_v = _half_square(lam) - r * chi
+    v_cls, w_cls, d_v, _ = _vector_pair(r, lam, chi, rp, lamp, params["chip"])
+    c1_bundle = _translation_bundle_c1(pol, lam, r, chi, v_cls, w_cls)
     c1_tensor_cls = lamp.scaled(r) + lam.scaled(rp)
     return {"prop_split": c1_bundle - c1_tensor_cls.scaled(d_v)}
 
 
 def _check_sec5_a(params) -> dict:
-    pol = Polarization(params["d"], params["e"])
-    lam, lamp = _lambda_on(SP_A, pol), _alpha_class(params)
+    pol, lam = _polarization(params["d"], params["e"])
+    lamp = _alpha_class(params)
     lamp_hat, p1_lamp = hat_of(lamp), P1_AxAH.pullback(lamp)
     lam_dot = integrate_product(lam, lamp)
     pushed = pushforward(f_map(pol).pullback(OMEGA), p1_lamp, 0)
     return {
         "push_f_omega":
-            pushed - lamp_hat.scaled(_half_square(lam)) + lambda_hat(pol).scaled(lam_dot),
+            pushed - lamp_hat.scaled(_half_square(lam)) + hat_of(lam).scaled(lam_dot),
         "hat_definition": pushforward(_CP_HALF_SQUARE, p1_lamp, 0) - lamp_hat,
     }
 
 
 def _check_sec5_b(params) -> dict:
-    pol = Polarization(params["d"], params["e"])
-    lam, lam_hat = _lambda_on(SP_A, pol), lambda_hat(pol)
+    pol, lam = _polarization(params["d"], params["e"])
+    lam_hat = hat_of(lam)
     f_lam = f_map(pol).pullback(lam)
     pushed = pushforward(f_lam, P1_AxAH.pullback(OMEGA), 0)
     return {
@@ -485,14 +485,14 @@ def _check_sec5_b(params) -> dict:
 
 
 def _check_sec5_c(params) -> dict:
-    pol = Polarization(params["d"], params["e"])
+    pol, lam = _polarization(params["d"], params["e"])
     pushed = pushforward(f_map(pol).pullback(OMEGA), C1_P, 0)
-    return {"push_f_omega_cP": pushed + lambda_hat(pol).scaled(2)}
+    return {"push_f_omega_cP": pushed + hat_of(lam).scaled(2)}
 
 
 def _check_sec5_d(params) -> dict:
-    pol = Polarization(params["d"], params["e"])
-    lam, lamp = _lambda_on(SP_A, pol), _alpha_class(params)
+    pol, lam = _polarization(params["d"], params["e"])
+    lamp = _alpha_class(params)
     pushed = pushforward(wedge(f_map(pol).pullback(lam), P1_AxAH.pullback(lamp)), C1_P, 0)
     return {"push_f_lam_lamp_cP": pushed + hat_of(lamp).scaled(integrate_product(lam, lam))}
 
@@ -503,40 +503,39 @@ def _check_fmtl(params) -> dict:
     p2!(f*omega . c1(P)) must equal 2d f3^f4 + 2e f1^f2 on the dual side,
     and that class must be -2 lambda_hat for the transform-defined hat.
     """
-    pol = Polarization(params["d"], params["e"])
+    pol, lam = _polarization(params["d"], params["e"])
     value = pushforward(f_map(pol).pullback(OMEGA), C1_P, 0)
     explicit = two_form(SP_AH, 0, {(2, 3): 2 * pol.d, (0, 1): 2 * pol.e})
     return {
         "coordinates": value - explicit,
-        "hat_relation": value + lambda_hat(pol).scaled(2),
+        "hat_relation": value + hat_of(lam).scaled(2),
     }
 
 
 def _check_prop_split1(params) -> dict:
     """Dual-side analogue of prop_split, with the same engine-fixed sign."""
-    pol = Polarization(params["d"], params["e"])
+    pol, lam = _polarization(params["d"], params["e"])
     r, chi, chip = params["r"], params["chi"], params["chip"]
     lamp = _alpha_class(params)
-    c1_bundle = _dual_bundle_c1(pol, r, chi, params["rp"], lamp, chip)
-    d_v = _half_square(_lambda_on(SP_A, pol)) - r * chi
-    c1_tensor_hat = hat_of(lamp).scaled(chi) + lambda_hat(pol).scaled(chip)
+    v_cls, w_cls, d_v, _ = _vector_pair(r, lam, chi, params["rp"], lamp, chip)
+    c1_bundle = _dual_bundle_c1(pol, lam, r, chi, v_cls, w_cls)
+    c1_tensor_hat = hat_of(lamp).scaled(chi) + hat_of(lam).scaled(chip)
     return {"prop_split1": c1_bundle - c1_tensor_hat.scaled(d_v)}
 
 
 def _check_llp(params) -> dict:
     """lam . lam_hat . c1(P)^2/2 integrates to lam^2 over the product."""
-    pol = Polarization(params["d"], params["e"])
+    pol, lam = _polarization(params["d"], params["e"])
     lam_prod = polarization_class(SP_AxAH, 0, pol)
-    lam_hat = _P2_AxAH.pullback(lambda_hat(pol))
-    lam_sq = integrate_product(_lambda_on(SP_A, pol), _lambda_on(SP_A, pol))
+    lam_hat = _P2_AxAH.pullback(hat_of(lam))
+    lam_sq = integrate_product(lam, lam)
     value = integrate_product(wedge(lam_prod, lam_hat), _CP_HALF_SQUARE)
     return {"llp": value - lam_sq}
 
 
 def _check_bl(params) -> dict:
     """Double-Poincare pushforward pulled back along Phi x 1."""
-    pol = Polarization(params["d"], params["e"])
-    lam = _lambda_on(SP_A, pol)
+    pol, lam = _polarization(params["d"], params["e"])
 
     pushed = pushforward(_Q_POINCARE, _Q1.pullback(lam), 0)  # lives on Ah1 x Ah2
     phi_times_one = factorwise(
@@ -554,13 +553,11 @@ def _check_prop_split2(params) -> dict:
     covers non-proportional forms as well as lambda' = 0 and
     lambda = a lambda'.
     """
-    pol = Polarization(params["d"], params["e"])
+    pol, lam = _polarization(params["d"], params["e"])
     r, chi = params["r"], params["chi"]
-    rp, chip = params["rp"], params["chip"]
     lamp = two_form(SP_A, 0, {(0, 1): params["a12"], (2, 3): params["a34"]})
-    chi_bundle = _two_parameter_bundle_chi(pol, r, chi, rp, lamp, chip)
-    d_v = _half_square(_lambda_on(SP_A, pol)) - r * chi
-    d_w = _half_square(lamp) - rp * chip
+    v_cls, w_cls, d_v, d_w = _vector_pair(r, lam, chi, params["rp"], lamp, params["chip"])
+    chi_bundle = _two_parameter_bundle_chi(pol, lam, r, chi, v_cls, w_cls)
     return {"prop_split2": chi_bundle - (d_v * d_w) ** 2}
 
 
@@ -571,18 +568,13 @@ def _check_dw0_chern(params) -> dict:
     under orthogonality.  The numeric draws lie on the d_w = 0 locus, where
     this is the finite-cover count chi'^2 d_v, i.e. the quotient value d_v.
     """
-    pol = Polarization(params["d"], params["e"])
-    r, chi = params["r"], params["chi"]
-    rp, chip = params["rp"], params["chip"]
-    lam = _lambda_on(SP_A, pol)
+    _, lam = _polarization(params["d"], params["e"])
+    chi, chip = params["chi"], params["chip"]
     lamp = _alpha_class(params)
-    v_cls = mukai_class(SP_A, 0, r, lam, chi)
-    w_cls = mukai_class(SP_A, 0, rp, lamp, chip)
+    v_cls, w_cls, d_v, d_w = _vector_pair(params["r"], lam, chi, params["rp"], lamp, chip)
 
     c1 = -pushforward(M_AxA.pullback(w_cls), P1_AxA.pullback(v_cls), 0, 6)
     expected = -(lam.scaled(chip) + lamp.scaled(chi))
-    d_v = _half_square(lam) - r * chi
-    d_w = _half_square(lamp) - rp * chip
 
     return {
         "chern_class": c1 - expected,
@@ -614,9 +606,11 @@ def _check_assembly(identity_id, bundle_chi, theorem, base_is_dw, params) -> dic
     evaluator, looked up in ``formulas`` when the check runs.
     """
     d0, e0, k, kp = params["d0"], params["e0"], params["k"], params["kp"]
-    lamp = _lambda_on(SP_A, Polarization(d0 * kp, e0 * kp))
-    chi_bundle = bundle_chi(Polarization(d0 * k, e0 * k), params["r"], params["chi"],
-                            params["rp"], lamp, params["chip"])
+    r, chi = params["r"], params["chi"]
+    pol, lam = _polarization(d0 * k, e0 * k)
+    _, lamp = _polarization(d0 * kp, e0 * kp)
+    v_cls, w_cls, _, _ = _vector_pair(r, lam, chi, params["rp"], lamp, params["chip"])
+    chi_bundle = bundle_chi(pol, lam, r, chi, v_cls, w_cls)
     vectors = (params[name] for name in ("r", "k", "chi", "rp", "kp", "chip", "n"))
     residual = _per_lane(partial(_assembly_residual, theorem, base_is_dw), chi_bundle, *vectors)
     return {identity_id: residual}
@@ -760,20 +754,16 @@ ALL_IDENTITIES = tuple(REGISTRY)
 def _describe_instantiation(params) -> dict:
     """The report's view of ``params``, in their order: ints as they are,
     Fractions as text, a Poly as "symbolic", and the constraint as the
-    "eliminated" substitution.  Dispatches on exact types, most frequent
-    first: ``isinstance`` on Fraction goes through ABCMeta."""
+    "eliminated" substitution."""
     out = {}
     for key, value in params.items():
-        kind = type(value)
-        if kind is int:
-            out[key] = value
-        elif kind is Fraction:
-            out[key] = str(value)
-        elif key == "constraint":
+        if key == "constraint":
             var, num, den = value
             out["eliminated"] = f"{var} := ({num!r})/({den!r})"
-        elif kind is Poly:
+        elif isinstance(value, Poly):
             out[key] = "symbolic"
+        elif isinstance(value, Fraction):
+            out[key] = str(value)
         else:
             out[key] = value
     return out

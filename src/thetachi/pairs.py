@@ -63,15 +63,14 @@ class PairRow:
         self.flags = flags
 
     def to_json_dict(self) -> dict:
-        v_text, w_text = self.v.text(), self.w.text()
         out = {
             "n": str(self.v.n),
-            "v": v_text,
-            "w": w_text,
+            "v": self.v.text(),
+            "w": self.w.text(),
             "d_v": str(self.d_v),
             "d_w": str(self.d_w),
         }
-        results = form_results(self.forms, {"v": v_text, "w": w_text, "n": self.v.n})
+        results = form_results(self.forms, self.v, self.w)
         for name, result in zip(("chi_main", "chi_two", "chi_three"), results):
             out[name] = None if result is None else result.to_json_dict()
         out["flags"] = list(self.flags)

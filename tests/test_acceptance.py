@@ -111,8 +111,9 @@ def test_ac5_hilbert_consistency():
     for n in range(1, 13):
         for r in range(0, 4):
             for chiD in range(r * r * n + 1, r * r * n + 21):
-                hil = chi_hilbert(n, chiD, r).value
-                kum = chi_kummer(KummerClass(chiD, r, n)).value
+                kc = KummerClass(chiD, r, n)
+                hil = chi_hilbert(kc).value
+                kum = chi_kummer(kc).value
                 assert hil == Fraction(chiD, n * n) * kum, (n, r, chiD)
                 checked += 1
     report("AC-5 etale-cover consistency", True, f"{checked} triples")

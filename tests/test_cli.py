@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import thetachi.cli as cli
+import thetachi.formulas as formulas
 import thetachi.pairs as pairs
 from thetachi.cli import MAX_BOX_VOLUME, MAX_TRIALS, main
 
@@ -471,6 +472,25 @@ def test_kummer_output(capsys):
     payload = json.loads(out)
     assert payload["kummer"]["value"] == str(5 * 495)
     assert "bb_cross_value" in payload
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_kummer_builds_each_binomial_once(capsys, monkeypatch, n):
+    # one binom(top, n - 1) for the Kummer value and one for the Hilbert
+    # value; the residual and the n >= 3 Beauville-Bogomolov value reuse them
+    calls = []
+    original = formulas.binom
+
+    def counting(a, b):
+        calls.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(formulas, "binom", counting)
+    code, out, _ = run_cli(capsys, "kummer", "--n", str(n), "--chiD", "7", "--r", "2")
+    assert code == 0
+    assert ("bb_cross_value" in json.loads(out)) == (n >= 3)
+    top = 7 - 3 * n - 1
+    assert calls == [(top, n - 1)] * 2
 
 
 def test_kummer_bad_n(capsys):

@@ -151,19 +151,20 @@ def test_chi_kummer_values():
 
 def test_chi_hilbert_values():
     for chiD in (-2, 1, 9):
-        assert chi_hilbert(1, chiD, 3).value == chiD
-    assert chi_hilbert(2, 4, 0).value == 10
-    assert chi_hilbert(2, 3, 0).value == 6  # (3/2) * binom(4, 1)
+        assert chi_hilbert(KummerClass(chiD, 3, 1)).value == chiD
+    assert chi_hilbert(KummerClass(4, 0, 2)).value == 10
+    assert chi_hilbert(KummerClass(3, 0, 2)).value == 6  # (3/2) * binom(4, 1)
     for n in (0, -2):
         with pytest.raises(FormulaError, match="^n must be at least 1$"):
-            chi_hilbert(n, 3, 0)
+            chi_hilbert(KummerClass(3, 0, n))
 
 
 def test_etale_cover_consistency():
     for n in range(1, 6):
         for r in range(0, 3):
             for chiD in range(-4, 12):
-                assert etale_cover_residual(n, chiD, r) == 0
+                kc = KummerClass(chiD, r, n)
+                assert etale_cover_residual(kc, chi_hilbert(kc), chi_kummer(kc)) == 0
 
 
 def test_kummer_albanese_crosswalk():
@@ -259,9 +260,10 @@ def test_beauville_bogomolov():
     for n in range(3, 13):
         for r in range(-3, 4):
             for chiD in range(-20, 21):
-                assert chi_from_bb(KummerClass(chiD, r, n)).value == chi_kummer(
-                    KummerClass(chiD, r, n)
-                ).value
+                kc = KummerClass(chiD, r, n)
+                kummer = chi_kummer(kc)
+                bb = n * binom(beauville_bogomolov(kc) // 2 + n - 1, n - 1)
+                assert chi_from_bb(kc, kummer).value == bb == kummer.value
 
 
 def test_chi_result_serialization():
@@ -274,7 +276,7 @@ def test_chi_result_serialization():
     for n in range(1, 6):
         for chiD in range(-6, 10):
             for r in range(0, 4):
-                assert chi_hilbert(n, chiD, r).integral
+                assert chi_hilbert(KummerClass(chiD, r, n)).integral
 
 
 def test_non_integral_values_survive_exactly():
@@ -347,7 +349,7 @@ def check_against_reference(v, w) -> set:
     """Assert the int evaluators and the row kernel's entries equal the
     reference on (v, w); return the "theorem:branch" outcomes reached,
     "undef" for None."""
-    rows = form_results(row_forms(v.r, v.chi, v.d, w.r, w.chi, w.d), {})
+    rows = form_results(row_forms(v.r, v.chi, v.d, w.r, w.chi, w.d), v, w)
     reached = set()
     for (tag, evaluator), row, expected in zip(_EVALUATORS, rows, reference_closed_forms(v, w)):
         result = _evaluate_or_none(evaluator, v, w)

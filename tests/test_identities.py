@@ -644,37 +644,6 @@ def test_draw_stream_refills_block_by_block():
             identities._randint(rng, -9, 9) for _ in range(count)]
 
 
-def _describe_with_isinstance(params) -> dict:
-    """The isinstance dispatch _describe_instantiation replaced: its oracle."""
-    out = {}
-    for key, value in params.items():
-        if key == "constraint":
-            var, num, den = value
-            out["eliminated"] = f"{var} := ({num!r})/({den!r})"
-        elif isinstance(value, Poly):
-            out[key] = "symbolic"
-        elif isinstance(value, Fraction):
-            out[key] = str(value)
-        else:
-            out[key] = value
-    return out
-
-
-def test_describe_instantiation_matches_its_isinstance_oracle():
-    dicts = [REGISTRY[i].symbolic_params() for i in ALL_IDENTITIES
-             if REGISTRY[i].symbolic_params is not None]
-    for identity_id in ALL_IDENTITIES:
-        rng = random.Random(f"42:{identity_id}")
-        dicts.extend(rows(REGISTRY[identity_id].sample(rng, 200)))
-    assert any("constraint" in params for params in dicts)
-    assert any(type(v) is Fraction for params in dicts for v in params.values())
-    for params in dicts:
-        ours, oracle = identities._describe_instantiation(params), _describe_with_isinstance(params)
-        # same keys in the same order, and values of the same type
-        assert [(k, type(v), v) for k, v in ours.items()] == \
-            [(k, type(v), v) for k, v in oracle.items()]
-
-
 def test_split_lane_checks_build_no_fraction(monkeypatch):
     # the common-denominator lanes build a Fraction only when a lane is
     # read; prop_split* and dw0_chern read none, so a warm check builds none

@@ -186,8 +186,7 @@ def test_rows_match_the_public_evaluators():
         expected_json = {
             "n": str(v.n), "v": v.text(), "w": w.text(), "d_v": str(v.d), "d_w": str(w.d),
         }
-        inputs = {"v": v.text(), "w": w.text(), "n": v.n}
-        for (name, tag, _), got, result in zip(_EVALUATORS, form_results(row.forms, inputs),
+        for (name, tag, _), got, result in zip(_EVALUATORS, form_results(row.forms, v, w),
                                                results):
             if result is None:
                 assert got is None
