@@ -115,7 +115,8 @@ MUTANTS = (
      "rows = zip(*[columns[key] for key in keys], range(len(residuals)))",
      "rows = zip(*[columns[key] for key in keys], range(1, len(residuals) + 1))"),
     ("Mukai pair builder swaps v and w", "src/thetachi/identities.py",
-     "return v_cls, w_cls, d_v, d_w", "return w_cls, v_cls, d_v, d_w"),
+     "return mukai_class(SP_A, 0, r, lam, chi), mukai_class(SP_A, 0, rp, lamp, chip)",
+     "return mukai_class(SP_A, 0, rp, lamp, chip), mukai_class(SP_A, 0, r, lam, chi)"),
     ("Beauville-Bogomolov top off by one", "src/thetachi/formulas.py",
      "top = b // 2 + kc.n - 1\n", "top = b // 2 + kc.n\n"),
     ("stderr writer None guard removed", "src/thetachi/cli.py",

@@ -311,18 +311,19 @@ _ISOMETRY_SPEC = ParamSpec(tuple(
 
 
 # -- bundle builders, shared by prop_split* and assembly_* -----------------------
-# v = (r, lambda, chi) and w = (r', lambda', chi') with lambda the class of
-# the polarization pol.  ``_vector_pair`` builds the Mukai classes of v and w
-# once per check; each builder takes (pol, lambda, r, chi, v class, w class).
+# v = (r, lambda, chi) and w = (r', lambda', chi'), lambda the class of pol.
+# ``_vector_pair`` builds their Mukai classes, and a check builds only the d it
+# reads; each builder takes (pol, lambda, r, chi, v class, w class).
 
 
 def _vector_pair(r, lam, chi, rp, lamp, chip) -> tuple:
-    """(v class, w class, d_v, d_w) of v = (r, lam, chi) and w = (r', lam', chi') on A."""
-    (v_cls, d_v), (w_cls, d_w) = [
-        (mukai_class(SP_A, 0, rank, c1, euler), _half_square(c1) - rank * euler)
-        for rank, c1, euler in ((r, lam, chi), (rp, lamp, chip))
-    ]
-    return v_cls, w_cls, d_v, d_w
+    """(v class, w class) of v = (r, lam, chi) and w = (r', lam', chi') on A."""
+    return mukai_class(SP_A, 0, r, lam, chi), mukai_class(SP_A, 0, rp, lamp, chip)
+
+
+def _dimension_invariant(rank, c1, euler):
+    """The dimension invariant d = ∫c1^2/2 - rank chi of (rank, c1, chi) on A."""
+    return _half_square(c1) - rank * euler
 
 
 def _translation_bundle_c1(pol, lam, r, chi, v_cls, w_cls) -> ExteriorClass:
@@ -454,10 +455,10 @@ def _check_prop_split(params) -> dict:
     pol, lam = _polarization(params["d"], params["e"])
     r, chi, rp = params["r"], params["chi"], params["rp"]
     lamp = _alpha_class(params)  # general two-form as c1 of the partner
-    v_cls, w_cls, d_v, _ = _vector_pair(r, lam, chi, rp, lamp, params["chip"])
+    v_cls, w_cls = _vector_pair(r, lam, chi, rp, lamp, params["chip"])
     c1_bundle = _translation_bundle_c1(pol, lam, r, chi, v_cls, w_cls)
     c1_tensor_cls = lamp.scaled(r) + lam.scaled(rp)
-    return {"prop_split": c1_bundle - c1_tensor_cls.scaled(d_v)}
+    return {"prop_split": c1_bundle - c1_tensor_cls.scaled(_dimension_invariant(r, lam, chi))}
 
 
 def _check_sec5_a(params) -> dict:
@@ -517,10 +518,10 @@ def _check_prop_split1(params) -> dict:
     pol, lam = _polarization(params["d"], params["e"])
     r, chi, chip = params["r"], params["chi"], params["chip"]
     lamp = _alpha_class(params)
-    v_cls, w_cls, d_v, _ = _vector_pair(r, lam, chi, params["rp"], lamp, chip)
+    v_cls, w_cls = _vector_pair(r, lam, chi, params["rp"], lamp, chip)
     c1_bundle = _dual_bundle_c1(pol, lam, r, chi, v_cls, w_cls)
     c1_tensor_hat = hat_of(lamp).scaled(chi) + hat_of(lam).scaled(chip)
-    return {"prop_split1": c1_bundle - c1_tensor_hat.scaled(d_v)}
+    return {"prop_split1": c1_bundle - c1_tensor_hat.scaled(_dimension_invariant(r, lam, chi))}
 
 
 def _check_llp(params) -> dict:
@@ -554,10 +555,11 @@ def _check_prop_split2(params) -> dict:
     lambda = a lambda'.
     """
     pol, lam = _polarization(params["d"], params["e"])
-    r, chi = params["r"], params["chi"]
+    r, chi, rp, chip = params["r"], params["chi"], params["rp"], params["chip"]
     lamp = two_form(SP_A, 0, {(0, 1): params["a12"], (2, 3): params["a34"]})
-    v_cls, w_cls, d_v, d_w = _vector_pair(r, lam, chi, params["rp"], lamp, params["chip"])
+    v_cls, w_cls = _vector_pair(r, lam, chi, rp, lamp, chip)
     chi_bundle = _two_parameter_bundle_chi(pol, lam, r, chi, v_cls, w_cls)
+    d_v, d_w = _dimension_invariant(r, lam, chi), _dimension_invariant(rp, lamp, chip)
     return {"prop_split2": chi_bundle - (d_v * d_w) ** 2}
 
 
@@ -569,12 +571,13 @@ def _check_dw0_chern(params) -> dict:
     this is the finite-cover count chi'^2 d_v, i.e. the quotient value d_v.
     """
     _, lam = _polarization(params["d"], params["e"])
-    chi, chip = params["chi"], params["chip"]
+    r, chi, rp, chip = params["r"], params["chi"], params["rp"], params["chip"]
     lamp = _alpha_class(params)
-    v_cls, w_cls, d_v, d_w = _vector_pair(params["r"], lam, chi, params["rp"], lamp, chip)
+    v_cls, w_cls = _vector_pair(r, lam, chi, rp, lamp, chip)
 
     c1 = -pushforward(M_AxA.pullback(w_cls), P1_AxA.pullback(v_cls), 0, 6)
     expected = -(lam.scaled(chip) + lamp.scaled(chi))
+    d_v, d_w = _dimension_invariant(r, lam, chi), _dimension_invariant(rp, lamp, chip)
 
     return {
         "chern_class": c1 - expected,
@@ -609,7 +612,7 @@ def _check_assembly(identity_id, bundle_chi, theorem, base_is_dw, params) -> dic
     r, chi = params["r"], params["chi"]
     pol, lam = _polarization(d0 * k, e0 * k)
     _, lamp = _polarization(d0 * kp, e0 * kp)
-    v_cls, w_cls, _, _ = _vector_pair(r, lam, chi, params["rp"], lamp, params["chip"])
+    v_cls, w_cls = _vector_pair(r, lam, chi, params["rp"], lamp, params["chip"])
     chi_bundle = bundle_chi(pol, lam, r, chi, v_cls, w_cls)
     vectors = (params[name] for name in ("r", "k", "chi", "rp", "kp", "chip", "n"))
     residual = _per_lane(partial(_assembly_residual, theorem, base_is_dw), chi_bundle, *vectors)
@@ -819,18 +822,14 @@ def _trial_template(identity_id: str, keys: list) -> str:
     """``IdentityReport.to_json_text`` of a passing numeric trial as one
     %-format: its values in the order of the sorted ``keys``, then its
     trial index.  A column value is an int or a Fraction, whose text needs
-    no JSON escape."""
-    def literal(text):
-        return quote(text).replace("%", "%%")
+    no JSON escape.
 
-    instantiation = "{\n      " + ",\n      ".join(
-        [f'{literal(key)}: "%s"' for key in keys]
-    ) + "\n    }" if keys else "{}"
-    return (f'  {{\n    "identity": {literal(identity_id)},\n'
-            f'    "mode": "numeric",\n'
-            f'    "instantiation": {instantiation},\n'
-            f'    "residual": "0",\n'
-            f'    "pass": true,\n    "trial": "%s"\n  }}')
+    The report is rendered with a slot in place of every value: a run of
+    NULs longer than the id and every key, so no other quoted string of
+    the report contains the slot's quoted text."""
+    slot = "\0" * (1 + max(map(len, [identity_id, *keys])))
+    report = IdentityReport(identity_id, "numeric", dict.fromkeys(keys, slot), "0", True, slot)
+    return report.to_json_text().replace("%", "%%").replace(quote(slot), '"%s"')
 
 
 def _report(identity_id, mode, params, residual: str, trial) -> IdentityReport:
@@ -916,11 +915,11 @@ def run_suite(seed: int, trials: int, only=None) -> list:
 def _report_block(run: tuple) -> tuple:
     """``(texts, passed)`` of one run: the ``to_json_text`` of each of its
     reports and how many pass.  A passing trial is rendered from the
-    identity's template; only a trial with a nonzero residual builds its
-    ``IdentityReport``."""
+    identity's template, built only when the run has trials; only a trial
+    with a nonzero residual builds its ``IdentityReport``."""
     identity_id, symbolic, columns, residuals = run
     keys = sorted(columns)
-    template = _trial_template(identity_id, keys)
+    template = _trial_template(identity_id, keys) if residuals else None
     rows = zip(*[columns[key] for key in keys], range(len(residuals)))
     texts = [report.to_json_text() for report in symbolic]
     texts += [template % row if residual == "0"

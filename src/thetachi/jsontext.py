@@ -3,11 +3,11 @@
 Every JSON output of the CLI comes from this module.  ``eval``, ``kummer``
 and ``enumerate --format json`` render their payloads with ``dumps``.
 ``verify`` renders each report with ``dumps``, except a passing numeric
-trial, which fills a per-identity template built with ``quote`` (see
-``identities``).  With ``indent``
-set, ``json.dumps`` leaves its C encoder for the pure-Python one; a
-renderer for the few types of the output contract gives the same text in
-about half the time.  Strings are escaped by ``json.encoder``'s own
+trial, which fills a per-identity template: the ``to_json_text`` of one
+report with a placeholder for each value (see ``identities``).  With
+``indent`` set, ``json.dumps`` leaves its C encoder for the pure-Python
+one; a renderer for the few types of the output contract gives the same
+text in about half the time.  Strings are escaped by ``json.encoder``'s own
 ``encode_basestring_ascii``, the default escaping of ``json.dumps``.
 The output contract has no raw numbers (every number is already an exact
 decimal string), so any value that is not a ``str``, ``True``, ``False``,

@@ -14,13 +14,14 @@ the orthogonality of each pair it finds, once.  Every pair is found before
 any row is built, and a pair whose values provably have more digits than
 ``int`` -> ``str`` allows stops the scan, so a refused box builds no row.
 
-A row is lean: d_v, d_w, the ``formulas.row_forms`` entries of the three
-theta Euler characteristics (value or None, and branch) and a flags tuple
-shared by every row with the same flags.  Its ``ChiResult``s are built
-only for the JSON output.  Values become text only in ``rows_to_csv``,
-which makes each vector's text once, and ``rows_to_json``, which renders
-the rows' ``to_json_dict`` payload through ``jsontext.dumps``, the bytes
-of ``json.dumps`` with ``indent=2``.
+A row is lean: its two vectors, which carry d_v and d_w, the
+``formulas.row_forms`` entries of the three theta Euler characteristics
+(value or None, and branch) and a flags tuple shared by every row with
+the same flags.  Its ``ChiResult``s are built only for the JSON output.
+Values become text only in ``rows_to_csv``, which makes each vector's
+text once, and ``rows_to_json``, which renders the rows' ``to_json_dict``
+payload through ``jsontext.dumps``, the bytes of ``json.dumps`` with
+``indent=2``.
 Output is deterministic: rows come out in the lexicographic order of their
 integer key, and every number is rendered as an exact decimal string.
 """
@@ -48,17 +49,14 @@ class DigitLimitError(ValueError):
 
 
 class PairRow:
-    """One orthogonal pair: its vectors, d_v, d_w, the ``formulas.row_forms``
-    entries of its three closed forms and its flags."""
+    """One orthogonal pair: its vectors, the ``formulas.row_forms`` entries
+    of its three closed forms and its flags."""
 
-    __slots__ = ("v", "w", "d_v", "d_w", "forms", "flags")
+    __slots__ = ("v", "w", "forms", "flags")
 
-    def __init__(self, v: MukaiVector, w: MukaiVector, d_v: int, d_w: int, forms: tuple,
-                 flags: tuple):
+    def __init__(self, v: MukaiVector, w: MukaiVector, forms: tuple, flags: tuple):
         self.v = v
         self.w = w
-        self.d_v = d_v
-        self.d_w = d_w
         self.forms = forms
         self.flags = flags
 
@@ -67,8 +65,8 @@ class PairRow:
             "n": str(self.v.n),
             "v": self.v.text(),
             "w": self.w.text(),
-            "d_v": str(self.d_v),
-            "d_w": str(self.d_w),
+            "d_v": str(self.v.d),
+            "d_w": str(self.w.d),
         }
         results = form_results(self.forms, self.v, self.w)
         for name, result in zip(("chi_main", "chi_two", "chi_three"), results):
@@ -118,7 +116,7 @@ def build_row(v: MukaiVector, w: MukaiVector) -> PairRow:
            None if main is None else main_branch if main.denominator == 1 else (main_branch,),
            None if two is None else two_branch if two.denominator == 1 else (two_branch,),
            None if three is None else three_branch if three.denominator == 1 else (three_branch,))
-    return PairRow(v, w, dv_, dw_, forms, _flags(key))
+    return PairRow(v, w, forms, _flags(key))
 
 
 def _solutions(base: int, step: int, bound: int, max_k: int) -> range:
@@ -216,7 +214,7 @@ def rows_to_csv(rows, summary) -> str:
         v_text = texts.get(id(v)) or texts.setdefault(id(v), v.text())
         w_text = texts.get(id(w)) or texts.setdefault(id(w), w.text())
         flag_text = texts.get(id(flags)) or texts.setdefault(id(flags), ";".join(flags) or "-")
-        lines.append(f"{v.n},{v_text},{w_text},{row.d_v},{row.d_w},"
+        lines.append(f"{v.n},{v_text},{w_text},{v.d},{w.d},"
                      f"{'' if main[0] is None else main[0]},{'' if two[0] is None else two[0]},"
                      f"{'' if three[0] is None else three[0]},{flag_text}")
     lines.append(f"# pairs={summary['pairs']} vectors={summary['vectors']} "

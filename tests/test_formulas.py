@@ -433,9 +433,9 @@ def test_closed_forms_build_one_binomial_per_row(monkeypatch):
         calls.clear()
         v, w = row.v, row.w
         assert row_forms(v.r, v.chi, v.d, w.r, w.chi, w.d) == row.forms
-        if row.d_v >= 1 and row.d_w >= 1:
+        if v.d >= 1 and w.d >= 1:
             generic += 1
-            assert calls == [(row.d_v + row.d_w - 1, row.d_v - 1)]
+            assert calls == [(v.d + w.d - 1, v.d - 1)]
         else:
             assert len(calls) <= 1
     assert generic > 100

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from thetachi import identities
+from thetachi import cli, identities
 from thetachi.identities import (
     ALL_IDENTITIES,
     REGISTRY,
@@ -668,3 +668,44 @@ def test_split_lane_checks_build_no_fraction(monkeypatch):
             residuals = identity.check(params)
         assert built == [], identity_id
         assert all(identities._is_zero(value) for value in residuals.values())
+
+
+# calls of identities._half_square in one check: each d_v, d_w read, plus
+# the half-square of a bundle class (assembly_main/two, dw0_chern's c1)
+HALF_SQUARES = {"prop_split": 1, "prop_split1": 1, "prop_split2": 2, "dw0_chern": 3,
+                "assembly_main": 1, "assembly_two": 1, "assembly_three": 0}
+
+
+@pytest.mark.parametrize("identity_id,expected", sorted(HALF_SQUARES.items()))
+def test_checks_build_only_the_d_they_read(monkeypatch, identity_id, expected):
+    identity = REGISTRY[identity_id]
+    columns = identity.sample(random.Random(f"42:{identity_id}"), 8)
+    params = {name: Lanes(column) for name, column in columns.items()}
+    calls = []
+    real = identities._half_square
+
+    def half_square(c):
+        calls.append(c)
+        return real(c)
+
+    monkeypatch.setattr(identities, "_half_square", half_square)
+    residuals = identity.check(params)
+    assert all(identities._is_zero(value) for value in residuals.values())
+    assert len(calls) == expected
+
+
+def test_a_run_without_trials_builds_no_trial_template(monkeypatch, capsys):
+    calls = []
+    real = identities._trial_template
+
+    def trial_template(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(identities, "_trial_template", trial_template)
+    blocks = list(identities.report_blocks(42, 0))
+    assert len(blocks) == len(ALL_IDENTITIES) and calls == []
+    assert cli.main(["verify", "--only", "assembly_main", "--trials", "0"]) == 0
+    assert capsys.readouterr().out == "[]\n" and calls == []
+    list(identities.report_blocks(42, 1, ("fmp",)))
+    assert len(calls) == 1

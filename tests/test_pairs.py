@@ -181,7 +181,6 @@ def test_rows_match_the_public_evaluators():
     for row in rows + [build_row(v, w) for v, w in hand]:
         v, w = row.v, row.w
         results = [_evaluate(evaluator, v, w) for _, _, evaluator in _EVALUATORS]
-        assert (row.d_v, row.d_w) == (v.d, w.d)
         assert row.flags == reference_flags(v, w, results)
         expected_json = {
             "n": str(v.n), "v": v.text(), "w": w.text(), "d_v": str(v.d), "d_w": str(w.d),
