@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Mutation gate: the test suite must catch drift in each sign convention,
-bitset or contraction kernel, table of basis images, partner-search
-branch, closed-form binomial sum, degenerate-branch label of a row,
+bitset or contraction kernel, table of basis images, first term of a
+key's sum in the pullback, partner-search branch, closed-form binomial
+sum, degenerate-branch label of a row,
 the dimension invariant d_v, the column draw and lane split of the
 numeric trials, the per-lane helper, the per-lane Fraction flags of the
 lanes, the JSON renderer's key separator and booleans, the verify trial
@@ -65,7 +66,7 @@ MUTANTS = (
     ("exp_even factorial", "src/thetachi/exterior.py",
      "factorial *= k", "factorial *= 1"),
     ("Poly guard test removed", "src/thetachi/poly.py",
-     "if mono & guard:", "if False:"),
+     "                if mono & guard:", "                if False:"),
     ("Poly normalization removed", "src/thetachi/poly.py",
      "m: c.numerator if type(c) is Fraction and c.denominator == 1 else c\n", "m: c\n"),
     ("partner exact division dropped", "src/thetachi/pairs.py",
@@ -79,7 +80,10 @@ MUTANTS = (
     ("pullback table wrong key", "src/thetachi/exterior.py",
      "image = images.get(key)\n", "image = images.get(key & -key)\n"),
     ("transform table drops coefficient", "src/thetachi/abelian.py",
-     "get(image_key, 0) + coeff * a", "get(image_key, 0) + a"),
+     "out[image_key] = coeff * a if prev is None else prev + coeff * a",
+     "out[image_key] = a if prev is None else prev + a"),
+    ("pullback first term drops coefficient", "src/thetachi/exterior.py",
+     "out[mono] = coeff * a if prev is None", "out[mono] = a if prev is None"),
     ("negative Kummer top not reflected", "src/thetachi/formulas.py",
      "top = k - top - 1", "pass"),
     ("closed-form binomials swapped", "src/thetachi/formulas.py",

@@ -119,9 +119,11 @@ def mukai_class(sp: Space, position: int, rank: Scalar, c1: ExteriorClass, chi: 
     terms = {0: rank} if rank else {}
     get = terms.get
     for key, c in c1.terms.items():
-        terms[key] = get(key, 0) + c
+        prev = get(key)
+        terms[key] = c if prev is None else prev + c
     if chi:
-        terms[top] = get(top, 0) + chi
+        prev = get(top)
+        terms[top] = chi if prev is None else prev + chi
     return ExteriorClass._of(sp, terms)
 
 
@@ -265,7 +267,8 @@ def _transform(c: ExteriorClass, name: str, source: Space, target: Space) -> Ext
     get = out.get
     for key, coeff in c.terms.items():
         for image_key, a in _transform_image(key):
-            out[image_key] = get(image_key, 0) + coeff * a
+            prev = get(image_key)
+            out[image_key] = coeff * a if prev is None else prev + coeff * a
     return ExteriorClass._of(target, out)
 
 

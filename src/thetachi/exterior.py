@@ -37,6 +37,16 @@ rules: a pair of terms takes its sign from b's crossing mask exactly as in
 acts bitwise, the stripped key of ``ka | kb`` is the union of the stripped
 keys of ``ka`` and ``kb``, so each term is stripped once, not each pair.
 
+Every accumulation follows one rule: a key's first term is stored as
+computed, negated where its sign is odd, and later terms add to it
+(``term if prev is None else prev + term``).  Starting each sum from int 0
+instead would make a ``Poly`` coerce the 0 and copy its dict, and a
+``Lanes`` broadcast the 0 across its lanes, for every key; ``0 + x`` and
+``x`` are the same value of the same type for every scalar, so the rule
+changes no result, and it needs no knowledge of the scalar types.  The
+classes' ``+``, the morphisms' tables and composites, and ``abelian``'s
+transform and Mukai class builder keep the same rule.
+
 All values are immutable and all operations are pure functions, with one
 kind of internal state: a :class:`MorphismH1` fills a write-once table of
 basis images as its pullback meets new monomials.  The table is a function
@@ -214,8 +224,10 @@ class ExteriorClass:
     def __add__(self, other):
         self._check(other)
         terms = dict(self.terms)
+        get = terms.get
         for key, coeff in other.terms.items():
-            terms[key] = terms.get(key, 0) + coeff
+            prev = get(key)
+            terms[key] = coeff if prev is None else prev + coeff
         return ExteriorClass._of(self.space, terms)
 
     def __neg__(self):
@@ -294,10 +306,11 @@ def wedge(a: ExteriorClass, b: ExteriorClass) -> ExteriorClass:
             if ka & kb:
                 continue
             key = ka | kb
+            term = ca * cb
             if (ka & crossing).bit_count() & 1:
-                out[key] = get(key, 0) - ca * cb
-            else:
-                out[key] = get(key, 0) + ca * cb
+                term = -term
+            prev = get(key)
+            out[key] = term if prev is None else prev + term
     return ExteriorClass._of(a.space, out)
 
 
@@ -365,10 +378,11 @@ def pushforward(a: ExteriorClass, b: ExteriorClass, fiber_position: int,
             if ka & kb:
                 continue
             key = rest | kb_rest
+            term = ca * cb
             if (ka & crossing).bit_count() & 1:
-                out[key] = get(key, 0) - ca * cb
-            else:
-                out[key] = get(key, 0) + ca * cb
+                term = -term
+            prev = get(key)
+            out[key] = term if prev is None else prev + term
     return ExteriorClass._of(a.space.without(fiber_position), out)
 
 
@@ -377,16 +391,16 @@ def integrate_product(a: ExteriorClass, b: ExteriorClass) -> Scalar:
     a._check(b)
     top = (1 << a.space.ngens) - 1
     get = b.terms.get
-    total = 0
+    total = None
     for ka, ca in a.terms.items():
         kb = top ^ ka
         cb = get(kb)
         if cb is None:
             continue
+        term = ca * cb
         if (ka & _crossing(kb)).bit_count() & 1:
-            total = total - ca * cb
-        else:
-            total = total + ca * cb
+            term = -term
+        total = term if total is None else total + term
     return normalize_scalar(total) if total else 0
 
 
@@ -468,10 +482,11 @@ class MorphismH1:
                     bit = 1 << i
                     if mono & bit:
                         continue
+                    term = value * a
                     if (mono >> i).bit_count() & 1:
-                        grown[mono | bit] = get(mono | bit, 0) - value * a
-                    else:
-                        grown[mono | bit] = get(mono | bit, 0) + value * a
+                        term = -term
+                    prev = get(mono | bit)
+                    grown[mono | bit] = term if prev is None else prev + term
             partial = grown
         image = tuple((mono, value) for mono, value in partial.items() if value)
         return self._images.setdefault(key, image)
@@ -487,7 +502,8 @@ class MorphismH1:
             if image is None:
                 image = self._image(key)
             for mono, a in image:
-                out[mono] = get(mono, 0) + coeff * a
+                prev = get(mono)
+                out[mono] = coeff * a if prev is None else prev + coeff * a
         return ExteriorClass._of(self.source, out)
 
     def after(self, inner: "MorphismH1") -> "MorphismH1":
@@ -497,9 +513,11 @@ class MorphismH1:
         rows = []
         for row in self.rows:
             image: dict = {}
+            get = image.get
             for j, c in row:
                 for i, a in inner.rows[j]:
-                    image[i] = image.get(i, 0) + c * a
+                    prev = get(i)
+                    image[i] = c * a if prev is None else prev + c * a
             rows.append(sorted(image.items()))
         return MorphismH1(inner.source, self.target, rows)
 

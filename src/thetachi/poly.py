@@ -187,9 +187,16 @@ class Poly:
                 m: normalize_scalar(c * other) for m, c in self.terms.items()
             })
         guard = _GUARD
+        right = other.terms.items()
+        if len(self.terms) == 1 == len(right):
+            # two monomials: one product and nothing to collect
+            ((m1, c1),), ((m2, c2),) = self.terms.items(), right
+            mono = m1 + m2
+            if mono & guard:
+                raise _overflow(mono)
+            return Poly._of({mono: normalize_scalar(c1 * c2)})
         out: dict = {}
         get = out.get
-        right = other.terms.items()
         for m1, c1 in self.terms.items():
             for m2, c2 in right:
                 mono = m1 + m2

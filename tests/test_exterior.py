@@ -380,10 +380,15 @@ def test_wedge_matches_brute_product_on_twelve_generators(a, b):
 
 # -- oracles for the contraction kernels ------------------------------------------
 
+LANES = 3  # lanes per Lanes coefficient
+fractions = st.builds(Fraction, coeffs, st.integers(min_value=1, max_value=4))
 KERNEL_COEFFS = {
     "int": coeffs,
-    "Fraction": st.builds(Fraction, coeffs, st.integers(min_value=1, max_value=4)),
+    "Fraction": fractions,
     "Poly": st.builds(lambda c, k: Poly.var("x") * c + k, coeffs, coeffs),
+    # int and Fraction lanes mixed, Fraction(n, 1) included
+    "Lanes": st.builds(Lanes, st.lists(st.one_of(coeffs, fractions),
+                                       min_size=LANES, max_size=LANES)),
 }
 KERNEL_SPACES = {"AxA": AxA, "AxAh": AxAH, "AxAxAh": AxAxAH, "AxAhxAh": AxAHxAH}
 FIBER_CASES = {
@@ -415,6 +420,44 @@ def partnered_pairs(draw, space, block, coeff):
     return ExteriorClass(space, a), ExteriorClass(space, b)
 
 
+def lane_view(x, i):
+    """Lane i of a class or scalar, each scalar beside its type: a class as
+    {key: (scalar, type)} over its nonzero lanes, a scalar as (scalar, type).
+    Nothing is normalized, so a lane that is a Fraction(n, 1) shows."""
+    if isinstance(x, ExteriorClass):
+        pairs = ((k, c[i] if type(c) is Lanes else c) for k, c in x.terms.items())
+        return {k: (c, type(c)) for k, c in pairs if c}
+    x = x[i] if type(x) is Lanes else x
+    return x, type(x)
+
+
+def lane_class(c, i):
+    """The class of lane i's scalars alone."""
+    return ExteriorClass._of(c.space, {k: v[i] if type(v) is Lanes else v
+                                       for k, v in c.terms.items()})
+
+
+def lanewise(kernel, a, b, *rest):
+    """kernel(a, b, *rest); when a or b carries Lanes, each lane of the
+    result must equal, in value and in type, kernel run on that lane alone."""
+    value = kernel(a, b, *rest)
+    if any(type(c) is Lanes for c in (*a.terms.values(), *b.terms.values())):
+        for i in range(LANES):
+            alone = kernel(lane_class(a, i), lane_class(b, i), *rest)
+            assert lane_view(value, i) == lane_view(alone, i)
+    return value
+
+
+@pytest.mark.parametrize("coeff", KERNEL_COEFFS.values(), ids=KERNEL_COEFFS)
+@pytest.mark.parametrize("space", KERNEL_SPACES.values(), ids=KERNEL_SPACES)
+@settings(max_examples=20)  # per case; the cases span spaces and scalars
+@given(data=st.data())
+def test_wedge_matches_brute_wedge_on_every_scalar(space, coeff, data):
+    """wedge(a, b) is the brute-force product, lane by lane for Lanes."""
+    a, b = data.draw(partnered_pairs(space, factor_block(space, 0), coeff))
+    assert lanewise(wedge, a, b) == brute_wedge(a, b)
+
+
 @pytest.mark.parametrize("coeff", KERNEL_COEFFS.values(), ids=KERNEL_COEFFS)
 @pytest.mark.parametrize("space, position", FIBER_CASES.values(), ids=FIBER_CASES)
 @settings(max_examples=20)  # per case; the cases span spaces, fibers and scalars
@@ -427,7 +470,8 @@ def test_pushforward_matches_brute_wedge_and_oracle(space, position, coeff, data
     target = Space(space.kinds[:position] + space.kinds[position + 1:])
     for degree in (None, *range(space.ngens + 1)):
         part = product if degree is None else product.part(degree)
-        assert pushforward(a, b, position, degree) == oracle_fiber_integrate(part, position, target)
+        assert (lanewise(pushforward, a, b, position, degree)
+                == oracle_fiber_integrate(part, position, target))
 
 
 @pytest.mark.parametrize("coeff", KERNEL_COEFFS.values(), ids=KERNEL_COEFFS)
@@ -439,9 +483,48 @@ def test_integrate_product_is_top_of_brute_wedge(space, coeff, data):
     product, normalized the same way (0 when absent); odd degrees included."""
     a, b = data.draw(partnered_pairs(space, list(range(space.ngens)), coeff))
     expected = brute_wedge(a, b).coefficient(range(space.ngens))
-    value = integrate_product(a, b)
+    value = lanewise(integrate_product, a, b)
     assert value == expected
     assert type(value) is type(expected)
+
+
+@pytest.mark.parametrize("scalar", [Poly.var("x") * 2 - 1, Lanes([1, Fraction(1, 2), -3])],
+                         ids=["Poly", "Lanes"])
+def test_kernels_start_no_sum_from_int_zero(monkeypatch, scalar):
+    """A key's first term is stored as computed: no kernel and no class +
+    adds a Poly or a Lanes coefficient to int 0, so neither type's
+    reflected + or - is ever called.  Every coefficient and morphism entry
+    is of the one scalar type, so a reflected call could only come from an
+    int accumulator; the classes make keys collide, with first terms of
+    both signs."""
+    import thetachi.abelian as abelian
+
+    calls = []
+    for kind in (Poly, Lanes):
+        for name in ("__radd__", "__rsub__"):
+            original = getattr(kind, name)
+
+            def counted(self, other, original=original, label=f"{kind.__name__}.{name}"):
+                calls.append(label)
+                return original(self, other)
+
+            monkeypatch.setattr(kind, name, counted)
+    s = scalar
+    a = ExteriorClass(AxAH, {(): s, (0,): s, (1,): s * 3, (4, 5): s, (0, 4, 5, 6, 7): s})
+    b = ExteriorClass(AxAH, {(): s * 2, (0,): s, (1,): s, (2, 3): s * s, (1, 2, 3): s})
+    rows = [[(i, s), ((i + 1) % 8, s + 1), ((i + 5) % 8, s * s)] for i in range(8)]
+    phi = MorphismH1(AxAH, AxAH, rows)
+    lam = ExteriorClass(abelian.SP_A, {(0, 1): s, (2, 3): s * 3})
+    even = ExteriorClass(abelian.SP_A, {(): s, (0, 1): s, (1, 2): s * 2, (0, 1, 2, 3): s})
+    top = ExteriorClass(AxAH, {(1, 2, 3, 4, 5, 6, 7): s})  # meets (0,) with an odd sign
+    results = [
+        wedge(a, b), wedge(b, a), pushforward(a, b, 0), pushforward(b, a, 1, 7),
+        integrate_product(a, b), integrate_product(top, a),
+        a + b, b - a, phi.pullback(a), phi.pullback(b), phi.after(phi).pullback(b),
+        abelian.mukai_class(abelian.SP_A, 0, s, lam, s), abelian.fm_transform(even),
+    ]
+    assert calls == []
+    assert all(not r.is_zero if isinstance(r, ExteriorClass) else r for r in results)
 
 
 def test_kernels_refuse_mismatched_spaces():

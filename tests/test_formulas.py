@@ -159,6 +159,53 @@ def test_chi_hilbert_values():
             chi_hilbert(KummerClass(3, 0, n))
 
 
+def series_product(a, b):
+    """Product of two int power series truncated to the length of a."""
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a))]
+
+
+def series_power(u, m):
+    """u**m for an int power series u with u[0] == 1 and any int m, truncated
+    to the length of u; a negative m inverts u term by term, all in ints."""
+    if m < 0:
+        inverse = [1]
+        for k in range(1, len(u)):
+            inverse.append(-sum(u[j] * inverse[k - j] for j in range(1, k + 1)))
+        u, m = inverse, -m
+    out = [1] + [0] * (len(u) - 1)
+    for _ in range(m):
+        out = series_product(out, u)
+    return out
+
+
+def egl_hilbert_value(chiD, r, n):
+    """The z^n coefficient of (1 + t)^chi(D), where t inverts
+    z = t (1 + t)^(r^2 - 1): the Ellingsrud-Goettsche-Lehn series (J.
+    Algebraic Geom. 10, 2001) on a surface with chi(O) = 0.  The inverse is
+    the fixed point of t = z (1 + t)^(1 - r^2); each pass fixes one more
+    coefficient of t."""
+    t = [0] * (n + 1)
+    for _ in range(n):
+        t = [0] + series_power([1] + t[1:], 1 - r * r)[:n]
+    return series_power([1] + t[1:], chiD)[n]
+
+
+@given(st.integers(-30, 60), st.integers(-4, 4), st.integers(1, 6))
+def test_chi_hilbert_is_the_egl_series_coefficient(chiD, r, n):
+    """chi(A^[n], D_(n) (x) E^r) read off the generating series by series
+    reversion, with no binomial coefficient on the way."""
+    assert chi_hilbert(KummerClass(chiD, r, n)).value == egl_hilbert_value(chiD, r, n)
+
+
+@given(st.integers(-30, 60), st.integers(-4, 4))
+def test_chi_kummer_is_riemann_roch_on_the_kummer_k3(chiD, r):
+    """At n = 2 the Kummer fiber is a K3 surface, where chi(L) = L^2/2 + 2.
+    Restricted to it, D_(2) has square 4 chi(D) and E square -8 (half the
+    sum of the sixteen (-2)-curves), orthogonal to D_(2), so
+    chi = 2 chi(D) - 4 r^2 + 2."""
+    assert chi_kummer(KummerClass(chiD, r, 2)).value == 2 * chiD - 4 * r * r + 2
+
+
 def test_etale_cover_consistency():
     for n in range(1, 6):
         for r in range(0, 3):

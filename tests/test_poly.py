@@ -215,6 +215,7 @@ def test_int_first_normalization():
         x / 2 + x / 2,
         (x * half + y) * (2 * x),
         (x * half) * (y * Fraction(2, 3)) * 3,
+        (x * half) * (y * 2),  # two monomials, an integral Fraction product
         eliminate_linear(z * z * half + x, "z", x, 2),
         eliminate_linear(z * Fraction(1, 3) + x * half, "z", 3 * x, 2),
     ]
