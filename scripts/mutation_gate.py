@@ -3,11 +3,12 @@
 bitset or contraction kernel, table of basis images, first term of a
 key's sum in the pullback, partner-search branch, closed-form binomial
 sum, degenerate-branch label of a row,
-the dimension invariant d_v, the column draw and lane split of the
-numeric trials, the per-lane helper, the per-lane Fraction flags of the
-lanes, the JSON renderer's key separator and booleans, the verify trial
-template, the bitset key of a class builder, the identity block of a
-product of per-factor maps, the shortcut of class equality, the Euler
+the dimension invariant d_v, the column draw, per-range draw table and
+lane split of the numeric trials, the per-lane helper, the per-lane
+Fraction flags of the lanes, the sign of a lane product by -1, the JSON
+renderer's key separator and booleans, the verify trial template, the
+bitset key of a class builder, the identity block of a product of
+per-factor maps, the shortcut of class equality, the Euler
 value of dw0_chern, the order of the Mukai classes the identity checks
 share, the reflection of a negative binomial top in the digit-limit
 bound, the Beauville-Bogomolov top comparison, and the CLI's
@@ -100,6 +101,8 @@ MUTANTS = (
      "fn(*(a[i - 1] if type(a) is Lanes else a for a in args))"),
     ("lane flags keep the left operand's", "src/thetachi/poly.py",
      "return tuple(map(operator.or_, f, g))", "return f"),
+    ("Lanes unit path drops the sign", "src/thetachi/poly.py",
+     "return self if other == 1 else -self", "return self if other == 1 else self"),
     ("JSON true and false swapped", "src/thetachi/jsontext.py",
      'if value is True:\n        return "true"\n    if value is False:\n        return "false"',
      'if value is True:\n        return "false"\n    if value is False:\n        return "true"'),
@@ -115,6 +118,8 @@ MUTANTS = (
      "chip * chip * d_v + chi * chi * d_w", "chip * chip * d_v"),
     ("column walk keeps a NONZERO zero", "src/thetachi/identities.py",
      "while nonzero and not value:", "while False:"),
+    ("draw table keeps a rejected word", "src/thetachi/identities.py",
+     "if byte >> shift < width else None", "if byte >> shift <= width else None"),
     ("trial template index off by one", "src/thetachi/identities.py",
      "rows = zip(*[columns[key] for key in keys], range(len(residuals)))",
      "rows = zip(*[columns[key] for key in keys], range(1, len(residuals) + 1))"),

@@ -23,11 +23,13 @@ integral Mukai pairs of the ``assembly_*`` checks.
 The numeric trials of an identity are columns from the draw to the
 output:
 
-* ``Identity.sample(rng, trials)`` returns ``{name: column}``.  A
-  ``ParamSpec`` or ``dw0_chern`` draw takes its values from ``_draws``,
-  which reads a whole block of Mersenne Twister words per ``getrandbits``
-  call and gives exactly the values of successive ``_randint(rng, -9, 9)``
-  calls; the Mukai pairs of ``assembly_*`` keep one ``_randint`` per draw.
+* ``Identity.sample(rng, trials)`` returns ``{name: column}``.  Every
+  draw reads ``_top_bytes``, a whole block of Mersenne Twister words per
+  ``getrandbits`` call, and a word's top byte fixes what ``randint`` or
+  ``choice`` would draw from it.  A ``ParamSpec`` or ``dw0_chern`` draw
+  takes the values of successive ``randint(-9, 9)`` calls from
+  ``_draws``; the Mukai pairs of ``assembly_*`` map each byte through the
+  table of the range they draw from.
 * Each column becomes one ``Lanes`` parameter and the check runs once.
   The parts that must stay exact per trial go through ``_per_lane``, which
   runs them lane by lane: the integral ``MukaiVector``s and closed forms of
@@ -54,7 +56,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import chain, repeat
+from itertools import chain
 
 from . import abelian as ab
 from . import formulas
@@ -186,50 +188,62 @@ def _per_lane(fn, *args):
                   for i in range(width)])
 
 
-def _randint(rng, a: int, b: int) -> int:
-    """``rng.randint(a, b)``, the same draw from the same stream, without
-    its argument checks: CPython's ``Random._randbelow_with_getrandbits``
-    on the width of [a, b], plus a."""
-    width = b - a + 1
-    bits = width.bit_length()
-    r = rng.getrandbits(bits)
-    while r >= width:
-        r = rng.getrandbits(bits)
-    return a + r
-
-
-def _rand_nonzero(rng) -> int:
-    while True:
-        value = _randint(rng, -9, 9)
-        if value:
-            return value
-
-
-# _randint(rng, -9, 9) is getrandbits(5): the top five bits of one 32-bit
-# Mersenne Twister word, drawn again while they read 19 or more.
+# Random.randint(a, b) and Random.choice(seq) draw through CPython's
+# Random._randbelow_with_getrandbits(w), w = b - a + 1 or len(seq): with
+# k = w.bit_length(), getrandbits(k) is the top k bits of one 32-bit
+# Mersenne Twister word, drawn again while they read w or more.
 # getrandbits(32 m) packs the next m words little-endian, so byte 4j + 3 is
-# the top byte of word j and its top five bits are that word's draw.
-# _DIGIT maps a top byte to its draw minus 9, as a signed byte; the top
-# bytes of rejected words are deleted.
-_DIGIT = bytes(((byte >> 3) - 9) & 0xFF for byte in range(256))
-_REJECTED = bytes(range(19 << 3, 256))
+# the top byte of word j, and for w below 256 that byte fixes the word's
+# draw: a 256-entry table per range maps it to the draw, or to None when
+# the word is rejected.
 _REFILL_WORDS = 256
 
 
-def _draws(rng, words: int):
-    """The values of successive ``_randint(rng, -9, 9)`` calls on ``rng``.
+def _draw_table(a: int, b: int) -> tuple:
+    """``table[byte]``: the value ``randint(a, b)`` draws from a word whose
+    top byte is ``byte``, or None when it rejects the word; b - a < 255."""
+    width = b - a + 1
+    shift = 8 - width.bit_length()
+    return tuple(a + (byte >> shift) if byte >> shift < width else None for byte in range(256))
 
-    One ``getrandbits`` call serves the first ``words`` words, and one more
-    each further block of ``_REFILL_WORDS``, so the stream never runs dry;
-    block by block gives the same words as one larger draw.  Words drawn
-    past the last value used are lost: each identity's generator is
-    discarded after its draws.
+
+_FREE_DRAW = _draw_table(-9, 9)
+_NONZERO_DRAW = tuple(value or None for value in _FREE_DRAW)
+_N_DRAW = _draw_table(1, 4)
+_K_DRAW = _draw_table(-3, 3)
+# for each n in 1..4, the draw of choice(divisors of n), which is
+# divisors[randint(0, len(divisors) - 1)]; ``get`` leaves None as None
+_DIVISOR_DRAW = {
+    n: tuple(map(dict(enumerate(divisors)).get, _draw_table(0, len(divisors) - 1)))
+    for n, divisors in ((n, [t for t in range(1, n + 1) if n % t == 0]) for n in range(1, 5))
+}
+# _draws keeps the accepted words of _FREE_DRAW as signed bytes and
+# deletes the rejected ones, in one bytes.translate per block
+_DIGIT = bytes(0 if value is None else value & 0xFF for value in _FREE_DRAW)
+_REJECTED = bytes(byte for byte, value in enumerate(_FREE_DRAW) if value is None)
+
+
+def _top_bytes(rng, words: int):
+    """The top bytes of successive 32-bit words of ``rng``, one bytes block
+    per ``getrandbits`` call.
+
+    The first block holds ``words`` words and every later one
+    ``_REFILL_WORDS``, so the stream never runs dry; block by block gives
+    the same words as one larger draw.  Words drawn past the last one used
+    are lost: each identity's generator is discarded after its draws.
     """
-    def block(count):
-        top = rng.getrandbits(32 * count).to_bytes(4 * count, "little")[3::4]
-        return array("b", top.translate(_DIGIT, _REJECTED))
+    count = words
+    while True:
+        yield rng.getrandbits(32 * count).to_bytes(4 * count, "little")[3::4]
+        count = _REFILL_WORDS
 
-    return chain(block(words), chain.from_iterable(map(block, repeat(_REFILL_WORDS))))
+
+def _draws(rng, words: int):
+    """The values of successive ``rng.randint(-9, 9)`` calls, read from the
+    blocks of ``_top_bytes(rng, words)``."""
+    return chain.from_iterable(
+        array("b", top.translate(_DIGIT, _REJECTED)) for top in _top_bytes(rng, words)
+    )
 
 
 def _orthogonality_constraint(p):
@@ -655,24 +669,35 @@ def _sample_dw0(rng, trials: int) -> dict:
 
 def _sample_vector_pair(rng, trials: int, need_dw_positive: bool,
                         need_k_nonzero: bool = False) -> dict:
-    """Integer orthogonal Mukai vectors with d_v >= 1 (and d_w if asked)."""
+    """Integer orthogonal Mukai vectors with d_v >= 1 (and d_w if asked).
+
+    Each value is the draw ``randint`` or ``choice`` makes on ``rng``, read
+    from the top bytes of ``_top_bytes`` through its range's table."""
     names = ("n", "d0", "e0", "r", "k", "chi", "rp", "kp", "chip")
     columns = {name: [] for name in names}
     appends = [columns[name].append for name in names]
+    # from 80 to 100 words a trial, whatever the need; refills cover the rest
+    byte = chain.from_iterable(_top_bytes(rng, 96 * trials)).__next__
+
+    def draw(table):
+        """The next draw of ``table``'s range: one word per attempt."""
+        value = table[byte()]
+        while value is None:
+            value = table[byte()]
+        return value
+
     for _ in range(trials):
         while True:
-            n = _randint(rng, 1, 4)
-            divisors = [t for t in range(1, n + 1) if n % t == 0]
-            # the draw of rng.choice(divisors), which is seq[_randbelow(len(seq))]
-            d0 = divisors[_randint(rng, 0, len(divisors) - 1)]
+            n = draw(_N_DRAW)
+            d0 = draw(_DIVISOR_DRAW[n])
             e0 = n // d0
-            r = _rand_nonzero(rng)
-            k = _randint(rng, -3, 3)
+            r = draw(_NONZERO_DRAW)
+            k = draw(_K_DRAW)
             if need_k_nonzero and k == 0:
                 continue
-            chi = _randint(rng, -9, 9)
-            rp = _randint(rng, -9, 9)
-            kp = _randint(rng, -3, 3)
+            chi = draw(_FREE_DRAW)
+            rp = draw(_FREE_DRAW)
+            kp = draw(_K_DRAW)
             numer = -(rp * chi + 2 * n * k * kp)
             if numer % r != 0:
                 continue

@@ -25,6 +25,10 @@ A :class:`Poly` stores a dict from monomials to nonzero coefficients.
   producing a wrong monomial.  ``__pow__`` squares its base only up to
   the top bit of n, so ``p ** n`` raises exactly when n times p's degree
   in some variable reaches 2**15, that is, when the result does not fit.
+* Units: ``p * 1`` and ``p * -1``, on either side, are ``p`` itself and
+  ``-p``, and so are ``p / 1`` and ``p / -1``.  Their coefficients are
+  already normalized, so the general product or quotient would give the
+  same terms; it is not run.
 
 A :class:`Lanes` holds one int/Fraction scalar per numeric trial, so that
 one pass of the engine evaluates all trials at once.  It stores no scalar
@@ -36,6 +40,10 @@ are C-level ``map`` calls over those tuples:
 * ``+`` and ``-`` add the numerators directly when the two denominator
   tuples are equal and cross-multiply otherwise; ``*`` and ``**`` act on
   numerators and denominators alike.  None of them reduces a lane.
+* ``*`` by the int 1 or -1, on either side, returns the Lanes itself or
+  its negation, with no broadcast tuple and no product; :func:`scalar_div`
+  by the int 1 or -1 reduces the Lanes or its negation, with no quotient.
+  ``True`` is not an int here and stays refused, as every bool is.
 * Reduction, by ``map(math.gcd, ...)``, happens only in :func:`scalar_div`
   and :func:`normalize_scalar`; the engine normalizes every coefficient it
   stores and every integral it returns, so an unreduced lane is short-lived.
@@ -183,6 +191,10 @@ class Poly:
                 other = normalize_scalar(Fraction(other))
             if not other:
                 return Poly._of({})
+            if other == 1:
+                return self
+            if other == -1:
+                return -self
             return Poly._of({
                 m: normalize_scalar(c * other) for m, c in self.terms.items()
             })
@@ -226,6 +238,10 @@ class Poly:
     def __truediv__(self, other):
         if type(other) is not int:
             other = normalize_scalar(Fraction(other))
+        if other == 1:
+            return self
+        if other == -1:
+            return -self
         return Poly._of({m: scalar_div(c, other) for m, c in self.terms.items()})
 
     # -- predicates and views --------------------------------------------
@@ -395,7 +411,19 @@ class Lanes:
 
     __add__, __radd__ = _lanewise(_sum(operator.add))
     __sub__, __rsub__ = _lanewise(_sum(operator.sub))
-    __mul__, __rmul__ = _lanewise(_product)
+
+    def __mul__(self, other):
+        if type(other) is Lanes:
+            if len(other.nums) != len(self.nums):
+                raise ValueError(f"{len(self)} lanes against {len(other)}")
+            return _product(self, other)
+        if type(other) is int and (other == 1 or other == -1):
+            return self if other == 1 else -self
+        other = _broadcast(other, len(self.nums))
+        return NotImplemented if other is None else _product(self, other)
+
+    # a lane product commutes in value, in lane type and in layout
+    __rmul__ = __mul__
 
     def __neg__(self):
         return _lanes(tuple(map(operator.neg, self.nums)), self.dens, self.flags)
@@ -462,6 +490,8 @@ def scalar_div(s: Scalar, k) -> Scalar:
 
 def _lane_quotient(s, k) -> Lanes:
     """``scalar_div`` of each lane: reduced, and an int when integral."""
+    if type(k) is int and (k == 1 or k == -1):  # then s is the Lanes
+        return normalize_scalar(s if k == 1 else -s)
     width = len(s) if type(s) is Lanes else len(k)
     a = s if type(s) is Lanes else _broadcast(s, width)
     b = k if type(k) is Lanes else _broadcast(k, width)

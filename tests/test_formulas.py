@@ -223,6 +223,19 @@ def test_kummer_albanese_crosswalk():
                 assert kum == alb
 
 
+@given(st.integers(1, 6), st.integers(-4, 4), st.integers(0, 5), st.booleans())
+def test_chi_kummer_is_chi_arbitrary_det_of_the_hilbert_vector(n, r, excess, negative):
+    """v = (1, 0, -n) is the Hilbert-scheme vector, with d_v = n, and
+    w = (r, kH, n r) with k^2 >= r^2 is orthogonal to it, with
+    d_w = n (k^2 - r^2) >= 0; the Albanese-fiber value of the pair is the
+    Kummer value of chi(D) = n k^2.  d_v, d_w and orthogonality come from
+    ``MukaiVector``, not by hand."""
+    k = (abs(r) + excess) * (-1 if negative else 1)
+    v, w = MukaiVector(1, 0, -n, n), MukaiVector(r, k, n * r, n)
+    assert euler_chi_tensor(v, w) == 0
+    assert chi_arbitrary_det(v, w).value == chi_kummer(KummerClass(n * k * k, r, n)).value
+
+
 def test_chi_arbitrary_det_branches():
     v = MukaiVector(-2, 0, 1, 2)  # d_v = 2
     w0 = MukaiVector(2, 1, 1, 2)  # d_w = 0

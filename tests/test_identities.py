@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from thetachi import cli, identities
+from thetachi import cli, identities, poly
 from thetachi.identities import (
     ALL_IDENTITIES,
     REGISTRY,
@@ -512,28 +512,43 @@ def test_phi_hat_minus_restores_the_sign_it_found(phi_hat_minus, found):
         abelian._transform_image.cache_clear()
 
 
+def table_draw(rng, table):
+    """A draw through a range's table, one getrandbits(32) word per attempt."""
+    while True:
+        value = table[rng.getrandbits(32) >> 24]
+        if value is not None:
+            return value
+
+
 def test_randint_helper_reproduces_random_randint():
-    # the samplers draw through identities._randint, built on getrandbits;
-    # it must give Random.randint's values and leave the generator in the
-    # same state, for every range they draw from, seeded as run_suite seeds
-    ranges = ((-9, 9), (1, 4), (-3, 3))
+    # _sample_vector_pair draws through the per-range tables: one word per
+    # attempt must give Random.randint's values and leave the generator in
+    # the same state, for every range they draw from, seeded as run_suite seeds
+    ranges = ((-9, 9, identities._FREE_DRAW), (1, 4, identities._N_DRAW),
+              (-3, 3, identities._K_DRAW))
     for seed in range(300):
         for key in (seed, f"{seed}:assembly_main"):
             ours, theirs = random.Random(key), random.Random(key)
             for step in range(60):
-                a, b = ranges[(seed + step) % 3]
-                assert identities._randint(ours, a, b) == theirs.randint(a, b)
+                a, b, table = ranges[(seed + step) % 3]
+                assert table_draw(ours, table) == theirs.randint(a, b)
+            assert ours.getstate() == theirs.getstate()
+            # the nonzero table redraws a zero as _oracle_nonzero does
+            for _ in range(60):
+                assert table_draw(ours, identities._NONZERO_DRAW) == _oracle_nonzero(theirs)
             assert ours.getstate() == theirs.getstate()
 
 
 def test_choice_helper_reproduces_random_choice():
-    # _sample_vector_pair picks d0 by indexing with _randint: Random.choice
-    # is seq[_randbelow(len(seq))], so values and final state must agree
+    # _sample_vector_pair picks d0 through the divisor table of n:
+    # Random.choice is seq[_randbelow(len(seq))], so values and final state
+    # must agree, for one, two and three divisors
     for seed in range(300):
         ours, theirs = random.Random(seed), random.Random(seed)
         for step in range(40):
-            seq = list(range(step % 4 + 1))
-            assert seq[identities._randint(ours, 0, len(seq) - 1)] == theirs.choice(seq)
+            n = step % 4 + 1
+            divisors = [t for t in range(1, n + 1) if n % t == 0]
+            assert table_draw(ours, identities._DIVISOR_DRAW[n]) == theirs.choice(divisors)
         assert ours.getstate() == theirs.getstate()
 
 
@@ -616,9 +631,9 @@ def assert_columns_match_oracle(identity_id, seed, trials):
 
 @pytest.mark.parametrize("identity_id", sorted(EXPECTED_IDS))
 def test_column_draws_match_per_trial_draws(identity_id):
-    # one getrandbits call per block of words and a walk over the spec
-    # (ParamSpec, dw0_chern), or _randint per draw (the Mukai pairs), give
-    # the values and types that one sampler call per trial gave
+    # one getrandbits call per block of words, read as a walk over the spec
+    # (ParamSpec, dw0_chern) or through the per-range tables (the Mukai
+    # pairs), gives the values and types that one sampler call per trial gave
     for seed in range(40):
         for trials in (1, 3, 200):
             assert_columns_match_oracle(identity_id, seed, trials)
@@ -635,13 +650,13 @@ def test_column_draws_match_per_trial_draws_at_the_trial_cap(identity_id):
 
 def test_draw_stream_refills_block_by_block():
     # a first block of one word runs dry at once; every later value comes
-    # from a refill, and each is the value of one _randint(rng, -9, 9)
+    # from a refill, and each is the value of one Random.randint(-9, 9)
     for seed in range(20):
         stream = identities._draws(random.Random(seed), 1)
         rng = random.Random(seed)
         count = 3 * identities._REFILL_WORDS
         assert [next(stream) for _ in range(count)] == [
-            identities._randint(rng, -9, 9) for _ in range(count)]
+            rng.randint(-9, 9) for _ in range(count)]
 
 
 def test_split_lane_checks_build_no_fraction(monkeypatch):
@@ -668,6 +683,28 @@ def test_split_lane_checks_build_no_fraction(monkeypatch):
             residuals = identity.check(params)
         assert built == [], identity_id
         assert all(identities._is_zero(value) for value in residuals.values())
+
+
+def test_warm_lane_check_broadcasts_no_unit(monkeypatch):
+    # Lanes * 1, Lanes * -1 and scalar_div by either return the operand or
+    # its negation: a warm 200-trial check broadcasts no unit, only the
+    # other int scalars it meets (2, in the half-squares of d_v)
+    identity = REGISTRY["prop_split"]
+    columns = identity.sample(random.Random("1:prop_split"), 200)
+    params = {name: Lanes(column) for name, column in columns.items()}
+    identity.check(params)  # warm-up: module-level caches
+    seen = []
+    real = poly._broadcast
+
+    def broadcast(value, width):
+        seen.append(value)
+        return real(value, width)
+
+    monkeypatch.setattr(poly, "_broadcast", broadcast)
+    residuals = identity.check(params)
+    assert 2 in seen
+    assert [value for value in seen if type(value) is int and abs(value) == 1] == []
+    assert all(identities._is_zero(value) for value in residuals.values())
 
 
 # calls of identities._half_square in one check: each d_v, d_w read, plus

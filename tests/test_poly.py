@@ -229,6 +229,17 @@ def test_int_first_normalization():
     assert all(type(c) is int for c in results[-1].terms.values())
 
 
+@given(poly_pairs(), st.sampled_from((1, -1)))
+def test_poly_times_a_unit_is_the_general_product(pair, unit):
+    # p * 1, p * -1 and p divided by either skip the product: the terms, each
+    # with its type, are those of the product with the constant polynomial
+    p, _ = pair
+    general = p * Poly.const(unit)
+    for result in (p * unit, unit * p, p / unit, p * Fraction(unit)):
+        assert {m: (type(c), c) for m, c in result.terms.items()} == {
+            m: (type(c), c) for m, c in general.terms.items()}
+
+
 def test_exponent_overflow_is_refused():
     x = Poly.var("x")
     # x^(2^14) fits a field: __pow__ squares no further than the top bit
@@ -300,6 +311,22 @@ def test_lanes_match_per_lane_scalars(values, data):
     assert_lanes(scalar_div(scalar, Lanes(nonzero)), [scalar_div(scalar, y) for y in nonzero])
 
 
+@given(lane_values, st.sampled_from((1, -1)), st.data())
+def test_lanes_times_a_unit_is_the_general_product(values, unit, data):
+    # Lanes * 1, Lanes * -1 (either side) and scalar_div by either skip the
+    # broadcast: each equals the general path, through a Lanes of units, in
+    # every lane's value and type and in the layout, on int lanes, on
+    # Fraction-flagged lanes with denominators and on unreduced lanes
+    others = data.draw(st.lists(rationals, min_size=len(values), max_size=len(values)))
+    units = Lanes([unit] * len(values))
+    for lanes in (Lanes(values), Lanes(values) * Lanes(others)):
+        for result, general in ((lanes * unit, lanes * units), (unit * lanes, units * lanes),
+                                (scalar_div(lanes, unit), scalar_div(lanes, units))):
+            assert_lanes(result, list(general))
+            assert (result.nums, result.dens, result.flags) == (
+                general.nums, general.dens, general.flags)
+
+
 def test_lanes_refuse_what_a_lane_cannot_hold():
     lanes = Lanes([1, Fraction(1, 2)])
     assert repr(lanes) == "Lanes([1, Fraction(1, 2)])"
@@ -309,6 +336,10 @@ def test_lanes_refuse_what_a_lane_cannot_hold():
         lanes + Lanes([1, 2, 3])
     with pytest.raises(TypeError):
         lanes * Poly.var("x")
+    with pytest.raises(TypeError):
+        lanes * True  # a bool is no int lane, though True == 1
+    with pytest.raises(TypeError):
+        True * lanes
     with pytest.raises(TypeError):
         lanes ** Fraction(1, 2)
     with pytest.raises(TypeError):
