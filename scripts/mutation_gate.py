@@ -2,13 +2,13 @@
 """Mutation gate: the test suite must catch drift in each sign convention,
 bitset or contraction kernel, table of basis images, first term of a
 key's sum in the pullback, partner-search branch, closed-form binomial
-sum, degenerate-branch label of a row,
-the dimension invariant d_v, the column draw, per-range draw table and
-lane split of the numeric trials, the per-lane helper, the per-lane
-Fraction flags of the lanes, the sign of a lane product by -1, the JSON
-renderer's key separator and booleans, the verify trial template, the
-bitset key of a class builder, the identity block of a product of
-per-factor maps, the shortcut of class equality, the Euler
+sum, degenerate-branch label of a row, the whole-image check of the
+engine transform oracle, the dimension invariant d_v, the column draw,
+per-range draw table and lane split of the numeric trials, the per-lane
+helper, the per-lane Fraction flags of the lanes, the sign of a lane
+product by -1, the JSON renderer's key separator and booleans, the verify
+trial template, the bitset key of a class builder, the identity block of
+a product of per-factor maps, the shortcut of class equality, the Euler
 value of dw0_chern, the order of the Mukai classes the identity checks
 share, the reflection of a negative binomial top in the digit-limit
 bound, the Beauville-Bogomolov top comparison, and the CLI's
@@ -62,6 +62,9 @@ MUTANTS = (
     ("fm_vector middle sign", "src/thetachi/mukai.py",
      "MukaiVector(v.chi, -v.k, v.r, v.n, _OTHER_SIDE[v.side])",
      "MukaiVector(v.chi, v.k, v.r, v.n, _OTHER_SIDE[v.side])"),
+    ("engine oracle checks only the readback", "src/thetachi/mukai.py",
+     "if image.space != target or terms != _lattice_terms(other, v.n, r_hat, k_hat, chi_hat):",
+     "if False:"),
     ("d_v sign of r chi", "src/thetachi/mukai.py",
      "- self.r * self.chi", "+ self.r * self.chi"),
     ("exp_even factorial", "src/thetachi/exterior.py",

@@ -24,6 +24,7 @@ from math import gcd
 
 from . import abelian
 from .abelian import Polarization, SP_A, SP_AH
+from .exterior import ExteriorClass
 
 
 class LatticeError(ValueError):
@@ -127,42 +128,61 @@ def fm_vector(v: MukaiVector) -> MukaiVector:
 
 
 # Per side: its space, the name of the abelian transform leaving it (looked
-# up at call time), the class of H on it and the bitset key of H's unit
+# up at call time), the builder of H on it and the bitset key of H's unit
 # coefficient (f1v^f2v on A, f3^f4 on Ah).
 _SIDES = {
     SIDE_A: (SP_A, "fm_transform", abelian.polarization_class, 0b0011),
     SIDE_AH: (SP_AH, "fm_transform_back", abelian.dual_polarization_class, 0b1100),
 }
+# the bitset key of the point class omega, the top monomial of either side
+_OMEGA_KEY = 0b1111
 
 
 @lru_cache(maxsize=16)
-def _h_class(side: str, n: int) -> abelian.ExteriorClass:
-    """The class of H on ``side`` for ambient n, built once per (side, n).
+def _h_terms(side: str, n: int) -> tuple:
+    """H's terms on ``side`` for ambient n, as ``((key, int), ...)``.
 
+    Built once per (side, n) by the polarization builder of the side.
     Bounded: a sweep meets a few n (the AC-6 oracle draws n from 1..4), and
-    a miss only rebuilds a two-term class.  Classes are immutable, so one
-    can be shared.
+    a miss only rebuilds a two-term class.
     """
     sp, _, h_class, _ = _SIDES[side]
-    return h_class(sp, 0, Polarization(1, n))
+    return tuple(h_class(sp, 0, Polarization(1, n)).terms.items())
+
+
+def _lattice_terms(side: str, n: int, r, k, chi) -> dict:
+    """The term dict of r + k*H + chi*omega on ``side``, zeros dropped."""
+    terms = {0: r} if r else {}
+    if k:
+        for key, c in _h_terms(side, n):
+            terms[key] = k * c
+    if chi:
+        terms[_OMEGA_KEY] = chi
+    return terms
 
 
 def fm_vector_via_engine(v: MukaiVector) -> MukaiVector:
-    """Engine oracle: transform r + k*H + chi*omega and read it back."""
+    """Engine oracle: transform r + k*H + chi*omega and read it back.
+
+    The image must be exactly r' + k'*H + chi'*omega on the other side,
+    with int r', k', chi': a term of odd degree, or of degree two off the
+    support of H, is refused like a non-integer component.
+    """
     sp, transform, _, _ = _SIDES[v.side]
-    cls = abelian.mukai_class(sp, 0, v.r, _h_class(v.side, v.n).scaled(v.k), v.chi)
-    image = getattr(abelian, transform)(cls)
+    image = getattr(abelian, transform)(
+        ExteriorClass._of(sp, _lattice_terms(v.side, v.n, v.r, v.k, v.chi))
+    )
 
     other = _OTHER_SIDE[v.side]
-    r_hat = image.terms.get(0, 0)
+    target, _, _, k_key = _SIDES[other]
+    terms = image.terms
+    r_hat = terms.get(0, 0)
+    k_hat = terms.get(k_key, 0)
     chi_hat = abelian.integrate(image)
-    two = image.part(2)
-    # solve two == k_hat * H, requiring an exact integer match
-    k_hat = two.terms.get(_SIDES[other][3], 0)
-    if not isinstance(k_hat, int) or two != _h_class(other, v.n).scaled(k_hat):
-        raise LatticeError(f"transform of {v} left the rank-one lattice: {two}")
-    if not isinstance(r_hat, int) or not isinstance(chi_hat, int):
+    if not (isinstance(r_hat, int) and isinstance(k_hat, int) and isinstance(chi_hat, int)):
         raise LatticeError(f"non-integer transform components for {v}")
+    if image.space != target or terms != _lattice_terms(other, v.n, r_hat, k_hat, chi_hat):
+        raise LatticeError(f"transform of {v} left the rank-one lattice: {image}")
     return MukaiVector(r_hat, k_hat, chi_hat, v.n, other)
 
 

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from thetachi import abelian
-from thetachi.abelian import SP_AH
+from thetachi.abelian import SP_A, SP_AH
 from thetachi.exterior import ExteriorClass
 from thetachi.mukai import (
     LatticeError,
@@ -126,22 +126,66 @@ def test_fm_vector_engine_agreement_small_box():
                     assert fm_vector(back) == fm_vector_via_engine(back)
 
 
-@pytest.mark.parametrize("terms", [
+# The engine image of (1, 1, 1) for n = 2, 1 - H' + omega, by the side the
+# vector starts on: H' is H_hat = f3^f4 + 2 f1^f2 on Ah, H = f1v^f2v +
+# 2 f3v^f4v on A.  Each transform is looked up at call time, so a patched
+# one is used.
+_IMAGE_OF_111 = {
+    "A": {(): 1, (2, 3): -1, (0, 1): -2, (0, 1, 2, 3): 1},
+    "Ah": {(): 1, (0, 1): -1, (2, 3): -2, (0, 1, 2, 3): 1},
+}
+_LEAVING = {"A": ("fm_transform", SP_AH), "Ah": ("fm_transform_back", SP_A)}
+
+
+def _oracle_on_image(monkeypatch, side, terms, space=None):
+    name, target = _LEAVING[side]
+    image = ExteriorClass(target if space is None else space, terms)
+    monkeypatch.setattr(abelian, name, lambda c: image)
+    return fm_vector_via_engine(MukaiVector(1, 1, 1, 2, side))
+
+
+@pytest.mark.parametrize("side", ["A", "Ah"])
+def test_fm_vector_via_engine_reads_back_the_exact_image(monkeypatch, side):
+    # the control for the refusals below: each differs from this image only
+    # where it says
+    v = MukaiVector(1, 1, 1, 2, side)
+    assert _oracle_on_image(monkeypatch, side, _IMAGE_OF_111[side]) == fm_vector(v)
+
+
+@pytest.mark.parametrize("side, terms, space", [
     # H_hat = f3^f4 + 2 f1^f2 for n = 2: H_hat's support, not a multiple
-    {(): 1, (2, 3): 1, (0, 1): 3},
+    ("A", {(): 1, (2, 3): 1, (0, 1): 3}, None),
     # a non-integer multiple of H_hat
-    {(2, 3): Fraction(1, 2), (0, 1): 1},
+    ("A", {(2, 3): Fraction(1, 2), (0, 1): 1}, None),
     # a Fraction rank
-    {(): Fraction(1, 2), (0, 1, 2, 3): 1},
+    ("A", {(): Fraction(1, 2), (0, 1, 2, 3): 1}, None),
     # a Fraction Euler characteristic
-    {(): 1, (0, 1, 2, 3): Fraction(3, 2)},
-], ids=["not-a-multiple", "fraction-k", "fraction-rank", "fraction-chi"])
-def test_fm_vector_via_engine_refuses_images_off_the_lattice(monkeypatch, terms):
-    # the transform is looked up at call time, so a patched one is used
-    image = ExteriorClass(SP_AH, terms)
-    monkeypatch.setattr(abelian, "fm_transform", lambda c: image)
+    ("A", {(): 1, (0, 1, 2, 3): Fraction(3, 2)}, None),
+    # the exact image plus a stray 5 f1
+    ("A", {**_IMAGE_OF_111["A"], (0,): 5}, None),
+    # the exact image plus a stray f1^f2^f3
+    ("A", {**_IMAGE_OF_111["A"], (0, 1, 2): 1}, None),
+    # k_hat = 0 (no f3^f4), and f1^f3 off H_hat's support
+    ("A", {(): 1, (0, 2): 1, (0, 1, 2, 3): 1}, None),
+    # the back transform: the exact image plus a stray f2v^f3v^f4v
+    ("Ah", {**_IMAGE_OF_111["Ah"], (1, 2, 3): -2}, None),
+    # the exact image, but on the space the vector started on
+    ("A", _IMAGE_OF_111["A"], SP_A),
+], ids=["not-a-multiple", "fraction-k", "fraction-rank", "fraction-chi",
+        "stray-degree-1", "stray-degree-3", "off-support", "back-stray-degree-3",
+        "wrong-space"])
+def test_fm_vector_via_engine_refuses_images_off_the_lattice(monkeypatch, side, terms, space):
     with pytest.raises(LatticeError):
-        fm_vector_via_engine(MukaiVector(1, 1, 1, 2))
+        _oracle_on_image(monkeypatch, side, terms, space)
+
+
+@given(st.integers(-10, 10), st.integers(-10, 10), st.integers(-10, 10),
+       st.integers(1, 4), st.sampled_from(["A", "Ah"]))
+def test_engine_transform_twice_is_the_identity(r, k, chi, n, side):
+    # the engine's own sign, not the closed form's: (r, k, chi) -> (chi, -k, r)
+    # applied twice must give v back on its own side
+    v = MukaiVector(r, k, chi, n, side)
+    assert fm_vector_via_engine(fm_vector_via_engine(v)) == v
 
 
 @given(st.integers(-10, 10), st.integers(-10, 10), st.integers(-10, 10),
