@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Mutation gate: the test suite must catch drift in each sign convention,
 bitset or contraction kernel, table of basis images, first term of a
-key's sum in the pullback, partner-search branch, closed-form binomial
-sum, degenerate-branch label of a row, the whole-image check of the
-engine transform oracle, the dimension invariant d_v, the column draw,
-per-range draw table and lane split of the numeric trials, the per-lane
-helper, the per-lane Fraction flags of the lanes, the sign of a lane
+key's sum in the pullback, partner-search branch, mirror row of an
+unordered pair, closed-form binomial sum, degenerate-branch label of a
+row, the whole-image check of the engine transform oracle, the
+dimension invariant d_v, the column draw, per-range draw table and lane
+split of the numeric trials, the per-lane helper, the per-lane Fraction flags of the lanes, the sign of a lane
 product by -1, the JSON renderer's key separator and booleans, the verify
 trial template, the bitset key of a class builder, the identity block of
 a product of per-factor maps, the shortcut of class equality, the Euler
@@ -77,6 +77,8 @@ MUTANTS = (
      "if remainder == 0 and (j := ", "if (j := "),
     ("rank-0 column cut to one", "src/thetachi/pairs.py",
      "yield from columns.get((r_w, k_w), ())\n", "yield from columns.get((r_w, k_w), ())[:1]\n"),
+    ("mirror row of a partner dropped", "src/thetachi/pairs.py",
+     "partners[j].append(i)", "pass"),
     ("pushforward complement lookup", "src/thetachi/exterior.py",
      "(fiber ^ (ka & fiber), None", "(fiber, None"),
     ("integrate_product sign operands", "src/thetachi/exterior.py",

@@ -1,27 +1,31 @@
 """Enumeration of admissible orthogonal vector pairs and their theta values.
 
 Scans a box of Mukai vectors and keeps the primitive positive ones.  The
-Euler pairing chi(v (x) w) = r_w chi_v + 2n k_v k_w + r_v chi_w is linear in
-chi_w, so each vector v finds its orthogonal partners by solving for them,
-one (r_w, k_w) column of the box at a time: for r_v != 0 a column holds at
-most one partner, whose chi_w is looked up when the division is exact; for
-r_v = 0 the pairing does not involve chi_w, so the whole column is a
-partner or none of it is.  Per r_w only the interval of k_w whose solved
-chi_w lies in the box is walked, so the cost follows the number of
-candidate partners, not the number of columns or of pairs of vectors.
-d_v is computed once per vector (``MukaiVector.d``).  The search asserts
-the orthogonality of each pair it finds, once.  Every pair is found before
-any row is built, and a pair whose values provably have more digits than
-``int`` -> ``str`` allows stops the scan, so a refused box builds no row.
+Euler pairing chi(v (x) w) = r_w chi_v + 2n k_v k_w + r_v chi_w is
+symmetric in v and w, so each unordered pair is found once: vector i
+searches only the positions j >= i, and a pair it finds stands for both
+rows (v_i, v_j) and (v_j, v_i).  The pairing is linear in chi_w, so the
+search solves for the partners, one (r_w, k_w) column of the box at a
+time, from r_w = r_v up: for r_v != 0 a column holds at most one partner,
+whose chi_w is looked up when the division is exact; for r_v = 0 the
+pairing does not involve chi_w, so the whole column is a partner or none
+of it is.  Per r_w only the interval of k_w whose solved chi_w lies in the
+box is walked, so the cost follows the number of candidate partners, not
+the number of columns or of pairs of vectors.  d_v is computed once per
+vector (``MukaiVector.d``).  The search asserts the orthogonality of each
+unordered pair it finds, once.  Every pair is found before any row is
+built, and a pair whose values, in either order, provably have more digits
+than ``int`` -> ``str`` allows stops the scan, so a refused box builds no
+row.
 
 A row is lean: its two vectors, which carry d_v and d_w, the
 ``formulas.row_forms`` entries of the three theta Euler characteristics
 (value or None, and branch) and a flags tuple shared by every row with
 the same flags.  Its ``ChiResult``s are built only for the JSON output.
 Values become text only in ``rows_to_csv``, which makes each vector's
-text once, and ``rows_to_json``, which renders the rows' ``to_json_dict``
-payload through ``jsontext.dumps``, the bytes of ``json.dumps`` with
-``indent=2``.
+text once and the head of a run of rows with the same v once, and
+``rows_to_json``, which renders the rows' ``to_json_dict`` payload through
+``jsontext.dumps``, the bytes of ``json.dumps`` with ``indent=2``.
 Output is deterministic: rows come out in the lexicographic order of their
 integer key, and every number is rendered as an exact decimal string.
 """
@@ -129,28 +133,31 @@ def _solutions(base: int, step: int, bound: int, max_k: int) -> range:
                  min(max_k, (bound - base) // step) + 1)
 
 
-def _partners(v: MukaiVector, box: tuple, columns: dict, position: dict):
-    """Positions of the vectors w with chi(v (x) w) = 0, in the box order.
+def _partners(i: int, v: MukaiVector, box: tuple, columns: dict, position: dict):
+    """Positions j >= i of the vectors w with chi(v (x) w) = 0, ascending,
+    for v at position i.
 
     ``box`` is (max_rank, max_k, max_chi); ``columns`` maps each (r, k) of
     the box to the positions of its vectors by ascending chi, and
-    ``position`` maps (r, k, chi) to a position.  With rest = r_w chi_v +
+    ``position`` maps (r, k, chi) to a position.  Positions follow (r, k,
+    chi), so no partner at j >= i has r_w < r_v.  With rest = r_w chi_v +
     2n k_v k_w, a partner has r_v chi_w = -rest, so |rest| <= r_v max_chi
     keeps chi_w in the box: per r_w only that interval of k_w is walked.
     For r_v = 0 the bound is 0 and the interval is the one k_w with
-    rest = 0 (positivity makes k_v > 0), whose whole column pairs with v.
+    rest = 0, whose whole column pairs with v.  Positivity makes k_v > 0
+    and k_w > 0 at rank 0, so that column has r_w > 0 and lies past i.
     """
     max_rank, max_k, max_chi = box
     r_v, chi_v, twice_nk = v.r, v.chi, 2 * v.n * v.k
     bound = r_v * max_chi  # ranks in the box are nonnegative
-    for r_w in range(max_rank + 1):
+    for r_w in range(r_v, max_rank + 1):
         base = r_w * chi_v
         for k_w in _solutions(base, twice_nk, bound, max_k):
             if r_v == 0:
                 yield from columns.get((r_w, k_w), ())
                 continue
             chi_w, remainder = divmod(-(base + twice_nk * k_w), r_v)
-            if remainder == 0 and (j := position.get((r_w, k_w, chi_w))) is not None:
+            if remainder == 0 and (j := position.get((r_w, k_w, chi_w))) is not None and j >= i:
                 yield j
 
 
@@ -159,9 +166,11 @@ def enumerate_rows(n: int, max_rank: int, max_k: int, max_chi: int):
 
     Returns (rows, summary); rows are in the lexicographic order of
     (r_v, k_v, chi_v, r_w, k_w, chi_w) and the summary carries the counts
-    and the integrality audit.  All pairs are found
-    before any row is built, so DigitLimitError, raised at the first pair
-    whose values provably have more than ``sys.get_int_max_str_digits()``
+    and the integrality audit.  Each unordered pair {v_i, v_j}, i <= j, is
+    found and asserted once, from i, and gives the row (v_i, v_j) and, for
+    j != i, the row (v_j, v_i).  All pairs are found before any row is
+    built, so DigitLimitError, raised at the first pair whose values in
+    either order provably have more than ``sys.get_int_max_str_digits()``
     digits, comes before any value is computed.
     """
     vectors = admissible_vectors(n, max_rank, max_k, max_chi)
@@ -172,21 +181,29 @@ def enumerate_rows(n: int, max_rank: int, max_k: int, max_chi: int):
     for i, v in enumerate(vectors):
         columns.setdefault((v.r, v.k), []).append(i)
     position = {(v.r, v.k, v.chi): i for i, v in enumerate(vectors)}
-    found = []
-    # v in box order, then each partner in box order: the rows' order
-    for v in vectors:
-        for j in _partners(v, (max_rank, max_k, max_chi), columns, position):
+    box = (max_rank, max_k, max_chi)
+    # partners[i]: the positions of the w of the rows (v_i, w), ascending,
+    # as its j < i are appended in ascending j before i's own search runs
+    partners = [[] for _ in vectors]
+    for i, v in enumerate(vectors):
+        for j in _partners(i, v, box, columns, position):
             w = vectors[j]
             # the search solved for w; a pair off the pairing is a search bug
             if euler_chi_tensor(v, w) != 0:
                 raise AssertionError(f"partner search paired {v.text()} with {w.text()}")
-            # for d_v, d_w >= 1 the row holds d_v binom(d-1, d_v-1), the one
-            # binomial its closed forms build
-            if (v.d + w.d > small_d and v.d >= 1 and w.d >= 1
-                    and binom_past_digit_limit(v.d + w.d - 1, v.d - 1)):
+            # for d_v, d_w >= 1 the row (v, w) holds d_v binom(d-1, d_v-1),
+            # the one binomial its closed forms build, and the row (w, v)
+            # holds d_w binom(d-1, d_w-1)
+            d_v, d_w = v.d, w.d
+            if (d_v + d_w > small_d and d_v >= 1 and d_w >= 1
+                    and (binom_past_digit_limit(d_v + d_w - 1, d_v - 1)
+                         or binom_past_digit_limit(d_v + d_w - 1, d_w - 1))):
                 raise DigitLimitError(f"the values of {v.text()} and {w.text()} are too long to print")
-            found.append((v, w))
-    rows = [build_row(v, w) for v, w in found]
+            partners[i].append(j)
+            if j != i:
+                partners[j].append(i)
+    rows = [build_row(v, vectors[j]) for v, row_partners in zip(vectors, partners)
+            for j in row_partners]
     # rows share their flags tuples (_flags): each distinct one is read once
     distinct = {id(row.flags): row.flags for row in rows}
     nonintegral = {key for key, flags in distinct.items()
@@ -206,15 +223,19 @@ def enumerate_rows(n: int, max_rank: int, max_k: int, max_chi: int):
 
 def rows_to_csv(rows, summary) -> str:
     lines = [",".join(CSV_COLUMNS)]
-    # "r,k,chi" of each vector and the text of each flags tuple, made once;
-    # keyed by id, as the rows keep every vector and tuple alive
+    # "r,k,chi" of each w and the text of each flags tuple, made once; keyed
+    # by id, as the rows keep every vector and tuple alive.  The rows of one
+    # v are consecutive, so its "n,r,k,chi," head and ",d_v," are made once
+    # per run of rows
     texts: dict = {}
+    last_v = None
     for row in rows:
         v, w, (main, two, three), flags = row.v, row.w, row.forms, row.flags
-        v_text = texts.get(id(v)) or texts.setdefault(id(v), v.text())
+        if v is not last_v:
+            last_v, head, dv_text = v, f"{v.n},{v.text()},", f",{v.d},"
         w_text = texts.get(id(w)) or texts.setdefault(id(w), w.text())
         flag_text = texts.get(id(flags)) or texts.setdefault(id(flags), ";".join(flags) or "-")
-        lines.append(f"{v.n},{v_text},{w_text},{v.d},{w.d},"
+        lines.append(f"{head}{w_text}{dv_text}{w.d},"
                      f"{'' if main[0] is None else main[0]},{'' if two[0] is None else two[0]},"
                      f"{'' if three[0] is None else three[0]},{flag_text}")
     lines.append(f"# pairs={summary['pairs']} vectors={summary['vectors']} "

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 from hypothesis import example, given
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from thetachi import pairs
 from thetachi.formulas import (
     FormulaError,
+    binom_past_digit_limit,
     chi_arbitrary_det,
     chi_fixed_det,
     chi_fixed_fm_det,
@@ -14,6 +16,7 @@ from thetachi.formulas import (
 )
 from thetachi.mukai import MukaiVector, euler_chi_tensor, h2_vanishing_direction
 from thetachi.pairs import (
+    DigitLimitError,
     admissible_vectors,
     build_row,
     enumerate_rows,
@@ -64,6 +67,71 @@ def test_brute_force_examples_cover_whole_columns_and_negative_chi(box):
     assert any(len(column) >= 2 for column in columns.values())
     assert any(v.chi < 0 and w.chi < 0 for v, w in pairs)
     assert any(v.r > 0 and w.r > 0 for v, w in pairs)
+
+
+@pytest.mark.parametrize("box", [(1, 2, 3, 4), (2, 4, 4, 4), (1, 12, 4, 0), (3, 3, 3, 5)])
+def test_each_unordered_pair_is_asserted_once(monkeypatch, box):
+    # the pairing is symmetric: one assertion per unordered pair, so the
+    # rows (v, w) and (w, v) share one, and a self-orthogonal v has one row
+    asserted = []
+    built = []
+
+    def counted_chi(v, w):
+        asserted.append((v, w))
+        return euler_chi_tensor(v, w)
+
+    def counted_row(v, w):
+        built.append((v, w))
+        return build_row(v, w)
+
+    monkeypatch.setattr(pairs, "euler_chi_tensor", counted_chi)
+    monkeypatch.setattr(pairs, "build_row", counted_row)
+    rows, _ = enumerate_rows(*box)
+    diagonal = sum(row.v == row.w for row in rows)
+    assert diagonal > 0
+    assert len(asserted) == (len(rows) + diagonal) // 2
+    assert built == [(row.v, row.w) for row in rows]
+    self_orthogonal = MukaiVector(1, 0, 0, box[0])
+    assert [(row.v, row.w) for row in rows].count((self_orthogonal, self_orthogonal)) == 1
+
+
+def brute_refuses(n, max_rank, max_k, max_chi):
+    """Whether some ordered orthogonal pair has a row binomial past the digit
+    limit, from a scan of every ordered pair."""
+    return any(
+        v.d >= 1 and w.d >= 1 and binom_past_digit_limit(v.d + w.d - 1, v.d - 1)
+        for v, w in brute_pairs(n, max_rank, max_k, max_chi)
+    )
+
+
+# (digit limit, box) at n = 10^9: the 640 boxes sit on either side of the
+# smallest refused box of ranks up to 1 and 2
+@pytest.mark.parametrize("limit, box", [
+    (640, (1, 1, 92)), (640, (1, 1, 93)), (640, (2, 1, 46)), (640, (2, 1, 47)),
+    (640, (1, 2, 40)), (4300, (1, 1, 100)),
+])
+def test_digit_limit_refuses_what_an_ordered_scan_refuses(monkeypatch, limit, box):
+    n = 1_000_000_000
+    built = []
+
+    def counted_row(v, w):
+        built.append((v, w))
+        return build_row(v, w)
+
+    monkeypatch.setattr(pairs, "build_row", counted_row)
+    found = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        expected = brute_refuses(n, *box)
+        try:
+            rows, _ = enumerate_rows(n, *box)
+        except DigitLimitError:
+            rows = None
+    finally:
+        sys.set_int_max_str_digits(found)
+    assert (rows is None) == expected == (box in ((1, 1, 93), (2, 1, 47)))
+    # a refused box builds no row, an accepted one each row once
+    assert len(built) == (0 if rows is None else len(rows))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
