@@ -5,8 +5,9 @@ key's sum in the pullback, partner-search branch, mirror row of an
 unordered pair, closed-form binomial sum, degenerate-branch label of a
 row, the whole-image check of the engine transform oracle, the
 dimension invariant d_v, the column draw, per-range draw table and lane
-split of the numeric trials, the per-lane helper, the per-lane Fraction flags of the lanes, the sign of a lane
-product by -1, the JSON renderer's key separator and booleans, the verify
+split of the numeric trials, the per-lane helper, the per-lane Fraction
+flags of the lanes, the sign of a lane product by -1, the JSON
+renderer's key separator and booleans, the verify
 trial template, the bitset key of a class builder, the identity block of
 a product of per-factor maps, the shortcut of class equality, the Euler
 value of dw0_chern, the order of the Mukai classes the identity checks

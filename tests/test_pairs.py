@@ -119,7 +119,7 @@ def test_digit_limit_refuses_what_an_ordered_scan_refuses(monkeypatch, limit, bo
         return build_row(v, w)
 
     monkeypatch.setattr(pairs, "build_row", counted_row)
-    found = sys.get_int_max_str_digits()
+    saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(limit)
     try:
         expected = brute_refuses(n, *box)
@@ -128,7 +128,7 @@ def test_digit_limit_refuses_what_an_ordered_scan_refuses(monkeypatch, limit, bo
         except DigitLimitError:
             rows = None
     finally:
-        sys.set_int_max_str_digits(found)
+        sys.set_int_max_str_digits(saved)
     assert (rows is None) == expected == (box in ((1, 1, 93), (2, 1, 47)))
     # a refused box builds no row, an accepted one each row once
     assert len(built) == (0 if rows is None else len(rows))
