@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Mutation gate: the test suite must catch drift in each sign convention,
 bitset or contraction kernel, table of basis images, first term of a
-key's sum in the pullback, partner-search branch, mirror row of an
-unordered pair, closed-form binomial sum, degenerate-branch label of a
-row, the whole-image check of the engine transform oracle, the
+key's sum in the pullback, zero drop of the trusted class constructor,
+parity and space checks of the transform, partner-search branch, mirror
+row of an unordered pair, closed-form binomial sum, degenerate-branch
+label of a row, the whole-image check of the engine transform oracle, the
 dimension invariant d_v, the column draw, per-range draw table and lane
 split of the numeric trials, the per-lane helper, the per-lane Fraction
 flags of the lanes, the sign of a lane product by -1, the JSON
@@ -55,6 +56,8 @@ MUTANTS = (
      "mask ^= -(low << 1)", "mask ^= -low"),
     ("pullback append parity", "src/thetachi/exterior.py",
      "if (mono >> i).bit_count() & 1:", "if (mono & ((1 << i) - 1)).bit_count() & 1:"),
+    ("_of int path keeps a zero", "src/thetachi/exterior.py",
+     "if type(c) is not int or not c:", "if type(c) is not int:"),
     ("fiber_integrate shift", "src/thetachi/exterior.py",
      "((key >> GENERATORS_PER_FACTOR) & ~low)",
      "((key >> (GENERATORS_PER_FACTOR - 1)) & ~low)"),
@@ -64,7 +67,7 @@ MUTANTS = (
      "MukaiVector(v.chi, -v.k, v.r, v.n, _OTHER_SIDE[v.side])",
      "MukaiVector(v.chi, v.k, v.r, v.n, _OTHER_SIDE[v.side])"),
     ("engine oracle checks only the readback", "src/thetachi/mukai.py",
-     "if image.space != target or terms != _lattice_terms(other, v.n, r_hat, k_hat, chi_hat):",
+     "if off_target or terms != _lattice_terms(other, v.n, r_hat, k_hat, chi_hat):",
      "if False:"),
     ("d_v sign of r chi", "src/thetachi/mukai.py",
      "- self.r * self.chi", "+ self.r * self.chi"),
@@ -86,6 +89,10 @@ MUTANTS = (
      "if (ka & _crossing(kb)).bit_count() & 1:", "if (kb & _crossing(ka)).bit_count() & 1:"),
     ("pullback table wrong key", "src/thetachi/exterior.py",
      "image = images.get(key)\n", "image = images.get(key & -key)\n"),
+    ("transform parity test skipped", "src/thetachi/abelian.py",
+     "if key.bit_count() & 1:", "if False:"),
+    ("transform space check by identity only", "src/thetachi/abelian.py",
+     "if c.space is not source and c.space != source:", "if c.space is not source:"),
     ("transform table drops coefficient", "src/thetachi/abelian.py",
      "out[image_key] = coeff * a if prev is None else prev + coeff * a",
      "out[image_key] = a if prev is None else prev + a"),

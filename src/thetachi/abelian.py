@@ -257,15 +257,18 @@ def _transform(c: ExteriorClass, name: str, source: Space, target: Space) -> Ext
     coefficient-weighted sum of the transforms of its monomials, and the
     kernel's coefficients are ints, so the images carry no rounding and no
     scalar type of their own.  Each image is computed once.
+
+    The source is a module constant, so an identity test settles the usual
+    case before the equality test.  An odd key is refused where the loop
+    meets it; ``out`` is local, so no partial sum escapes the refusal.
     """
-    if c.space != source:
+    if c.space is not source and c.space != source:
         raise ValueError(f"{name} expects a class on the {source.kinds[0]} space")
-    for key in c.terms:
-        if key.bit_count() & 1:
-            raise ValueError("transform defined on even classes only")
     out: dict = {}
     get = out.get
     for key, coeff in c.terms.items():
+        if key.bit_count() & 1:
+            raise ValueError("transform defined on even classes only")
         for image_key, a in _transform_image(key):
             prev = get(image_key)
             out[image_key] = coeff * a if prev is None else prev + coeff * a

@@ -47,10 +47,12 @@ changes no result, and it needs no knowledge of the scalar types.  The
 classes' ``+``, the morphisms' tables and composites, and ``abelian``'s
 transform and Mukai class builder keep the same rule.
 
-All values are immutable and all operations are pure functions, with one
-kind of internal state: a :class:`MorphismH1` fills a write-once table of
-basis images as its pullback meets new monomials.  The table is a function
-of the morphism's immutable rows, so it never changes a result.
+All values are immutable and all operations are pure functions.  A class
+owns its term dict: every builder hands ``ExteriorClass._of`` a dict made
+for it, which nothing changes afterwards.  There is one kind of internal
+state: a :class:`MorphismH1` fills a write-once table of basis images as
+its pullback meets new monomials.  The table is a function of the
+morphism's immutable rows, so it never changes a result.
 """
 
 from __future__ import annotations
@@ -179,13 +181,23 @@ class ExteriorClass:
 
     @classmethod
     def _of(cls, space: Space, terms: dict) -> "ExteriorClass":
-        """Trusted constructor: bitset keys, zero coefficients dropped."""
+        """Trusted constructor: bitset keys, zero coefficients dropped.
+
+        Takes ownership of ``terms``: the caller passes a dict it built for
+        this call and neither keeps nor changes it afterwards.  When every
+        value is a nonzero int the dict is kept as given; otherwise a new
+        dict is built without the zeros, each non-int value normalized.
+        """
         self = object.__new__(cls)
         self.space = space
-        self.terms = {
-            k: c if type(c) is int else normalize_scalar(c)
-            for k, c in terms.items() if c
-        }
+        for c in terms.values():
+            if type(c) is not int or not c:
+                terms = {
+                    k: c if type(c) is int else normalize_scalar(c)
+                    for k, c in terms.items() if c
+                }
+                break
+        self.terms = terms
         return self
 
     # -- constructors -----------------------------------------------------

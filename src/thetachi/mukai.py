@@ -181,7 +181,9 @@ def fm_vector_via_engine(v: MukaiVector) -> MukaiVector:
     chi_hat = abelian.integrate(image)
     if not (isinstance(r_hat, int) and isinstance(k_hat, int) and isinstance(chi_hat, int)):
         raise LatticeError(f"non-integer transform components for {v}")
-    if image.space != target or terms != _lattice_terms(other, v.n, r_hat, k_hat, chi_hat):
+    # the target is a module constant: identity settles the usual case
+    off_target = image.space is not target and image.space != target
+    if off_target or terms != _lattice_terms(other, v.n, r_hat, k_hat, chi_hat):
         raise LatticeError(f"transform of {v} left the rank-one lattice: {image}")
     return MukaiVector(r_hat, k_hat, chi_hat, v.n, other)
 

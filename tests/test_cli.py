@@ -1,4 +1,7 @@
+import contextlib
+import functools
 import hashlib
+import io
 import json
 import math
 import os
@@ -6,13 +9,17 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import thetachi.cli as cli
 import thetachi.formulas as formulas
 import thetachi.pairs as pairs
 from thetachi.cli import MAX_BOX_VOLUME, MAX_TRIALS, main
+from thetachi.identities import ALL_IDENTITIES
 
 
 def run_cli(capsys, *argv):
@@ -598,3 +605,125 @@ def test_no_floats_in_interfaces(tmp_path, capsys):
             assert not isinstance(node, float)
 
     assert_no_floats(json.loads(out.read_text()))
+
+
+# -- exit contract under drawn argv ----------------------------------------------
+
+# values a call may not take: not a number, not a vector, 0 or negative, or
+# past a cap or a digit limit (2001 trials, 20000 as a bound, n at 10^9 and up)
+_JUNK = st.sampled_from(["x", "", "1.5", "0", "-1", "1,0", "a,b,c", "2001", "20000",
+                         "1000000000", "99999999999999999999"])
+_VECTOR = st.tuples(*[st.integers(-3, 3)] * 3).map(lambda v: "{},{},{}".format(*v))
+CALL_DEADLINE_NS = 5 * 10**9
+# binom(m, j) with j <= m - j is at least 2^j, so one with j past this has more
+# than 30,000 digits, past the print limit: a call refuses it before building it
+LARGEST_BUILT_BINOMIAL_INDEX = 100_000
+
+
+@functools.lru_cache(maxsize=None)
+def _orthogonal_pairs(n):
+    rows, _ = pairs.enumerate_rows(n, 2, 1, 2)
+    return tuple((row.v.text(), row.w.text()) for row in rows)
+
+
+@st.composite
+def _eval_options(draw):
+    n = draw(st.integers(1, 3))
+    orthogonal = draw(st.integers(0, 3)) > 0  # mostly; two drawn vectors rarely are
+    v, w = draw(st.sampled_from(_orthogonal_pairs(n)) if orthogonal else st.tuples(_VECTOR, _VECTOR))
+    options = [("--n", str(n)), ("--v", v), ("--w", w),
+               ("--theorem", draw(st.sampled_from(["main", "two", "three", "all"])))]
+    return options + [("--verbose", None)] * draw(st.integers(0, 1))
+
+
+@st.composite
+def _enumerate_options(draw):
+    bound = st.integers(0, 3).map(str)
+    return [("--n", str(draw(st.integers(1, 3)))), ("--max-rank", draw(bound)),
+            ("--max-k", draw(bound)), ("--max-chi", draw(bound)),
+            ("--format", draw(st.sampled_from(["csv", "json"]))),
+            ("--out", draw(st.sampled_from(["box.out", "missing/box.out"])))]
+
+
+@st.composite
+def _verify_options(draw):
+    # --trials is small; only a dropped --trials runs the default of 200
+    options = [("--trials", str(draw(st.integers(0, 2)))),
+               ("--seed", str(draw(st.integers(-2, 50))))]
+    scope = draw(st.sampled_from(["default", "--all", "--only"]))
+    if scope == "--all":
+        options.append(("--all", None))
+    elif scope == "--only":
+        ids = st.lists(st.sampled_from(ALL_IDENTITIES), min_size=1, max_size=2)
+        options.append(("--only", draw(ids)))
+    return options
+
+
+@st.composite
+def _kummer_options(draw):
+    return [("--n", str(draw(st.integers(1, 5)))), ("--chiD", str(draw(st.integers(-6, 12)))),
+            ("--r", str(draw(st.integers(-2, 3))))]
+
+
+_OPTIONS = {"eval": _eval_options, "enumerate": _enumerate_options,
+            "verify": _verify_options, "kummer": _kummer_options}
+
+
+@st.composite
+def cli_argv(draw, out_dir):
+    """argv of one subcommand with its options in any order, each written
+    as ``--flag value`` or ``--flag=value``, and at most one fault: an
+    option dropped, an option given a value it may not take, or a stray
+    token."""
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    options = draw(st.permutations(draw(_OPTIONS[command]())))
+    fault = draw(st.sampled_from(["none", "drop", "value", "token"]))
+    if fault in ("drop", "value"):
+        i = draw(st.integers(0, len(options) - 1))
+        if fault == "drop":
+            del options[i]
+        else:
+            options[i] = (options[i][0], draw(_JUNK))
+    argv = [command]
+    for flag, value in options:
+        if flag == "--out":  # a drawn file name, so every write lands in out_dir
+            value = str(out_dir / value)
+        if value is None:
+            argv.append(flag)
+        elif isinstance(value, list):
+            argv += [flag, *value]
+        elif draw(st.booleans()):
+            argv.append(f"{flag}={value}")
+        else:
+            argv += [flag, value]
+    if fault == "token":
+        token = draw(st.sampled_from(["--bogus", "7", "-h", "eval"]))
+        argv.insert(draw(st.integers(0, len(argv))), token)
+    return argv
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_drawn_argv_keeps_the_exit_contract(tmp_path_factory, data):
+    # whatever the argv, main exits 0, 1 or 2 without a traceback, prints
+    # nothing to stdout on a usage error, and returns promptly.  A binomial
+    # that would take minutes to build fails the call at once instead of
+    # outliving the deadline.
+    argv = data.draw(cli_argv(tmp_path_factory.mktemp("argv")), label="argv")
+    real_comb = math.comb
+
+    def comb(n, k):
+        assert min(k, n - k) <= LARGEST_BUILT_BINOMIAL_INDEX, f"math.comb built binom({n}, {k})"
+        return real_comb(n, k)
+
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter_ns()
+    with mock.patch.object(math, "comb", comb), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        code = main(argv)
+    elapsed = time.perf_counter_ns() - start
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+    assert elapsed < CALL_DEADLINE_NS

@@ -25,7 +25,7 @@ from thetachi.exterior import (
     pushforward,
     wedge,
 )
-from thetachi.poly import Lanes, Poly
+from thetachi.poly import Lanes, Poly, normalize_scalar
 
 A = Space(("A",))
 AH = Space(("Ah",))
@@ -720,3 +720,29 @@ def test_class_equality_shortcut_and_fallback():
     # different supports or spaces
     assert a != ExteriorClass(A, {(0, 1): 2})
     assert ExteriorClass.unit(A, 2) != ExteriorClass.unit(AH, 2)
+
+
+# -- the trusted constructor ----------------------------------------------------
+
+
+def normalized_terms(terms):
+    """The normalizing comprehension ``ExteriorClass._of`` falls back to."""
+    return {k: c if type(c) is int else normalize_scalar(c) for k, c in terms.items() if c}
+
+
+@given(st.one_of(
+    st.dictionaries(st.integers(0, 15), coeffs, max_size=8),
+    # every scalar kind mixed in any order; zeros of each kind included
+    st.dictionaries(st.integers(0, 15), st.one_of(*KERNEL_COEFFS.values()), max_size=8),
+))
+def test_trusted_constructor_matches_the_normalizing_comprehension(terms):
+    expected = normalized_terms(terms)
+    built = ExteriorClass._of(A, terms)
+    assert list(built.terms) == list(expected)
+    assert built.terms == expected
+    for key, coeff in built.terms.items():
+        assert type(coeff) is type(expected[key])
+        assert repr(coeff) == repr(expected[key])
+    if all(type(c) is int and c for c in terms.values()):
+        # the int path keeps the dict its caller handed over
+        assert built.terms is terms

@@ -1,4 +1,5 @@
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from thetachi import abelian
 from thetachi.abelian import SP_A, SP_AH
-from thetachi.exterior import ExteriorClass
+from thetachi.exterior import ExteriorClass, Space
 from thetachi.mukai import (
     LatticeError,
     MukaiVector,
@@ -144,12 +145,39 @@ def _oracle_on_image(monkeypatch, side, terms, space=None):
     return fm_vector_via_engine(MukaiVector(1, 1, 1, 2, side))
 
 
-@pytest.mark.parametrize("side", ["A", "Ah"])
-def test_fm_vector_via_engine_reads_back_the_exact_image(monkeypatch, side):
+@pytest.mark.parametrize("side, space", [
+    ("A", None),
+    ("Ah", None),
+    # the target's kinds on a fresh object, not the module constant SP_AH
+    ("A", Space(("Ah",))),
+], ids=["A", "Ah", "equal-space"])
+def test_fm_vector_via_engine_reads_back_the_exact_image(monkeypatch, side, space):
     # the control for the refusals below: each differs from this image only
     # where it says
     v = MukaiVector(1, 1, 1, 2, side)
-    assert _oracle_on_image(monkeypatch, side, _IMAGE_OF_111[side]) == fm_vector(v)
+    assert _oracle_on_image(monkeypatch, side, _IMAGE_OF_111[side], space) == fm_vector(v)
+
+
+def test_oracle_sweep_compares_no_space_by_equality(monkeypatch):
+    # the standard spaces are module constants, so the transform's source
+    # test and the oracle's target test settle by identity
+    rng = random.Random(31)
+    vectors = [
+        MukaiVector(rng.randint(-10, 10), rng.randint(-10, 10), rng.randint(-10, 10),
+                    rng.randint(1, 4), side)
+        for side in ("A", "Ah") for _ in range(200)
+    ]
+    images = [fm_vector_via_engine(v) for v in vectors]  # fills the image tables
+    calls = []
+    space_eq = Space.__eq__
+
+    def counted(self, other):
+        calls.append(other)
+        return space_eq(self, other)
+
+    monkeypatch.setattr(Space, "__eq__", counted)
+    assert [fm_vector_via_engine(v) for v in vectors] == images == list(map(fm_vector, vectors))
+    assert calls == []
 
 
 @pytest.mark.parametrize("side, terms, space", [
