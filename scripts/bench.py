@@ -26,6 +26,16 @@ n, and scales each n's time by the mean of the probes on either side, as
 ``perfbench/run.py`` scales a workload's units.  Each side keeps every run
 and the median of each field.  It is a measurement, not a gate.
 
+The record also holds ``STREAM_RUNS`` runs per tree and format of
+``thetachi enumerate`` on the 15,925-cell box ``STREAM_BOX`` (n = 1, rank
+<= 12, |k| <= 12, |chi| <= 24), in CSV and in JSON, alternating which tree
+runs first, each in a child process of its own that runs the CLI's
+``main`` on that tree's ``src/``: the raw wall time of ``main`` in ns (not
+scaled: at this noise the probe's scaling can reverse the raw order), the
+child's peak RSS in KiB, and the size and sha256 of the file written.
+Each side keeps every run, the medians of the time and the peak RSS, and
+the sha256 when every run wrote the same bytes.
+
 When the repository root holds an earlier record (the highest-numbered
 ``BENCH_<n>.json`` other than ``--out``), the new record gains a
 ``previous`` section: that file's name and change-side HEAD, and per
@@ -39,6 +49,7 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -84,6 +95,21 @@ for n in range(1, n_max + 1):
     before = after
 print(json.dumps({"wall_ns": wall_ns, "scaled_wall_ns": round(scaled_s * 1e9), "pairs": pairs,
                   "nonintegral": nonintegral,
+                  "peak_rss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
+"""
+# the largest n = 1 box in the enumerate cap, 323,471 rows:
+# (n, max_rank, max_k, max_chi)
+STREAM_BOX = (1, 12, 12, 24)
+STREAM_FORMATS = ("csv", "json")
+STREAM_RUNS = 3  # per tree and format
+_STREAM_CHILD = """\
+import contextlib, json, os, resource, sys, time
+from thetachi.cli import main
+with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+    start = time.perf_counter_ns()
+    code = main(sys.argv[1:])
+    wall_ns = time.perf_counter_ns() - start
+print(json.dumps({"code": code, "wall_ns": wall_ns,
                   "peak_rss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
 """
 
@@ -155,9 +181,46 @@ def run_audit(tree: Path, box: tuple = AUDIT_BOX) -> dict:
     return json.loads(done.stdout)
 
 
+def run_stream(tree: Path, fmt: str, box: tuple = STREAM_BOX) -> dict:
+    """``thetachi enumerate`` of ``box`` in ``fmt`` on ``tree``'s ``src/``,
+    in a child process: the raw wall time of ``main`` in ns, the child's
+    peak RSS in KiB, and the size and sha256 of the file it wrote."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(tree / "src"), env.get("PYTHONPATH"))))
+    n, max_rank, max_k, max_chi = box
+    with tempfile.TemporaryDirectory(prefix="bench_stream_") as tmp:
+        out = Path(tmp) / f"pairs.{fmt}"
+        done = subprocess.run(
+            [sys.executable, "-c", _STREAM_CHILD, "enumerate", "--n", str(n),
+             "--max-rank", str(max_rank), "--max-k", str(max_k), "--max-chi", str(max_chi),
+             "--format", fmt, "--out", str(out)],
+            cwd=tree, env=env, capture_output=True, text=True, check=True)
+        result = json.loads(done.stdout)
+        if result.pop("code") != 0:
+            raise RuntimeError(f"enumerate failed in {tree}:\n{done.stderr}")
+        digest = hashlib.sha256()
+        with open(out, "rb") as handle:
+            for block in iter(lambda: handle.read(1 << 20), b""):
+                digest.update(block)
+        result["sha256"] = digest.hexdigest()
+        result["bytes"] = out.stat().st_size
+    return result
+
+
 def paired_order(pair: int) -> tuple:
     """The sides in the order they run in pair ``pair``: base first in even pairs."""
     return ("base", "change") if pair % 2 == 0 else ("change", "base")
+
+
+def alternating_runs(trees: dict, runs: int, run, label: str) -> dict:
+    """Per side, ``runs`` results of ``run(tree)``, the sides alternating
+    which runs first."""
+    done = {side: [] for side in trees}
+    for pair in range(runs):
+        for side in paired_order(pair):
+            done[side].append(run(trees[side]))
+            print(label, side, done[side][-1], file=sys.stderr)
+    return done
 
 
 def audit_record(trees: dict) -> dict:
@@ -166,14 +229,31 @@ def audit_record(trees: dict) -> dict:
     n_max, max_rank, max_k, max_chi = AUDIT_BOX
     record = {"box": {"n": f"1..{n_max}", "max_rank": max_rank, "max_k": max_k,
                       "max_chi": max_chi}}
-    done = {side: [] for side in trees}
-    for pair in range(AUDIT_RUNS):
-        for side in paired_order(pair):
-            done[side].append(run_audit(trees[side]))
-            print("audit", side, done[side][-1], file=sys.stderr)
+    done = alternating_runs(trees, AUDIT_RUNS, run_audit, "audit")
     for side, results in done.items():
         record[side] = {key: round(median(run[key] for run in results)) for key in results[0]}
         record[side]["runs"] = results
+    return record
+
+
+def stream_record(trees: dict, box: tuple = STREAM_BOX, runs: int = STREAM_RUNS) -> dict:
+    """``runs`` runs of ``run_stream`` per tree and format in alternating
+    order; per format and side every run, the medians of the wall time and
+    the peak RSS, and the sha256 when every run wrote the same bytes."""
+    n, max_rank, max_k, max_chi = box
+    record = {"box": {"n": n, "max_rank": max_rank, "max_k": max_k, "max_chi": max_chi}}
+    for fmt in STREAM_FORMATS:
+        done = alternating_runs(trees, runs, lambda tree: run_stream(tree, fmt, box),
+                                f"stream {fmt}")
+        record[fmt] = {}
+        for side, results in done.items():
+            digests = {run["sha256"] for run in results}
+            record[fmt][side] = {
+                "wall_ns": round(median(run["wall_ns"] for run in results)),
+                "peak_rss_kib": round(median(run["peak_rss_kib"] for run in results)),
+                "sha256": digests.pop() if len(digests) == 1 else None,
+                "runs": results,
+            }
     return record
 
 
@@ -256,6 +336,7 @@ def main(argv=None) -> int:
             "change_wins_wall": wins,
         }
     record["audit"] = audit_record(trees)
+    record["stream"] = stream_record(trees)
     record["probe_after_ns"] = probe_ns(hostspeed)
     previous = previous_diff(record, ROOT, args.out)
     if previous is not None:

@@ -18,9 +18,12 @@ output is an exact decimal string; no floating point appears anywhere.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import signal
+import stat
 import sys
+from itertools import islice
 
 from .formulas import (
     FormulaError,
@@ -37,7 +40,7 @@ from .formulas import (
 from .identities import ALL_IDENTITIES, report_blocks
 from .jsontext import dumps
 from .mukai import euler_chi_tensor, h2_vanishing_direction, is_positive, is_primitive, parse_vector
-from .pairs import DigitLimitError, enumerate_rows, rows_to_csv, rows_to_json
+from .pairs import DigitLimitError, csv_lines, find_partners, json_chunks, stream_rows
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -51,6 +54,8 @@ EXIT_BROKEN_PIPE = 128 + signal.SIGPIPE
 # --trials; the cap is ten times the 200 trials of the acceptance run.
 MAX_BOX_VOLUME = 20_000
 MAX_TRIALS = 2_000
+# enumerate writes its output this many CSV lines or JSON rows at a time
+WRITE_BLOCK = 2048
 
 CONVENTIONS = {
     "hilbert_scheme_vector": "Pic0 x Hilb^n is represented by v = (1, 0, -n), giving d_v = n",
@@ -162,6 +167,69 @@ def cmd_eval(args) -> int:
     })
 
 
+def _create_beside(target: str) -> tuple:
+    """(descriptor, path) of a new empty file in ``target``'s directory,
+    open for writing.  It is created with mode 0o666 less the umask, as
+    ``open(target, "w")`` would create ``target``."""
+    directory, name = os.path.split(target)
+    attempt = 0
+    while True:
+        path = os.path.join(directory, f".{name}.{os.getpid()}-{attempt}.tmp")
+        try:
+            return os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), path
+        except FileExistsError:
+            attempt += 1
+
+
+def _write_blocks(handle, chunks) -> None:
+    """Write the text of ``chunks``, ``WRITE_BLOCK`` chunks per call."""
+    write = handle.write
+    while block := "".join(islice(chunks, WRITE_BLOCK)):
+        write(block)
+
+
+def _write_out(out: str, chunks) -> None:
+    """Write the text of ``chunks`` to the file ``out``.
+
+    The text goes to a new file beside ``os.path.realpath(out)``, so a
+    symlink is written through, and that file replaces the target only
+    once every chunk is written: a refused or failed run leaves no file,
+    and an existing ``out`` as it was.  A new ``out`` gets the mode that
+    ``open(out, "w")`` gives; an existing one keeps its permission bits.
+    An ``out`` that exists and is not a regular file, such as a FIFO or a
+    terminal, cannot be replaced and is written directly.
+
+    The chunks build and render rows as they are drawn, and the one
+    ValueError that can raise is ``str()`` of an int past the digit limit,
+    refused as ``_too_long(_WRITE_REFUSAL)``.
+    """
+    target = os.path.realpath(out)
+    try:
+        try:
+            mode = os.stat(target).st_mode
+        except FileNotFoundError:
+            mode = None
+        if mode is not None and not stat.S_ISREG(mode):
+            with open(out, "w", encoding="utf-8") as handle:
+                _write_blocks(handle, chunks)
+            return
+        fd, temp = _create_beside(target)
+        try:
+            with open(fd, "w", encoding="utf-8") as handle:
+                if mode is not None:
+                    os.fchmod(fd, stat.S_IMODE(mode))
+                _write_blocks(handle, chunks)
+            os.replace(temp, target)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(temp)
+            raise
+    except ValueError:
+        raise _too_long(_WRITE_REFUSAL) from None
+    except OSError as exc:
+        raise UsageError(f"cannot write {out}: {exc.strerror or exc}") from None
+
+
 def cmd_enumerate(args) -> int:
     if args.n < 1:
         raise UsageError("n must be at least 1")
@@ -174,16 +242,12 @@ def cmd_enumerate(args) -> int:
             f"at most {MAX_BOX_VOLUME} are allowed"
         )
     try:
-        rows, summary = enumerate_rows(args.n, args.max_rank, args.max_k, args.max_chi)
+        vectors, partners = find_partners(args.n, args.max_rank, args.max_k, args.max_chi)
     except DigitLimitError:
         raise _too_long(_WRITE_REFUSAL) from None
-    to_text = rows_to_csv if args.format == "csv" else rows_to_json
-    text = _format(lambda: to_text(rows, summary), _WRITE_REFUSAL)
-    try:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    except OSError as exc:
-        raise UsageError(f"cannot write {args.out}: {exc}") from None
+    rows, summary = stream_rows(args.n, vectors, partners)
+    render = csv_lines if args.format == "csv" else json_chunks
+    _write_out(args.out, render(rows, summary))
     print(
         f"wrote {summary['pairs']} pairs ({summary['vectors']} vectors) to {args.out}; "
         f"nonintegral: {len(summary['nonintegral_rows'])}"

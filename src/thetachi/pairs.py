@@ -13,21 +13,33 @@ of it is.  Per r_w only the interval of k_w whose solved chi_w lies in the
 box is walked, so the cost follows the number of candidate partners, not
 the number of columns or of pairs of vectors.  d_v is computed once per
 vector (``MukaiVector.d``).  The search asserts the orthogonality of each
-unordered pair it finds, once.  Every pair is found before any row is
-built, and a pair whose values, in either order, provably have more digits
-than ``int`` -> ``str`` allows stops the scan, so a refused box builds no
-row.
+unordered pair it finds, once.  ``find_partners`` finds every pair before
+any row is built, and a pair whose values, in either order, provably have
+more digits than ``int`` -> ``str`` allows stops the scan, so a refused
+box builds no row.
+
+The rows are then built lazily: ``stream_rows`` yields them one at a time,
+in row order, from the partner lists, and ``csv_lines`` and
+``json_chunks`` render each one as it comes.  Nothing holds more than the
+row being rendered, so a caller that writes the text as it is rendered
+(``thetachi enumerate``) needs memory for the vectors and partner lists of
+the box, not for its rows.  The summary comes after the rows in both
+formats: its counts are known from the partner lists, and its integrality
+audit fills as the rows are built.  ``enumerate_rows``, ``rows_to_csv``
+and ``rows_to_json`` are the same generator and renderers collected into
+a list and a string.
 
 A row is lean: its two vectors, which carry d_v and d_w, the
 ``formulas.row_forms`` entries of the three theta Euler characteristics
 (value or None, and branch) and a flags tuple shared by every row with
 the same flags.  Its ``ChiResult``s are built only for the JSON output.
-Values become text only in ``rows_to_csv``, which makes each vector's
-text once and the head of a run of rows with the same v once, and
-``rows_to_json``, which renders the rows' ``to_json_dict`` payload through
-``jsontext.dumps``, the bytes of ``json.dumps`` with ``indent=2``.
-Output is deterministic: rows come out in the lexicographic order of their
-integer key, and every number is rendered as an exact decimal string.
+Values become text only in the renderers: ``csv_lines`` makes each
+vector's text once and the head of a run of rows with the same v once,
+and ``json_chunks`` renders each row's ``to_json_dict`` through
+``jsontext.dumps``, indented to its depth in the payload, so the text is
+that of ``json.dumps`` of the whole payload with ``indent=2``.  Output is
+deterministic: rows come out in the lexicographic order of their integer
+key, and every number is rendered as an exact decimal string.
 """
 
 from __future__ import annotations
@@ -123,14 +135,13 @@ def build_row(v: MukaiVector, w: MukaiVector) -> PairRow:
     return PairRow(v, w, forms, _flags(key))
 
 
-def _solutions(base: int, step: int, bound: int, max_k: int) -> range:
-    """The k in [-max_k, max_k] with |base + step k| <= bound, ascending."""
+def _solutions(base: int, step: int, bound: int, low: int, high: int) -> range:
+    """The k in [low, high] with |base + step k| <= bound, ascending."""
     if step == 0:
-        return range(-max_k, max_k + 1) if abs(base) <= bound else range(0)
+        return range(low, high + 1) if abs(base) <= bound else range(0)
     if step < 0:  # |base + step k| = |-base + |step| k|
         base, step = -base, -step
-    return range(max(-max_k, -((bound + base) // step)),
-                 min(max_k, (bound - base) // step) + 1)
+    return range(max(low, -((bound + base) // step)), min(high, (bound - base) // step) + 1)
 
 
 def _partners(i: int, v: MukaiVector, box: tuple, columns: dict, position: dict):
@@ -140,38 +151,42 @@ def _partners(i: int, v: MukaiVector, box: tuple, columns: dict, position: dict)
     ``box`` is (max_rank, max_k, max_chi); ``columns`` maps each (r, k) of
     the box to the positions of its vectors by ascending chi, and
     ``position`` maps (r, k, chi) to a position.  Positions follow (r, k,
-    chi), so no partner at j >= i has r_w < r_v.  With rest = r_w chi_v +
-    2n k_v k_w, a partner has r_v chi_w = -rest, so |rest| <= r_v max_chi
-    keeps chi_w in the box: per r_w only that interval of k_w is walked.
-    For r_v = 0 the bound is 0 and the interval is the one k_w with
-    rest = 0, whose whole column pairs with v.  Positivity makes k_v > 0
-    and k_w > 0 at rank 0, so that column has r_w > 0 and lies past i.
+    chi), so no partner at j >= i has r_w < r_v, and on the row r_w = r_v
+    none has k_w < k_v: that row is walked from k_w = k_v.  With rest =
+    r_w chi_v + 2n k_v k_w, a partner has r_v chi_w = -rest, so |rest| <=
+    r_v max_chi keeps chi_w in the box: per r_w only that interval of k_w
+    is walked.  For r_v = 0 the bound is 0 and the interval is the one k_w
+    with rest = 0, whose whole column pairs with v.  Positivity makes k_v >
+    0 and k_w > 0 at rank 0, so that column has r_w > 0 and lies past i.
     """
     max_rank, max_k, max_chi = box
     r_v, chi_v, twice_nk = v.r, v.chi, 2 * v.n * v.k
     bound = r_v * max_chi  # ranks in the box are nonnegative
+    low = v.k
     for r_w in range(r_v, max_rank + 1):
         base = r_w * chi_v
-        for k_w in _solutions(base, twice_nk, bound, max_k):
+        for k_w in _solutions(base, twice_nk, bound, low, max_k):
             if r_v == 0:
                 yield from columns.get((r_w, k_w), ())
                 continue
             chi_w, remainder = divmod(-(base + twice_nk * k_w), r_v)
             if remainder == 0 and (j := position.get((r_w, k_w, chi_w))) is not None and j >= i:
                 yield j
+        low = -max_k
 
 
-def enumerate_rows(n: int, max_rank: int, max_k: int, max_chi: int):
-    """All ordered orthogonal pairs of admissible vectors in the box.
+def find_partners(n: int, max_rank: int, max_k: int, max_chi: int) -> tuple:
+    """The admissible vectors of the box and, per vector, its partners.
 
-    Returns (rows, summary); rows are in the lexicographic order of
-    (r_v, k_v, chi_v, r_w, k_w, chi_w) and the summary carries the counts
-    and the integrality audit.  Each unordered pair {v_i, v_j}, i <= j, is
-    found and asserted once, from i, and gives the row (v_i, v_j) and, for
-    j != i, the row (v_j, v_i).  All pairs are found before any row is
-    built, so DigitLimitError, raised at the first pair whose values in
-    either order provably have more than ``sys.get_int_max_str_digits()``
-    digits, comes before any value is computed.
+    Returns (vectors, partners): ``partners[i]`` holds the positions j of
+    the w of the rows (v_i, v_j), ascending, so the rows in the
+    lexicographic order of (r_v, k_v, chi_v, r_w, k_w, chi_w) are those of
+    ``vectors[0]``'s partners, then of ``vectors[1]``'s, and so on.  Each
+    unordered pair {v_i, v_j}, i <= j, is found and asserted once, from i,
+    and gives the row (v_i, v_j) and, for j != i, the row (v_j, v_i).
+    DigitLimitError is raised at the first pair whose values in either
+    order provably have more than ``sys.get_int_max_str_digits()`` digits,
+    before any row is built.
     """
     vectors = admissible_vectors(n, max_rank, max_k, max_chi)
     # binom(m, j) < 2^m: no pair with d_v + d_w <= 10 * limit / 3 can be
@@ -182,8 +197,8 @@ def enumerate_rows(n: int, max_rank: int, max_k: int, max_chi: int):
         columns.setdefault((v.r, v.k), []).append(i)
     position = {(v.r, v.k, v.chi): i for i, v in enumerate(vectors)}
     box = (max_rank, max_k, max_chi)
-    # partners[i]: the positions of the w of the rows (v_i, w), ascending,
-    # as its j < i are appended in ascending j before i's own search runs
+    # partners[i] is ascending, as its j < i are appended in ascending j
+    # before i's own search runs
     partners = [[] for _ in vectors]
     for i, v in enumerate(vectors):
         for j in _partners(i, v, box, columns, position):
@@ -202,31 +217,61 @@ def enumerate_rows(n: int, max_rank: int, max_k: int, max_chi: int):
             partners[i].append(j)
             if j != i:
                 partners[j].append(i)
-    rows = [build_row(v, vectors[j]) for v, row_partners in zip(vectors, partners)
-            for j in row_partners]
-    # rows share their flags tuples (_flags): each distinct one is read once
-    distinct = {id(row.flags): row.flags for row in rows}
-    nonintegral = {key for key, flags in distinct.items()
-                   if any(flag.startswith("nonintegral") for flag in flags)}
-    violations = [row for row in rows if id(row.flags) in nonintegral] if nonintegral else []
+    return vectors, partners
+
+
+def stream_rows(n: int, vectors: list, partners: list) -> tuple:
+    """(rows, summary) of ``find_partners``'s (vectors, partners).
+
+    ``rows`` is a generator that builds the rows one at a time, in row
+    order.  ``summary`` carries the counts at once, and its integrality
+    audit, ``nonintegral_rows``, gains each row with a ``nonintegral``
+    flag as that row is built, so it is complete once the last row is.
+    """
     summary = {
         "n": str(n),
         "vectors": str(len(vectors)),
-        "pairs": str(len(rows)),
-        "nonintegral_rows": [
-            {"v": row.v.text(), "w": row.w.text(), "flags": list(row.flags)}
-            for row in violations
-        ],
+        "pairs": str(sum(map(len, partners))),
+        "nonintegral_rows": [],
     }
-    return rows, summary
+    return _rows(vectors, partners, summary["nonintegral_rows"]), summary
 
 
-def rows_to_csv(rows, summary) -> str:
-    lines = [",".join(CSV_COLUMNS)]
+def _rows(vectors: list, partners: list, nonintegral: list):
+    # whether each distinct flags tuple names a nonintegral value, keyed by
+    # id: rows share the tuples that _flags keeps
+    verdicts: dict = {}
+    for v, row_partners in zip(vectors, partners):
+        for j in row_partners:
+            row = build_row(v, vectors[j])
+            flags = row.flags
+            verdict = verdicts.get(id(flags))
+            if verdict is None:
+                verdict = verdicts[id(flags)] = any(
+                    flag.startswith("nonintegral") for flag in flags)
+            if verdict:
+                nonintegral.append({"v": v.text(), "w": row.w.text(), "flags": list(flags)})
+            yield row
+
+
+def enumerate_rows(n: int, max_rank: int, max_k: int, max_chi: int):
+    """All ordered orthogonal pairs of admissible vectors in the box.
+
+    Returns (rows, summary): the list of ``stream_rows``' rows and the
+    summary they complete, with the counts and the integrality audit.
+    """
+    rows, summary = stream_rows(n, *find_partners(n, max_rank, max_k, max_chi))
+    return list(rows), summary
+
+
+def csv_lines(rows, summary):
+    """The CSV text of ``rows`` line by line, then the trailer of
+    ``summary``, which is read only after the last row."""
+    yield ",".join(CSV_COLUMNS) + "\n"
     # "r,k,chi" of each w and the text of each flags tuple, made once; keyed
-    # by id, as the rows keep every vector and tuple alive.  The rows of one
-    # v are consecutive, so its "n,r,k,chi," head and ",d_v," are made once
-    # per run of rows
+    # by id, as the vectors and the flags tuples outlive the rows.  The rows
+    # of one v are consecutive, so its "n,r,k,chi," head and ",d_v," are
+    # made once per run of rows
     texts: dict = {}
     last_v = None
     for row in rows:
@@ -235,17 +280,31 @@ def rows_to_csv(rows, summary) -> str:
             last_v, head, dv_text = v, f"{v.n},{v.text()},", f",{v.d},"
         w_text = texts.get(id(w)) or texts.setdefault(id(w), w.text())
         flag_text = texts.get(id(flags)) or texts.setdefault(id(flags), ";".join(flags) or "-")
-        lines.append(f"{head}{w_text}{dv_text}{w.d},"
-                     f"{'' if main[0] is None else main[0]},{'' if two[0] is None else two[0]},"
-                     f"{'' if three[0] is None else three[0]},{flag_text}")
-    lines.append(f"# pairs={summary['pairs']} vectors={summary['vectors']} "
-                 f"nonintegral={len(summary['nonintegral_rows'])}")
-    return "\n".join(lines) + "\n"
+        yield (f"{head}{w_text}{dv_text}{w.d},"
+               f"{'' if main[0] is None else main[0]},{'' if two[0] is None else two[0]},"
+               f"{'' if three[0] is None else three[0]},{flag_text}\n")
+    yield (f"# pairs={summary['pairs']} vectors={summary['vectors']} "
+           f"nonintegral={len(summary['nonintegral_rows'])}\n")
+
+
+def json_chunks(rows, summary):
+    """The text of ``jsontext.dumps({"rows": [...], "summary": summary})``
+    and a newline, one row at a time; ``summary`` is read only after the
+    last row.  Each row is ``dumps`` of its ``to_json_dict`` indented to its
+    depth, which is exact: a string's newlines are escaped, so each newline
+    is the layout's."""
+    yield '{\n  "rows": ['
+    separator = "\n    "
+    for row in rows:
+        yield separator + dumps(row.to_json_dict()).replace("\n", "\n    ")
+        separator = ",\n    "
+    close = "]" if separator == "\n    " else "\n  ]"
+    yield f'{close},\n  "summary": ' + dumps(summary).replace("\n", "\n  ") + "\n}\n"
+
+
+def rows_to_csv(rows, summary) -> str:
+    return "".join(csv_lines(rows, summary))
 
 
 def rows_to_json(rows, summary) -> str:
-    payload = {
-        "rows": [row.to_json_dict() for row in rows],
-        "summary": summary,
-    }
-    return dumps(payload) + "\n"
+    return "".join(json_chunks(rows, summary))

@@ -1,13 +1,18 @@
 import contextlib
+import errno
 import functools
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
+import threading
 import time
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -166,8 +171,10 @@ def test_enumerate_value_past_digit_limit_exits_2(capsys, monkeypatch, tmp_path,
 def test_enumerate_value_past_digit_limit_refused_when_written(capsys, monkeypatch, tmp_path,
                                                                  fmt):
     # the largest value of this box has 14,322 bits, past 4,300 digits, but
-    # the bound j * floor(log2(m // j)) falls short of it: every row is
-    # built and the value is refused only while the output is formatted
+    # the bound j * floor(log2(m // j)) falls short of it: the search
+    # passes, and the value is refused while the output is formatted.  The
+    # rows stream, so the run stops at the first row with such a value,
+    # row 1,300 of 6,505 in both formats
     real_build_row = pairs.build_row
     built = []
 
@@ -185,8 +192,9 @@ def test_enumerate_value_past_digit_limit_refused_when_written(capsys, monkeypat
     assert limit == 4300
     assert (code, out) == (2, "")
     assert err == f"error: a value has more than {limit} decimal digits and cannot be written\n"
-    assert len(built) == 6505
+    assert len(built) == {"csv": 1300, "json": 1300}[fmt]
     assert not out_file.exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -323,12 +331,12 @@ def test_enumerate_box_cap_accepts(tmp_path, capsys, monkeypatch, box):
     assert (box[1] + 1) * (2 * box[2] + 1) * (2 * box[3] + 1) <= MAX_BOX_VOLUME
     seen = []
 
-    def fake_enumerate_rows(*args):
+    def fake_find_partners(*args):
         seen.append(args)
-        return [], {"pairs": "0", "vectors": "0", "nonintegral_rows": []}
+        return [], []
 
     # the cap is checked before any work; only the refusal is under test
-    monkeypatch.setattr(cli, "enumerate_rows", fake_enumerate_rows)
+    monkeypatch.setattr(cli, "find_partners", fake_find_partners)
     out = tmp_path / "box.csv"
     code = main(["enumerate", *(x for flag, value in zip(
         ("--n", "--max-rank", "--max-k", "--max-chi"), box) for x in (flag, str(value))),
@@ -375,7 +383,154 @@ def test_enumerate_unwritable_path(capsys):
                  "--max-chi", "1", "--out", "/nonexistent-dir/x.csv"])
     captured = capsys.readouterr()
     assert code == 2
-    assert "cannot write" in captured.err
+    assert captured.err == "error: cannot write /nonexistent-dir/x.csv: No such file or directory\n"
+
+
+# the three AC-8 boxes and the larger box of the benchmark's enumerate pass
+PERFBENCH_BOXES = ((1, 4, 4, 6), (2, 4, 4, 6), (3, 4, 4, 6), (2, 5, 5, 8))
+
+
+def enumerate_argv(box, out, fmt="csv"):
+    n, max_rank, max_k, max_chi = box
+    return ["enumerate", "--n", str(n), "--max-rank", str(max_rank), "--max-k", str(max_k),
+            "--max-chi", str(max_chi), "--format", fmt, "--out", str(out)]
+
+
+def wrapper_text(box, fmt="csv"):
+    """The output of ``box`` through the list API: ``enumerate_rows`` and
+    ``rows_to_csv`` or ``rows_to_json``."""
+    rows, summary = pairs.enumerate_rows(*box)
+    return (pairs.rows_to_csv if fmt == "csv" else pairs.rows_to_json)(rows, summary)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("box", PERFBENCH_BOXES)
+def test_enumerate_streams_the_wrapper_text(tmp_path, capsys, box, fmt):
+    out = tmp_path / f"pairs.{fmt}"
+    assert main(enumerate_argv(box, out, fmt)) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == wrapper_text(box, fmt).encode()
+    assert list(tmp_path.iterdir()) == [out]
+
+
+def traced_peak(fn) -> int:
+    """The ``tracemalloc`` peak, in bytes, of ``fn()``."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_enumerate_holds_a_block_of_rows_not_all_of_them(tmp_path, capsys, fmt):
+    # the command builds and writes the rows a block at a time, so its
+    # peak is a fraction of that of the whole row list and its text
+    box = PERFBENCH_BOXES[-1]
+    argv = enumerate_argv(box, tmp_path / f"pairs.{fmt}", fmt)
+    assert main(argv) == 0  # fills the caches both sides share
+    streamed = traced_peak(lambda: main(argv))
+    whole = traced_peak(lambda: wrapper_text(box, fmt))
+    capsys.readouterr()
+    assert streamed < whole / 2
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("error,message", [
+    (OSError(errno.ENOSPC, "No space left on device"), "cannot write {out}: No space left on device"),
+    (ValueError("Exceeds the limit"), "a value has more than {limit} decimal digits and cannot be written"),
+], ids=["write-error", "digit-limit"])
+def test_enumerate_failure_mid_stream_keeps_the_old_out(tmp_path, capsys, monkeypatch, fmt,
+                                                       error, message):
+    # the renderer fails after more chunks than one block, so some of the
+    # text was written before the failure: none of it reaches --out
+    name = "csv_lines" if fmt == "csv" else "json_chunks"
+    render = getattr(cli, name)
+    written = cli.WRITE_BLOCK + 5
+
+    def failing(rows, summary):
+        yield from itertools.islice(render(rows, summary), written)
+        raise error
+
+    monkeypatch.setattr(cli, name, failing)
+    out = tmp_path / f"pairs.{fmt}"
+    out.write_bytes(b"old bytes\n")
+    code, stdout, err = run_cli(capsys, *enumerate_argv(PERFBENCH_BOXES[-1], out, fmt))
+    assert (code, stdout) == (2, "")
+    assert err == "error: " + message.format(out=out, limit=sys.get_int_max_str_digits()) + "\n"
+    assert out.read_bytes() == b"old bytes\n"
+    assert list(tmp_path.iterdir()) == [out]
+
+
+def test_enumerate_writes_through_a_symlink(tmp_path, capsys):
+    # the new text replaces the link's target, in the target's directory;
+    # the link stays a link
+    (tmp_path / "links").mkdir()
+    (tmp_path / "files").mkdir()
+    target = tmp_path / "files" / "pairs.csv"
+    target.write_text("old\n")
+    link = tmp_path / "links" / "pairs.csv"
+    link.symlink_to(Path("..") / "files" / "pairs.csv")
+    box = PERFBENCH_BOXES[0]
+    assert main(enumerate_argv(box, link)) == 0
+    capsys.readouterr()
+    assert link.is_symlink() and os.readlink(link) == str(Path("..") / "files" / "pairs.csv")
+    assert target.read_text() == wrapper_text(box)
+    assert list((tmp_path / "links").iterdir()) == [link]
+    assert list((tmp_path / "files").iterdir()) == [target]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask022", "umask077"])
+def test_enumerate_modes_of_new_and_existing_files(tmp_path, capsys, umask):
+    # a new file gets 0o666 less the umask, as open(path, "w") gives it; an
+    # existing one keeps its permission bits
+    new, kept = tmp_path / "new.csv", tmp_path / "kept.csv"
+    kept.write_text("old\n")
+    kept.chmod(0o640)
+    before = os.umask(umask)
+    try:
+        assert main(enumerate_argv(PERFBENCH_BOXES[0], new)) == 0
+        assert main(enumerate_argv(PERFBENCH_BOXES[0], kept)) == 0
+    finally:
+        os.umask(before)
+    capsys.readouterr()
+    assert stat.S_IMODE(new.stat().st_mode) == 0o666 & ~umask
+    assert stat.S_IMODE(kept.stat().st_mode) == 0o640
+    assert kept.read_text() == new.read_text() == wrapper_text(PERFBENCH_BOXES[0])
+
+
+def test_enumerate_writes_into_a_fifo(tmp_path, capsys):
+    # a FIFO cannot be replaced, so the text is written into it.  The read
+    # end and a spare write end are open before the command runs: the
+    # command's open does not block, the reader sees end of file only once
+    # the spare end is closed, and a FIFO replaced by a regular file would
+    # leave the reader with no bytes rather than hang it.  The box's text is
+    # larger than a pipe's buffer, so the reader drains it as it comes.
+    fifo = tmp_path / "pairs.csv"
+    os.mkfifo(fifo)
+    read_end = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    os.set_blocking(read_end, True)
+    spare = os.open(fifo, os.O_WRONLY | os.O_NONBLOCK)
+    received = []
+
+    def drain():
+        with open(read_end, "rb") as handle:
+            received.append(handle.read())
+
+    reader = threading.Thread(target=drain, daemon=True)
+    reader.start()
+    box = PERFBENCH_BOXES[0]
+    try:
+        assert main(enumerate_argv(box, fifo)) == 0
+    finally:
+        os.close(spare)
+        reader.join(timeout=30)
+    capsys.readouterr()
+    assert received == [wrapper_text(box).encode()]
+    assert len(received[0]) > 65536
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert list(tmp_path.iterdir()) == [fifo]
 
 
 def test_verify_subset_and_exit_code(capsys):

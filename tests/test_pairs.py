@@ -282,3 +282,43 @@ def test_flags_name_each_nonintegral_value():
         "dw_neg", "three_undef", "nonintegral_main", "two_special_dv0", "nonintegral_two",
         "h2_neg",
     )
+
+
+@pytest.mark.parametrize("box", [(1, 1, 1, 2), (2, 2, 1, 3), (1, 0, 1, 1)])
+def test_json_rows_render_as_the_whole_payload(box):
+    # each row is rendered on its own, indented to its depth; json.dumps of
+    # the whole payload is the oracle, also with no rows and with an audit
+    # entry in the summary
+    rows, summary = enumerate_rows(*box)
+    audited = dict(summary, nonintegral_rows=[{"v": "1,0,-1", "w": "2,3,2", "flags": ["x"]}])
+    for payload_summary in (summary, audited):
+        payload = {"rows": [row.to_json_dict() for row in rows], "summary": payload_summary}
+        assert rows_to_json(rows, payload_summary) == json.dumps(payload, indent=2) + "\n"
+    assert (len(rows) == 0) == (box == (1, 0, 1, 1))
+
+
+def test_audit_fills_as_the_rows_stream(monkeypatch):
+    # rows whose flags name a nonintegral value are listed in row order as
+    # they are built, and the counts are ready before any row is
+    real_build_row = pairs.build_row
+    odd = pairs._flags((False, False, 1, ("generic",), "generic", "generic"))
+
+    def build_row(v, w):
+        row = real_build_row(v, w)
+        return pairs.PairRow(v, w, row.forms, odd) if (v.chi + w.chi) % 3 == 0 else row
+
+    monkeypatch.setattr(pairs, "build_row", build_row)
+    vectors, partners = pairs.find_partners(1, 2, 1, 3)
+    stream, summary = pairs.stream_rows(1, vectors, partners)
+    assert summary == {"n": "1", "vectors": str(len(vectors)),
+                       "pairs": str(sum(map(len, partners))), "nonintegral_rows": []}
+    rows = []
+    for row in stream:
+        rows.append(row)
+        listed = [(entry["v"], entry["w"]) for entry in summary["nonintegral_rows"]]
+        assert listed == [(r.v.text(), r.w.text()) for r in rows if r.flags is odd]
+    assert str(len(rows)) == summary["pairs"]
+    assert 0 < len(summary["nonintegral_rows"]) < len(rows)
+    assert summary["nonintegral_rows"][0]["flags"] == list(odd)
+    assert rows_to_csv(rows, summary).endswith(
+        f"nonintegral={len(summary['nonintegral_rows'])}\n")

@@ -1,5 +1,6 @@
 """Smoke tests: the scripts under ``scripts/`` run end to end and exit 0."""
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -7,7 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from thetachi.pairs import enumerate_rows
+from thetachi.pairs import enumerate_rows, rows_to_csv, rows_to_json
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -141,3 +142,24 @@ def test_bench_audit_alternates_the_trees_and_keeps_each_run(monkeypatch):
         "wall_ns": 20, "scaled_wall_ns": 60, "pairs": 4, "nonintegral": 0, "peak_rss_kib": 120}
     assert (record["change"]["wall_ns"], record["change"]["scaled_wall_ns"],
             record["change"]["peak_rss_kib"]) == (7, 21, 107)
+
+
+def test_bench_stream_runs_the_cli_per_format_in_child_processes():
+    # a small box stands in for STREAM_BOX: each run writes the bytes of the
+    # list API, and every field is recorded per run and per side
+    bench = load_script("bench")
+    assert bench.STREAM_BOX == (1, 12, 12, 24)
+    box = (1, 1, 1, 2)
+    record = bench.stream_record({"base": ROOT, "change": ROOT}, box, runs=2)
+    assert record["box"] == {"n": 1, "max_rank": 1, "max_k": 1, "max_chi": 2}
+    rows, summary = enumerate_rows(*box)
+    for fmt, render in (("csv", rows_to_csv), ("json", rows_to_json)):
+        text = render(rows, summary).encode()
+        for side in ("base", "change"):
+            result = record[fmt][side]
+            assert result["sha256"] == hashlib.sha256(text).hexdigest()
+            assert len(result["runs"]) == 2
+            for run in result["runs"]:
+                assert run["bytes"] == len(text) and run["sha256"] == result["sha256"]
+                assert run["wall_ns"] > 0 and run["peak_rss_kib"] > 0
+            assert result["wall_ns"] > 0 and result["peak_rss_kib"] > 0
