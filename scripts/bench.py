@@ -100,7 +100,6 @@ print(json.dumps({"wall_ns": wall_ns, "scaled_wall_ns": round(scaled_s * 1e9), "
 # the largest n = 1 box in the enumerate cap, 323,471 rows:
 # (n, max_rank, max_k, max_chi)
 STREAM_BOX = (1, 12, 12, 24)
-STREAM_FORMATS = ("csv", "json")
 STREAM_RUNS = 3  # per tree and format
 _STREAM_CHILD = """\
 import contextlib, json, os, resource, sys, time
@@ -242,7 +241,7 @@ def stream_record(trees: dict, box: tuple = STREAM_BOX, runs: int = STREAM_RUNS)
     the peak RSS, and the sha256 when every run wrote the same bytes."""
     n, max_rank, max_k, max_chi = box
     record = {"box": {"n": n, "max_rank": max_rank, "max_k": max_k, "max_chi": max_chi}}
-    for fmt in STREAM_FORMATS:
+    for fmt in ("csv", "json"):
         done = alternating_runs(trees, runs, lambda tree: run_stream(tree, fmt, box),
                                 f"stream {fmt}")
         record[fmt] = {}

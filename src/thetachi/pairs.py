@@ -20,8 +20,8 @@ box builds no row.
 
 The rows are then built lazily: ``stream_rows`` yields them one at a time,
 in row order, from the partner lists, and ``csv_lines`` and
-``json_chunks`` render each one as it comes.  Nothing holds more than the
-row being rendered, so a caller that writes the text as it is rendered
+``json_chunks`` render each one as it comes.  None of them keeps a row
+once it is rendered, so a caller that writes the text as it comes
 (``thetachi enumerate``) needs memory for the vectors and partner lists of
 the box, not for its rows.  The summary comes after the rows in both
 formats: its counts are known from the partner lists, and its integrality
