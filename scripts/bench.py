@@ -3,38 +3,29 @@
 
 Runs every workload on a base tree and a changed tree, ``PAIRS`` times
 each, alternating which tree runs first, and writes one JSON record with,
-per workload and side, the median and quartiles of the scaled ``wall_s``
-and the medians of the raw ``wall_s`` and of the scaled and raw
-``setup_s``, all in integer nanoseconds, plus ``ops_per_s``, ``peak_rss``
-in KiB, how many operations failed and how many pairs the change won on
-scaled ``wall_s``.  The record also holds the host-speed probe (median of
-five runs before and after, in ns, against its nominal time), the Python
-version, ``nproc``, and for each tree its HEAD commit and the git tree
-SHA of its ``src/`` as measured, which equals ``git rev-parse
-<commit>:src`` of the commit that holds that source.
-Each run gets a fresh bytecode cache of its own (``child_env``), so both
-trees time the same cached import in ``setup_s``.
+per workload and side, every run and the medians of its metrics: the
+``wall_s`` that ``perfbench/run.py`` scales by its host-speed probe (with
+quartiles), the raw ``wall_s`` and the scaled and raw ``setup_s``, all in
+integer nanoseconds, ``ops_per_s`` and ``peak_rss`` in KiB; plus how many
+operations failed and how many pairs the change won on scaled ``wall_s``.
+The record also holds the host-speed probe (median of five runs before and
+after, in ns, against its nominal time), the Python version, ``nproc``,
+and for each tree its HEAD commit and the git tree SHA of its ``src/`` as
+measured, which equals ``git rev-parse <commit>:src`` of the commit that
+holds that source.  Each run gets a fresh bytecode cache of its own
+(``child_env``), so both trees time the same cached import in ``setup_s``.
 
-The record also holds ``AUDIT_RUNS`` runs per tree of the
-integrality-audit box (``AUDIT_BOX``: every n up to 6 with rank <= 12,
-|k| <= 12, |chi| <= 24), alternating which tree runs first as the
-workloads do, each in a child process of its own: its wall time in ns,
-that time scaled by the host-speed probe (``scaled_wall_ns``), the pairs
-found, how many rows the audit flagged nonintegral, and the child's peak
-RSS in KiB.  The child runs the probe before the first n and after each
-n, and scales each n's time by the mean of the probes on either side, as
-``perfbench/run.py`` scales a workload's units.  Each side keeps every run
-and the median of each field.  It is a measurement, not a gate.
-
-The record also holds ``STREAM_RUNS`` runs per tree and format of
-``thetachi enumerate`` on the 15,925-cell box ``STREAM_BOX`` (n = 1, rank
-<= 12, |k| <= 12, |chi| <= 24), in CSV and in JSON, alternating which tree
-runs first, each in a child process of its own that runs the CLI's
-``main`` on that tree's ``src/``: the raw wall time of ``main`` in ns (not
-scaled: at this noise the probe's scaling can reverse the raw order), the
-child's peak RSS in KiB, and the size and sha256 of the file written.
-Each side keeps every run, the medians of the time and the peak RSS, and
-the sha256 when every run wrote the same bytes.
+The larger boxes run through one child program, ``run_stream``: ``thetachi
+enumerate --out`` on that tree's ``src/``, ``RUNS`` times per tree in
+alternating order.  Each child reports the raw wall time of the CLI's
+``main`` in ns (not scaled: at this noise the probe's scaling can reverse
+the raw order), its peak RSS in KiB, the pairs and nonintegral rows the CLI
+reports, and the size and sha256 of the file written.  ``audit`` is the
+integrality-audit box ``AUDIT_BOX`` (n = 1..6, rank <= 12, |k| <= 12,
+|chi| <= 24) in CSV, one child per n, summed; ``stream`` is the
+15,925-cell n = 1 box ``STREAM_BOX`` in CSV and in JSON.  Each side keeps
+every run, the median of each numeric field and the sha256 when every run
+wrote the same bytes.  These are measurements, not gates.
 
 When the repository root holds an earlier record (the highest-numbered
 ``BENCH_<n>.json`` other than ``--out``), the new record gains a
@@ -70,47 +61,23 @@ NS = 1_000_000_000
 MEDIANS = ("wall_ns", "raw_wall_ns", "setup_ns", "raw_setup_ns", "ops_per_s", "peak_rss_kib")
 # the integrality-audit box: (largest n, max_rank, max_k, max_chi), every n from 1
 AUDIT_BOX = (6, 12, 12, 24)
-AUDIT_RUNS = 3  # per tree: one unpaired run moved by 17% on untouched code
-# where the audit child imports the host-speed probe from: this checkout's,
-# whichever tree it measures
-HOSTSPEED_DIR = ROOT / "perfbench"
-_AUDIT_CHILD = """\
-import json, resource, sys, time
-import hostspeed
-from thetachi.pairs import enumerate_rows
-n_max, max_rank, max_k, max_chi = map(int, sys.argv[1:])
-pairs = nonintegral = wall_ns = 0
-scaled_s = 0.0
-before = hostspeed.probe()
-for n in range(1, n_max + 1):
-    start = time.perf_counter_ns()
-    rows, summary = enumerate_rows(n, max_rank, max_k, max_chi)
-    pairs += len(rows)
-    nonintegral += len(summary["nonintegral_rows"])
-    del rows, summary
-    elapsed_ns = time.perf_counter_ns() - start
-    after = hostspeed.probe()
-    wall_ns += elapsed_ns
-    scaled_s += hostspeed.scaled(elapsed_ns / 1e9, (before + after) / 2)
-    before = after
-print(json.dumps({"wall_ns": wall_ns, "scaled_wall_ns": round(scaled_s * 1e9), "pairs": pairs,
-                  "nonintegral": nonintegral,
-                  "peak_rss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
-"""
 # the largest n = 1 box in the enumerate cap, 323,471 rows:
 # (n, max_rank, max_k, max_chi)
 STREAM_BOX = (1, 12, 12, 24)
-STREAM_RUNS = 3  # per tree and format
+RUNS = 3  # per tree, of the audit and of each format: one unpaired run moved by 17%
 _STREAM_CHILD = """\
-import contextlib, json, os, resource, sys, time
+import contextlib, io, json, resource, sys, time
 from thetachi.cli import main
-with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+with contextlib.redirect_stdout(io.StringIO()) as said:
     start = time.perf_counter_ns()
     code = main(sys.argv[1:])
     wall_ns = time.perf_counter_ns() - start
-print(json.dumps({"code": code, "wall_ns": wall_ns,
+print(json.dumps({"said": said.getvalue(), "wall_ns": wall_ns,
                   "peak_rss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
+sys.exit(code)
 """
+# the line ``thetachi enumerate --out`` prints once the file is written
+_WROTE = re.compile(r"wrote (\d+) pairs \(\d+ vectors\) to .*; nonintegral: (\d+)\n")
 
 
 def git(tree: Path, *args, env=None) -> str:
@@ -170,20 +137,11 @@ def run_once(tree: Path, workload: str) -> dict:
     }
 
 
-def run_audit(tree: Path, box: tuple = AUDIT_BOX) -> dict:
-    """The audit ``box`` on ``tree``'s ``src/``, in a child process."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, (str(tree / "src"), str(HOSTSPEED_DIR), env.get("PYTHONPATH"))))
-    done = subprocess.run([sys.executable, "-c", _AUDIT_CHILD, *map(str, box)], cwd=tree,
-                          env=env, capture_output=True, text=True, check=True)
-    return json.loads(done.stdout)
-
-
 def run_stream(tree: Path, fmt: str, box: tuple = STREAM_BOX) -> dict:
     """``thetachi enumerate`` of ``box`` in ``fmt`` on ``tree``'s ``src/``,
     in a child process: the raw wall time of ``main`` in ns, the child's
-    peak RSS in KiB, and the size and sha256 of the file it wrote."""
+    peak RSS in KiB, the pairs and nonintegral rows the CLI reports, and
+    the size and sha256 of the file it wrote."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(tree / "src"), env.get("PYTHONPATH"))))
     n, max_rank, max_k, max_chi = box
@@ -193,10 +151,12 @@ def run_stream(tree: Path, fmt: str, box: tuple = STREAM_BOX) -> dict:
             [sys.executable, "-c", _STREAM_CHILD, "enumerate", "--n", str(n),
              "--max-rank", str(max_rank), "--max-k", str(max_k), "--max-chi", str(max_chi),
              "--format", fmt, "--out", str(out)],
-            cwd=tree, env=env, capture_output=True, text=True, check=True)
+            cwd=tree, env=env, capture_output=True, text=True, check=False)
+        if done.returncode != 0:
+            raise RuntimeError(f"thetachi enumerate failed in {tree}:\n{done.stderr}")
         result = json.loads(done.stdout)
-        if result.pop("code") != 0:
-            raise RuntimeError(f"enumerate failed in {tree}:\n{done.stderr}")
+        pairs, nonintegral = _WROTE.fullmatch(result.pop("said")).groups()
+        result["pairs"], result["nonintegral"] = int(pairs), int(nonintegral)
         digest = hashlib.sha256()
         with open(out, "rb") as handle:
             for block in iter(lambda: handle.read(1 << 20), b""):
@@ -222,50 +182,71 @@ def alternating_runs(trees: dict, runs: int, run, label: str) -> dict:
     return done
 
 
-def audit_record(trees: dict) -> dict:
-    """``AUDIT_RUNS`` audit runs per tree in alternating order; per side
-    every run and the median of each of its fields."""
-    n_max, max_rank, max_k, max_chi = AUDIT_BOX
+def side_record(runs: list) -> dict:
+    """The median of each int field of ``runs``, each other field's value
+    when every run has the same one (else None), and every run."""
+    out = {}
+    for key, value in runs[0].items():
+        values = [run[key] for run in runs]
+        if type(value) is int:
+            out[key] = round(median(values))
+        else:
+            out[key] = values[0] if len(set(values)) == 1 else None
+    out["runs"] = runs
+    return out
+
+
+def summary(runs: list) -> dict:
+    """``side_record`` of workload ``runs``, with the quartiles of
+    ``wall_ns`` and the failed and attempted operations of all runs."""
+    wall = [run["wall_ns"] for run in runs]
+    q1, _, q3 = quantiles(wall, n=4) if len(wall) > 1 else (wall[0],) * 3
+    out = side_record(runs)
+    out.update(wall_q1_ns=round(q1), wall_q3_ns=round(q3),
+               failed=sum(run["failed"] for run in runs),
+               attempted=sum(run["attempted"] for run in runs))
+    return out
+
+
+def workload_record(trees: dict, workload: str) -> dict:
+    """``PAIRS`` runs of ``workload`` per tree in alternating order: per side
+    their ``summary``, and how many pairs the change won on ``wall_ns``."""
+    done = alternating_runs(trees, PAIRS, lambda tree: run_once(tree, workload), workload)
+    wins = sum(c["wall_ns"] < b["wall_ns"] for b, c in zip(done["base"], done["change"]))
+    return {"base": summary(done["base"]), "change": summary(done["change"]),
+            "change_wins_wall": wins}
+
+
+def audit_record(trees: dict, box: tuple = AUDIT_BOX, runs: int = RUNS) -> dict:
+    """``runs`` audit runs per tree in alternating order, each a CSV
+    ``run_stream`` for every n from 1 to ``box[0]``; per side every run and
+    the median of each of its fields."""
+    n_max, max_rank, max_k, max_chi = box
+
+    def audit(tree: Path) -> dict:
+        done = [run_stream(tree, "csv", (n, max_rank, max_k, max_chi))
+                for n in range(1, n_max + 1)]
+        total = {key: sum(run[key] for run in done) for key in ("wall_ns", "pairs", "nonintegral")}
+        return dict(total, peak_rss_kib=max(run["peak_rss_kib"] for run in done))
+
     record = {"box": {"n": f"1..{n_max}", "max_rank": max_rank, "max_k": max_k,
                       "max_chi": max_chi}}
-    done = alternating_runs(trees, AUDIT_RUNS, run_audit, "audit")
-    for side, results in done.items():
-        record[side] = {key: round(median(run[key] for run in results)) for key in results[0]}
-        record[side]["runs"] = results
+    for side, results in alternating_runs(trees, runs, audit, "audit").items():
+        record[side] = side_record(results)
     return record
 
 
-def stream_record(trees: dict, box: tuple = STREAM_BOX, runs: int = STREAM_RUNS) -> dict:
+def stream_record(trees: dict, box: tuple = STREAM_BOX, runs: int = RUNS) -> dict:
     """``runs`` runs of ``run_stream`` per tree and format in alternating
-    order; per format and side every run, the medians of the wall time and
-    the peak RSS, and the sha256 when every run wrote the same bytes."""
+    order; per format and side every run, the median of each numeric field,
+    and the sha256 when every run wrote the same bytes."""
     n, max_rank, max_k, max_chi = box
     record = {"box": {"n": n, "max_rank": max_rank, "max_k": max_k, "max_chi": max_chi}}
     for fmt in ("csv", "json"):
         done = alternating_runs(trees, runs, lambda tree: run_stream(tree, fmt, box),
                                 f"stream {fmt}")
-        record[fmt] = {}
-        for side, results in done.items():
-            digests = {run["sha256"] for run in results}
-            record[fmt][side] = {
-                "wall_ns": round(median(run["wall_ns"] for run in results)),
-                "peak_rss_kib": round(median(run["peak_rss_kib"] for run in results)),
-                "sha256": digests.pop() if len(digests) == 1 else None,
-                "runs": results,
-            }
+        record[fmt] = {side: side_record(results) for side, results in done.items()}
     return record
-
-
-def summary(runs: list) -> dict:
-    wall = [run["wall_ns"] for run in runs]
-    q1, _, q3 = quantiles(wall, n=4) if len(wall) > 1 else (wall[0],) * 3
-    out = {"wall_ns": round(median(wall)), "wall_q1_ns": round(q1), "wall_q3_ns": round(q3)}
-    for key in ("raw_wall_ns", "setup_ns", "raw_setup_ns", "ops_per_s", "peak_rss_kib"):
-        out[key] = round(median(run[key] for run in runs))
-    out["failed"] = sum(run["failed"] for run in runs)
-    out["attempted"] = sum(run["attempted"] for run in runs)
-    out["runs_wall_ns"] = wall
-    return out
 
 
 def previous_diff(record: dict, root: Path, out: Path) -> dict | None:
@@ -319,24 +300,11 @@ def main(argv=None) -> int:
                   for side, tree in trees.items()},
         "probe_nominal_ns": round(hostspeed.NOMINAL_S * NS),
         "probe_before_ns": probe_ns(hostspeed),
-        "workloads": {},
+        "workloads": {workload: workload_record(trees, workload) for workload in WORKLOADS},
+        "audit": audit_record(trees),
+        "stream": stream_record(trees),
+        "probe_after_ns": probe_ns(hostspeed),
     }
-    for workload in WORKLOADS:
-        runs = {"base": [], "change": []}
-        for pair in range(PAIRS):
-            for side in paired_order(pair):
-                runs[side].append(run_once(trees[side], workload))
-            print(workload, pair, {side: r[-1]["wall_ns"] for side, r in runs.items()},
-                  file=sys.stderr)
-        wins = sum(c["wall_ns"] < b["wall_ns"] for b, c in zip(runs["base"], runs["change"]))
-        record["workloads"][workload] = {
-            "base": summary(runs["base"]),
-            "change": summary(runs["change"]),
-            "change_wins_wall": wins,
-        }
-    record["audit"] = audit_record(trees)
-    record["stream"] = stream_record(trees)
-    record["probe_after_ns"] = probe_ns(hostspeed)
     previous = previous_diff(record, ROOT, args.out)
     if previous is not None:
         record["previous"] = previous

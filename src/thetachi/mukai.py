@@ -50,11 +50,6 @@ class NSClass:
     def square(self) -> int:
         return 2 * self.n * self.k * self.k
 
-    def dot(self, other: "NSClass") -> int:
-        if self.n != other.n:
-            raise LatticeError("NS classes in different lattices")
-        return 2 * self.n * self.k * other.k
-
 
 @dataclass(frozen=True)
 class MukaiVector:

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from thetachi.pairs import enumerate_rows, rows_to_csv, rows_to_json
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -59,30 +61,29 @@ def test_bench_diffs_against_the_highest_numbered_earlier_record(tmp_path):
 
 
 def test_bench_audit_counts_pairs_in_a_child_process():
-    # a small box stands in for AUDIT_BOX: the child's counts are those of
-    # enumerate_rows for every n up to the first entry
+    # a small box stands in for AUDIT_BOX: the counts of the CLI children,
+    # summed over every n up to the first entry, are those of enumerate_rows
     bench = load_script("bench")
     assert bench.AUDIT_BOX == (6, 12, 12, 24)
-    audit = bench.run_audit(ROOT, (2, 2, 1, 3))
+    record = bench.audit_record({"base": ROOT, "change": ROOT}, (2, 2, 1, 3), runs=1)
     expected = sum(len(enumerate_rows(n, 2, 1, 3)[0]) for n in (1, 2))
-    assert (audit["pairs"], audit["nonintegral"]) == (expected, 0)
-    assert expected > 0 and audit["wall_ns"] > 0 and audit["peak_rss_kib"] > 0
-    assert audit["scaled_wall_ns"] > 0
-    assert all(type(value) is int for value in audit.values())
+    assert expected > 0
+    for side in ("base", "change"):
+        (audit,) = record[side]["runs"]
+        assert (audit["pairs"], audit["nonintegral"]) == (expected, 0)
+        assert audit["wall_ns"] > 0 and audit["peak_rss_kib"] > 0
+        assert all(type(value) is int for value in audit.values())
 
 
-def test_bench_audit_scales_each_n_by_the_probes_around_it(monkeypatch, tmp_path):
-    # a stand-in probe that reads half the nominal time on every call: the
-    # host runs at twice the nominal speed, so each n's time doubles
+def test_bench_stream_names_the_tree_of_a_failed_child(tmp_path):
     bench = load_script("bench")
-    (tmp_path / "hostspeed.py").write_text(
-        "NOMINAL_S = 0.014\n"
-        "def probe():\n    return 0.007\n"
-        "def scaled(seconds, probe_seconds):\n    return seconds * NOMINAL_S / probe_seconds\n",
-        encoding="utf-8")
-    monkeypatch.setattr(bench, "HOSTSPEED_DIR", tmp_path)
-    audit = bench.run_audit(ROOT, (3, 1, 1, 2))
-    assert abs(audit["scaled_wall_ns"] - 2 * audit["wall_ns"]) <= 3  # one rounding per n
+    package = tmp_path / "src" / "thetachi"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("", encoding="utf-8")
+    (package / "cli.py").write_text("raise ImportError('no cli in this tree')\n", encoding="utf-8")
+    with pytest.raises(RuntimeError, match="no cli in this tree") as failed:
+        bench.run_stream(tmp_path, "csv", (1, 1, 1, 2))
+    assert f"failed in {tmp_path}" in str(failed.value)
 
 
 def test_mutation_gate_patterns_occur_once():
@@ -118,30 +119,59 @@ def test_bench_child_env_gives_each_run_its_own_bytecode_cache(monkeypatch, tmp_
 
 
 def test_bench_audit_alternates_the_trees_and_keeps_each_run(monkeypatch):
-    # run_audit stubbed: each run reports which tree it ran on and when
+    # run_stream stubbed: each child reports which tree it ran on and when;
+    # a tree-run is six CSV children, n = 1..6
     bench = load_script("bench")
-    assert bench.AUDIT_RUNS == 3
+    assert bench.RUNS == 3
     calls = []
     walls = {"base": [30, 10, 20], "change": [5, 9, 7]}
 
-    def fake_audit(tree):
-        calls.append(tree)
-        wall = walls[tree.name][sum(c == tree for c in calls) - 1]
-        return {"wall_ns": wall, "scaled_wall_ns": 3 * wall, "pairs": 4, "nonintegral": 0,
-                "peak_rss_kib": 100 + wall}
+    def fake_stream(tree, fmt, box):
+        calls.append((tree, fmt, box))
+        wall = walls[tree.name][(sum(c[0] == tree for c in calls) - 1) // 6]
+        return {"wall_ns": wall, "peak_rss_kib": 100 + wall + box[0], "pairs": box[0],
+                "nonintegral": 0, "sha256": "digest", "bytes": 1}
 
-    monkeypatch.setattr(bench, "run_audit", fake_audit)
-    trees = {"base": Path("base"), "change": Path("change")}
-    record = bench.audit_record(trees)
-    assert [tree.name for tree in calls] == ["base", "change", "change", "base", "base", "change"]
+    monkeypatch.setattr(bench, "run_stream", fake_stream)
+    record = bench.audit_record({"base": Path("base"), "change": Path("change")})
+    assert [tree.name for tree, _, _ in calls] == [
+        name for name in ("base", "change", "change", "base", "base", "change") for _ in range(6)]
+    assert [(fmt, box) for _, fmt, box in calls] == [
+        ("csv", (n, 12, 12, 24)) for n in range(1, 7)] * 6
     assert record["box"] == {"n": "1..6", "max_rank": 12, "max_k": 12, "max_chi": 24}
     assert record["base"]["runs"] == [
-        {"wall_ns": w, "scaled_wall_ns": 3 * w, "pairs": 4, "nonintegral": 0,
-         "peak_rss_kib": 100 + w} for w in (30, 10, 20)]
+        {"wall_ns": 6 * w, "peak_rss_kib": 106 + w, "pairs": 21, "nonintegral": 0}
+        for w in (30, 10, 20)]
     assert {k: v for k, v in record["base"].items() if k != "runs"} == {
-        "wall_ns": 20, "scaled_wall_ns": 60, "pairs": 4, "nonintegral": 0, "peak_rss_kib": 120}
-    assert (record["change"]["wall_ns"], record["change"]["scaled_wall_ns"],
-            record["change"]["peak_rss_kib"]) == (7, 21, 107)
+        "wall_ns": 120, "peak_rss_kib": 126, "pairs": 21, "nonintegral": 0}
+    assert (record["change"]["wall_ns"], record["change"]["peak_rss_kib"]) == (42, 113)
+
+
+def test_bench_workloads_alternate_the_trees_and_keep_every_run(monkeypatch):
+    # run_once stubbed: base runs 101..110 ns, the change 105 ns each, so
+    # the change wins the pairs where base ran 106 ns or more
+    bench = load_script("bench")
+    calls = []
+
+    def fake_once(tree, workload):
+        calls.append((tree.name, workload))
+        i = sum(name == tree.name for name, _ in calls)
+        wall = 100 + i if tree.name == "base" else 105
+        return {"wall_ns": wall, "raw_wall_ns": 2 * wall, "setup_ns": 30 + i,
+                "raw_setup_ns": 20 + i, "ops_per_s": 1000 - wall, "peak_rss_kib": 500 + i,
+                "failed": i % 2, "attempted": 10}
+
+    monkeypatch.setattr(bench, "run_once", fake_once)
+    record = bench.workload_record({"base": Path("base"), "change": Path("change")}, "oracle")
+    assert calls == [(side, "oracle") for side in ("base", "change", "change", "base")] * 5
+    assert record["change_wins_wall"] == 5
+    base = record["base"]
+    assert [run["wall_ns"] for run in base["runs"]] == list(range(101, 111))
+    assert [run["peak_rss_kib"] for run in base["runs"]] == list(range(501, 511))
+    assert all(set(bench.MEDIANS) <= set(run) for run in base["runs"])
+    assert [base[key] for key in (*bench.MEDIANS, "failed", "attempted")] == [
+        106, 211, 36, 26, 894, 506, 5, 100]
+    assert (record["change"]["wall_ns"], record["change"]["wall_q1_ns"]) == (105, 105)
 
 
 def test_bench_stream_runs_the_cli_per_format_in_child_processes():
