@@ -21,11 +21,14 @@ alternating order.  Each child reports the raw wall time of the CLI's
 ``main`` in ns (not scaled: at this noise the probe's scaling can reverse
 the raw order), its peak RSS in KiB, the pairs and nonintegral rows the CLI
 reports, and the size and sha256 of the file written.  ``audit`` is the
-integrality-audit box ``AUDIT_BOX`` (n = 1..6, rank <= 12, |k| <= 12,
-|chi| <= 24) in CSV, one child per n, summed; ``stream`` is the
-15,925-cell n = 1 box ``STREAM_BOX`` in CSV and in JSON.  Each side keeps
-every run, the median of each numeric field and the sha256 when every run
-wrote the same bytes.  These are measurements, not gates.
+box ``AUDIT_BOX`` (n = 1..6, rank <= 12, |k| <= 12, |chi| <= 24) in CSV,
+one child per n, summed; ``stream`` is the 15,925-cell n = 1 box
+``STREAM_BOX`` in CSV and in JSON.  The stream box is the audit's n = 1
+slice, so its CSV runs are the audit's n = 1 children, which each audit
+run keeps as its entry ``n1``; only its JSON runs are children of their
+own.  Each side keeps every run, the median of each numeric field and the
+sha256 when every run wrote the same bytes.  These are measurements, not
+gates.
 
 When the repository root holds an earlier record (the highest-numbered
 ``BENCH_<n>.json`` other than ``--out``), the new record gains a
@@ -59,12 +62,12 @@ SEED = 1
 NS = 1_000_000_000
 # the change-side medians that ``previous`` compares
 MEDIANS = ("wall_ns", "raw_wall_ns", "setup_ns", "raw_setup_ns", "ops_per_s", "peak_rss_kib")
-# the integrality-audit box: (largest n, max_rank, max_k, max_chi), every n from 1
+# the audit box: (largest n, max_rank, max_k, max_chi), every n from 1
 AUDIT_BOX = (6, 12, 12, 24)
-# the largest n = 1 box in the enumerate cap, 323,471 rows:
-# (n, max_rank, max_k, max_chi)
-STREAM_BOX = (1, 12, 12, 24)
-RUNS = 3  # per tree, of the audit and of each format: one unpaired run moved by 17%
+# the audit's n = 1 slice, the largest n = 1 box in the enumerate cap,
+# 323,471 rows: (n, max_rank, max_k, max_chi)
+STREAM_BOX = (1, *AUDIT_BOX[1:])
+RUNS = 3  # per tree, of the audit and of the JSON stream: one unpaired run moved by 17%
 _STREAM_CHILD = """\
 import contextlib, io, json, resource, sys, time
 from thetachi.cli import main
@@ -183,14 +186,14 @@ def alternating_runs(trees: dict, runs: int, run, label: str) -> dict:
 
 
 def side_record(runs: list) -> dict:
-    """The median of each int field of ``runs``, each other field's value
+    """The median of each int field of ``runs``, each str field's value
     when every run has the same one (else None), and every run."""
     out = {}
     for key, value in runs[0].items():
         values = [run[key] for run in runs]
         if type(value) is int:
             out[key] = round(median(values))
-        else:
+        elif type(value) is str:
             out[key] = values[0] if len(set(values)) == 1 else None
     out["runs"] = runs
     return out
@@ -220,14 +223,15 @@ def workload_record(trees: dict, workload: str) -> dict:
 def audit_record(trees: dict, box: tuple = AUDIT_BOX, runs: int = RUNS) -> dict:
     """``runs`` audit runs per tree in alternating order, each a CSV
     ``run_stream`` for every n from 1 to ``box[0]``; per side every run and
-    the median of each of its fields."""
+    the median of each of its int fields.  Each run keeps its n = 1 child
+    as its entry ``n1``."""
     n_max, max_rank, max_k, max_chi = box
 
     def audit(tree: Path) -> dict:
         done = [run_stream(tree, "csv", (n, max_rank, max_k, max_chi))
                 for n in range(1, n_max + 1)]
         total = {key: sum(run[key] for run in done) for key in ("wall_ns", "pairs", "nonintegral")}
-        return dict(total, peak_rss_kib=max(run["peak_rss_kib"] for run in done))
+        return dict(total, peak_rss_kib=max(run["peak_rss_kib"] for run in done), n1=done[0])
 
     record = {"box": {"n": f"1..{n_max}", "max_rank": max_rank, "max_k": max_k,
                       "max_chi": max_chi}}
@@ -236,17 +240,20 @@ def audit_record(trees: dict, box: tuple = AUDIT_BOX, runs: int = RUNS) -> dict:
     return record
 
 
-def stream_record(trees: dict, box: tuple = STREAM_BOX, runs: int = RUNS) -> dict:
-    """``runs`` runs of ``run_stream`` per tree and format in alternating
-    order; per format and side every run, the median of each numeric field,
-    and the sha256 when every run wrote the same bytes."""
+def stream_record(trees: dict, audit: dict, box: tuple = STREAM_BOX, runs: int = RUNS) -> dict:
+    """The runs of ``box`` per format and side: every run, the median of
+    each numeric field, and the sha256 when every run wrote the same bytes.
+    The CSV runs are the ``n1`` children of ``audit``, an ``audit_record``
+    whose n = 1 slice is ``box``; the JSON runs are ``runs`` ``run_stream``
+    children per tree in alternating order."""
     n, max_rank, max_k, max_chi = box
-    record = {"box": {"n": n, "max_rank": max_rank, "max_k": max_k, "max_chi": max_chi}}
-    for fmt in ("csv", "json"):
-        done = alternating_runs(trees, runs, lambda tree: run_stream(tree, fmt, box),
-                                f"stream {fmt}")
-        record[fmt] = {side: side_record(results) for side, results in done.items()}
-    return record
+    done = alternating_runs(trees, runs, lambda tree: run_stream(tree, "json", box),
+                            "stream json")
+    return {
+        "box": {"n": n, "max_rank": max_rank, "max_k": max_k, "max_chi": max_chi},
+        "csv": {side: side_record([run["n1"] for run in audit[side]["runs"]]) for side in trees},
+        "json": {side: side_record(results) for side, results in done.items()},
+    }
 
 
 def previous_diff(record: dict, root: Path, out: Path) -> dict | None:
@@ -302,9 +309,9 @@ def main(argv=None) -> int:
         "probe_before_ns": probe_ns(hostspeed),
         "workloads": {workload: workload_record(trees, workload) for workload in WORKLOADS},
         "audit": audit_record(trees),
-        "stream": stream_record(trees),
-        "probe_after_ns": probe_ns(hostspeed),
     }
+    record["stream"] = stream_record(trees, record["audit"])
+    record["probe_after_ns"] = probe_ns(hostspeed)
     previous = previous_diff(record, ROOT, args.out)
     if previous is not None:
         record["previous"] = previous

@@ -24,10 +24,13 @@ in row order, from the partner lists, and ``csv_lines`` and
 once it is rendered, so a caller that writes the text as it comes
 (``thetachi enumerate``) needs memory for the vectors and partner lists of
 the box, not for its rows.  The summary comes after the rows in both
-formats: its counts are known from the partner lists, and its integrality
-audit fills as the rows are built.  ``enumerate_rows``, ``rows_to_csv``
-and ``rows_to_json`` are the same generator and renderers collected into
-a list and a string.
+formats, but is complete before the first row is built: its counts are
+known from the partner lists, and its list of nonintegral rows is empty
+by construction, as ``formulas.row_forms`` evaluates every closed form as
+an int sum.  The Tier-1 test ``test_ac8_integrality_audit`` checks those
+values by a route that shares no binomial with ``row_forms``.
+``enumerate_rows``, ``rows_to_csv`` and ``rows_to_json`` are the same
+generator and renderers collected into a list and a string.
 
 A row is lean: its two vectors, which carry d_v and d_w, the
 ``formulas.row_forms`` entries of the three theta Euler characteristics
@@ -106,19 +109,12 @@ def admissible_vectors(n: int, max_rank: int, max_k: int, max_chi: int):
 @functools.cache  # a finite key space; rows with the same flags share one tuple
 def _flags(key: tuple) -> tuple:
     """The flags of a row with ``key`` = (d_v < 0, d_w < 0, h2 direction,
-    and per closed form None where it is undefined, else its branch, or the
-    branch in a 1-tuple where its value is not an integer)."""
-    dv_neg, dw_neg, h2, *states = key
+    and per closed form None where it is undefined, else its branch)."""
+    dv_neg, dw_neg, h2, *branches = key
     flags = ["dv_neg"] * dv_neg + ["dw_neg"] * dw_neg
-    flags.extend(f"{tag}_undef" for tag, state in zip(_FORMULA_TAGS, states) if state is None)
-    for tag, state in zip(_FORMULA_TAGS, states):
-        if state is None:
-            continue
-        branch = state if type(state) is str else state[0]
-        if branch != "generic":
-            flags.append(f"{tag}_{branch}")
-        if branch is not state:
-            flags.append(f"nonintegral_{tag}")
+    flags.extend(f"{tag}_undef" for tag, branch in zip(_FORMULA_TAGS, branches) if branch is None)
+    flags.extend(f"{tag}_{branch}" for tag, branch in zip(_FORMULA_TAGS, branches)
+                 if branch not in (None, "generic"))
     flags.append(_H2_FLAGS[h2])
     return tuple(flags)
 
@@ -129,9 +125,9 @@ def build_row(v: MukaiVector, w: MukaiVector) -> PairRow:
     forms = (main, main_branch, _), (two, two_branch, _), (three, three_branch, _) = row_forms(
         v.r, v.chi, dv_, w.r, w.chi, dw_)
     key = (dv_ < 0, dw_ < 0, h2_vanishing_direction(v, w),
-           None if main is None else main_branch if main.denominator == 1 else (main_branch,),
-           None if two is None else two_branch if two.denominator == 1 else (two_branch,),
-           None if three is None else three_branch if three.denominator == 1 else (three_branch,))
+           None if main is None else main_branch,
+           None if two is None else two_branch,
+           None if three is None else three_branch)
     return PairRow(v, w, forms, _flags(key))
 
 
@@ -224,9 +220,8 @@ def stream_rows(n: int, vectors: list, partners: list) -> tuple:
     """(rows, summary) of ``find_partners``'s (vectors, partners).
 
     ``rows`` is a generator that builds the rows one at a time, in row
-    order.  ``summary`` carries the counts at once, and its integrality
-    audit, ``nonintegral_rows``, gains each row with a ``nonintegral``
-    flag as that row is built, so it is complete once the last row is.
+    order.  ``summary`` is complete at once: the counts, and an empty
+    ``nonintegral_rows``, as every closed form is an int.
     """
     summary = {
         "n": str(n),
@@ -234,39 +229,24 @@ def stream_rows(n: int, vectors: list, partners: list) -> tuple:
         "pairs": str(sum(map(len, partners))),
         "nonintegral_rows": [],
     }
-    return _rows(vectors, partners, summary["nonintegral_rows"]), summary
-
-
-def _rows(vectors: list, partners: list, nonintegral: list):
-    # whether each distinct flags tuple names a nonintegral value, keyed by
-    # id: rows share the tuples that _flags keeps
-    verdicts: dict = {}
-    for v, row_partners in zip(vectors, partners):
-        for j in row_partners:
-            row = build_row(v, vectors[j])
-            flags = row.flags
-            verdict = verdicts.get(id(flags))
-            if verdict is None:
-                verdict = verdicts[id(flags)] = any(
-                    flag.startswith("nonintegral") for flag in flags)
-            if verdict:
-                nonintegral.append({"v": v.text(), "w": row.w.text(), "flags": list(flags)})
-            yield row
+    # build_row is looked up per row, so a patched one is the one called
+    rows = (build_row(v, vectors[j]) for v, row_partners in zip(vectors, partners)
+            for j in row_partners)
+    return rows, summary
 
 
 def enumerate_rows(n: int, max_rank: int, max_k: int, max_chi: int):
     """All ordered orthogonal pairs of admissible vectors in the box.
 
-    Returns (rows, summary): the list of ``stream_rows``' rows and the
-    summary they complete, with the counts and the integrality audit.
+    Returns (rows, summary): the list of ``stream_rows``' rows and their
+    summary.
     """
     rows, summary = stream_rows(n, *find_partners(n, max_rank, max_k, max_chi))
     return list(rows), summary
 
 
 def csv_lines(rows, summary):
-    """The CSV text of ``rows`` line by line, then the trailer of
-    ``summary``, which is read only after the last row."""
+    """The CSV text of ``rows`` line by line, then the trailer of ``summary``."""
     yield ",".join(CSV_COLUMNS) + "\n"
     # "r,k,chi" of each w and the text of each flags tuple, made once; keyed
     # by id, as the vectors and the flags tuples outlive the rows.  The rows
@@ -289,10 +269,9 @@ def csv_lines(rows, summary):
 
 def json_chunks(rows, summary):
     """The text of ``jsontext.dumps({"rows": [...], "summary": summary})``
-    and a newline, one row at a time; ``summary`` is read only after the
-    last row.  Each row is ``dumps`` of its ``to_json_dict`` indented to its
-    depth, which is exact: a string's newlines are escaped, so each newline
-    is the layout's."""
+    and a newline, one row at a time.  Each row is ``dumps`` of its
+    ``to_json_dict`` indented to its depth, which is exact: a string's
+    newlines are escaped, so each newline is the layout's."""
     yield '{\n  "rows": ['
     separator = "\n    "
     for row in rows:

@@ -7,6 +7,7 @@ arbitrary-precision.  Each test prints one PASS/FAIL line; run with
 
 import hashlib
 import json
+import math
 import random
 import time
 from pathlib import Path
@@ -35,10 +36,12 @@ from thetachi.mukai import (
     SIDE_A,
     SIDE_AH,
     MukaiVector,
+    c1_tensor,
     fm_vector,
     fm_vector_via_engine,
     mukai_pairing,
 )
+from thetachi import pairs
 from thetachi.pairs import enumerate_rows, rows_to_csv, rows_to_json
 
 from fractions import Fraction
@@ -181,22 +184,85 @@ AC8_BOXES = {
 }
 
 
+def integrality_audit(rows) -> tuple:
+    """(disagreements, mirror mismatches) of ``rows``, a set of ordered
+    orthogonal pairs closed under swapping v and w.
+
+    Each closed form is rebuilt by a route that shares no binomial with
+    ``formulas.row_forms``: for d_v, d_w >= 0 and d = d_v + d_w > 0 it is
+    N binom(d, d_v) / d, where N is c1(v (x) w)^2 / 2 = n (r_v k_w + r_w
+    k_v)^2 for chi_main, the same of the transformed vectors for chi_two,
+    and d_v^2 for chi_three.  A disagreement, (form, v, w), is a product
+    N binom(d, d_v) that d does not divide, or whose quotient is not the
+    row's value where that value is defined.  A mirror mismatch, (v, w), is
+    a row whose chi_main or chi_two differs from that of the row (w, v), or
+    whose chi_three breaks d_w^2 chi_three(v, w) = d_v^2 chi_three(w, v)
+    where both are defined.
+    """
+    values = {(row.v, row.w): tuple(entry[0] for entry in row.forms) for row in rows}
+    disagreements, mismatches = [], []
+    for (v, w), (main, two, three) in values.items():
+        d_v, d_w = v.d, w.d
+        d = d_v + d_w
+        if d_v >= 0 and d_w >= 0 and d > 0:
+            numerators = (c1_tensor(v, w).square() // 2,
+                          c1_tensor(fm_vector(v), fm_vector(w)).square() // 2, d_v * d_v)
+            binomial = math.comb(d, d_v)
+            for form, numerator, value in zip(("chi_main", "chi_two", "chi_three"),
+                                              numerators, (main, two, three)):
+                quotient, remainder = divmod(numerator * binomial, d)
+                if remainder or (value is not None and quotient != value):
+                    disagreements.append((form, v.text(), w.text()))
+        mirror_main, mirror_two, mirror_three = values[(w, v)]
+        if (main, two) != (mirror_main, mirror_two) or (
+                three is not None and mirror_three is not None
+                and d_w * d_w * three != d_v * d_v * mirror_three):
+            mismatches.append((v.text(), w.text()))
+    return disagreements, mismatches
+
+
 def test_ac8_integrality_audit():
     total_pairs = 0
-    violations = []
+    disagreements = []
+    mismatches = []
     drifted = []
-    for n, (pairs, digest) in AC8_BOXES.items():
+    for n, (pairs_expected, digest) in AC8_BOXES.items():
         rows, summary = enumerate_rows(n, max_rank=4, max_k=4, max_chi=6)
         total_pairs += len(rows)
-        violations.extend(summary["nonintegral_rows"])
+        found, mirrored = integrality_audit(rows)
+        disagreements += found
+        mismatches += mirrored
         got = hashlib.sha256(rows_to_csv(rows, summary).encode()).hexdigest()
-        if (len(rows), got) != (pairs, digest):
+        if (len(rows), got) != (pairs_expected, digest):
             drifted.append(f"n={n}: {len(rows)} pairs, sha256 {got[:12]}")
     report(
         "AC-8 integrality audit (n<=3, rank<=4, |k|<=4, |chi|<=6)",
-        not violations and not drifted and total_pairs == 8383,
-        f"{total_pairs} pairs, {len(violations)} non-integral, drifted: {drifted}",
+        not disagreements and not mismatches and not drifted and total_pairs == 8383,
+        f"{total_pairs} pairs, {len(disagreements)} disagreeing values, "
+        f"{len(mismatches)} mirror mismatches, drifted: {drifted}",
     )
+
+
+def test_integrality_audit_reports_a_value_moved_by_one(monkeypatch):
+    # the first defined chi_main that row_forms returns is one too large:
+    # the audit names that row, and it and its mirror row disagree
+    real_row_forms = pairs.row_forms
+    moved = []
+
+    def row_forms(*args):
+        forms = real_row_forms(*args)
+        if moved or forms[0][0] is None:
+            return forms
+        moved.append(args)
+        (value, *rest), *others = forms
+        return ((value + 1, *rest), *others)
+
+    monkeypatch.setattr(pairs, "row_forms", row_forms)
+    rows, _ = enumerate_rows(1, max_rank=2, max_k=3, max_chi=4)
+    row = next(row for row in rows if row.forms[0][0] is not None)
+    v, w = row.v.text(), row.w.text()
+    assert moved and v != w
+    assert integrality_audit(rows) == ([("chi_main", v, w)], [(v, w), (w, v)])
 
 
 # per AC-8 box: sha256 of the ``enumerate --format json`` bytes

@@ -72,6 +72,8 @@ def test_bench_audit_counts_pairs_in_a_child_process():
         (audit,) = record[side]["runs"]
         assert (audit["pairs"], audit["nonintegral"]) == (expected, 0)
         assert audit["wall_ns"] > 0 and audit["peak_rss_kib"] > 0
+        n1 = audit.pop("n1")
+        assert n1["pairs"] == len(enumerate_rows(1, 2, 1, 3)[0])
         assert all(type(value) is int for value in audit.values())
 
 
@@ -120,7 +122,7 @@ def test_bench_child_env_gives_each_run_its_own_bytecode_cache(monkeypatch, tmp_
 
 def test_bench_audit_alternates_the_trees_and_keeps_each_run(monkeypatch):
     # run_stream stubbed: each child reports which tree it ran on and when;
-    # a tree-run is six CSV children, n = 1..6
+    # a tree-run is six CSV children, n = 1..6, and keeps its n = 1 child
     bench = load_script("bench")
     assert bench.RUNS == 3
     calls = []
@@ -140,11 +142,22 @@ def test_bench_audit_alternates_the_trees_and_keeps_each_run(monkeypatch):
         ("csv", (n, 12, 12, 24)) for n in range(1, 7)] * 6
     assert record["box"] == {"n": "1..6", "max_rank": 12, "max_k": 12, "max_chi": 24}
     assert record["base"]["runs"] == [
-        {"wall_ns": 6 * w, "peak_rss_kib": 106 + w, "pairs": 21, "nonintegral": 0}
+        {"wall_ns": 6 * w, "peak_rss_kib": 106 + w, "pairs": 21, "nonintegral": 0,
+         "n1": {"wall_ns": w, "peak_rss_kib": 101 + w, "pairs": 1, "nonintegral": 0,
+                "sha256": "digest", "bytes": 1}}
         for w in (30, 10, 20)]
     assert {k: v for k, v in record["base"].items() if k != "runs"} == {
         "wall_ns": 120, "peak_rss_kib": 126, "pairs": 21, "nonintegral": 0}
     assert (record["change"]["wall_ns"], record["change"]["peak_rss_kib"]) == (42, 113)
+    # the stream box adds one JSON child per tree-run; its CSV runs are the
+    # audit's n = 1 children
+    calls.clear()
+    stream = bench.stream_record({"base": Path("base"), "change": Path("change")}, record)
+    assert [(tree.name, fmt, box) for tree, fmt, box in calls] == [
+        (name, "json", (1, 12, 12, 24)) for name in ("base", "change", "change", "base", "base",
+                                                     "change")]
+    assert stream["csv"]["base"]["runs"] == [run["n1"] for run in record["base"]["runs"]]
+    assert stream["csv"]["base"]["wall_ns"] == 20
 
 
 def test_bench_workloads_alternate_the_trees_and_keep_every_run(monkeypatch):
@@ -174,13 +187,25 @@ def test_bench_workloads_alternate_the_trees_and_keep_every_run(monkeypatch):
     assert (record["change"]["wall_ns"], record["change"]["wall_q1_ns"]) == (105, 105)
 
 
-def test_bench_stream_runs_the_cli_per_format_in_child_processes():
+def test_bench_stream_runs_the_cli_per_format_in_child_processes(monkeypatch):
     # a small box stands in for STREAM_BOX: each run writes the bytes of the
-    # list API, and every field is recorded per run and per side
+    # list API, and every field is recorded per run and per side; the CSV
+    # runs are the audit's n = 1 children, so only the JSON runs are new
     bench = load_script("bench")
     assert bench.STREAM_BOX == (1, 12, 12, 24)
     box = (1, 1, 1, 2)
-    record = bench.stream_record({"base": ROOT, "change": ROOT}, box, runs=2)
+    trees = {"base": ROOT, "change": ROOT}
+    audit = bench.audit_record(trees, box, runs=2)
+    real_run_stream = bench.run_stream
+    calls = []
+
+    def counted_stream(tree, fmt, box):
+        calls.append(fmt)
+        return real_run_stream(tree, fmt, box)
+
+    monkeypatch.setattr(bench, "run_stream", counted_stream)
+    record = bench.stream_record(trees, audit, box, runs=2)
+    assert calls == ["json"] * 4
     assert record["box"] == {"n": 1, "max_rank": 1, "max_k": 1, "max_chi": 2}
     rows, summary = enumerate_rows(*box)
     for fmt, render in (("csv", rows_to_csv), ("json", rows_to_json)):
@@ -189,6 +214,8 @@ def test_bench_stream_runs_the_cli_per_format_in_child_processes():
             result = record[fmt][side]
             assert result["sha256"] == hashlib.sha256(text).hexdigest()
             assert len(result["runs"]) == 2
+            if fmt == "csv":
+                assert result["runs"] == [run["n1"] for run in audit[side]["runs"]]
             for run in result["runs"]:
                 assert run["bytes"] == len(text) and run["sha256"] == result["sha256"]
                 assert run["wall_ns"] > 0 and run["peak_rss_kib"] > 0
